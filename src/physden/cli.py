@@ -109,38 +109,44 @@ def _require(cp, section: str, key: str) -> str:
     return value
 
 
-def _get_float(cp, section: str, key: str, default: float | None) -> float | None:
-    raw = _get(cp, section, key)
-    if raw is None or raw == "":
-        if raw == "":
-            raise ValueError(f"[{section}] {key}: expected a number, got an empty value")
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _get_int(cp, section: str, key: str, default: int) -> int:
-    raw = _get(cp, section, key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _get_bool(cp, section: str, key: str, default: bool) -> bool:
-    raw = _get(cp, section, key)
-    if raw is None or raw == "":
-        return default
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+_KINDS = {
+    str: (str, "a value"),
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    bool: (_parse_bool, "a boolean"),
+}
+
+
+def _get_typed(cp, section: str, key: str, kind: type, default=None):
+    """[section] key parsed as kind, or default when the config leaves it unset.
+
+    An empty value is an error for every kind, never a silent default.
+    """
+    raw = _get(cp, section, key)
+    if raw is None:
+        return default
+    parse, expected = _KINDS[kind]
+    if raw == "":
+        raise ValueError(f"[{section}] {key}: expected {expected}, got an empty value")
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+
+
+def _given(cp, section: str, kinds: dict[str, type]) -> dict:
+    """Parsed values of the keys the config sets; unset keys keep the library defaults."""
+    values = {key: _get_typed(cp, section, key, kind) for key, kind in kinds.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _run_dir(args, seed: int) -> Path:
@@ -153,33 +159,59 @@ def _run_dir(args, seed: int) -> Path:
     return path
 
 
+# Keys that map one to one onto config fields, with the kind to parse them as.
+_SIMULATE_KEYS = {
+    "family": str,
+    "count": int,
+    "duration": float,
+    "dt": float,
+    "seed": int,
+    "noise_kind": str,
+    "noise_scale": float,
+    "mask_fraction": float,
+    "motion_scale": float,
+    "rotation_scale": float,
+    "n_modes": int,
+    "room_volume": float,
+    "emission_rate": float,
+    "initial_ppm": float,
+    "flow": float,
+    "inflow_ppm": float,
+    "outdoor_offset": float,
+    "mass_flow": float,
+    "specific_heat": float,
+}
+_TRAIN_KEYS = {
+    "lr": float,
+    "batch_size": int,
+    "epochs_total": int,
+    "pretrain_fraction": float,
+    "lambda_mode": str,
+    "lambda_value": float,
+    "seed": int,
+    "predict_residual": bool,
+}
+_NOISE_KEYS = {
+    "noise_kind": str,
+    "noise_scale": float,
+    "mask_fraction": float,
+}
+
+
 def _train_config(cp):
     from .data import NoiseSpec
     from .training import TrainConfig
 
-    widths_raw = _get(cp, "train", "widths", "128,256,128")
-    try:
-        widths = tuple(int(v) for v in widths_raw.split(","))
-    except ValueError:
-        raise ValueError(f"[train] widths: expected W1,W2,W3 integers, got {widths_raw!r}") from None
-    noise = NoiseSpec(
-        kind=_get(cp, "train", "noise_kind", "gaussian"),
-        scale=_get_float(cp, "train", "noise_scale", 0.1),
-        mask_fraction=_get_float(cp, "train", "mask_fraction", 0.0),
-    )
-    return TrainConfig(
-        lr=_get_float(cp, "train", "lr", 1e-4),
-        batch_size=_get_int(cp, "train", "batch_size", 16),
-        epochs_total=_get_int(cp, "train", "epochs_total", 50),
-        pretrain_fraction=_get_float(cp, "train", "pretrain_fraction", 0.2),
-        lambda_mode=_get(cp, "train", "lambda_mode", "adaptive"),
-        lambda_value=_get_float(cp, "train", "lambda_value", 1.0),
-        noise=noise,
-        seed=_get_int(cp, "train", "seed", 0),
-        deterministic=_get_bool(cp, "train", "deterministic", True),
-        widths=widths,
-        predict_residual=_get_bool(cp, "train", "predict_residual", False),
-    )
+    given = _given(cp, "train", _TRAIN_KEYS)
+    widths_raw = _get(cp, "train", "widths")
+    if widths_raw is not None:
+        try:
+            given["widths"] = tuple(int(v) for v in widths_raw.split(","))
+        except ValueError:
+            raise ValueError(f"[train] widths: expected W1,W2,W3 integers, got {widths_raw!r}") from None
+    noise = _given(cp, "train", _NOISE_KEYS)
+    noise = {key.removeprefix("noise_"): value for key, value in noise.items()}
+    return TrainConfig(noise=NoiseSpec(**noise), **given)
 
 
 # ---------------------------------------------------------------------------
@@ -188,47 +220,26 @@ def _train_config(cp):
 
 def _cmd_simulate(args, cp) -> int:
     from .data import SimulateConfig, generate_dataset, save_dataset
-    from .metrics import physics_metrics
+    from .physics import physics_loss
 
-    bias_frac: dict[str, float] = {}
+    given = _given(cp, "data", _SIMULATE_KEYS)
     raw_bias = _get(cp, "data", "bias_frac", "")
     if raw_bias:
+        given["bias_frac"] = {}
         for part in raw_bias.split(","):
             name, sep, frac = part.partition(":")
             if not sep:
                 raise ValueError(f"[data] bias_frac: expected name:frac pairs, got {part!r}")
             try:
-                bias_frac[name.strip()] = float(frac)
+                given["bias_frac"][name.strip()] = float(frac)
             except ValueError:
                 raise ValueError(f"[data] bias_frac: bad fraction in {part!r}") from None
-
-    cfg = SimulateConfig(
-        family=_get(cp, "data", "family", "ins"),
-        count=_get_int(cp, "data", "count", 8),
-        duration=_get_float(cp, "data", "duration", None),
-        dt=_get_float(cp, "data", "dt", None),
-        seed=_get_int(cp, "data", "seed", 0),
-        noise_kind=_get(cp, "data", "noise_kind", "gaussian"),
-        noise_scale=_get_float(cp, "data", "noise_scale", 0.1),
-        mask_fraction=_get_float(cp, "data", "mask_fraction", 0.0),
-        bias_frac=bias_frac,
-        motion_scale=_get_float(cp, "data", "motion_scale", 1.0),
-        rotation_scale=_get_float(cp, "data", "rotation_scale", 0.5),
-        n_modes=_get_int(cp, "data", "n_modes", 4),
-        room_volume=_get_float(cp, "data", "room_volume", 64.0),
-        emission_rate=_get_float(cp, "data", "emission_rate", 10.0),
-        initial_ppm=_get_float(cp, "data", "initial_ppm", 420.0),
-        flow=_get_float(cp, "data", "flow", 0.03),
-        inflow_ppm=_get_float(cp, "data", "inflow_ppm", 420.0),
-        outdoor_offset=_get_float(cp, "data", "outdoor_offset", 0.0),
-        mass_flow=_get_float(cp, "data", "mass_flow", 1.0),
-        specific_heat=_get_float(cp, "data", "specific_heat", 1006.0),
-    )
+    cfg = SimulateConfig(**given)
     run_dir = _run_dir(args, cfg.seed)
     dataset = generate_dataset(cfg)
     manifest = save_dataset(dataset, run_dir / "data")
 
-    worst = max(physics_metrics(w, dataset.spec)[0] for w in dataset.clean)
+    worst = max(physics_loss(w, dataset.spec) for w in dataset.clean)
     print(f"wrote {len(dataset.windows)} {cfg.family} windows to {manifest.parent}")
     print(f"manifest: {manifest}")
     print(f"clean self-check phys_mse (worst window): {worst:.6g}")
@@ -301,7 +312,7 @@ def _cmd_denoise(args, cp) -> int:
     save_csv(restored, out_path)
     print(f"wrote {out_path}")
 
-    repeats = _get_int(cp, "output", "timing_repeats", 0)
+    repeats = _get_typed(cp, "output", "timing_repeats", int, 0)
     if repeats > 0:
         start = time.perf_counter()
         for _ in range(repeats):
@@ -355,9 +366,9 @@ def _cmd_eval(args, cp) -> int:
 def _cmd_gradcheck(args, cp) -> int:
     from .gradcheck import run_suite
 
-    seed = _get_int(cp, "gradcheck", "seed", 0)
-    instances = _get_int(cp, "gradcheck", "instances", 20)
-    tol = _get_float(cp, "gradcheck", "tolerance", 1e-5)
+    seed = _get_typed(cp, "gradcheck", "seed", int, 0)
+    instances = _get_typed(cp, "gradcheck", "instances", int, 20)
+    tol = _get_typed(cp, "gradcheck", "tolerance", float, 1e-5)
     results = run_suite(seed=seed, instances=instances, rel_tol=tol)
     failed = []
     for r in results:
@@ -377,9 +388,9 @@ def _cmd_bias_demo(args, cp) -> int:
 
     from .training import bias_demo
 
-    eta = _get_float(cp, "demo", "eta_frac", 0.5)
-    n_windows = _get_int(cp, "demo", "n_windows", 48)
-    seed = _get_int(cp, "demo", "seed", 11)
+    eta = _get_typed(cp, "demo", "eta_frac", float, 0.5)
+    n_windows = _get_typed(cp, "demo", "n_windows", int, 48)
+    seed = _get_typed(cp, "demo", "seed", int, 11)
     report = bias_demo(eta, n_windows=n_windows, seed=seed)
 
     run_dir = _run_dir(args, seed)

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .physics import (
     CHANNEL_NAMES,
     CHANNEL_UNITS,
@@ -31,15 +30,14 @@ from .physics import (
     HvacEnvironment,
     InsEnvironment,
     PhysicsSpec,
-    Quaternion,
     co2_known_terms,
     default_channel_map,
+    hamilton_rows,
     hvac_heat_capacity_rate,
     quat_exp,
-    quat_mul,
     quat_normalize,
     quat_to_rotmat,
-    stacked_residual,
+    window_residual,
 )
 
 __all__ = [
@@ -295,13 +293,12 @@ def simulate_ins(
     q[:, 0] = (1.0, 0.0, 0.0, 0.0)
     for k in range(t_len - 1):
         step = quat_exp(0.5 * dt * w[:, k])
-        nxt = quat_normalize(quat_mul(Quaternion(*q[:, k]), step))
-        q[:, k + 1] = nxt.as_array()
+        q[:, k + 1] = quat_normalize(hamilton_rows(q[:, k], step))
 
+    # Per timestep, like quat_normalize's **2: vectorising rounds differently and changes the data.
     a = np.empty((3, t_len))
     for k in range(t_len):
-        rot = quat_to_rotmat(Quaternion(*q[:, k]))
-        a[:, k] = rot.T @ (pdd[:, k] - env.gravity)
+        a[:, k] = quat_to_rotmat(q[:, k]).T @ (pdd[:, k] - env.gravity)
 
     window = SampleWindow(
         channels=list(CHANNEL_NAMES["ins"]),
@@ -432,7 +429,7 @@ def simulate_hvac(
 
 def alignment_score(window: SampleWindow, spec: PhysicsSpec) -> float:
     """Sum of squared residual entries; the split's ranking statistic."""
-    r = stacked_residual(Tensor(window.values), spec).data
+    r = window_residual(window, spec)
     return float(np.sum(r * r))
 
 
@@ -515,7 +512,8 @@ def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | N
     """Read a window CSV; dt is inferred from the time column.
 
     schema, when given, lists channel names that must be present (extra
-    columns are kept, file order preserved). Errors carry path:line.
+    columns are kept, file order preserved). Values, the time column
+    included, must be finite. Errors carry path:line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -543,6 +541,9 @@ def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | N
             parsed[k, :] = [float(v) for v in row]
         except ValueError:
             raise ValueError(f"{path}:{line}: non-numeric value in row") from None
+    non_finite = np.flatnonzero(~np.isfinite(parsed).all(axis=1))
+    if non_finite.size:
+        raise ValueError(f"{path}:{non_finite[0] + 2}: non-finite value in row")
 
     if parsed.shape[0] < 3:
         raise ValueError(f"{path}: need at least 3 data rows, got {parsed.shape[0]}")

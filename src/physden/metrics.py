@@ -14,41 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .data import SampleWindow
-from .physics import PhysicsSpec, stacked_residual
+from .physics import PhysicsSpec, window_residual
 
 __all__ = [
     "EvalReport",
-    "recon_metrics",
-    "physics_metrics",
     "evaluate",
     "REPORT_COLUMNS",
     "write_report_csv",
     "format_report_table",
 ]
-
-
-def _values_of(x) -> np.ndarray:
-    if isinstance(x, SampleWindow):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
-def recon_metrics(denoised, reference) -> tuple[float, float]:
-    """(mean squared error, mean absolute error) between two equal-shape blocks."""
-    a = _values_of(denoised)
-    b = _values_of(reference)
-    if a.shape != b.shape:
-        raise ValueError(f"recon_metrics: shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.mean(diff * diff)), float(np.mean(np.abs(diff)))
-
-
-def physics_metrics(window: SampleWindow, spec: PhysicsSpec) -> tuple[float, float]:
-    """(mean squared, mean absolute) residual entries of the given physics family."""
-    r = stacked_residual(Tensor(window.values), spec).data
-    return float(np.mean(r * r)), float(np.mean(np.abs(r)))
 
 
 @dataclass
@@ -83,8 +58,9 @@ def evaluate(
 
     Reconstruction compares against the paired clean windows on the given
     channel subset (default: all channels); physics metrics always cover the
-    full window. Entries are pooled across windows before reducing, so
-    windows of different lengths weigh by their size.
+    full window, whose dt must match the environment's. Entries are pooled
+    across windows before reducing, so windows of different lengths weigh by
+    their size.
     """
     windows = list(windows)
     if not windows:
@@ -104,11 +80,13 @@ def evaluate(
         for w, ref in zip(windows, clean):
             for c in names:
                 diff = w.row(c) - ref.row(c)
-                ch_sq[c] += float(np.sum(diff * diff))
-                ch_abs[c] += float(np.sum(np.abs(diff)))
+                sq = float(np.sum(diff * diff))
+                ab = float(np.sum(np.abs(diff)))
+                ch_sq[c] += sq
+                ch_abs[c] += ab
                 ch_n[c] += diff.size
-                sq_sum += float(np.sum(diff * diff))
-                abs_sum += float(np.sum(np.abs(diff)))
+                sq_sum += sq
+                abs_sum += ab
                 n_entries += diff.size
         per_channel = {c: (ch_sq[c] / ch_n[c], ch_abs[c] / ch_n[c]) for c in names}
 
@@ -116,7 +94,7 @@ def evaluate(
     phys_abs = 0.0
     phys_n = 0
     for w in windows:
-        r = stacked_residual(Tensor(w.values), spec).data
+        r = window_residual(w, spec)
         phys_sq += float(np.sum(r * r))
         phys_abs += float(np.sum(np.abs(r)))
         phys_n += r.size

@@ -36,8 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from .data import SampleWindow
 
 __all__ = [
-    "Quaternion",
-    "quat_mul",
+    "hamilton_rows",
     "quat_normalize",
     "quat_to_rotmat",
     "quat_exp",
@@ -56,6 +55,7 @@ __all__ = [
     "residual_co2",
     "residual_hvac",
     "stacked_residual",
+    "window_residual",
     "physics_loss",
     "physics_loss_tensor",
     "STANDARD_GRAVITY",
@@ -65,48 +65,37 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 
 
 # ---------------------------------------------------------------------------
-# Quaternion math (plain numpy; used by simulators and spot checks)
+# Quaternion math (scalar-first; the Hamilton product also serves the residuals)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Scalar-first quaternion (w, x, y, z)."""
+def hamilton_rows(a, b):
+    """Hamilton product a * b of two scalar-first quaternions given as (w, x, y, z).
 
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-
-def quat_mul(q1: Quaternion, q2: Quaternion) -> Quaternion:
-    """Hamilton product q1 * q2 (scalar-first)."""
-    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
-    w2, x2, y2, z2 = q2.w, q2.x, q2.y, q2.z
-    return Quaternion(
-        w=w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        x=w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        y=w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        z=w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    Uses only arithmetic operators, so components may be floats, arrays of
+    per-timestep values, or tape tensors; the simulator and the residuals
+    share this one product.
+    """
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
 
 
-def quat_normalize(q: Quaternion) -> Quaternion:
-    n = q.norm()
+def quat_normalize(q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    n = float(np.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2))
     if n < 1e-12:
         raise ValueError("quat_normalize: zero-norm quaternion")
-    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
+    return q / n
 
 
-def quat_to_rotmat(q: Quaternion) -> np.ndarray:
+def quat_to_rotmat(q) -> np.ndarray:
     """Rotation matrix of the orientation q (body frame to world frame)."""
-    q = quat_normalize(q)
-    w, x, y, z = q.w, q.x, q.y, q.z
+    w, x, y, z = quat_normalize(q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -116,7 +105,7 @@ def quat_to_rotmat(q: Quaternion) -> np.ndarray:
     )
 
 
-def quat_exp(v: np.ndarray) -> Quaternion:
+def quat_exp(v: np.ndarray) -> np.ndarray:
     """Exponential of the pure quaternion (0, v): (cos|v|, sin|v| * v_hat)."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
@@ -124,7 +113,7 @@ def quat_exp(v: np.ndarray) -> Quaternion:
     theta = float(np.linalg.norm(v))
     # sin(theta)/theta, continuous at zero.
     s = float(np.sinc(theta / np.pi))
-    return Quaternion(np.cos(theta), s * v[0], s * v[1], s * v[2])
+    return np.array([np.cos(theta), s * v[0], s * v[1], s * v[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +276,6 @@ def _interior(x: Tensor) -> Tensor:
     return narrow(x, 1, 1, t_len - 2)
 
 
-def _hamilton_rows(a: Sequence[Tensor], b: Sequence[Tensor]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Per-timestep Hamilton product of two row-quaternion quadruples."""
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
 def _normalized_quat_rows(q: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Split a 4 x M quaternion block into unit-norm rows, on the tape."""
     w, x, y, z = (_row(q, i) for i in range(4))
@@ -350,8 +327,8 @@ def residual_ins_accel(p, q, a, env: InsEnvironment) -> Tensor:
     v = tuple(_row(pdd, i) - float(env.gravity[i]) for i in range(3))
     # R_q^T v via the conjugation q^-1 (0, v) q with unit q, q^-1 = conj(q).
     conj = (qn[0], neg(qn[1]), neg(qn[2]), neg(qn[3]))
-    half = _hamilton_rows(conj, (zero, v[0], v[1], v[2]))
-    rot = _hamilton_rows(half, qn)
+    half = hamilton_rows(conj, (zero, v[0], v[1], v[2]))
+    rot = hamilton_rows(half, qn)
     predicted = concat([rot[1], rot[2], rot[3]], axis=0)
     return sub(_interior(a), predicted)
 
@@ -374,7 +351,7 @@ def residual_ins_quat(q, w, env: InsEnvironment) -> Tensor:
     m = t_len - 2
     zero = Tensor(np.zeros((1, m)))
     wi = tuple(_interior(_row(w, i)) for i in range(3))
-    prod = _hamilton_rows(qi, (zero, wi[0], wi[1], wi[2]))
+    prod = hamilton_rows(qi, (zero, wi[0], wi[1], wi[2]))
     return sub(qd, mul(concat(list(prod), axis=0), 0.5))
 
 
@@ -488,10 +465,21 @@ def physics_loss_tensor(values: Tensor, spec: PhysicsSpec) -> Tensor:
     return reduce_mean(mul(r, r))
 
 
-def physics_loss(window: "SampleWindow", spec: PhysicsSpec) -> float:
-    """Mean squared residual of the given physics family on one window."""
+def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
+    """All residual rows of the given physics family on one window, as plain values.
+
+    The one evaluation behind the physics loss, the alignment split and the
+    evaluation metrics. Residuals scale with dt, so a window sampled at a
+    different rate than the environment is rejected rather than misjudged.
+    """
     if abs(window.dt - spec.dt) > 1e-9 * max(window.dt, spec.dt):
         raise ValueError(
             f"window dt {window.dt} does not match environment dt {spec.dt}"
         )
-    return float(physics_loss_tensor(Tensor(window.values), spec).data)
+    return stacked_residual(Tensor(window.values), spec).data
+
+
+def physics_loss(window: "SampleWindow", spec: PhysicsSpec) -> float:
+    """Mean squared residual of the given physics family on one window."""
+    r = window_residual(window, spec)
+    return float(np.mean(r * r))

@@ -49,7 +49,6 @@ from .physics import (
     HvacEnvironment,
     PhysicsSpec,
     default_channel_map,
-    physics_loss,
     physics_loss_tensor,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "LogRow",
     "TrainResult",
     "TrainingAborted",
-    "combined_loss",
     "train",
     "write_log_csv",
     "read_log_csv",
@@ -77,9 +75,6 @@ class TrainConfig:
 
     lambda_mode is "adaptive" (weight = l_rec/l_phy each iteration, clamped
     to [1e-8, 1e8]) or "fixed" (weight = lambda_value throughout phase 2).
-    deterministic records that runs must be reproducible; execution is
-    single-threaded with a fixed reduction order either way, so the flag is
-    an assertion of intent rather than a behavioral switch.
     """
 
     lr: float = 1e-4
@@ -90,7 +85,6 @@ class TrainConfig:
     lambda_value: float = 1.0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     seed: int = 0
-    deterministic: bool = True
     widths: tuple[int, int, int] = (128, 256, 128)
     predict_residual: bool = False
 
@@ -190,27 +184,6 @@ def _lambda_for(l_rec: float, l_phy: float, mode: str, value: float) -> float:
         # weight sits at the upper clamp (the term contributes 0 anyway).
         return LAMBDA_MAX
     return float(min(max(l_rec / l_phy, LAMBDA_MIN), LAMBDA_MAX))
-
-
-def combined_loss(
-    denoised: SampleWindow,
-    target: SampleWindow,
-    spec: PhysicsSpec,
-    lambda_mode: str = "adaptive",
-    lambda_value: float = 1.0,
-) -> tuple[float, float, float, float]:
-    """(total, l_rec, l_phy, weight) for one window pair.
-
-    l_rec is the full-window mean squared error against the target; l_phy the
-    mean squared physics residual of the denoised window. The weight never
-    carries gradient; here everything is plain evaluation.
-    """
-    if denoised.channels != target.channels or denoised.values.shape != target.values.shape:
-        raise ValueError("combined_loss: denoised and target windows must match in layout")
-    l_rec = float(np.mean((denoised.values - target.values) ** 2))
-    l_phy = physics_loss(denoised, spec)
-    lam = _lambda_for(l_rec, l_phy, lambda_mode, lambda_value)
-    return l_rec + lam * l_phy, l_rec, l_phy, lam
 
 
 # ---------------------------------------------------------------------------

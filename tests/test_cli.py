@@ -102,6 +102,21 @@ def test_bad_integer_names_the_key(capsys, workspace):
     assert "[train] epochs_total" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "item, key",
+    [
+        ("train.lr=", "[train] lr"),
+        ("train.epochs_total=", "[train] epochs_total"),
+        ("train.predict_residual=", "[train] predict_residual"),
+    ],
+)
+def test_empty_value_is_an_error_for_every_kind(capsys, workspace, item, key):
+    rc = main(["train", "--set", f"data.manifest={workspace['manifest']}", "--set", item])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and "empty value" in err
+
+
 def test_denoise_missing_checkpoint(capsys, tmp_path):
     rc = main([
         "denoise",

@@ -229,6 +229,12 @@ def test_split_ranks_by_residual_magnitude():
     assert test == [2, 3]
 
 
+def test_alignment_score_rejects_dt_mismatch():
+    w, _ = simulate_hvac(300.0, 60.0, HvacEnvironment(dt=60.0), seed=1)
+    with pytest.raises(ValueError, match="dt"):
+        alignment_score(w, hvac_spec(HvacEnvironment(dt=30.0)))
+
+
 def test_split_needs_two_windows():
     env = HvacEnvironment(dt=60.0)
     w, _ = simulate_hvac(300.0, 60.0, env, seed=1)
@@ -293,6 +299,22 @@ def test_csv_errors_carry_path_and_line(tmp_path):
 
     path.write_text("x,a\n0.0,1.0\n")
     with pytest.raises(ValueError, match=r"bad\.csv:1: header"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("t,a\n0.0,1.0\n1.0,nan\n2.0,3.0\n", 3),
+        ("t,a\n0.0,1.0\n1.0,2.0\n2.0,-inf\n", 4),
+        ("t,a\n0.0,1.0\nnan,2.0\n2.0,3.0\n", 3),
+        ("t,a\n0.0,1.0\n1.0,2.0\ninf,3.0\n", 4),
+    ],
+)
+def test_csv_rejects_non_finite_values(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.csv:{line}: non-finite"):
         load_csv(path)
 
 

@@ -4,13 +4,12 @@ import csv
 import numpy as np
 import pytest
 
-from physden.data import SampleWindow, simulate_hvac
+from physden.autodiff import Tensor
+from physden.data import simulate_hvac
 from physden.metrics import (
     REPORT_COLUMNS,
     evaluate,
     format_report_table,
-    physics_metrics,
-    recon_metrics,
     write_report_csv,
 )
 from physden.physics import (
@@ -19,13 +18,8 @@ from physden.physics import (
     PhysicsSpec,
     default_channel_map,
     physics_loss,
+    physics_loss_tensor,
 )
-
-
-def make_window(values, names=None, dt=60.0):
-    values = np.asarray(values, dtype=np.float64)
-    names = names or [f"ch{i}" for i in range(values.shape[0])]
-    return SampleWindow(channels=names, values=values, dt=dt, units=["u"] * values.shape[0])
 
 
 def hvac_spec(env):
@@ -37,17 +31,22 @@ def hvac_spec(env):
 
 
 def test_recon_metrics_hand_values():
-    mse, mae = recon_metrics(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
-    assert mse == 12.5
-    assert mae == 3.5
+    env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
+    clean, _ = simulate_hvac(180.0, 60.0, env, seed=1)  # T = 4
+    off = clean.copy()
+    off.values = off.values + np.array([3.0, 4.0, 3.0, 4.0])
+    report = evaluate("x", [off], hvac_spec(env), clean=[clean])
+    assert report.recon_mse == 12.5
+    assert report.recon_mae == 3.5
+    assert report.per_channel["t_sa"] == (12.5, 3.5)
 
 
-def test_recon_metrics_accepts_windows_and_arrays():
-    a = make_window([[1.0, 2.0, 3.0]])
-    b = make_window([[1.0, 2.0, 4.0]])
-    assert recon_metrics(a, b) == recon_metrics(a.values, b.values)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        recon_metrics(np.zeros((1, 3)), np.zeros((1, 4)))
+def test_evaluate_rejects_length_mismatch():
+    env = HvacEnvironment(dt=60.0)
+    short, _ = simulate_hvac(120.0, 60.0, env, seed=1)
+    long, _ = simulate_hvac(180.0, 60.0, env, seed=1)
+    with pytest.raises(ValueError):
+        evaluate("x", [short], hvac_spec(env), clean=[long])
 
 
 def test_physics_metrics_agree_with_training_loss():
@@ -55,9 +54,17 @@ def test_physics_metrics_agree_with_training_loss():
     window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
     window.values[0] += 0.25  # break the balance
     spec = hvac_spec(env)
-    mse, mae = physics_metrics(window, spec)
-    assert mse == physics_loss(window, spec)
-    assert mae == pytest.approx(0.25 * 1006.0)
+    report = evaluate("x", [window], spec)
+    assert report.phys_mse == physics_loss(window, spec)
+    assert report.phys_mse == float(physics_loss_tensor(Tensor(window.values), spec).data)
+    assert report.phys_mae == pytest.approx(0.25 * 1006.0)
+
+
+def test_evaluate_rejects_dt_mismatch():
+    env = HvacEnvironment(dt=60.0)
+    window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
+    with pytest.raises(ValueError, match="dt"):
+        evaluate("x", [window], hvac_spec(HvacEnvironment(dt=30.0)))
 
 
 def test_evaluate_pools_entries_across_windows():

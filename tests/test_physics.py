@@ -12,13 +12,12 @@ from physden.physics import (
     HvacEnvironment,
     InsEnvironment,
     PhysicsSpec,
-    Quaternion,
     default_channel_map,
+    hamilton_rows,
     hvac_heat_capacity_rate,
     physics_loss,
     physics_loss_tensor,
     quat_exp,
-    quat_mul,
     quat_normalize,
     quat_to_rotmat,
     residual_co2,
@@ -36,63 +35,77 @@ GRAVITY_Z = -9.80665
 # Quaternion algebra
 
 
+def product(a, b):
+    return np.array(hamilton_rows(a, b))
+
+
 def test_quaternion_basis_products():
-    i = Quaternion(0.0, 1.0, 0.0, 0.0)
-    j = Quaternion(0.0, 0.0, 1.0, 0.0)
-    k = Quaternion(0.0, 0.0, 0.0, 1.0)
-    assert quat_mul(i, j).as_array().tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert quat_mul(j, k).as_array().tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert quat_mul(i, i).as_array().tolist() == [-1.0, 0.0, 0.0, 0.0]
+    i = np.array([0.0, 1.0, 0.0, 0.0])
+    j = np.array([0.0, 0.0, 1.0, 0.0])
+    k = np.array([0.0, 0.0, 0.0, 1.0])
+    assert product(i, j).tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert product(j, k).tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert product(i, i).tolist() == [-1.0, 0.0, 0.0, 0.0]
 
 
-def test_quat_mul_is_not_commutative():
-    i = Quaternion(0.0, 1.0, 0.0, 0.0)
-    j = Quaternion(0.0, 0.0, 1.0, 0.0)
-    assert quat_mul(j, i).as_array().tolist() == [0.0, 0.0, 0.0, -1.0]
+def test_hamilton_product_is_not_commutative():
+    i = np.array([0.0, 1.0, 0.0, 0.0])
+    j = np.array([0.0, 0.0, 1.0, 0.0])
+    assert product(j, i).tolist() == [0.0, 0.0, 0.0, -1.0]
+
+
+def test_hamilton_product_on_timestep_rows_matches_each_column():
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    rows = product(a, b)
+    assert rows.shape == (4, 5)
+    for t in range(5):
+        assert np.array_equal(rows[:, t], product(a[:, t], b[:, t]))
 
 
 def test_rotation_quarter_turn_about_z():
     half = np.pi / 4.0
-    q = Quaternion(np.cos(half), 0.0, 0.0, np.sin(half))
+    q = np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
     rotated = quat_to_rotmat(q) @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(rotated, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_identity_quaternion_rotates_nothing():
-    r = quat_to_rotmat(Quaternion(1.0, 0.0, 0.0, 0.0))
+    r = quat_to_rotmat(np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.array_equal(r, np.eye(3))
 
 
 def test_quat_exp_zero_is_identity():
     q = quat_exp(np.zeros(3))
-    assert q.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert q.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_quat_exp_axis_angle():
     theta = 0.3
     q = quat_exp(np.array([theta, 0.0, 0.0]))
-    assert np.allclose(q.as_array(), [np.cos(theta), np.sin(theta), 0.0, 0.0], atol=1e-15)
+    assert np.allclose(q, [np.cos(theta), np.sin(theta), 0.0, 0.0], atol=1e-15)
 
 
 def test_quat_normalize_rejects_zero():
     with pytest.raises(ValueError, match="zero-norm"):
-        quat_normalize(Quaternion(0.0, 0.0, 0.0, 0.0))
+        quat_normalize(np.zeros(4))
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_rotation_preserves_vector_norm(seed):
     rng = np.random.default_rng(seed)
-    q = quat_normalize(Quaternion(*rng.normal(size=4)))
+    q = quat_normalize(rng.normal(size=4))
     v = rng.normal(size=3)
     assert np.isclose(np.linalg.norm(quat_to_rotmat(q) @ v), np.linalg.norm(v), rtol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_quat_mul_preserves_norm_product(seed):
+def test_hamilton_product_preserves_norm_product(seed):
     rng = np.random.default_rng(seed)
-    q1 = Quaternion(*rng.normal(size=4))
-    q2 = Quaternion(*rng.normal(size=4))
-    assert np.isclose(quat_mul(q1, q2).norm(), q1.norm() * q2.norm(), rtol=1e-12)
+    q1 = rng.normal(size=4)
+    q2 = rng.normal(size=4)
+    norm = np.linalg.norm
+    assert np.isclose(norm(product(q1, q2)), norm(q1) * norm(q2), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

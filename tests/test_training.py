@@ -1,9 +1,14 @@
 """Two-phase training loop: weighting rule, logging, determinism, failure paths."""
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import physden
 from physden.data import (
     NoiseSpec,
     SimulateConfig,
@@ -17,6 +22,7 @@ from physden.physics import (
     HvacEnvironment,
     PhysicsSpec,
     default_channel_map,
+    physics_loss,
 )
 from physden.training import (
     LAMBDA_MAX,
@@ -24,7 +30,7 @@ from physden.training import (
     LogRow,
     TrainConfig,
     TrainingAborted,
-    combined_loss,
+    _lambda_for,
     read_log_csv,
     train,
     write_log_csv,
@@ -71,7 +77,8 @@ def test_train_config_validation():
 # Weighting rule
 
 
-def test_combined_loss_adaptive_balances_terms():
+def hvac_losses(offset, rebalance=False):
+    """(l_rec, l_phy) of a clean hvac window shifted by offset, against the clean one."""
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1000.0)
     spec = PhysicsSpec(
         family="hvac",
@@ -80,48 +87,40 @@ def test_combined_loss_adaptive_balances_terms():
     )
     clean, _ = simulate_hvac(300.0, 60.0, env, seed=6)
     off = clean.copy()
-    off.values = off.values + 0.5
-    total, l_rec, l_phy, lam = combined_loss(off, clean, spec, "adaptive")
+    off.values = off.values + offset
+    if rebalance:
+        off.values[2] = 1000.0 * (off.values[0] - off.values[1])  # keep balance exact
+    return float(np.mean((off.values - clean.values) ** 2)), physics_loss(off, spec)
+
+
+def test_adaptive_weight_balances_terms():
+    l_rec, l_phy = hvac_losses(0.5)
     assert l_rec > 0 and l_phy > 0
+    lam = _lambda_for(l_rec, l_phy, "adaptive", 1.0)
     assert lam == pytest.approx(l_rec / l_phy)
     # the balanced total is exactly twice the reconstruction term
-    assert total == pytest.approx(2.0 * l_rec)
+    assert l_rec + lam * l_phy == pytest.approx(2.0 * l_rec)
 
 
-def test_combined_loss_fixed_weight_passthrough():
-    env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1000.0)
-    spec = PhysicsSpec(
-        family="hvac",
-        environment=env,
-        channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
-    )
-    clean, _ = simulate_hvac(300.0, 60.0, env, seed=6)
-    off = clean.copy()
-    off.values = off.values + 1.0
-    total, l_rec, l_phy, lam = combined_loss(off, clean, spec, "fixed", 2.5)
-    assert lam == 2.5
-    assert total == pytest.approx(l_rec + 2.5 * l_phy)
+def test_fixed_weight_passthrough():
+    l_rec, l_phy = hvac_losses(1.0)
+    assert _lambda_for(l_rec, l_phy, "fixed", 2.5) == 2.5
+    assert _lambda_for(0.0, 0.0, "fixed", 2.5) == 2.5
 
 
 def test_adaptive_weight_clamps_and_zero_residual_case():
-    env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1000.0)
-    spec = PhysicsSpec(
-        family="hvac",
-        environment=env,
-        channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
-    )
-    clean, _ = simulate_hvac(300.0, 60.0, env, seed=6)
     # identical windows: l_rec = 0 and l_phy = 0, weight pegs at the top clamp
-    total, l_rec, l_phy, lam = combined_loss(clean, clean, spec, "adaptive")
-    assert (l_rec, l_phy, total) == (0.0, 0.0, 0.0)
-    assert lam == LAMBDA_MAX
+    assert hvac_losses(0.0) == (0.0, 0.0)
+    assert _lambda_for(0.0, 0.0, "adaptive", 1.0) == LAMBDA_MAX
 
     # huge reconstruction error over a satisfied constraint: upper clamp
-    off = clean.copy()
-    off.values = off.values + np.array([[1e6], [1e6], [0.0]])
-    off.values[2] = 1000.0 * (off.values[0] - off.values[1])  # keep balance exact
-    _, _, l_phy2, lam2 = combined_loss(off, clean, spec, "adaptive")
-    assert l_phy2 == 0.0 and lam2 == LAMBDA_MAX
+    l_rec, l_phy = hvac_losses(np.array([[1e6], [1e6], [0.0]]), rebalance=True)
+    assert l_rec > 0 and l_phy == 0.0
+    assert _lambda_for(l_rec, l_phy, "adaptive", 1.0) == LAMBDA_MAX
+
+    # ratios beyond either bound are clamped to it
+    assert _lambda_for(1e10, 1.0, "adaptive", 1.0) == LAMBDA_MAX
+    assert _lambda_for(1.0, 1e10, "adaptive", 1.0) == LAMBDA_MIN
     assert LAMBDA_MIN == 1e-8 and LAMBDA_MAX == 1e8
 
 
@@ -180,6 +179,39 @@ def test_training_is_deterministic_per_seed():
     c = train(ds.train_windows, ds.spec, dataclasses.replace(SMALL, seed=4),
               norm_stats=ds.norm_stats)
     assert not np.array_equal(a.params.weights[0].data, c.params.weights[0].data)
+
+
+_TRAIN_DIGEST = """
+import hashlib
+from physden.data import NoiseSpec, SimulateConfig, generate_dataset
+from physden.training import TrainConfig, train
+
+ds = generate_dataset(SimulateConfig(family="ins", count=4, duration=0.3, dt=0.01, seed=1))
+# widths large enough that a multithreaded BLAS splits the conv matmuls
+cfg = TrainConfig(lr=1e-3, batch_size=2, epochs_total=4, pretrain_fraction=0.5,
+                  noise=NoiseSpec(kind="gaussian", scale=0.1), seed=2, widths=(64, 128, 64))
+result = train(ds.train_windows, ds.spec, cfg, norm_stats=ds.norm_stats)
+digest = hashlib.sha256()
+for t in result.params.all_tensors():
+    digest.update(t.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_is_bitwise_equal_across_blas_thread_counts():
+    src = str(Path(physden.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", _TRAIN_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_train_validates_inputs():
