@@ -1,13 +1,15 @@
 """Sweep the physics-loss weight: fixed values against adaptive balancing.
 
-Trains one denoiser per weighting setting on a shared inertial dataset and
-evaluates each on the held-out split. Writes sweep.csv with one row per
-setting so the recon/physics trade-off can be plotted directly.
+Builds a synthetic inertial dataset whose observations carry gaussian noise
+plus a constant per-channel bias, trains one denoiser per weighting setting
+on it (`fixed 0` is the reconstruction-only model) and evaluates each on the
+held-out split, next to the noisy observations. Prints the comparison table
+and writes report.csv with one row per setting, so the recon/physics
+trade-off can be plotted directly.
 
 Usage: python3 scripts/lambda_sweep.py [--lambdas 0,0.1,1,10] [--out DIR]
 """
 import argparse
-import csv
 import dataclasses
 import sys
 import time
@@ -16,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from physden.data import NoiseSpec, SimulateConfig, generate_dataset
-from physden.metrics import evaluate
+from physden.metrics import evaluate, format_report_table, write_report_csv
 from physden.model import denoise
 from physden.physics import CHANNEL_NAMES
 from physden.training import TrainConfig, train
@@ -58,6 +60,9 @@ def main(argv=None) -> int:
     dataset = generate_dataset(sim)
     test_noisy = dataset.test_windows
     test_clean = [dataset.clean[i] for i in dataset.split[1]]
+    print(f"dataset: {len(dataset.windows)} windows "
+          f"({len(dataset.train_windows)} train / {len(test_noisy)} test), "
+          f"T={dataset.windows[0].n_timesteps}, dt={args.dt}")
 
     base = TrainConfig(
         lr=args.lr,
@@ -75,7 +80,8 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(base, lambda_mode="fixed", lambda_value=lam)
         settings.append((f"fixed {lam:g}", cfg))
 
-    rows = []
+    reports = [evaluate("noisy", test_noisy, dataset.spec, test_clean,
+                        channels=dataset.denoise_channels)]
     for label, cfg in settings:
         start = time.perf_counter()
         result = train(dataset.train_windows, dataset.spec, cfg,
@@ -83,22 +89,16 @@ def main(argv=None) -> int:
                        norm_stats=dataset.norm_stats)
         elapsed = time.perf_counter() - start
         restored = [denoise(result.denoiser, w) for w in test_noisy]
-        report = evaluate(label, restored, dataset.spec, test_clean,
-                          channels=dataset.denoise_channels)
-        rows.append((label, report.recon_mse, report.phys_mse, elapsed))
-        print(f"{label:<12} recon_mse {report.recon_mse:.6g}  "
-              f"phys_mse {report.phys_mse:.6g}  ({elapsed:.1f}s)")
+        reports.append(evaluate(label, restored, dataset.spec, test_clean,
+                                channels=dataset.denoise_channels))
+        print(f"trained {label} in {elapsed:.1f}s "
+              f"(final l_rec {result.log[-1].l_rec:.6g})")
 
-    sweep_path = out_dir / "sweep.csv"
-    with sweep_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "recon_mse", "phys_mse", "train_seconds"])
-        for label, recon, phys, elapsed in rows:
-            writer.writerow([label, f"{recon:.17g}", f"{phys:.17g}", f"{elapsed:.3f}"])
-    print(f"\nsweep: {sweep_path}")
-
-    best = min(rows, key=lambda r: r[1])
-    print(f"lowest recon_mse: {best[0]} ({best[1]:.6g})")
+    print()
+    print(format_report_table(reports))
+    report_path = out_dir / "report.csv"
+    write_report_csv(reports, report_path)
+    print(f"\nreport: {report_path}")
     return 0
 
 

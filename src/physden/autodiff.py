@@ -75,9 +75,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -476,28 +473,26 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: Sequence[Tensor],
-    grads: GradientMap,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+# Adam's moment decay rates and denominator guard, at the usual values.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState, lr: float) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter tensors."""
     if len(state.m) != len(params):
         raise ValueError("adam_step: state does not match parameter list")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - _BETA1 ** state.t
+    c2 = 1.0 - _BETA2 ** state.t
     for i, p in enumerate(params):
         g = grads[p]
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {i} at step {state.t}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
+        state.m[i] = _BETA1 * state.m[i] + (1.0 - _BETA1) * g
+        state.v[i] = _BETA2 * state.v[i] + (1.0 - _BETA2) * (g * g)
         mhat = state.m[i] / c1
         vhat = state.v[i] / c2
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        p.data -= lr * mhat / (np.sqrt(vhat) + _EPS)
     return state

@@ -93,6 +93,12 @@ def _load_config(args) -> configparser.ConfigParser:
         if section not in cp:
             cp[section] = {}
         cp[section][option] = value
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in cp[section]:
+            if key not in _KNOWN_KEYS[section]:
+                raise ValueError(f"unknown config key [{section}] {key}")
     return cp
 
 
@@ -195,6 +201,16 @@ _NOISE_KEYS = {
     "noise_kind": str,
     "noise_scale": float,
     "mask_fraction": float,
+}
+# Every key some command reads, by section. A section accepts the keys of all
+# commands, so one config file can drive simulate, train and eval alike.
+_KNOWN_KEYS = {
+    "data": {*_SIMULATE_KEYS, "bias_frac", "manifest", "input", "subset"},
+    "train": {*_TRAIN_KEYS, *_NOISE_KEYS, "widths"},
+    "model": {"denoise", "checkpoint"},
+    "output": {"file", "timing_repeats"},
+    "gradcheck": {"seed", "instances", "tolerance"},
+    "demo": {"eta_frac", "n_windows", "seed"},
 }
 
 

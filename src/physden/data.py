@@ -167,7 +167,6 @@ class NoiseSpec:
     kind: str = "gaussian"
     scale: float = 0.1
     mask_fraction: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -215,10 +214,7 @@ def corrupt(
     rng=None,
 ) -> SampleWindow:
     """Observed window: clean + drawn noise + constant per-channel bias."""
-    out = clean.copy()
-    if noise is not None:
-        generator = _as_rng(rng if rng is not None else noise.seed)
-        out.values = _noisy_values(out.values, noise, generator)
+    out = clean.copy() if noise is None else inject_noise(clean, noise, rng)
     if bias is not None:
         offsets = np.asarray(bias, dtype=np.float64)
         if offsets.shape != (out.values.shape[0],):
@@ -309,12 +305,13 @@ def simulate_ins(
     return window, env
 
 
-def _random_occupancy(t_len: int, rng: np.random.Generator, max_occupants: int = 4) -> np.ndarray:
+def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
+    """Piecewise-constant headcount of 0 to 4, in segments of 5 to 19 steps."""
     occ = np.zeros(t_len)
     i = 0
     while i < t_len:
         seg = int(rng.integers(5, 20))
-        occ[i : i + seg] = float(rng.integers(0, max_occupants + 1))
+        occ[i : i + seg] = float(rng.integers(0, 5))
         i += seg
     return occ
 
@@ -323,16 +320,15 @@ def simulate_co2(
     duration: float,
     dt: float,
     env: Co2Environment,
-    occupancy: np.ndarray | float | None = None,
     seed: int | None = None,
     outdoor_offset: float = 0.0,
 ) -> tuple[SampleWindow, Co2Environment]:
     """Room CO2 evolved by the exact discrete mass balance.
 
-    The returned environment carries the final occupancy schedule (given,
-    taken from env, or drawn as a random piecewise-constant profile). The
-    update uses the residual's own accumulated-supply helper and association
-    order, so the residual of the clean output is exactly 0.0 bitwise when
+    The returned environment carries the occupancy schedule: env's own when
+    it sets one, else a random piecewise-constant profile. The update uses
+    the residual's own accumulated-supply helper and association order, so
+    the residual of the clean output is exactly 0.0 bitwise when
     room_volume is a power of two (the default elsewhere in the package);
     for other volumes it is zero up to the final rounding step.
 
@@ -342,14 +338,10 @@ def simulate_co2(
     if abs(dt - env.dt) > 1e-12 * max(dt, env.dt):
         raise ValueError(f"simulate_co2: dt {dt} does not match env.dt {env.dt}")
     rng = np.random.default_rng(seed)
-    if occupancy is None:
-        if np.ndim(env.occupants) > 0 or float(np.asarray(env.occupants)) != 0.0:
-            occupancy = env.occupants
-        else:
-            occupancy = _random_occupancy(t_len, rng)
-    env_out = dataclasses.replace(env, occupants=occupancy)
+    if np.ndim(env.occupants) == 0 and float(env.occupants) == 0.0:
+        env = dataclasses.replace(env, occupants=_random_occupancy(t_len, rng))
 
-    base, flow = co2_known_terms(env_out, t_len)
+    base, flow = co2_known_terms(env, t_len)
     volume = env.room_volume
     c_room = np.empty(t_len)
     c_out = np.empty(t_len)
@@ -365,24 +357,20 @@ def simulate_co2(
         dt=dt,
         units=list(CHANNEL_UNITS["co2"]),
     )
-    return window, env_out
+    return window, env
 
 
 def simulate_hvac(
     duration: float,
     dt: float,
     env: HvacEnvironment,
-    coil_power: np.ndarray | float | None = None,
     seed: int | None = None,
-    mix_base: float = 295.0,
-    mix_scale: float = 2.0,
-    power_scale: float = 2000.0,
-    n_modes: int = 3,
 ) -> tuple[SampleWindow, HvacEnvironment]:
     """Air-handler temperatures consistent with the coil power balance.
 
-    Draws a smooth mixed-air temperature and (unless given) a smooth coil
-    power schedule, then sets t_sa = t_mix + dq/(m c). The stored power row
+    Draws a smooth mixed-air temperature (295 K plus three sinusoids of up
+    to 2 K) and a smooth coil power schedule (three sinusoids of up to
+    2 kW), then sets t_sa = t_mix + dq/(m c). The stored power row
     is recomputed as m*c*(t_sa - t_mix), the residual's exact expression, so
     the clean residual is 0.0 bitwise.
     """
@@ -392,18 +380,15 @@ def simulate_hvac(
     rng = np.random.default_rng(seed)
     t = np.arange(t_len) * dt
 
-    amp_m = rng.uniform(-mix_scale, mix_scale, size=n_modes)
-    freq_m = rng.uniform(0.2, 2.0, size=n_modes) / (t_len * dt)
-    phase_m = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-    t_mix = mix_base + _sum_of_modes(amp_m, freq_m, phase_m, t)
+    amp_m = rng.uniform(-2.0, 2.0, size=3)
+    freq_m = rng.uniform(0.2, 2.0, size=3) / (t_len * dt)
+    phase_m = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    t_mix = 295.0 + _sum_of_modes(amp_m, freq_m, phase_m, t)
 
-    if coil_power is None:
-        amp_q = rng.uniform(-power_scale, power_scale, size=n_modes)
-        freq_q = rng.uniform(0.2, 2.0, size=n_modes) / (t_len * dt)
-        phase_q = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-        dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
-    else:
-        dq = np.broadcast_to(np.asarray(coil_power, dtype=np.float64), (t_len,)).copy()
+    amp_q = rng.uniform(-2000.0, 2000.0, size=3)
+    freq_q = rng.uniform(0.2, 2.0, size=3) / (t_len * dt)
+    phase_q = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
 
     mc = hvac_heat_capacity_rate(env, t_len)
     degenerate = np.flatnonzero(mc == 0.0)
@@ -567,78 +552,57 @@ def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | N
 
 _SERIES_MARK = "@series"
 
-_CO2_SCALARS = ("room_volume", "emission_rate", "initial_ppm")
-_CO2_SERIES = ("flow", "inflow_ppm", "occupants")
-_HVAC_SERIES = ("mass_flow", "specific_heat")
+_ENVIRONMENTS = {"ins": InsEnvironment, "co2": Co2Environment, "hvac": HvacEnvironment}
 
 
 def _format_scalar(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _env_keys(env_type) -> list[str]:
+    """An environment's fields in manifest order: dt first, then as declared."""
+    return sorted((f.name for f in dataclasses.fields(env_type)), key=lambda name: name != "dt")
+
+
 def _env_sections(spec: PhysicsSpec) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """[environment] key/values plus any per-timestep series to store aside."""
     env = spec.environment
-    out: dict[str, str] = {"dt": _format_scalar(env.dt)}
+    out: dict[str, str] = {}
     series: dict[str, np.ndarray] = {}
-    if spec.family == "ins":
-        out["gravity"] = ",".join(_format_scalar(g) for g in env.gravity)
-    elif spec.family == "co2":
-        for name in _CO2_SCALARS:
-            out[name] = _format_scalar(getattr(env, name))
-        for name in _CO2_SERIES:
-            value = getattr(env, name)
-            if np.ndim(value) > 0:
-                out[name] = _SERIES_MARK
-                series[name] = np.asarray(value, dtype=np.float64)
-            else:
-                out[name] = _format_scalar(value)
-    elif spec.family == "hvac":
-        for name in _HVAC_SERIES:
-            value = getattr(env, name)
-            if np.ndim(value) > 0:
-                out[name] = _SERIES_MARK
-                series[name] = np.asarray(value, dtype=np.float64)
-            else:
-                out[name] = _format_scalar(value)
+    for name in _env_keys(env):
+        value = getattr(env, name)
+        if name == "gravity":
+            out[name] = ",".join(_format_scalar(g) for g in value)
+        elif name in env.SERIES_FIELDS and np.ndim(value) > 0:
+            out[name] = _SERIES_MARK
+            series[name] = np.asarray(value, dtype=np.float64)
+        else:
+            out[name] = _format_scalar(value)
     return out, series
 
 
 def _env_from_section(family: str, section, base_dir: Path):
-    dt = float(section["dt"])
-    if family == "ins":
-        gravity = np.array([float(v) for v in section["gravity"].split(",")])
-        return InsEnvironment(dt=dt, gravity=gravity)
-
+    if family not in _ENVIRONMENTS:
+        raise ValueError(f"manifest: unknown family {family!r}")
+    env_type = _ENVIRONMENTS[family]
     series_window = None
     if section.get("series_csv"):
         series_window = load_csv(base_dir / section["series_csv"])
 
-    def value_of(name: str):
+    values = {}
+    for name in _env_keys(env_type):
         raw = section[name]
         if raw == _SERIES_MARK:
+            if name not in env_type.SERIES_FIELDS:
+                raise ValueError(f"manifest: {name} cannot vary per timestep, but is marked {_SERIES_MARK}")
             if series_window is None:
                 raise ValueError(f"manifest: {name} marked {_SERIES_MARK} but no series_csv given")
-            return series_window.row(name).copy()
-        return float(raw)
-
-    if family == "co2":
-        return Co2Environment(
-            room_volume=float(section["room_volume"]),
-            emission_rate=float(section["emission_rate"]),
-            initial_ppm=float(section["initial_ppm"]),
-            dt=dt,
-            flow=value_of("flow"),
-            inflow_ppm=value_of("inflow_ppm"),
-            occupants=value_of("occupants"),
-        )
-    if family == "hvac":
-        return HvacEnvironment(
-            dt=dt,
-            mass_flow=value_of("mass_flow"),
-            specific_heat=value_of("specific_heat"),
-        )
-    raise ValueError(f"manifest: unknown family {family!r}")
+            values[name] = series_window.row(name).copy()
+        elif name == "gravity":
+            values[name] = np.array([float(v) for v in raw.split(",")])
+        else:
+            values[name] = float(raw)
+    return env_type(**values)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
@@ -835,7 +799,7 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
                 env = env_i
         elif cfg.family == "co2":
             if env is None:
-                base_env = Co2Environment(
+                env = Co2Environment(
                     room_volume=cfg.room_volume,
                     emission_rate=cfg.emission_rate,
                     initial_ppm=cfg.initial_ppm,
@@ -843,13 +807,10 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
                     flow=cfg.flow,
                     inflow_ppm=cfg.inflow_ppm,
                 )
-                w, env = simulate_co2(
-                    cfg.duration, cfg.dt, base_env, seed=sim_seeds[i], outdoor_offset=cfg.outdoor_offset
-                )
-            else:
-                w, _ = simulate_co2(
-                    cfg.duration, cfg.dt, env, seed=sim_seeds[i], outdoor_offset=cfg.outdoor_offset
-                )
+            # The first window draws the occupancy schedule; the rest reuse it.
+            w, env = simulate_co2(
+                cfg.duration, cfg.dt, env, seed=sim_seeds[i], outdoor_offset=cfg.outdoor_offset
+            )
         else:
             if env is None:
                 env = HvacEnvironment(

@@ -60,11 +60,11 @@ class CheckResult:
         return self.max_rel_err <= self.tol
 
 
-def check_gradient(
-    fn: Callable[[list[Tensor]], Tensor],
-    inputs: Sequence[np.ndarray],
-    eps: float = 1e-6,
-) -> float:
+# Central-difference step.
+_EPS = 1e-6
+
+
+def check_gradient(fn: Callable[[list[Tensor]], Tensor], inputs: Sequence[np.ndarray]) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
     fn maps a list of tensors to a scalar tensor and must be a pure function
@@ -85,12 +85,12 @@ def check_gradient(
         arr = base[i]
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
-            arr[idx] = orig + eps
+            arr[idx] = orig + _EPS
             f_plus = value()
-            arr[idx] = orig - eps
+            arr[idx] = orig - _EPS
             f_minus = value()
             arr[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * _EPS)
             a = float(analytic[idx])
             denom = max(1.0, abs(a), abs(numeric))
             worst = max(worst, abs(a - numeric) / denom)
@@ -115,18 +115,24 @@ def _unit_like_quat(rng: np.random.Generator, t_len: int) -> np.ndarray:
     return signs * rng.uniform(0.3, 1.0, size=(4, t_len))
 
 
-def _ins_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    t_len = 6
-    vals = rng.uniform(-1.0, 1.0, size=(13, t_len))
-    vals[3:7, :] = _unit_like_quat(rng, t_len)
-    env = InsEnvironment(dt=0.05)
-    spec = PhysicsSpec("ins", env, default_channel_map("ins", CHANNEL_NAMES["ins"]))
-    w = rng.uniform(-1.0, 1.0, size=(7, t_len - 2))
+def _residual_case(
+    rng: np.random.Generator, family: str, env, vals: np.ndarray
+) -> tuple[Callable, list[np.ndarray]]:
+    """Weighted sum of the family's residual rows, weights drawn last in the residual's shape."""
+    spec = PhysicsSpec(family, env, default_channel_map(family, CHANNEL_NAMES[family]))
+    w = rng.uniform(-1.0, 1.0, size=stacked_residual(vals, spec).shape)
 
     def fn(xs: list[Tensor]) -> Tensor:
         return _weighted_sum(stacked_residual(xs[0], spec), w)
 
     return fn, [vals]
+
+
+def _ins_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    t_len = 6
+    vals = rng.uniform(-1.0, 1.0, size=(13, t_len))
+    vals[3:7, :] = _unit_like_quat(rng, t_len)
+    return _residual_case(rng, "ins", InsEnvironment(dt=0.05), vals)
 
 
 def _co2_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -140,14 +146,7 @@ def _co2_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
         inflow_ppm=4.0,
         occupants=rng.integers(0, 3, size=t_len).astype(float),
     )
-    spec = PhysicsSpec("co2", env, default_channel_map("co2", CHANNEL_NAMES["co2"]))
-    vals = rng.uniform(3.0, 5.0, size=(2, t_len))
-    w = rng.uniform(-1.0, 1.0, size=(1, t_len))
-
-    def fn(xs: list[Tensor]) -> Tensor:
-        return _weighted_sum(stacked_residual(xs[0], spec), w)
-
-    return fn, [vals]
+    return _residual_case(rng, "co2", env, rng.uniform(3.0, 5.0, size=(2, t_len)))
 
 
 def _hvac_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -157,14 +156,7 @@ def _hvac_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
         mass_flow=rng.uniform(0.5, 1.5, size=t_len),
         specific_heat=1.0,
     )
-    spec = PhysicsSpec("hvac", env, default_channel_map("hvac", CHANNEL_NAMES["hvac"]))
-    vals = rng.uniform(-2.0, 2.0, size=(3, t_len))
-    w = rng.uniform(-1.0, 1.0, size=(1, t_len))
-
-    def fn(xs: list[Tensor]) -> Tensor:
-        return _weighted_sum(stacked_residual(xs[0], spec), w)
-
-    return fn, [vals]
+    return _residual_case(rng, "hvac", env, rng.uniform(-2.0, 2.0, size=(3, t_len)))
 
 
 def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -286,16 +278,11 @@ SUITE_FAMILIES = (
 )
 
 
-def run_suite(
-    seed: int = 0,
-    instances: int = 20,
-    rel_tol: float = 1e-5,
-    families: Sequence[str] = SUITE_FAMILIES,
-) -> list[CheckResult]:
-    """Check `instances` random cases per family; one result row per family."""
+def run_suite(seed: int = 0, instances: int = 20, rel_tol: float = 1e-5) -> list[CheckResult]:
+    """Check `instances` random cases of every family in SUITE_FAMILIES; one result row each."""
     rng = np.random.default_rng(seed)
     results = []
-    for name in families:
+    for name in SUITE_FAMILIES:
         worst = 0.0
         for _ in range(instances):
             fn, inputs = _cases_for(name, rng)

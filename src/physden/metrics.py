@@ -77,7 +77,12 @@ def evaluate(
         ch_sq = {c: 0.0 for c in names}
         ch_abs = {c: 0.0 for c in names}
         ch_n = {c: 0 for c in names}
-        for w, ref in zip(windows, clean):
+        for i, (w, ref) in enumerate(zip(windows, clean)):
+            if ref.n_timesteps != w.n_timesteps:
+                raise ValueError(
+                    f"evaluate: window {i} has {w.n_timesteps} timesteps "
+                    f"but its clean reference has {ref.n_timesteps}"
+                )
             for c in names:
                 diff = w.row(c) - ref.row(c)
                 sq = float(np.sum(diff * diff))
@@ -128,8 +133,11 @@ REPORT_COLUMNS = [
 ]
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.17g}"
+def _fmt(v: str | int | float | None) -> str:
+    """A report cell: floats at 17 digits, None (no clean reference) empty."""
+    if v is None:
+        return ""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def write_report_csv(reports: Sequence[EvalReport], path) -> None:
@@ -138,20 +146,7 @@ def write_report_csv(reports: Sequence[EvalReport], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in reports:
-            writer.writerow(
-                [
-                    r.label,
-                    r.n_windows,
-                    _fmt(r.recon_mse),
-                    _fmt(r.recon_mae),
-                    _fmt(r.recon_mse_sum),
-                    _fmt(r.recon_mae_sum),
-                    _fmt(r.phys_mse),
-                    _fmt(r.phys_mae),
-                    _fmt(r.phys_mse_sum),
-                    _fmt(r.phys_mae_sum),
-                ]
-            )
+            writer.writerow([_fmt(getattr(r, column)) for column in REPORT_COLUMNS])
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

@@ -15,7 +15,7 @@ world frame, so a stationary level device reads (0, 0, +9.80665).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TYPE_CHECKING
+from typing import ClassVar, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -131,6 +131,9 @@ def _as_gravity(g) -> np.ndarray:
 class InsEnvironment:
     """Sampling interval and world-frame gravity for the inertial family."""
 
+    # Fields that may hold one value per timestep instead of a constant.
+    SERIES_FIELDS: ClassVar[tuple[str, ...]] = ()
+
     dt: float
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -STANDARD_GRAVITY]))
 
@@ -147,6 +150,8 @@ class Co2Environment:
     Series fields accept a scalar (constant over time) or an array of length
     T. Flow is volumetric (m^3/s); per-person emission is in ppm*m^3/s.
     """
+
+    SERIES_FIELDS: ClassVar[tuple[str, ...]] = ("flow", "inflow_ppm", "occupants")
 
     room_volume: float
     emission_rate: float
@@ -168,6 +173,8 @@ class Co2Environment:
 @dataclass
 class HvacEnvironment:
     """Air mass flow (kg/s) and specific heat (J/(kg K)) series for the coil balance."""
+
+    SERIES_FIELDS: ClassVar[tuple[str, ...]] = ("mass_flow", "specific_heat")
 
     dt: float
     mass_flow: float | np.ndarray = 1.0

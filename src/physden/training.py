@@ -37,20 +37,14 @@ from .autodiff import (
 from .data import (
     NoiseSpec,
     SampleWindow,
+    SimulateConfig,
     compute_norm_stats,
-    corrupt,
+    generate_dataset,
     inject_noise,
     NormStats,
-    simulate_hvac,
 )
 from .model import Denoiser, ModelParams, denoise, forward, init_params
-from .physics import (
-    DENOISE_CHANNELS,
-    HvacEnvironment,
-    PhysicsSpec,
-    default_channel_map,
-    physics_loss_tensor,
-)
+from .physics import DENOISE_CHANNELS, PhysicsSpec, physics_loss_tensor
 
 __all__ = [
     "NoiseSpec",
@@ -405,72 +399,60 @@ def _mean_error_stats(
     return float(per_window.mean()), float(per_window.std(ddof=1) / np.sqrt(len(per_window)))
 
 
-def bias_demo(
-    eta_frac: float,
-    cfg: TrainConfig | None = None,
-    n_windows: int = 48,
-    n_timesteps: int = 48,
-    seed: int = 11,
-) -> BiasDemoReport:
+# The physics-weighted model of the bias demonstration; its reconstruction-
+# only twin differs in pretrain_fraction alone.
+BIAS_DEMO_TRAIN = TrainConfig(
+    lr=3e-3,
+    batch_size=16,
+    epochs_total=600,
+    pretrain_fraction=0.2,
+    lambda_mode="adaptive",
+    noise=NoiseSpec(kind="gaussian", scale=0.2),
+    seed=0,
+    widths=(16, 32, 16),
+    predict_residual=True,
+)
+
+
+def bias_demo(eta_frac: float, n_windows: int = 48, seed: int = 11) -> BiasDemoReport:
     """Train twin denoisers on biased observations and report their mean errors.
 
-    Builds an air-handler dataset whose supply-air channel carries a constant
-    inherent bias of eta_frac times its clean pooled std (plus zero-mean
-    gaussian inherent noise on all channels), then trains a reconstruction-
-    only model (pretrain_fraction 1, the naive denoiser) and a physics-
-    weighted model on identical observations, and evaluates both against the
-    clean truth on all windows.
+    Builds an air-handler dataset of 48-step windows whose supply-air channel
+    carries a constant inherent bias of eta_frac times its clean pooled std
+    (plus zero-mean gaussian inherent noise on all channels), then trains a
+    reconstruction-only model (pretrain_fraction 1, the naive denoiser) and a
+    physics-weighted model on identical observations. Both train on all
+    windows, normalized by statistics pooled over all noisy windows rather
+    than a train split, and are evaluated against the clean truth on all
+    windows.
     """
-    if cfg is None:
-        cfg = TrainConfig(
-            lr=3e-3,
-            batch_size=16,
-            epochs_total=600,
-            pretrain_fraction=0.2,
-            lambda_mode="adaptive",
-            noise=NoiseSpec(kind="gaussian", scale=0.2),
-            seed=0,
-            widths=(16, 32, 16),
-            predict_residual=True,
-        )
-    dt = 60.0
-    duration = (n_timesteps - 1) * dt
-    env = HvacEnvironment(dt=dt, mass_flow=1.0, specific_heat=1006.0)
-    ss = np.random.SeedSequence(seed)
-    sim_seeds = ss.spawn(n_windows)
-    noise_seeds = ss.spawn(n_windows)
-
-    clean = [simulate_hvac(duration, dt, env, seed=sim_seeds[i])[0] for i in range(n_windows)]
     channel = "t_sa"
-    pooled = compute_norm_stats(clean)
-    channel_std = float(pooled.std[clean[0].channel_index(channel)])
-    eta_abs = eta_frac * channel_std
-    bias_vec = np.zeros(len(clean[0].channels))
-    bias_vec[clean[0].channel_index(channel)] = eta_abs
-
-    inherent = NoiseSpec(kind="gaussian", scale=0.15)
-    noisy = [
-        corrupt(w, inherent, bias=bias_vec, rng=np.random.default_rng(noise_seeds[i]))
-        for i, w in enumerate(clean)
-    ]
-    spec = PhysicsSpec(
-        family="hvac",
-        environment=env,
-        channel_map=default_channel_map("hvac", clean[0].channels),
+    dataset = generate_dataset(
+        SimulateConfig(
+            family="hvac",
+            count=n_windows,
+            duration=47 * 60.0,
+            dt=60.0,
+            seed=seed,
+            noise_kind="gaussian",
+            noise_scale=0.15,
+            bias_frac={channel: eta_frac},
+        )
     )
+    clean, noisy, spec = dataset.clean, dataset.windows, dataset.spec
+    channel_std = float(compute_norm_stats(clean).std[clean[0].channel_index(channel)])
     norm = compute_norm_stats(noisy)
-    channels = DENOISE_CHANNELS["hvac"]
 
-    rec_cfg = dataclasses.replace(cfg, pretrain_fraction=1.0)
-    rec = train(noisy, spec, rec_cfg, denoise_channels=channels, norm_stats=norm)
-    phys = train(noisy, spec, cfg, denoise_channels=channels, norm_stats=norm)
+    rec_cfg = dataclasses.replace(BIAS_DEMO_TRAIN, pretrain_fraction=1.0)
+    rec = train(noisy, spec, rec_cfg, norm_stats=norm)
+    phys = train(noisy, spec, BIAS_DEMO_TRAIN, norm_stats=norm)
 
     rec_mean, rec_se = _mean_error_stats(rec.denoiser, noisy, clean, channel)
     phys_mean, phys_se = _mean_error_stats(phys.denoiser, noisy, clean, channel)
     return BiasDemoReport(
         channel=channel,
         eta_frac=eta_frac,
-        eta_abs=eta_abs,
+        eta_abs=eta_frac * channel_std,
         channel_std=channel_std,
         n_windows=n_windows,
         rec_mean_error=rec_mean,

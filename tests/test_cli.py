@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from physden.cli import main
+from physden.cli import _load_config, build_parser, main
 from physden.data import load_csv, load_manifest
 from physden.metrics import REPORT_COLUMNS
 from physden.model import load_checkpoint
@@ -115,6 +115,47 @@ def test_empty_value_is_an_error_for_every_kind(capsys, workspace, item, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert key in err and "empty value" in err
+
+
+@pytest.mark.parametrize(
+    "config, override, message",
+    [
+        ("", "train.epoch_total=5", "unknown config key [train] epoch_total"),
+        ("[train]\ndeterministic = true\n", "train.lr=0.1", "unknown config key [train] deterministic"),
+        ("", "trian.lr=0.1", "unknown config section [trian]"),
+    ],
+)
+def test_unknown_config_key_is_an_error(capsys, tmp_path, config, override, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(config)
+    assert main(["train", "--config", str(ini), "--set", "data.manifest=absent.ini",
+                 "--set", override]) == 1
+    assert message in capsys.readouterr().err
+
+
+# Every key the README documents, one value each; a config may mix the
+# keys of all commands.
+DOCUMENTED_KEYS = {
+    "data": "family count duration dt seed noise_kind noise_scale mask_fraction bias_frac "
+            "motion_scale rotation_scale n_modes room_volume emission_rate initial_ppm flow "
+            "inflow_ppm outdoor_offset mass_flow specific_heat manifest input subset",
+    "train": "lr batch_size epochs_total pretrain_fraction lambda_mode lambda_value noise_kind "
+             "noise_scale mask_fraction seed widths predict_residual",
+    "model": "denoise checkpoint",
+    "output": "file timing_repeats",
+    "gradcheck": "seed instances tolerance",
+    "demo": "eta_frac n_windows seed",
+}
+
+
+def test_every_documented_key_passes_the_check(tmp_path):
+    ini = tmp_path / "all.ini"
+    ini.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = 1\n" for key in keys.split())
+        for section, keys in DOCUMENTED_KEYS.items()
+    ))
+    cp = _load_config(build_parser().parse_args(["train", "--config", str(ini)]))
+    assert {section: " ".join(cp[section]) for section in cp.sections()} == DOCUMENTED_KEYS
 
 
 def test_denoise_missing_checkpoint(capsys, tmp_path):

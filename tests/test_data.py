@@ -1,4 +1,6 @@
 """Windows, corruption, simulators, splitting, and the on-disk dataset format."""
+import configparser
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,8 +189,9 @@ def test_co2_shares_one_schedule_through_env():
 
 
 def test_co2_occupancy_drives_concentration_up():
-    env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0)
-    window, _ = simulate_co2(1800.0, 30.0, env, occupancy=3.0, seed=0)
+    env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0,
+                         occupants=3.0)
+    window, _ = simulate_co2(1800.0, 30.0, env, seed=0)
     c = window.row("c_room")
     assert c[0] == 420.0
     assert np.all(np.diff(c) > 0)
@@ -361,16 +364,42 @@ def test_manifest_round_trip(tmp_path):
 
 
 def test_manifest_round_trip_preserves_env_series(tmp_path):
-    cfg = SimulateConfig(family="co2", count=3, duration=900.0, dt=30.0, seed=2)
-    ds = generate_dataset(cfg)
-    back = load_manifest(save_dataset(ds, tmp_path / "run"))
-    # the occupancy schedule must survive, or clean residuals stop being zero
-    for w in back.clean:
-        assert physics_loss(w, back.spec) == 0.0
-    assert np.array_equal(
-        np.asarray(back.spec.environment.occupants),
-        np.asarray(ds.spec.environment.occupants),
+    co2 = generate_dataset(SimulateConfig(family="co2", count=3, duration=900.0, dt=30.0, seed=2))
+    hvac_env = HvacEnvironment(dt=60.0, mass_flow=np.linspace(0.5, 1.5, 11))
+    hvac_clean = [simulate_hvac(600.0, 60.0, hvac_env, seed=s)[0] for s in range(3)]
+    hvac = Dataset(
+        windows=[corrupt(w, NoiseSpec(scale=0.1), rng=s) for s, w in enumerate(hvac_clean)],
+        spec=hvac_spec(hvac_env),
+        split=([0, 1], [2]),
+        norm_stats=compute_norm_stats(hvac_clean),
+        clean=hvac_clean,
     )
+    for name, ds, field in [("co2", co2, "occupants"), ("hvac", hvac, "mass_flow")]:
+        back = load_manifest(save_dataset(ds, tmp_path / name))
+        # the schedule must survive, or clean residuals stop being zero
+        for w in back.clean:
+            assert physics_loss(w, back.spec) == 0.0
+        assert np.ndim(getattr(ds.spec.environment, field)) == 1
+        assert np.array_equal(
+            getattr(back.spec.environment, field), getattr(ds.spec.environment, field)
+        )
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("co2", "room_volume"), ("co2", "initial_ppm"), ("co2", "dt"), ("ins", "gravity")],
+)
+def test_manifest_rejects_series_mark_on_fixed_field(tmp_path, family, key):
+    ds = generate_dataset(SimulateConfig(family=family, count=2, seed=1))
+    manifest = save_dataset(ds, tmp_path / "run")
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    cfg.read(manifest)
+    cfg["environment"][key] = "@series"
+    with manifest.open("w") as fh:
+        cfg.write(fh)
+    with pytest.raises(ValueError, match=f"{key} cannot vary per timestep"):
+        load_manifest(manifest)
 
 
 def test_load_manifest_missing_file():

@@ -45,7 +45,7 @@ def test_evaluate_rejects_length_mismatch():
     env = HvacEnvironment(dt=60.0)
     short, _ = simulate_hvac(120.0, 60.0, env, seed=1)
     long, _ = simulate_hvac(180.0, 60.0, env, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="window 0 has 3 timesteps but its clean reference has 4"):
         evaluate("x", [short], hvac_spec(env), clean=[long])
 
 

@@ -1,0 +1,25 @@
+"""Experiment scripts under scripts/, run as a user would, at a tiny size."""
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+from physden.metrics import REPORT_COLUMNS
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_lambda_sweep_writes_report(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "lambda_sweep.py"), "--count", "4", "--epochs", "1",
+         "--lambdas", "0", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with (tmp_path / "report.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0].keys()) == REPORT_COLUMNS
+    assert [r["label"] for r in rows] == ["noisy", "adaptive", "fixed 0"]
+    assert "fixed 0" in proc.stdout
