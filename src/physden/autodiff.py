@@ -24,13 +24,10 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
-    "sqrt",
     "relu",
     "reduce_sum",
     "reduce_mean",
-    "narrow",
+    "take",
     "concat",
     "prefix_sum_exclusive",
     "exclusive_prefix_sum_values",
@@ -77,32 +74,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; accepts Tensor or plain scalars.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Node:
@@ -151,6 +122,7 @@ def _as_tensor(x) -> Tensor:
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
             vjp: Callable[[np.ndarray], tuple]) -> Tensor:
+    """Wrap an op's output and record its node on the active tape (physics' block ops use it too)."""
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = _active_tape()
     if tape is not None and out.requires_grad:
@@ -246,39 +218,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", (a, b), ad * bd, vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("div", a, b)
-    ad, bd = a.data, b.data
-    out = ad / bd
-
-    def vjp(g):
-        ga = _reduce_to(g / bd, ad.shape) if a.requires_grad else None
-        gb = _reduce_to(-g * out / bd, bd.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record("div", (a, b), out, vjp)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def vjp(g):
-        return (-g if a.requires_grad else None,)
-
-    return _record("neg", (a,), -a.data, vjp)
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * (0.5 / out) if a.requires_grad else None,)
-
-    return _record("sqrt", (a,), out, vjp)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0
@@ -314,26 +253,34 @@ def reduce_mean(a) -> Tensor:
     return _record("reduce_mean", (a,), np.asarray(a.data.mean()), vjp)
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries from ``start`` along one axis."""
+def take(a, index: Sequence) -> Tensor:
+    """``a.data[index]``: a unit-step slice or an integer list per leading axis.
+
+    At most one axis takes a list, which may repeat an entry; the gradient
+    of a repeated entry accumulates.
+    """
     a = _as_tensor(a)
-    nd = a.data.ndim
-    if not 0 <= axis < nd:
-        raise ValueError(f"narrow: axis {axis} out of range for {nd}-d tensor")
-    dim = a.data.shape[axis]
-    if length < 1 or start < 0 or start + length > dim:
-        raise ValueError(f"narrow: slice [{start}, {start + length}) outside dim {dim}")
-    idx = tuple(slice(start, start + length) if i == axis else slice(None) for i in range(nd))
     shape = a.data.shape
+    if len(index) > len(shape) or sum(not isinstance(ix, slice) for ix in index) > 1:
+        raise ValueError(f"take: index {index} does not fit a {len(shape)}-d tensor")
+    for axis, (ix, dim) in enumerate(zip(index, shape)):
+        if isinstance(ix, slice):
+            lo, hi = ix.start or 0, dim if ix.stop is None else ix.stop
+            ok = ix.step in (None, 1) and 0 <= lo < hi <= dim
+        else:
+            ok = len(ix) > 0 and 0 <= min(ix) and max(ix) < dim
+        if not ok:
+            raise ValueError(f"take: {ix} outside axis {axis} of size {dim}")
+    index = tuple(index)
 
     def vjp(g):
         if not a.requires_grad:
             return (None,)
         ga = np.zeros(shape)
-        ga[idx] = g
+        np.add.at(ga, index, g)
         return (ga,)
 
-    return _record("narrow", (a,), a.data[idx].copy(), vjp)
+    return _record("take", (a,), a.data[index], vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

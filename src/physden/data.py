@@ -581,6 +581,13 @@ def _env_sections(spec: PhysicsSpec) -> tuple[dict[str, str], dict[str, np.ndarr
     return out, series
 
 
+def _manifest_value(section, key: str) -> str:
+    """A required manifest entry; a missing one is an error naming its section and key."""
+    if key not in section:
+        raise ValueError(f"manifest: [{section.name}] is missing the {key!r} key")
+    return section[key]
+
+
 def _env_from_section(family: str, section, base_dir: Path):
     if family not in _ENVIRONMENTS:
         raise ValueError(f"manifest: unknown family {family!r}")
@@ -591,7 +598,7 @@ def _env_from_section(family: str, section, base_dir: Path):
 
     values = {}
     for name in _env_keys(env_type):
-        raw = section[name]
+        raw = _manifest_value(section, name)
         if raw == _SERIES_MARK:
             if name not in env_type.SERIES_FIELDS:
                 raise ValueError(f"manifest: {name} cannot vary per timestep, but is marked {_SERIES_MARK}")
@@ -670,8 +677,8 @@ def load_manifest(path) -> Dataset:
         if section not in cfg:
             raise ValueError(f"{path}: manifest is missing the [{section}] section")
 
-    family = cfg["dataset"]["family"].lower()
-    count = int(cfg["dataset"]["count"])
+    family = _manifest_value(cfg["dataset"], "family").lower()
+    count = int(_manifest_value(cfg["dataset"], "count"))
     denoise = [c for c in cfg["dataset"].get("denoise", "").split(",") if c]
 
     env = _env_from_section(family, cfg["environment"], base)
@@ -702,7 +709,7 @@ def load_manifest(path) -> Dataset:
 
     if "split" in cfg and cfg["split"].get("train"):
         train = [int(v) for v in cfg["split"]["train"].split(",") if v]
-        test = [int(v) for v in cfg["split"]["test"].split(",") if v != ""]
+        test = [int(v) for v in _manifest_value(cfg["split"], "test").split(",") if v != ""]
         split = (train, test)
     else:
         split = split_by_alignment(windows, spec)

@@ -4,7 +4,7 @@ Each case builds a scalar loss from randomized inputs, computes reverse-mode
 gradients, and compares them entry by entry against central differences.
 The relative error uses max(1, |analytic|, |numeric|) as denominator so
 near-zero gradients are compared absolutely. Inputs are drawn away from
-non-smooth points (relu kinks, sqrt at zero, division near zero).
+non-smooth points (relu kinks, zero-norm quaternions).
 """
 from __future__ import annotations
 
@@ -20,17 +20,14 @@ from .autodiff import (
     backward,
     concat,
     conv1d,
-    div,
     mse,
     mul,
-    narrow,
-    neg,
     prefix_sum_exclusive,
     reduce_mean,
     reduce_sum,
     relu,
-    sqrt,
     sub,
+    take,
 )
 from .model import ModelParams, forward, init_params
 from .physics import (
@@ -40,6 +37,8 @@ from .physics import (
     PhysicsSpec,
     CHANNEL_NAMES,
     default_channel_map,
+    quat_product,
+    quat_unit,
     stacked_residual,
 )
 
@@ -167,7 +166,9 @@ def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     arrays = [x]
     for w, b in zip(params.weights, params.biases):
         arrays.append(w.data)
-        arrays.append(b.data)
+        # init_params' zero biases would put a pre-activation fed by all-zero
+        # relu outputs exactly on the kink.
+        arrays.append(_away_from_zero(rng.uniform(-0.2, 0.2, size=b.shape), 0.05))
 
     def fn(xs: list[Tensor]) -> Tensor:
         p = ModelParams(
@@ -180,25 +181,14 @@ def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
 
 
 def _cases_for(name: str, rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    if name in ("add", "sub", "mul", "div"):
-        op = {"add": add, "sub": sub, "mul": mul, "div": div}[name]
+    if name in ("add", "sub", "mul"):
+        op = {"add": add, "sub": sub, "mul": mul}[name]
         a = rng.uniform(-2.0, 2.0, size=(2, 3))
-        if name == "div":
-            b = _away_from_zero(rng.uniform(-1.5, 1.5, size=(2, 3)), 0.5)
-        else:
-            b = rng.uniform(-2.0, 2.0, size=(2, 3))
+        b = rng.uniform(-2.0, 2.0, size=(2, 3))
         if rng.uniform() < 0.3:
             b = np.array(float(_away_from_zero(rng.uniform(-1.5, 1.5, size=()), 0.5)))
         w = rng.uniform(-1.0, 1.0, size=(2, 3))
         return (lambda xs: _weighted_sum(op(xs[0], xs[1]), w)), [a, b]
-    if name == "neg":
-        a = rng.uniform(-2.0, 2.0, size=(2, 3))
-        w = rng.uniform(-1.0, 1.0, size=(2, 3))
-        return (lambda xs: _weighted_sum(neg(xs[0]), w)), [a]
-    if name == "sqrt":
-        a = rng.uniform(0.5, 3.0, size=(2, 3))
-        w = rng.uniform(-1.0, 1.0, size=(2, 3))
-        return (lambda xs: _weighted_sum(sqrt(xs[0]), w)), [a]
     if name == "relu":
         a = _away_from_zero(rng.uniform(-2.0, 2.0, size=(2, 5)))
         w = rng.uniform(-1.0, 1.0, size=(2, 5))
@@ -209,16 +199,15 @@ def _cases_for(name: str, rng: np.random.Generator) -> tuple[Callable, list[np.n
     if name == "reduce_mean":
         a = rng.uniform(-2.0, 2.0, size=(2, 4))
         return (lambda xs: reduce_mean(xs[0])), [a]
-    if name == "narrow":
+    if name == "take":
         a = rng.uniform(-2.0, 2.0, size=(3, 7))
-        axis = int(rng.integers(0, 2))
-        size = a.shape[axis]
-        length = int(rng.integers(1, size))
-        start = int(rng.integers(0, size - length + 1))
-        w_shape = list(a.shape)
-        w_shape[axis] = length
-        w = rng.uniform(-1.0, 1.0, size=w_shape)
-        return (lambda xs: _weighted_sum(narrow(xs[0], axis, start, length), w)), [a]
+        rows = rng.integers(0, 3, size=4)
+        rows[-1] = rows[0]  # a repeated row accumulates its gradient
+        start = int(rng.integers(0, 6))
+        stop = int(rng.integers(start + 1, 8))
+        w = rng.uniform(-1.0, 1.0, size=(4, stop - start))
+        index = (list(rows), slice(start, stop))
+        return (lambda xs: _weighted_sum(take(xs[0], index), w)), [a]
     if name == "concat":
         axis = int(rng.integers(0, 2))
         if axis == 0:
@@ -245,6 +234,13 @@ def _cases_for(name: str, rng: np.random.Generator) -> tuple[Callable, list[np.n
         a = rng.uniform(-2.0, 2.0, size=(2, 5))
         b = rng.uniform(-2.0, 2.0, size=(2, 5))
         return (lambda xs: mse(xs[0], xs[1])), [a, b]
+    if name == "quat_product":
+        a, b, w = (rng.uniform(-1.0, 1.0, size=(4, 5)) for _ in range(3))
+        return (lambda xs: _weighted_sum(quat_product(xs[0], xs[1]), w)), [a, b]
+    if name == "quat_unit":
+        q = _unit_like_quat(rng, 5)
+        w = rng.uniform(-1.0, 1.0, size=(4, 5))
+        return (lambda xs: _weighted_sum(quat_unit(xs[0]), w)), [q]
     if name == "residual_ins":
         return _ins_case(rng)
     if name == "residual_co2":
@@ -260,17 +256,16 @@ SUITE_FAMILIES = (
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
-    "sqrt",
     "relu",
     "reduce_sum",
     "reduce_mean",
-    "narrow",
+    "take",
     "concat",
     "prefix_sum_exclusive",
     "conv1d",
     "mse",
+    "quat_product",
+    "quat_unit",
     "residual_ins",
     "residual_co2",
     "residual_hvac",

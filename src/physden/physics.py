@@ -8,6 +8,9 @@ Families:
 
 Residuals are written with the autodiff operations, so the same code path
 serves plain evaluation (metrics, splitting) and gradient-based training.
+They work on whole channel blocks: the inertial residual is a few dozen tape
+nodes per window, built from two quaternion block ops with hand-written VJPs
+(quat_product, quat_unit) plus take/concat and elementwise arithmetic.
 All quaternions are scalar-first Hamilton convention. Accelerometers measure
 specific force: a = R_q^T (p_ddot - g0) with g0 = (0, 0, -9.80665) in the
 world frame, so a stationary level device reads (0, 0, +9.80665).
@@ -21,15 +24,15 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _record,
+    add,
     concat,
     exclusive_prefix_sum_values,
     mul,
-    narrow,
-    neg,
     prefix_sum_exclusive,
     reduce_mean,
-    sqrt,
     sub,
+    take,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
@@ -37,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
 
 __all__ = [
     "hamilton_rows",
+    "quat_product",
+    "quat_unit",
     "quat_normalize",
     "quat_to_rotmat",
     "quat_exp",
@@ -50,8 +55,7 @@ __all__ = [
     "DENOISE_CHANNELS",
     "default_channel_map",
     "time_derivative",
-    "residual_ins_accel",
-    "residual_ins_quat",
+    "residual_ins",
     "residual_co2",
     "residual_hvac",
     "stacked_residual",
@@ -71,9 +75,8 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 def hamilton_rows(a, b):
     """Hamilton product a * b of two scalar-first quaternions given as (w, x, y, z).
 
-    Uses only arithmetic operators, so components may be floats, arrays of
-    per-timestep values, or tape tensors; the simulator and the residuals
-    share this one product.
+    Components may be floats or arrays of per-timestep values; the simulator,
+    and quat_product's forward and VJP, share this one product.
     """
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
@@ -83,6 +86,50 @@ def hamilton_rows(a, b):
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
+
+
+# Scalar-first conjugation as a per-row sign, for 4 x M blocks.
+_CONJ = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+
+
+def quat_product(a, b) -> Tensor:
+    """Differentiable Hamilton product of two 4 x M quaternion blocks, column by column.
+
+    The transpose of left (right) multiplication by a quaternion is left
+    (right) multiplication by its conjugate, so the VJP is g b* for a and
+    a* g for b, through the same product.
+    """
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    if a.data.shape != b.data.shape or a.data.shape[:1] != (4,):
+        raise ValueError(
+            f"quat_product: need two 4 x M blocks, got {a.data.shape} and {b.data.shape}"
+        )
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        ga = np.array(hamilton_rows(g, bd * _CONJ)) if a.requires_grad else None
+        gb = np.array(hamilton_rows(ad * _CONJ, g)) if b.requires_grad else None
+        return ga, gb
+
+    return _record("quat_product", (a, b), np.array(hamilton_rows(ad, bd)), vjp)
+
+
+def quat_unit(q) -> Tensor:
+    """Differentiable scaling of each column of a 4 x M quaternion block to unit norm."""
+    q = q if isinstance(q, Tensor) else Tensor(q)
+    w, x, y, z = q.data
+    n2 = ((w * w + x * x) + y * y) + z * z
+    if float(np.min(n2)) <= 1e-24:
+        raise ValueError("zero-norm quaternion sample in channel data")
+    n = np.sqrt(n2)
+    u = q.data / n
+
+    def vjp(g):
+        # d(q/|q|) = (I - u u^T) / |q| per column, a symmetric Jacobian.
+        return ((g - u * np.sum(u * g, axis=0)) / n if q.requires_grad else None,)
+
+    return _record("quat_unit", (q,), u, vjp)
 
 
 def quat_normalize(q) -> np.ndarray:
@@ -264,33 +311,17 @@ def time_derivative(series, dt: float, order: int) -> Tensor:
     t_len = series.data.shape[1]
     if t_len < 3:
         raise ValueError(f"time_derivative: series too short (T={t_len}, need >= 3)")
-    ahead = narrow(series, 1, 2, t_len - 2)
-    here = narrow(series, 1, 1, t_len - 2)
-    behind = narrow(series, 1, 0, t_len - 2)
+    ahead = take(series, (slice(None), slice(2, t_len)))
+    behind = take(series, (slice(None), slice(0, t_len - 2)))
     if order == 1:
         return mul(sub(ahead, behind), 1.0 / (2.0 * dt))
     if order == 2:
-        return mul(sub(sub(ahead, mul(here, 2.0)), neg(behind)), 1.0 / (dt * dt))
+        return mul(add(sub(ahead, mul(_interior(series), 2.0)), behind), 1.0 / (dt * dt))
     raise ValueError(f"time_derivative: order must be 1 or 2, got {order}")
 
 
-def _row(x: Tensor, i: int) -> Tensor:
-    return narrow(x, 0, i, 1)
-
-
 def _interior(x: Tensor) -> Tensor:
-    t_len = x.data.shape[1]
-    return narrow(x, 1, 1, t_len - 2)
-
-
-def _normalized_quat_rows(q: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Split a 4 x M quaternion block into unit-norm rows, on the tape."""
-    w, x, y, z = (_row(q, i) for i in range(4))
-    n2 = w * w + x * x + y * y + z * z
-    if float(np.min(n2.data)) <= 1e-24:
-        raise ValueError("zero-norm quaternion sample in channel data")
-    n = sqrt(n2)
-    return (w / n, x / n, y / n, z / n)
+    return take(x, (slice(None), slice(1, x.data.shape[1] - 1)))
 
 
 def _check_series_block(name: str, x: Tensor, rows: int, t_len: int | None) -> int:
@@ -314,52 +345,35 @@ def _series(value, t_len: int, name: str) -> np.ndarray:
 # Residual families
 
 
-def residual_ins_accel(p, q, a, env: InsEnvironment) -> Tensor:
-    """Specific-force residual a - R_q^T (p_ddot - g0) on interior timesteps.
+def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
+    """Inertial residual on interior timesteps, 7 x (T-2).
 
-    p: 3 x T positions, q: 4 x T orientations (renormalized per timestep on
-    the tape), a: 3 x T accelerometer readings. Returns 3 x (T-2).
+    Rows 0-2 are the specific-force residual a - R_q^T (p_ddot - g0); rows
+    3-6 are the orientation-rate residual dq/dt - 0.5 q (0, w), with the
+    derivative taken of the renormalized series. p: 3 x T positions, q: 4 x T
+    orientations (renormalized per timestep on the tape, once for both
+    parts), w: 3 x T angular rates (rad/s), a: 3 x T accelerometer readings.
     """
-    p = p if isinstance(p, Tensor) else Tensor(p)
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    t_len = _check_series_block("residual_ins_accel: p", p, 3, None)
-    _check_series_block("residual_ins_accel: q", q, 4, t_len)
-    _check_series_block("residual_ins_accel: a", a, 3, t_len)
+    p, q, w, a = (x if isinstance(x, Tensor) else Tensor(x) for x in (p, q, w, a))
+    t_len = _check_series_block("residual_ins: p", p, 3, None)
+    _check_series_block("residual_ins: q", q, 4, t_len)
+    _check_series_block("residual_ins: w", w, 3, t_len)
+    _check_series_block("residual_ins: a", a, 3, t_len)
 
     pdd = time_derivative(p, env.dt, 2)  # 3 x (T-2)
-    qn = tuple(_interior(r) for r in _normalized_quat_rows(q))
+    qn = quat_unit(q)  # 4 x T, unit per timestep
+    qi = _interior(qn)
     m = t_len - 2
     zero = Tensor(np.zeros((1, m)))
-    v = tuple(_row(pdd, i) - float(env.gravity[i]) for i in range(3))
+    v = sub(pdd, Tensor(np.broadcast_to(env.gravity[:, None], (3, m))))
     # R_q^T v via the conjugation q^-1 (0, v) q with unit q, q^-1 = conj(q).
-    conj = (qn[0], neg(qn[1]), neg(qn[2]), neg(qn[3]))
-    half = hamilton_rows(conj, (zero, v[0], v[1], v[2]))
-    rot = hamilton_rows(half, qn)
-    predicted = concat([rot[1], rot[2], rot[3]], axis=0)
-    return sub(_interior(a), predicted)
+    conj = mul(qi, Tensor(np.broadcast_to(_CONJ, (4, m))))
+    rot = quat_product(quat_product(conj, concat([zero, v])), qi)
+    accel = sub(_interior(a), take(rot, (slice(1, 4),)))
 
-
-def residual_ins_quat(q, w, env: InsEnvironment) -> Tensor:
-    """Orientation-rate residual dq/dt - 0.5 q (0, w) on interior timesteps.
-
-    q: 4 x T orientations, w: 3 x T angular rates (rad/s). The derivative is
-    taken of the renormalized series. Returns 4 x (T-2).
-    """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    w = w if isinstance(w, Tensor) else Tensor(w)
-    t_len = _check_series_block("residual_ins_quat: q", q, 4, None)
-    _check_series_block("residual_ins_quat: w", w, 3, t_len)
-
-    qn_rows = _normalized_quat_rows(q)
-    qn = concat(list(qn_rows), axis=0)  # 4 x T, unit per timestep
-    qd = time_derivative(qn, env.dt, 1)  # 4 x (T-2)
-    qi = tuple(_interior(r) for r in qn_rows)
-    m = t_len - 2
-    zero = Tensor(np.zeros((1, m)))
-    wi = tuple(_interior(_row(w, i)) for i in range(3))
-    prod = hamilton_rows(qi, (zero, wi[0], wi[1], wi[2]))
-    return sub(qd, mul(concat(list(prod), axis=0), 0.5))
+    rate = quat_product(qi, concat([zero, _interior(w)]))
+    orientation = sub(time_derivative(qn, env.dt, 1), mul(rate, 0.5))
+    return concat([accel, orientation])
 
 
 def co2_known_terms(env: Co2Environment, t_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,15 +437,13 @@ def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment) -> Tensor:
 
 def _gather(values: Tensor, spec: PhysicsSpec, names: Sequence[str]) -> Tensor:
     rows = values.data.shape[0]
-    for name in names:
-        idx = spec.channel_map[name]
-        if not 0 <= idx < rows:
+    idx = [spec.channel_map[name] for name in names]
+    for name, i in zip(names, idx):
+        if not 0 <= i < rows:
             raise ValueError(
-                f"channel_map points {name!r} at row {idx}, but the window has {rows} rows"
+                f"channel_map points {name!r} at row {i}, but the window has {rows} rows"
             )
-    if len(names) == 1:
-        return _row(values, spec.channel_map[names[0]])
-    return concat([_row(values, spec.channel_map[n]) for n in names], axis=0)
+    return take(values, (idx,))
 
 
 def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
@@ -445,13 +457,13 @@ def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
         raise ValueError(f"stacked_residual: expected c x T values, got shape {values.data.shape}")
     env = spec.environment
     if spec.family == "ins":
-        p = _gather(values, spec, ("px", "py", "pz"))
-        q = _gather(values, spec, ("qw", "qx", "qy", "qz"))
-        w = _gather(values, spec, ("wx", "wy", "wz"))
-        a = _gather(values, spec, ("ax", "ay", "az"))
-        g1 = residual_ins_accel(p, q, a, env)
-        g2 = residual_ins_quat(q, w, env)
-        return concat([g1, g2], axis=0)
+        return residual_ins(
+            _gather(values, spec, ("px", "py", "pz")),
+            _gather(values, spec, ("qw", "qx", "qy", "qz")),
+            _gather(values, spec, ("wx", "wy", "wz")),
+            _gather(values, spec, ("ax", "ay", "az")),
+            env,
+        )
     if spec.family == "co2":
         return residual_co2(
             _gather(values, spec, ("c_room",)), _gather(values, spec, ("c_out",)), env

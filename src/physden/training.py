@@ -32,7 +32,7 @@ from .autodiff import (
     concat,
     mse,
     mul,
-    narrow,
+    take,
 )
 from .data import (
     NoiseSpec,
@@ -207,16 +207,10 @@ def _merged_forward(
     mean_block = Tensor(np.broadcast_to(mean[:, None], (len(den_idx), t_len)).copy())
     restored = add(mul(y, std_block), mean_block)
 
+    # Row r of the merge is restored row j where den_idx[j] == r, else base row r.
     position = {row: j for j, row in enumerate(den_idx)}
-    parts: list[Tensor] = []
-    for row in range(base_values.shape[0]):
-        if row in position:
-            parts.append(narrow(restored, 0, position[row], 1))
-        else:
-            parts.append(Tensor(base_values[row : row + 1, :]))
-    if len(parts) == 1:
-        return parts[0]
-    return concat(parts, axis=0)
+    order = [position.get(row, len(den_idx) + row) for row in range(base_values.shape[0])]
+    return take(concat([restored, Tensor(base_values)]), (order,))
 
 
 def _mean_of(terms: list[Tensor]) -> Tensor:

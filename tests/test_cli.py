@@ -1,5 +1,7 @@
 """CLI surface: config plumbing, subcommand artifacts, exit codes."""
+import configparser
 import csv
+import shutil
 import subprocess
 
 import numpy as np
@@ -90,6 +92,24 @@ def test_missing_config_file(capsys, tmp_path):
 def test_train_requires_manifest(capsys):
     assert main(["train"]) == 1
     assert "[data] manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key", [("environment", "mass_flow"), ("dataset", "family"), ("dataset", "count")]
+)
+def test_manifest_missing_key_names_it(capsys, tmp_path, workspace, section, key):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["sim_data"], data)
+    manifest = data / "manifest.ini"
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    cfg.read(manifest)
+    cfg.remove_option(section, key)
+    with manifest.open("w") as fh:
+        cfg.write(fh)
+    rc = main(["train", "--run-dir", str(tmp_path / "run"), "--set", f"data.manifest={manifest}"])
+    assert rc == 1
+    assert f"[{section}] is missing the '{key}' key" in capsys.readouterr().err
 
 
 def test_bad_integer_names_the_key(capsys, workspace):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from physden.autodiff import Tensor
+from physden.autodiff import Tape, Tensor, mul, reduce_sum
 from physden.data import simulate_co2, simulate_hvac, simulate_ins
+from physden.gradcheck import check_gradient
 from physden.physics import (
     CHANNEL_NAMES,
     Co2Environment,
@@ -22,8 +23,7 @@ from physden.physics import (
     quat_to_rotmat,
     residual_co2,
     residual_hvac,
-    residual_ins_accel,
-    residual_ins_quat,
+    residual_ins,
     stacked_residual,
     time_derivative,
 )
@@ -159,19 +159,17 @@ def test_accel_residual_detects_wrong_gravity_sign():
     values = stationary_ins_values()
     values[12, :] = GRAVITY_Z  # accelerometer reporting the wrong sign
     env = InsEnvironment(dt=0.01)
-    r = residual_ins_accel(values[0:3], values[3:7], values[10:13], env)
+    r = residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
     assert np.allclose(r.data[2], 2.0 * GRAVITY_Z)
 
 
 def test_orientation_rate_residual_shapes_and_zero_case():
     t_len = 10
     env = InsEnvironment(dt=0.05)
-    q = np.zeros((4, t_len))
-    q[0, :] = 1.0
-    w = np.zeros((3, t_len))
-    r = residual_ins_quat(q, w, env)
-    assert r.data.shape == (4, t_len - 2)
-    assert np.all(r.data == 0.0)
+    values = stationary_ins_values(t_len)
+    r = residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
+    assert r.data.shape == (7, t_len - 2)
+    assert np.all(r.data[3:] == 0.0)
 
 
 def test_quat_rows_are_renormalized_before_derivative():
@@ -181,8 +179,9 @@ def test_quat_rows_are_renormalized_before_derivative():
     env = InsEnvironment(dt=0.1)
     scale = np.linspace(1.0, 3.0, t_len)
     q = np.vstack([scale, np.zeros((3, t_len))])
-    r = residual_ins_quat(q, np.zeros((3, t_len)), env)
-    assert np.allclose(r.data, 0.0, atol=1e-15)
+    zeros = np.zeros((3, t_len))
+    r = residual_ins(zeros, q, zeros, zeros, env)
+    assert np.allclose(r.data[3:], 0.0, atol=1e-15)
 
 
 def test_zero_norm_quaternion_sample_rejected():
@@ -190,7 +189,31 @@ def test_zero_norm_quaternion_sample_rejected():
     values[3, 4] = 0.0  # orientation sample collapses to the zero quaternion
     env = InsEnvironment(dt=0.01)
     with pytest.raises(ValueError, match="zero-norm quaternion sample"):
-        residual_ins_quat(values[3:7], values[7:10], env)
+        residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
+
+
+def test_ins_residual_matches_per_timestep_reference():
+    window, env = simulate_ins(duration=0.5, dt=0.01, seed=6)
+    v = window.values + np.random.default_rng(0).normal(scale=1e-3, size=window.values.shape)
+    p, q, w, a = v[0:3], v[3:7], v[7:10], v[10:13]
+    assert np.min(np.linalg.norm(w, axis=0)) > 0.1  # the platform rotates throughout
+    r = residual_ins(p, q, w, a, env).data
+    dt = env.dt
+    for t in range(1, v.shape[1] - 1):
+        pdd = ((p[:, t + 1] - 2.0 * p[:, t]) + p[:, t - 1]) / (dt * dt)
+        accel = a[:, t] - quat_to_rotmat(q[:, t]).T @ (pdd - env.gravity)
+        assert np.allclose(r[:3, t - 1], accel, rtol=1e-12, atol=1e-9)
+        qd = (quat_normalize(q[:, t + 1]) - quat_normalize(q[:, t - 1])) / (2.0 * dt)
+        rate = qd - 0.5 * product(quat_normalize(q[:, t]), np.concatenate([[0.0], w[:, t]]))
+        assert np.allclose(r[3:, t - 1], rate, rtol=1e-12, atol=1e-9)
+
+
+def test_ins_residual_tape_is_block_sized():
+    window, env = simulate_ins(duration=1.27, dt=0.01, seed=3)
+    spec = PhysicsSpec("ins", env, default_channel_map("ins", window.channels))
+    with Tape() as tape:
+        stacked_residual(Tensor(window.values, requires_grad=True), spec)
+    assert len(tape.nodes) <= 35
 
 
 def test_clean_ins_simulation_residual_is_small():
@@ -337,6 +360,27 @@ def test_channel_map_must_cover_family():
         PhysicsSpec(family="hvac", environment=env, channel_map={"t_sa": 0, "dq": 1})
 
 
+def test_channel_map_row_outside_window_rejected():
+    spec = PhysicsSpec("hvac", HvacEnvironment(dt=60.0), {"t_sa": 0, "t_mix": 1, "dq": 3})
+    with pytest.raises(ValueError, match="points 'dq' at row 3"):
+        stacked_residual(Tensor(np.zeros((3, 4))), spec)
+
+
+def test_channel_map_may_point_two_symbols_at_one_row():
+    cmap = default_channel_map("ins", CHANNEL_NAMES["ins"])
+    cmap["py"] = cmap["px"]
+    spec = PhysicsSpec("ins", InsEnvironment(dt=0.05), cmap)
+    rng = np.random.default_rng(0)
+    values = rng.uniform(-1.0, 1.0, size=(13, 6))
+    values[3, :] += 2.0  # keep every orientation sample far from the zero quaternion
+    weights = Tensor(rng.uniform(-1.0, 1.0, size=(7, 4)))
+
+    def weighted(xs):
+        return reduce_sum(mul(stacked_residual(xs[0], spec), weights))
+
+    assert check_gradient(weighted, [values]) <= 1e-5
+
+
 def test_default_channel_map_reports_missing_channels():
     with pytest.raises(ValueError, match="missing channels"):
         default_channel_map("hvac", ["t_sa", "dq"])
@@ -349,13 +393,15 @@ def test_stacked_residual_orders_rate_then_orientation():
         environment=env,
         channel_map=default_channel_map("ins", window.channels),
     )
-    values = Tensor(window.values)
-    stacked = stacked_residual(values, spec)
-    accel = residual_ins_accel(window.values[0:3], window.values[3:7], window.values[10:13], env)
-    quat = residual_ins_quat(window.values[3:7], window.values[7:10], env)
+    v = window.values
+    stacked = stacked_residual(Tensor(v), spec)
     assert stacked.data.shape == (7, window.n_timesteps - 2)
-    assert np.array_equal(stacked.data[:3], accel.data)
-    assert np.array_equal(stacked.data[3:], quat.data)
+    assert np.array_equal(stacked.data, residual_ins(v[0:3], v[3:7], v[7:10], v[10:13], env).data)
+    # the specific-force rows are the accelerometer's, the orientation rows are not
+    v[10:13] += 1.0
+    shifted = stacked_residual(Tensor(v), spec).data
+    assert np.allclose(shifted[:3] - stacked.data[:3], 1.0, rtol=0.0, atol=1e-12)
+    assert np.array_equal(shifted[3:], stacked.data[3:])
 
 
 def test_physics_loss_matches_stacked_mean_square():
