@@ -8,14 +8,13 @@ toward constraint-consistent values, which this sweep makes visible.
 Usage: python3 scripts/bias_sweep.py [--etas 0,0.25,0.5,1.0] [--out DIR]
 """
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from physden.training import bias_demo
+from physden.training import bias_demo, write_bias_csv
 
 
 def parse_args(argv=None):
@@ -33,12 +32,12 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    reports = []
     for eta in (float(v) for v in args.etas.split(",")):
         start = time.perf_counter()
         report = bias_demo(eta, n_windows=args.windows, seed=args.seed)
         elapsed = time.perf_counter() - start
-        rows.append((eta, report))
+        reports.append(report)
         print(f"eta {eta:g}: rec-only {report.rec_error_frac:+.3f} std "
               f"(se {report.rec_stderr / report.channel_std:.3f}), "
               f"physics {report.phys_error_frac:+.3f} std "
@@ -46,21 +45,7 @@ def main(argv=None) -> int:
               f"({elapsed:.0f}s)")
 
     sweep_path = out_dir / "bias_sweep.csv"
-    with sweep_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "eta_frac", "channel", "channel_std", "n_windows",
-            "rec_mean_error", "rec_stderr", "rec_error_frac",
-            "phys_mean_error", "phys_stderr", "phys_error_frac",
-        ])
-        for eta, r in rows:
-            writer.writerow([
-                f"{eta:g}", r.channel, f"{r.channel_std:.17g}", r.n_windows,
-                f"{r.rec_mean_error:.17g}", f"{r.rec_stderr:.17g}",
-                f"{r.rec_error_frac:.17g}",
-                f"{r.phys_mean_error:.17g}", f"{r.phys_stderr:.17g}",
-                f"{r.phys_error_frac:.17g}",
-            ])
+    write_bias_csv(reports, sweep_path)
     print(f"\nsweep: {sweep_path}")
     return 0
 

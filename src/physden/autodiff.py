@@ -346,15 +346,16 @@ def prefix_sum_exclusive(a) -> Tensor:
 
 
 def conv1d(x, weight, bias) -> Tensor:
-    """Same-length 1-D convolution over a Cin x T input.
+    """Same-length 1-D convolution over a Cin x T or Cin x B x T input.
 
-    out[o, t] = bias[o] + sum_{i,k} weight[o, i, k] * padded[i, t + k]
-    with (K-1)/2 zeros of padding on each side; K must be odd.
+    out[o, ..., t] = bias[o] + sum_{i,k} weight[o, i, k] * padded[i, ..., t + k]
+    with (K-1)/2 zeros of padding on each side of every window; K must be odd.
+    A batch axis B convolves each window on its own, so windows never mix.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.data.ndim != 2 or weight.data.ndim != 3 or bias.data.ndim != 1:
+    if x.data.ndim not in (2, 3) or weight.data.ndim != 3 or bias.data.ndim != 1:
         raise ValueError(
-            f"conv1d: expected 2-d input, 3-d weight, 1-d bias; got "
+            f"conv1d: expected 2-d or 3-d input, 3-d weight, 1-d bias; got "
             f"{x.data.ndim}-d, {weight.data.ndim}-d, {bias.data.ndim}-d"
         )
     cout, cin, k = weight.data.shape
@@ -364,28 +365,29 @@ def conv1d(x, weight, bias) -> Tensor:
         raise ValueError(f"conv1d: input has {x.data.shape[0]} channels, weight expects {cin}")
     if bias.data.shape[0] != cout:
         raise ValueError(f"conv1d: bias has {bias.data.shape[0]} entries, weight expects {cout}")
-    t_len = x.data.shape[1]
+    batch, t_len = x.data.shape[1:-1], x.data.shape[-1]
     pad = (k - 1) // 2
-    xpad = np.zeros((cin, t_len + k - 1))
-    xpad[:, pad:pad + t_len] = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)  # cin x T x k
-    # im2col so both passes run as BLAS matmuls: col[i*k + j, t] = xpad[i, t + j]
-    col = win.transpose(0, 2, 1).reshape(cin * k, t_len)
+    xpad = np.zeros((cin, *batch, t_len + k - 1))
+    xpad[..., pad:pad + t_len] = x.data
+    # im2col so both passes run as one BLAS matmul each:
+    # col[i*k + j, (b, t)] = xpad[i, b, t + j]
+    col = np.stack([xpad[..., j:j + t_len] for j in range(k)], axis=1).reshape(cin * k, -1)
     w2d = weight.data.reshape(cout, cin * k)
-    out = w2d @ col + bias.data[:, None]
+    out = (w2d @ col + bias.data[:, None]).reshape(cout, *batch, t_len)
 
     def vjp(g):
         gx = gw = gb = None
+        g2d = g.reshape(cout, -1)
         if bias.requires_grad:
-            gb = g.sum(axis=1)
+            gb = g2d.sum(axis=1)
         if weight.requires_grad:
-            gw = (g @ col.T).reshape(cout, cin, k)
+            gw = (g2d @ col.T).reshape(cout, cin, k)
         if x.requires_grad:
-            gcol = (w2d.T @ g).reshape(cin, k, t_len)
-            gxpad = np.zeros((cin, t_len + k - 1))
+            gcol = (w2d.T @ g2d).reshape(cin, k, *batch, t_len)
+            gxpad = np.zeros((cin, *batch, t_len + k - 1))
             for j in range(k):
-                gxpad[:, j:j + t_len] += gcol[:, j, :]
-            gx = gxpad[:, pad:pad + t_len]
+                gxpad[..., j:j + t_len] += gcol[:, j]
+            gx = gxpad[..., pad:pad + t_len]
         return gx, gw, gb
 
     return _record("conv1d", (x, weight, bias), out, vjp)

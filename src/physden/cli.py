@@ -400,9 +400,7 @@ def _cmd_gradcheck(args, cp) -> int:
 
 
 def _cmd_bias_demo(args, cp) -> int:
-    import csv as _csv
-
-    from .training import bias_demo
+    from .training import bias_demo, write_bias_csv
 
     eta = _get_typed(cp, "demo", "eta_frac", float, 0.5)
     n_windows = _get_typed(cp, "demo", "n_windows", int, 48)
@@ -423,11 +421,7 @@ def _cmd_bias_demo(args, cp) -> int:
         f"({report.phys_error_frac:+.3f} std, stderr {report.phys_stderr:.3g})"
     )
     out = run_dir / "bias_demo.csv"
-    with out.open("w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["model", "mean_error", "stderr", "error_frac_of_std"])
-        writer.writerow(["rec-only", f"{report.rec_mean_error:.17g}", f"{report.rec_stderr:.17g}", f"{report.rec_error_frac:.17g}"])
-        writer.writerow(["physics", f"{report.phys_mean_error:.17g}", f"{report.phys_stderr:.17g}", f"{report.phys_error_frac:.17g}"])
+    write_bias_csv([report], out)
     print(f"report: {out}")
     return 0
 

@@ -86,6 +86,9 @@ class SampleWindow:
             raise ValueError(f"SampleWindow: need c >= 1 and T >= 3, got shape {self.values.shape}")
         if len(self.channels) != c:
             raise ValueError(f"SampleWindow: {len(self.channels)} names for {c} rows")
+        if not np.isfinite(self.values).all():
+            row, t = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValueError(f"SampleWindow: {self.channels[row]!r} is non-finite at timestep {t}")
         if len(set(self.channels)) != c:
             raise ValueError("SampleWindow: channel names must be unique")
         if len(self.units) != c:

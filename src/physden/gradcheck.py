@@ -109,9 +109,14 @@ def _away_from_zero(x: np.ndarray, margin: float = 0.1) -> np.ndarray:
     return x + s * margin
 
 
-def _unit_like_quat(rng: np.random.Generator, t_len: int) -> np.ndarray:
-    signs = rng.choice([-1.0, 1.0], size=(4, t_len))
-    return signs * rng.uniform(0.3, 1.0, size=(4, t_len))
+def _batch(rng: np.random.Generator) -> tuple[int, ...]:
+    """A batch axis of two windows (C x 2 x T inputs) for about half the instances."""
+    return (2,) if rng.uniform() < 0.5 else ()
+
+
+def _unit_like_quat(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    signs = rng.choice([-1.0, 1.0], size=(4, *shape))
+    return signs * rng.uniform(0.3, 1.0, size=(4, *shape))
 
 
 def _residual_case(
@@ -128,9 +133,9 @@ def _residual_case(
 
 
 def _ins_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    t_len = 6
-    vals = rng.uniform(-1.0, 1.0, size=(13, t_len))
-    vals[3:7, :] = _unit_like_quat(rng, t_len)
+    shape = (*_batch(rng), 6)
+    vals = rng.uniform(-1.0, 1.0, size=(13, *shape))
+    vals[3:7] = _unit_like_quat(rng, shape)
     return _residual_case(rng, "ins", InsEnvironment(dt=0.05), vals)
 
 
@@ -145,7 +150,7 @@ def _co2_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
         inflow_ppm=4.0,
         occupants=rng.integers(0, 3, size=t_len).astype(float),
     )
-    return _residual_case(rng, "co2", env, rng.uniform(3.0, 5.0, size=(2, t_len)))
+    return _residual_case(rng, "co2", env, rng.uniform(3.0, 5.0, size=(2, *_batch(rng), t_len)))
 
 
 def _hvac_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -155,14 +160,14 @@ def _hvac_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
         mass_flow=rng.uniform(0.5, 1.5, size=t_len),
         specific_heat=1.0,
     )
-    return _residual_case(rng, "hvac", env, rng.uniform(-2.0, 2.0, size=(3, t_len)))
+    return _residual_case(rng, "hvac", env, rng.uniform(-2.0, 2.0, size=(3, *_batch(rng), t_len)))
 
 
 def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    c, t_len = 2, 9
+    c, shape = 2, (*_batch(rng), 9)
     params = init_params(c, (2, 3, 2), rng)
-    x = rng.uniform(-1.0, 1.0, size=(c, t_len))
-    target = rng.uniform(-1.0, 1.0, size=(c, t_len))
+    x = rng.uniform(-1.0, 1.0, size=(c, *shape))
+    target = rng.uniform(-1.0, 1.0, size=(c, *shape))
     arrays = [x]
     for w, b in zip(params.weights, params.biases):
         arrays.append(w.data)
@@ -171,11 +176,7 @@ def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
         arrays.append(_away_from_zero(rng.uniform(-0.2, 0.2, size=b.shape), 0.05))
 
     def fn(xs: list[Tensor]) -> Tensor:
-        p = ModelParams(
-            weights=[xs[1], xs[3], xs[5], xs[7]],
-            biases=[xs[2], xs[4], xs[6], xs[8]],
-        )
-        return mse(forward(p, xs[0]), Tensor(target))
+        return mse(forward(ModelParams(weights=xs[1::2], biases=xs[2::2]), xs[0]), Tensor(target))
 
     return fn, arrays
 
@@ -225,21 +226,23 @@ def _cases_for(name: str, rng: np.random.Generator) -> tuple[Callable, list[np.n
         return (lambda xs: _weighted_sum(prefix_sum_exclusive(xs[0]), w)), [a]
     if name == "conv1d":
         k = int(rng.choice([3, 5]))
-        x = rng.uniform(-1.0, 1.0, size=(2, 8))
+        shape = (*_batch(rng), 8)
+        x = rng.uniform(-1.0, 1.0, size=(2, *shape))
         wgt = rng.uniform(-1.0, 1.0, size=(3, 2, k))
         b = rng.uniform(-1.0, 1.0, size=(3,))
-        w = rng.uniform(-1.0, 1.0, size=(3, 8))
+        w = rng.uniform(-1.0, 1.0, size=(3, *shape))
         return (lambda xs: _weighted_sum(conv1d(xs[0], xs[1], xs[2]), w)), [x, wgt, b]
     if name == "mse":
         a = rng.uniform(-2.0, 2.0, size=(2, 5))
         b = rng.uniform(-2.0, 2.0, size=(2, 5))
         return (lambda xs: mse(xs[0], xs[1])), [a, b]
     if name == "quat_product":
-        a, b, w = (rng.uniform(-1.0, 1.0, size=(4, 5)) for _ in range(3))
+        shape = (4, *_batch(rng), 5)
+        a, b, w = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(3))
         return (lambda xs: _weighted_sum(quat_product(xs[0], xs[1]), w)), [a, b]
     if name == "quat_unit":
-        q = _unit_like_quat(rng, 5)
-        w = rng.uniform(-1.0, 1.0, size=(4, 5))
+        q = _unit_like_quat(rng, (*_batch(rng), 5))
+        w = rng.uniform(-1.0, 1.0, size=q.shape)
         return (lambda xs: _weighted_sum(quat_unit(xs[0]), w)), [q]
     if name == "residual_ins":
         return _ins_case(rng)

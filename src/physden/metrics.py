@@ -21,6 +21,7 @@ __all__ = [
     "EvalReport",
     "evaluate",
     "REPORT_COLUMNS",
+    "write_rows_csv",
     "write_report_csv",
     "format_report_table",
 ]
@@ -134,19 +135,23 @@ REPORT_COLUMNS = [
 
 
 def _fmt(v: str | int | float | None) -> str:
-    """A report cell: floats at 17 digits, None (no clean reference) empty."""
+    """A CSV cell: floats at 17 digits, None (no clean reference, no phase-2 term) empty."""
     if v is None:
         return ""
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def write_report_csv(reports: Sequence[EvalReport], path) -> None:
-    """One row per report, columns exactly REPORT_COLUMNS."""
+def write_rows_csv(header: Sequence[str], rows, path) -> None:
+    """A header line, then one line of cells per row (see _fmt)."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([_fmt(getattr(r, column)) for column in REPORT_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def write_report_csv(reports: Sequence[EvalReport], path) -> None:
+    """One row per report, columns exactly REPORT_COLUMNS."""
+    write_rows_csv(REPORT_COLUMNS, ([getattr(r, c) for c in REPORT_COLUMNS] for r in reports), path)
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

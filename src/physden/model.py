@@ -2,9 +2,9 @@
 
 Architecture: four 1-d convolutions with kernel sizes 7, 5, 3, 3 and same
 zero-padding, ReLU between layers, linear output layer. The network maps a
-c x T block to a c x T block of the same channels, so the length doesn't
-change and no pooling or striding is involved. Inputs are z-scored with
-frozen training statistics and the output is mapped back to physical units.
+c x T window, or a c x B x T batch of windows, to a block of the same shape:
+no pooling or striding is involved. Inputs are z-scored with frozen
+training statistics and the output is mapped back to physical units.
 """
 from __future__ import annotations
 
@@ -76,9 +76,9 @@ def param_count(params: ModelParams) -> int:
 
 
 def forward(params: ModelParams, x: Tensor) -> Tensor:
-    """Run the network on a c x T block; returns a c x T block."""
-    if x.data.ndim != 2:
-        raise ValueError(f"forward: expected a 2-d c x T input, got shape {x.data.shape}")
+    """Run the network on a c x T or c x B x T block; returns a block of the same shape."""
+    if x.data.ndim not in (2, 3):
+        raise ValueError(f"forward: expected a 2-d or 3-d c x [B x] T input, got {x.data.shape}")
     expected = params.weights[0].data.shape[1]
     if x.data.shape[0] != expected:
         raise ValueError(

@@ -8,9 +8,11 @@ Families:
 
 Residuals are written with the autodiff operations, so the same code path
 serves plain evaluation (metrics, splitting) and gradient-based training.
-They work on whole channel blocks: the inertial residual is a few dozen tape
-nodes per window, built from two quaternion block ops with hand-written VJPs
-(quat_product, quat_unit) plus take/concat and elementwise arithmetic.
+They work on whole channel blocks, C x T for one window or C x B x T for a
+batch of equal-length windows (channels on axis 0, time on the last axis):
+the inertial residual is a few dozen tape nodes per block, built from two
+quaternion block ops with hand-written VJPs (quat_product, quat_unit) plus
+take/concat and elementwise arithmetic.
 All quaternions are scalar-first Hamilton convention. Accelerometers measure
 specific force: a = R_q^T (p_ddot - g0) with g0 = (0, 0, -9.80665) in the
 world frame, so a stationary level device reads (0, 0, +9.80665).
@@ -24,6 +26,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _as_tensor,
     _record,
     add,
     concat,
@@ -88,36 +91,41 @@ def hamilton_rows(a, b):
     )
 
 
-# Scalar-first conjugation as a per-row sign, for 4 x M blocks.
-_CONJ = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+# Scalar-first conjugation as a per-row sign.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _per_row(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A constant block of the given shape holding values[r] throughout row r."""
+    return np.broadcast_to(values.reshape((-1,) + (1,) * (len(shape) - 1)), shape)
 
 
 def quat_product(a, b) -> Tensor:
-    """Differentiable Hamilton product of two 4 x M quaternion blocks, column by column.
+    """Differentiable Hamilton product of two 4 x ... quaternion blocks, column by column.
 
     The transpose of left (right) multiplication by a quaternion is left
     (right) multiplication by its conjugate, so the VJP is g b* for a and
     a* g for b, through the same product.
     """
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape or a.data.shape[:1] != (4,):
         raise ValueError(
-            f"quat_product: need two 4 x M blocks, got {a.data.shape} and {b.data.shape}"
+            f"quat_product: need two 4 x ... blocks, got {a.data.shape} and {b.data.shape}"
         )
     ad, bd = a.data, b.data
+    conj = _per_row(_CONJ, ad.shape)
 
     def vjp(g):
-        ga = np.array(hamilton_rows(g, bd * _CONJ)) if a.requires_grad else None
-        gb = np.array(hamilton_rows(ad * _CONJ, g)) if b.requires_grad else None
+        ga = np.array(hamilton_rows(g, bd * conj)) if a.requires_grad else None
+        gb = np.array(hamilton_rows(ad * conj, g)) if b.requires_grad else None
         return ga, gb
 
     return _record("quat_product", (a, b), np.array(hamilton_rows(ad, bd)), vjp)
 
 
 def quat_unit(q) -> Tensor:
-    """Differentiable scaling of each column of a 4 x M quaternion block to unit norm."""
-    q = q if isinstance(q, Tensor) else Tensor(q)
+    """Differentiable scaling of each column of a 4 x ... quaternion block to unit norm."""
+    q = _as_tensor(q)
     w, x, y, z = q.data
     n2 = ((w * w + x * x) + y * y) + z * z
     if float(np.min(n2)) <= 1e-24:
@@ -298,21 +306,21 @@ class PhysicsSpec:
 
 
 def time_derivative(series, dt: float, order: int) -> Tensor:
-    """Central-difference derivative of a C x T series, boundaries trimmed.
+    """Central-difference derivative of a C x [B x] T series, boundaries trimmed.
 
     order 1: (x[t+1] - x[t-1]) / (2 dt); order 2: (x[t+1] - 2 x[t] + x[t-1]) / dt^2.
-    Returns a C x (T-2) tensor on interior timesteps.
+    Returns a C x [B x] (T-2) tensor on interior timesteps.
     """
-    series = series if isinstance(series, Tensor) else Tensor(series)
-    if series.data.ndim != 2:
-        raise ValueError(f"time_derivative: expected a 2-d series, got {series.data.ndim}-d")
+    series = _as_tensor(series)
+    if series.data.ndim not in (2, 3):
+        raise ValueError(f"time_derivative: expected a 2-d or 3-d series, got {series.data.ndim}-d")
     if dt <= 0:
         raise ValueError(f"time_derivative: dt must be positive, got {dt}")
-    t_len = series.data.shape[1]
+    t_len = series.data.shape[-1]
     if t_len < 3:
         raise ValueError(f"time_derivative: series too short (T={t_len}, need >= 3)")
-    ahead = take(series, (slice(None), slice(2, t_len)))
-    behind = take(series, (slice(None), slice(0, t_len - 2)))
+    ahead = _span(series, 2, t_len)
+    behind = _span(series, 0, t_len - 2)
     if order == 1:
         return mul(sub(ahead, behind), 1.0 / (2.0 * dt))
     if order == 2:
@@ -320,16 +328,26 @@ def time_derivative(series, dt: float, order: int) -> Tensor:
     raise ValueError(f"time_derivative: order must be 1 or 2, got {order}")
 
 
+def _span(x: Tensor, lo: int, hi: int) -> Tensor:
+    """Timesteps lo..hi-1 of every row (and window) of x."""
+    return take(x, (slice(None),) * (x.data.ndim - 1) + (slice(lo, hi),))
+
+
 def _interior(x: Tensor) -> Tensor:
-    return take(x, (slice(None), slice(1, x.data.shape[1] - 1)))
+    return _span(x, 1, x.data.shape[-1] - 1)
 
 
-def _check_series_block(name: str, x: Tensor, rows: int, t_len: int | None) -> int:
-    if x.data.ndim != 2 or x.data.shape[0] != rows:
-        raise ValueError(f"{name}: expected {rows} x T, got shape {x.data.shape}")
-    if t_len is not None and x.data.shape[1] != t_len:
-        raise ValueError(f"{name}: length {x.data.shape[1]} does not match T={t_len}")
-    return x.data.shape[1]
+def _series_blocks(name: str, **blocks) -> list[Tensor]:
+    """Each (block, rows) argument as a tensor, checked to be rows x [B x] T with one B and T."""
+    out: list[Tensor] = []
+    for arg, (x, rows) in blocks.items():
+        x = _as_tensor(x)
+        if x.data.ndim not in (2, 3) or x.data.shape[0] != rows:
+            raise ValueError(f"{name}: {arg} must be {rows} x [B x] T, got shape {x.data.shape}")
+        if out and x.data.shape[1:] != out[0].data.shape[1:]:
+            raise ValueError(f"{name}: {arg} has shape {x.data.shape}, unlike {out[0].data.shape}")
+        out.append(x)
+    return out
 
 
 def _series(value, t_len: int, name: str) -> np.ndarray:
@@ -346,28 +364,24 @@ def _series(value, t_len: int, name: str) -> np.ndarray:
 
 
 def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
-    """Inertial residual on interior timesteps, 7 x (T-2).
+    """Inertial residual on interior timesteps, 7 x [B x] (T-2).
 
     Rows 0-2 are the specific-force residual a - R_q^T (p_ddot - g0); rows
     3-6 are the orientation-rate residual dq/dt - 0.5 q (0, w), with the
-    derivative taken of the renormalized series. p: 3 x T positions, q: 4 x T
-    orientations (renormalized per timestep on the tape, once for both
-    parts), w: 3 x T angular rates (rad/s), a: 3 x T accelerometer readings.
+    derivative taken of the renormalized series. p: 3 x [B x] T positions,
+    q: 4 x [B x] T orientations (renormalized per timestep on the tape, once
+    for both parts), w: 3 x [B x] T angular rates (rad/s), a: 3 x [B x] T
+    accelerometer readings.
     """
-    p, q, w, a = (x if isinstance(x, Tensor) else Tensor(x) for x in (p, q, w, a))
-    t_len = _check_series_block("residual_ins: p", p, 3, None)
-    _check_series_block("residual_ins: q", q, 4, t_len)
-    _check_series_block("residual_ins: w", w, 3, t_len)
-    _check_series_block("residual_ins: a", a, 3, t_len)
+    p, q, w, a = _series_blocks("residual_ins", p=(p, 3), q=(q, 4), w=(w, 3), a=(a, 3))
 
-    pdd = time_derivative(p, env.dt, 2)  # 3 x (T-2)
-    qn = quat_unit(q)  # 4 x T, unit per timestep
+    pdd = time_derivative(p, env.dt, 2)  # 3 x [B x] (T-2)
+    qn = quat_unit(q)  # 4 x [B x] T, unit per timestep
     qi = _interior(qn)
-    m = t_len - 2
-    zero = Tensor(np.zeros((1, m)))
-    v = sub(pdd, Tensor(np.broadcast_to(env.gravity[:, None], (3, m))))
+    zero = Tensor(np.zeros((1, *pdd.data.shape[1:])))
+    v = sub(pdd, Tensor(_per_row(env.gravity, pdd.data.shape)))
     # R_q^T v via the conjugation q^-1 (0, v) q with unit q, q^-1 = conj(q).
-    conj = mul(qi, Tensor(np.broadcast_to(_CONJ, (4, m))))
+    conj = mul(qi, Tensor(_per_row(_CONJ, qi.data.shape)))
     rot = quat_product(quat_product(conj, concat([zero, v])), qi)
     accel = sub(_interior(a), take(rot, (slice(1, 4),)))
 
@@ -393,22 +407,19 @@ def co2_known_terms(env: Co2Environment, t_len: int) -> tuple[np.ndarray, np.nda
 
 
 def residual_co2(c_room, c_out, env: Co2Environment) -> Tensor:
-    """Mass-balance residual of room CO2 in ppm*m^3, length T.
+    """Mass-balance residual of room CO2 in ppm*m^3, 1 x [B x] T.
 
     residual[t] = c_room[t]*V - (c0*V + sum_{s<t} c_in v dt + sum_{s<t} n q dt
                   - sum_{s<t} c_out v dt).
     Prefix sums exclude the current timestep, so residual[0] compares c_room[0]
     against the initial condition alone.
     """
-    c_room = c_room if isinstance(c_room, Tensor) else Tensor(c_room)
-    c_out = c_out if isinstance(c_out, Tensor) else Tensor(c_out)
-    t_len = _check_series_block("residual_co2: c_room", c_room, 1, None)
-    _check_series_block("residual_co2: c_out", c_out, 1, t_len)
-    base, v = co2_known_terms(env, t_len)
-
-    term_out = mul(mul(c_out, Tensor(v[None, :])), env.dt)
+    c_room, c_out = _series_blocks("residual_co2", c_room=(c_room, 1), c_out=(c_out, 1))
+    shape = c_out.data.shape
+    base, v = co2_known_terms(env, shape[-1])
+    term_out = mul(mul(c_out, Tensor(np.broadcast_to(v, shape))), env.dt)
     s_out = prefix_sum_exclusive(term_out)
-    supplied = sub(Tensor(base[None, :]), s_out)
+    supplied = sub(Tensor(np.broadcast_to(base, shape)), s_out)
     return sub(mul(c_room, float(env.room_volume)), supplied)
 
 
@@ -420,15 +431,10 @@ def hvac_heat_capacity_rate(env: HvacEnvironment, t_len: int) -> np.ndarray:
 
 
 def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment) -> Tensor:
-    """Coil power-balance residual dq - m*c*(t_sa - t_mix) in watts, length T."""
-    t_sa = t_sa if isinstance(t_sa, Tensor) else Tensor(t_sa)
-    t_mix = t_mix if isinstance(t_mix, Tensor) else Tensor(t_mix)
-    dq = dq if isinstance(dq, Tensor) else Tensor(dq)
-    t_len = _check_series_block("residual_hvac: t_sa", t_sa, 1, None)
-    _check_series_block("residual_hvac: t_mix", t_mix, 1, t_len)
-    _check_series_block("residual_hvac: dq", dq, 1, t_len)
-    mc = hvac_heat_capacity_rate(env, t_len)
-    return sub(dq, mul(Tensor(mc[None, :]), sub(t_sa, t_mix)))
+    """Coil power-balance residual dq - m*c*(t_sa - t_mix) in watts, 1 x [B x] T."""
+    t_sa, t_mix, dq = _series_blocks("residual_hvac", t_sa=(t_sa, 1), t_mix=(t_mix, 1), dq=(dq, 1))
+    mc = hvac_heat_capacity_rate(env, dq.data.shape[-1])
+    return sub(dq, mul(Tensor(np.broadcast_to(mc, t_sa.data.shape)), sub(t_sa, t_mix)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +453,15 @@ def _gather(values: Tensor, spec: PhysicsSpec, names: Sequence[str]) -> Tensor:
 
 
 def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
-    """All residual rows of the given physics family over a c x T value block.
+    """All residual rows of the given physics family over a c x [B x] T value block.
 
     The inertial family stacks the specific-force rows (3) on top of the
     orientation-rate rows (4); the scalar families return their single row.
+    Each window of a c x B x T block gets the residual it gets on its own.
     """
-    values = values if isinstance(values, Tensor) else Tensor(values)
-    if values.data.ndim != 2:
-        raise ValueError(f"stacked_residual: expected c x T values, got shape {values.data.shape}")
+    values = _as_tensor(values)
+    if values.data.ndim not in (2, 3):
+        raise ValueError(f"stacked_residual: expected c x [B x] T values, got {values.data.shape}")
     env = spec.environment
     if spec.family == "ins":
         return residual_ins(

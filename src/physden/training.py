@@ -43,6 +43,7 @@ from .data import (
     inject_noise,
     NormStats,
 )
+from .metrics import write_rows_csv
 from .model import Denoiser, ModelParams, denoise, forward, init_params
 from .physics import DENOISE_CHANNELS, PhysicsSpec, physics_loss_tensor
 
@@ -55,6 +56,8 @@ __all__ = [
     "train",
     "write_log_csv",
     "read_log_csv",
+    "BIAS_CSV_COLUMNS",
+    "write_bias_csv",
     "BiasDemoReport",
     "bias_demo",
 ]
@@ -103,7 +106,7 @@ class TrainConfig:
 
 @dataclass
 class LogRow:
-    """One optimizer step. l_phy and lam are None during phase 1."""
+    """One optimizer step, fields in log CSV column order. l_phy and lam are None in phase 1."""
 
     epoch: int
     iteration: int
@@ -134,21 +137,8 @@ class TrainingAborted(RuntimeError):
 
 
 def write_log_csv(log: Sequence[LogRow], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "iter", "phase", "l_rec", "l_phy", "lambda", "total"])
-        for row in log:
-            writer.writerow(
-                [
-                    row.epoch,
-                    row.iteration,
-                    row.phase,
-                    f"{row.l_rec:.17g}",
-                    "" if row.l_phy is None else f"{row.l_phy:.17g}",
-                    "" if row.lam is None else f"{row.lam:.17g}",
-                    f"{row.total:.17g}",
-                ]
-            )
+    write_rows_csv(["epoch", "iter", "phase", "l_rec", "l_phy", "lambda", "total"],
+                   (dataclasses.astuple(row) for row in log), path)
 
 
 def read_log_csv(path) -> list[LogRow]:
@@ -168,6 +158,19 @@ def read_log_csv(path) -> list[LogRow]:
                 )
             )
     return out
+
+
+# One row per bias-demo report: its fields, then both models' errors.
+BIAS_CSV_COLUMNS = [
+    "eta_frac", "channel", "channel_std", "n_windows",
+    "rec_mean_error", "rec_stderr", "rec_error_frac",
+    "phys_mean_error", "phys_stderr", "phys_error_frac",
+]
+
+
+def write_bias_csv(reports: Sequence["BiasDemoReport"], path) -> None:
+    rows = ([getattr(r, c) for c in BIAS_CSV_COLUMNS] for r in reports)
+    write_rows_csv(BIAS_CSV_COLUMNS, rows, path)
 
 
 def _lambda_for(l_rec: float, l_phy: float, mode: str, value: float) -> float:
@@ -195,31 +198,21 @@ def _merged_forward(
 ) -> Tensor:
     """Model applied to the denoised rows of input_values, merged over base_values.
 
-    Returns a c x T tensor whose denoised rows are the de-normalized model
-    output and whose remaining rows are the base window's, as constants.
+    Both blocks are c x B x T. Returns a c x B x T tensor whose denoised rows
+    are the de-normalized model output and whose remaining rows are the base
+    windows', as constants.
     """
-    t_len = input_values.shape[1]
-    z = (input_values[den_idx, :] - mean[:, None]) / std[:, None]
+    z = (input_values[den_idx] - mean[:, None, None]) / std[:, None, None]
     y = forward(params, Tensor(z))
     if predict_residual:
         y = add(y, Tensor(z))
-    std_block = Tensor(np.broadcast_to(std[:, None], (len(den_idx), t_len)).copy())
-    mean_block = Tensor(np.broadcast_to(mean[:, None], (len(den_idx), t_len)).copy())
-    restored = add(mul(y, std_block), mean_block)
+    scale, shift = (Tensor(np.broadcast_to(v[:, None, None], z.shape)) for v in (std, mean))
+    restored = add(mul(y, scale), shift)
 
     # Row r of the merge is restored row j where den_idx[j] == r, else base row r.
     position = {row: j for j, row in enumerate(den_idx)}
     order = [position.get(row, len(den_idx) + row) for row in range(base_values.shape[0])]
     return take(concat([restored, Tensor(base_values)]), (order,))
-
-
-def _mean_of(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = add(acc, term)
-    if len(terms) == 1:
-        return acc
-    return mul(acc, 1.0 / len(terms))
 
 
 def _snapshot(params: ModelParams) -> list[np.ndarray]:
@@ -228,8 +221,7 @@ def _snapshot(params: ModelParams) -> list[np.ndarray]:
 
 def _params_from_snapshot(params: ModelParams, snap: list[np.ndarray]) -> ModelParams:
     tensors = [Tensor(arr.copy(), requires_grad=True) for arr in snap]
-    n = len(params.weights)
-    return ModelParams(weights=[tensors[2 * i] for i in range(n)], biases=[tensors[2 * i + 1] for i in range(n)])
+    return ModelParams(weights=tensors[0::2], biases=tensors[1::2])
 
 
 def train(
@@ -244,8 +236,10 @@ def train(
     Epoch layout: the first round(pretrain_fraction * epochs_total) epochs
     are reconstruction-only (phase 1, residual never evaluated); the rest
     add the weighted residual (phase 2). Windows are shuffled each epoch and
-    batched; each batch's losses are means over its windows. All randomness
-    (init, shuffling, injected noise) derives from cfg.seed, so runs repeat
+    batched; a batch runs as one channel x window x time block, so all
+    windows must share one channel layout and one length, and each batch
+    loss is a mean over all of its windows' entries. All randomness (init,
+    shuffling, injected noise) derives from cfg.seed, so runs repeat
     bitwise. Raises TrainingAborted on non-finite loss or gradient, carrying
     the last epoch-end parameters.
     """
@@ -253,9 +247,12 @@ def train(
     if not windows:
         raise ValueError("train: need at least one window")
     layout = windows[0].channels
-    for w in windows:
+    t_len = windows[0].n_timesteps
+    for i, w in enumerate(windows):
         if w.channels != layout:
             raise ValueError("train: all windows must share one channel layout")
+        if w.n_timesteps != t_len:
+            raise ValueError(f"train: window {i} has length {w.n_timesteps}, window 0 has {t_len}")
     if denoise_channels is None:
         denoise_channels = DENOISE_CHANNELS[spec.family]
     denoise_channels = [str(c) for c in denoise_channels]
@@ -292,29 +289,16 @@ def train(
         phase = 1 if epoch < pretrain_epochs else 2
         order = rng_shuffle.permutation(len(windows))
         for iteration, start in enumerate(range(0, len(windows), cfg.batch_size)):
-            batch = order[start : start + cfg.batch_size]
+            targets = [windows[int(wi)] for wi in order[start : start + cfg.batch_size]]
             with Tape() as tape:
-                rec_terms: list[Tensor] = []
-                phy_terms: list[Tensor] = []
-                for wi in batch:
-                    target = windows[int(wi)]
-                    noisy_in = inject_noise(target, cfg.noise, rng_noise)
-                    merged = _merged_forward(
-                        params,
-                        noisy_in.values,
-                        target.values,
-                        den_idx,
-                        mean,
-                        std,
-                        cfg.predict_residual,
-                    )
-                    rec_terms.append(mse(merged, Tensor(target.values)))
-                    if phase == 2:
-                        phy_terms.append(physics_loss_tensor(merged, spec))
-                l_rec_t = _mean_of(rec_terms)
+                noisy = [inject_noise(w, cfg.noise, rng_noise).values for w in targets]
+                target = np.stack([w.values for w in targets], axis=1)
+                merged = _merged_forward(params, np.stack(noisy, axis=1), target, den_idx,
+                                         mean, std, cfg.predict_residual)
+                l_rec_t = mse(merged, Tensor(target))
                 l_rec = float(l_rec_t.data)
                 if phase == 2:
-                    l_phy_t = _mean_of(phy_terms)
+                    l_phy_t = physics_loss_tensor(merged, spec)
                     l_phy = float(l_phy_t.data)
                     lam = _lambda_for(l_rec, l_phy, cfg.lambda_mode, cfg.lambda_value)
                     total_t = add(l_rec_t, mul(l_phy_t, lam))

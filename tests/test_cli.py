@@ -376,8 +376,12 @@ def test_bias_demo_writes_report(capsys, tmp_path):
     assert "rec-only mean error" in capsys.readouterr().out
     with (out_dir / "bias_demo.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["model", "mean_error", "stderr", "error_frac_of_std"]
-    assert [r[0] for r in rows[1:]] == ["rec-only", "physics"]
+    assert rows[0] == [
+        "eta_frac", "channel", "channel_std", "n_windows",
+        "rec_mean_error", "rec_stderr", "rec_error_frac",
+        "phys_mean_error", "phys_stderr", "phys_error_frac",
+    ]
+    assert len(rows) == 2 and rows[1][:2] == ["0.5", "t_sa"] and rows[1][3] == "4"
 
 
 # ---------------------------------------------------------------------------

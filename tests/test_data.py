@@ -65,6 +65,14 @@ def test_sample_window_validation():
         SampleWindow(channels=["a"], values=np.zeros(4), dt=1.0, units=["u"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_window_rejects_non_finite_values(bad):
+    values = np.zeros((2, 4))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="'b' is non-finite at timestep 2"):
+        make_window(values, names=["a", "b"])
+
+
 def test_window_copy_is_deep():
     w = make_window(np.zeros((1, 4)))
     c = w.copy()

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from physden.autodiff import Tape, Tensor, mul, reduce_sum
-from physden.data import simulate_co2, simulate_hvac, simulate_ins
+from physden.data import SimulateConfig, generate_dataset, simulate_co2, simulate_hvac, simulate_ins
 from physden.gradcheck import check_gradient
 from physden.physics import (
     CHANNEL_NAMES,
@@ -402,6 +402,18 @@ def test_stacked_residual_orders_rate_then_orientation():
     shifted = stacked_residual(Tensor(v), spec).data
     assert np.allclose(shifted[:3] - stacked.data[:3], 1.0, rtol=0.0, atol=1e-12)
     assert np.array_equal(shifted[3:], stacked.data[3:])
+
+
+@pytest.mark.parametrize("family, dt", [("ins", 0.01), ("co2", 30.0), ("hvac", 60.0)])
+def test_stacked_residual_of_a_batch_equals_each_window(family, dt):
+    ds = generate_dataset(SimulateConfig(family=family, count=3, duration=47 * dt, dt=dt,
+                                         seed=4, noise_kind="gaussian", noise_scale=0.2))
+    block = np.stack([w.values for w in ds.windows], axis=1)
+    batched = stacked_residual(Tensor(block), ds.spec).data
+    for i, window in enumerate(ds.windows):
+        alone = stacked_residual(Tensor(window.values), ds.spec).data
+        assert np.any(alone != 0.0)
+        assert np.array_equal(batched[:, i], alone)
 
 
 def test_physics_loss_matches_stacked_mean_square():

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from physden.metrics import REPORT_COLUMNS
+from physden.training import BIAS_CSV_COLUMNS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -23,3 +24,19 @@ def test_lambda_sweep_writes_report(tmp_path):
     assert list(rows[0].keys()) == REPORT_COLUMNS
     assert [r["label"] for r in rows] == ["noisy", "adaptive", "fixed 0"]
     assert "fixed 0" in proc.stdout
+
+
+def test_bias_sweep_writes_report(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bias_sweep.py"), "--etas", "0", "--windows", "4",
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with (tmp_path / "bias_sweep.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == BIAS_CSV_COLUMNS
+    assert len(rows) == 2 and rows[1][0] == "0"
+    assert "eta 0:" in proc.stdout

@@ -11,6 +11,7 @@ import pytest
 import physden
 from physden.data import (
     NoiseSpec,
+    SampleWindow,
     SimulateConfig,
     compute_norm_stats,
     generate_dataset,
@@ -220,6 +221,11 @@ def test_train_validates_inputs():
         train([], ds.spec, SMALL)
     with pytest.raises(ValueError, match="lack denoise channels"):
         train(ds.train_windows, ds.spec, SMALL, denoise_channels=["t_sa", "nope"])
+    first, second = ds.windows[:2]
+    t_len = first.n_timesteps
+    short = SampleWindow(second.channels, second.values[:, 1:], second.dt, second.units)
+    with pytest.raises(ValueError, match=f"window 1 has length {t_len - 1}, window 0 has {t_len}"):
+        train([first, short, short], ds.spec, SMALL)
 
 
 def test_passthrough_channels_come_from_target_window():
