@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -35,8 +36,6 @@ from .physics import (
     hamilton_rows,
     hvac_heat_capacity_rate,
     quat_exp,
-    quat_normalize,
-    quat_to_rotmat,
     window_residual,
 )
 
@@ -205,9 +204,8 @@ def _noisy_values(values: np.ndarray, spec: NoiseSpec, rng: np.random.Generator)
 
 def inject_noise(window: SampleWindow, spec: NoiseSpec, rng) -> SampleWindow:
     """Fresh noisy view of a window; deterministic given the generator state."""
-    out = window.copy()
-    out.values = _noisy_values(out.values, spec, _as_rng(rng))
-    return out
+    values = _noisy_values(window.values, spec, _as_rng(rng))
+    return SampleWindow(window.channels, values, window.dt, window.units)
 
 
 def corrupt(
@@ -217,15 +215,15 @@ def corrupt(
     rng=None,
 ) -> SampleWindow:
     """Observed window: clean + drawn noise + constant per-channel bias."""
-    out = clean.copy() if noise is None else inject_noise(clean, noise, rng)
+    values = clean.values.copy() if noise is None else _noisy_values(clean.values, noise, _as_rng(rng))
     if bias is not None:
         offsets = np.asarray(bias, dtype=np.float64)
-        if offsets.shape != (out.values.shape[0],):
+        if offsets.shape != (values.shape[0],):
             raise ValueError(
                 f"corrupt: bias must have one entry per channel, got shape {offsets.shape}"
             )
-        out.values = out.values + offsets[:, None]
-    return out
+        values = values + offsets[:, None]
+    return SampleWindow(clean.channels, values, clean.dt, clean.units)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +268,11 @@ def simulate_ins(
     q[t+1] = q[t] * exp(0.5 w[t] dt), which leaves the orientation-rate
     residual at O(dt) per entry: its mean square is bounded by
     dt^2 * max_t |w_dot(t)|^2 / 16 and shrinks by ~4x when dt is halved.
-    Accelerometer rows use the analytic second derivative of position, so the
-    specific-force residual carries only the O(dt^2) stencil truncation.
+    Every step's exponential is one block; only the Hamilton product and the
+    renormalisation (quat_unit's norm) recur, on floats. Accelerometer rows use
+    the analytic second derivative of position, rotated by the residual's own
+    conjugation Im(conj(q) (0, p_ddot - g0) q), so the specific-force residual
+    carries only the O(dt^2) stencil truncation. No step goes through BLAS.
     """
     t_len = _timesteps(duration, dt)
     rng = np.random.default_rng(seed)
@@ -288,16 +289,17 @@ def simulate_ins(
     w = _sum_of_modes(amp_w, freq_w, phase_w, t)
 
     env = InsEnvironment(dt=dt)
-    q = np.empty((4, t_len))
-    q[:, 0] = (1.0, 0.0, 0.0, 0.0)
-    for k in range(t_len - 1):
-        step = quat_exp(0.5 * dt * w[:, k])
-        q[:, k + 1] = quat_normalize(hamilton_rows(q[:, k], step))
-
-    # Per timestep, like quat_normalize's **2: vectorising rounds differently and changes the data.
-    a = np.empty((3, t_len))
-    for k in range(t_len):
-        a[:, k] = quat_to_rotmat(q[:, k]).T @ (pdd[:, k] - env.gravity)
+    qk = (1.0, 0.0, 0.0, 0.0)
+    rows = [qk]
+    for step in quat_exp(0.5 * dt * w[:, :-1]).T.tolist():
+        qw, qx, qy, qz = hamilton_rows(qk, step)
+        n = math.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
+        qk = (qw / n, qx / n, qy / n, qz / n)
+        rows.append(qk)
+    q = np.array(rows).T
+    v = pdd - env.gravity[:, None]
+    conj = (q[0], -q[1], -q[2], -q[3])
+    a = np.array(hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:])
 
     window = SampleWindow(
         channels=list(CHANNEL_NAMES["ins"]),
@@ -485,15 +487,17 @@ class Dataset:
 
 
 def save_csv(window: SampleWindow, path) -> None:
-    """Write one window as ``t,<channels>`` rows at 17 significant digits."""
+    """Write one window as ``t,<channels>`` rows at 17 significant digits.
+
+    ``csv.writer`` writes (and quotes) the header; the rows are formatted in
+    one pass with the ``%.17g`` fields and CRLF ends the writer would produce.
+    """
     path = Path(path)
+    table = np.vstack([np.arange(window.n_timesteps) * window.dt, window.values]).T
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(window.channels))
-        for k in range(window.n_timesteps):
-            row = [f"{k * window.dt:.17g}"]
-            row.extend(f"{v:.17g}" for v in window.values[:, k])
-            writer.writerow(row)
+        csv.writer(fh).writerow(["t"] + list(window.channels))
+        fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | None = None) -> SampleWindow:
@@ -502,13 +506,15 @@ def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | N
     schema, when given, lists channel names that must be present (extra
     columns are kept, file order preserved). Values, the time column
     included, must be finite. Errors carry path:line.
+    The data lines are parsed in one pass with ``float``; a file that pass
+    cannot take whole (a bad line, a quoted number) is rescanned by csv.reader.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        header = next(csv.reader(fh), None)
+        lines = fh.readlines()
+    if header is None:
         raise ValueError(f"{path}:1: empty file")
-    header = rows[0]
     if not header or header[0] != "t":
         raise ValueError(f"{path}:1: header must start with 't', got {header[:1]}")
     names = header[1:]
@@ -520,15 +526,22 @@ def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | N
             raise ValueError(f"{path}:1: missing channels: {', '.join(missing)}")
 
     n_cols = len(header)
-    parsed = np.empty((len(rows) - 1, n_cols))
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if len(row) != n_cols:
-            raise ValueError(f"{path}:{line}: expected {n_cols} columns, got {len(row)}")
-        try:
-            parsed[k, :] = [float(v) for v in row]
-        except ValueError:
-            raise ValueError(f"{path}:{line}: non-numeric value in row") from None
+    try:
+        parsed = np.array([list(map(float, line.split(","))) for line in lines])
+    except ValueError:
+        parsed = None
+    if parsed is None or parsed.shape != (len(lines), n_cols):
+        # Rescan record by record as csv.reader sees them, to name the first bad line.
+        records = list(csv.reader(lines))
+        parsed = np.empty((len(records), n_cols))
+        for k, row in enumerate(records):
+            line = k + 2
+            if len(row) != n_cols:
+                raise ValueError(f"{path}:{line}: expected {n_cols} columns, got {len(row)}")
+            try:
+                parsed[k, :] = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}:{line}: non-numeric value in row") from None
     non_finite = np.flatnonzero(~np.isfinite(parsed).all(axis=1))
     if non_finite.size:
         raise ValueError(f"{path}:{non_finite[0] + 2}: non-finite value in row")

@@ -45,8 +45,6 @@ __all__ = [
     "hamilton_rows",
     "quat_product",
     "quat_unit",
-    "quat_normalize",
-    "quat_to_rotmat",
     "quat_exp",
     "InsEnvironment",
     "Co2Environment",
@@ -140,35 +138,18 @@ def quat_unit(q) -> Tensor:
     return _record("quat_unit", (q,), u, vjp)
 
 
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    n = float(np.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2))
-    if n < 1e-12:
-        raise ValueError("quat_normalize: zero-norm quaternion")
-    return q / n
+def quat_exp(v) -> np.ndarray:
+    """Exponential of the pure quaternion (0, v): (cos|v|, sin|v| * v_hat).
 
-
-def quat_to_rotmat(q) -> np.ndarray:
-    """Rotation matrix of the orientation q (body frame to world frame)."""
-    w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def quat_exp(v: np.ndarray) -> np.ndarray:
-    """Exponential of the pure quaternion (0, v): (cos|v|, sin|v| * v_hat)."""
+    v is a 3-vector or a 3 x N block of them; a block gives a 4 x N block,
+    one exponential per column.
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"quat_exp: expected a 3-vector, got shape {v.shape}")
-    theta = float(np.linalg.norm(v))
+    if v.ndim not in (1, 2) or v.shape[0] != 3:
+        raise ValueError(f"quat_exp: expected a 3-vector or a 3 x N block, got shape {v.shape}")
+    theta = np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
     # sin(theta)/theta, continuous at zero.
-    s = float(np.sinc(theta / np.pi))
-    return np.array([np.cos(theta), s * v[0], s * v[1], s * v[2]])
+    return np.concatenate([np.cos(theta)[None], np.sinc(theta / np.pi) * v])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Windows, corruption, simulators, splitting, and the on-disk dataset format."""
 import configparser
+import csv
 
 import numpy as np
 import pytest
@@ -161,6 +162,8 @@ def test_corrupt_applies_constant_bias():
     assert np.all(out.values[1] == -2.0)
     with pytest.raises(ValueError, match="per channel"):
         corrupt(w, bias=[1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        corrupt(w, bias=[np.inf, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,64 @@ def test_csv_round_trip(tmp_path):
     assert back.channels == ["a", "b"]
     assert back.dt == 0.25
     assert np.array_equal(back.values, w.values)
+
+
+def row_by_row_csv(window, path):
+    """The reference writer: csv.writer, one row at a time, fields at 17 digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + list(window.channels))
+        for k in range(window.n_timesteps):
+            writer.writerow([f"{k * window.dt:.17g}"] + [f"{v:.17g}" for v in window.values[:, k]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csv_bytes_match_the_row_by_row_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    c, t_len = int(rng.integers(1, 6)), int(rng.integers(3, 40))
+    sign = rng.choice([-1.0, 1.0], size=(c, t_len))
+    values = sign * 10.0 ** rng.uniform(-320.0, 300.0, size=(c, t_len))
+    values.flat[:3] = (0.0, -0.0, 5e-324)
+    names = ['a,b"c', "x y", "line\r\nbreak", "plain", "q'"][:c]
+    w = make_window(values, names=names, dt=float(10.0 ** rng.uniform(-6.0, 4.0)))
+    save_csv(w, tmp_path / "fast.csv")
+    row_by_row_csv(w, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = load_csv(tmp_path / "fast.csv")
+    assert back.channels == names
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(values))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,a\n0,1\n1,2,3\n2,3\n", r"bad\.csv:3: expected 2 columns, got 3"),
+        ("t,a\n0,1\n\n2,3\n", r"bad\.csv:3: expected 2 columns, got 0"),
+        ("t,a\r\n0,1\r\n1,2\r\n2,3\r\n\r\n", r"bad\.csv:5: expected 2 columns, got 0"),
+        ("t,a\n0,1\n1,2\n", r"bad\.csv: need at least 3 data rows, got 2"),
+        ("t,a\r\n", r"bad\.csv: need at least 3 data rows, got 0"),
+        ("", r"bad\.csv:1: empty file"),
+    ],
+)
+def test_csv_row_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=message):
+        load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t,a\n0,1\n1,2\n2,3\n", 't,a\r\n"0","1"\r\n1,"2"\r\n2,3', "t,a\r0,1\r1,2\r2,3\r"],
+)
+def test_csv_loads_lf_cr_and_quoted_numbers(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_bytes(text.encode())
+    back = load_csv(path)
+    assert back.channels == ["a"]
+    assert back.dt == 1.0
+    assert back.values.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_csv_errors_carry_path_and_line(tmp_path):

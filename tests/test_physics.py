@@ -19,8 +19,7 @@ from physden.physics import (
     physics_loss,
     physics_loss_tensor,
     quat_exp,
-    quat_normalize,
-    quat_to_rotmat,
+    quat_unit,
     residual_co2,
     residual_hvac,
     residual_ins,
@@ -63,16 +62,41 @@ def test_hamilton_product_on_timestep_rows_matches_each_column():
         assert np.array_equal(rows[:, t], product(a[:, t], b[:, t]))
 
 
+def unit(q):
+    """q scaled to unit norm, with quat_unit's association order."""
+    w, x, y, z = q
+    return q / np.sqrt(((w * w + x * x) + y * y) + z * z)
+
+
+def rotmat(q):
+    """Rotation matrix of the orientation q (body frame to world frame), a reference."""
+    w, x, y, z = unit(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def rotate(q, v):
+    """R_q v as the conjugation Im(q (0, v) conj(q)) for a unit q."""
+    conj = q * np.array([1.0, -1.0, -1.0, -1.0])
+    return product(product(q, np.concatenate([[0.0], v])), conj)[1:]
+
+
 def test_rotation_quarter_turn_about_z():
     half = np.pi / 4.0
     q = np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
-    rotated = quat_to_rotmat(q) @ np.array([1.0, 0.0, 0.0])
-    assert np.allclose(rotated, [0.0, 1.0, 0.0], atol=1e-12)
+    x = np.array([1.0, 0.0, 0.0])
+    assert np.allclose(rotate(q, x), [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(rotmat(q) @ x, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_identity_quaternion_rotates_nothing():
-    r = quat_to_rotmat(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.array_equal(r, np.eye(3))
+    v = np.array([0.3, -1.7, 9.80665])
+    assert np.array_equal(rotate(np.array([1.0, 0.0, 0.0, 0.0]), v), v)
 
 
 def test_quat_exp_zero_is_identity():
@@ -86,17 +110,29 @@ def test_quat_exp_axis_angle():
     assert np.allclose(q, [np.cos(theta), np.sin(theta), 0.0, 0.0], atol=1e-15)
 
 
-def test_quat_normalize_rejects_zero():
+def test_quat_exp_of_a_block_is_each_columns_exponential():
+    v = np.random.default_rng(0).normal(size=(3, 50))
+    v[:, 7] = 0.0
+    block = quat_exp(v)
+    assert block.shape == (4, 50)
+    for t in range(50):
+        assert np.array_equal(block[:, t], quat_exp(v[:, t]))
+    with pytest.raises(ValueError, match="3-vector or a 3 x N block"):
+        quat_exp(np.zeros((4, 2)))
+
+
+def test_quat_unit_rejects_zero():
     with pytest.raises(ValueError, match="zero-norm"):
-        quat_normalize(np.zeros(4))
+        quat_unit(np.zeros((4, 1)))
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_rotation_preserves_vector_norm(seed):
     rng = np.random.default_rng(seed)
-    q = quat_normalize(rng.normal(size=4))
+    q = quat_unit(rng.normal(size=(4, 1))).data[:, 0]
     v = rng.normal(size=3)
-    assert np.isclose(np.linalg.norm(quat_to_rotmat(q) @ v), np.linalg.norm(v), rtol=1e-12)
+    assert np.isclose(np.linalg.norm(rotate(q, v)), np.linalg.norm(v), rtol=1e-12)
+    assert np.allclose(rotate(q, v), rotmat(q) @ v, rtol=1e-12, atol=1e-14)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -201,11 +237,27 @@ def test_ins_residual_matches_per_timestep_reference():
     dt = env.dt
     for t in range(1, v.shape[1] - 1):
         pdd = ((p[:, t + 1] - 2.0 * p[:, t]) + p[:, t - 1]) / (dt * dt)
-        accel = a[:, t] - quat_to_rotmat(q[:, t]).T @ (pdd - env.gravity)
+        accel = a[:, t] - rotmat(q[:, t]).T @ (pdd - env.gravity)
         assert np.allclose(r[:3, t - 1], accel, rtol=1e-12, atol=1e-9)
-        qd = (quat_normalize(q[:, t + 1]) - quat_normalize(q[:, t - 1])) / (2.0 * dt)
-        rate = qd - 0.5 * product(quat_normalize(q[:, t]), np.concatenate([[0.0], w[:, t]]))
+        qd = (unit(q[:, t + 1]) - unit(q[:, t - 1])) / (2.0 * dt)
+        rate = qd - 0.5 * product(unit(q[:, t]), np.concatenate([[0.0], w[:, t]]))
         assert np.allclose(r[3:, t - 1], rate, rtol=1e-12, atol=1e-9)
+
+
+def test_simulated_orientation_follows_per_step_recurrence():
+    window, env = simulate_ins(duration=0.5, dt=0.01, seed=6)
+    q, w = window.values[3:7], window.values[7:10]
+    ref = np.empty_like(q)
+    ref[:, 0] = (1.0, 0.0, 0.0, 0.0)
+    for t in range(q.shape[1] - 1):
+        ref[:, t + 1] = unit(product(ref[:, t], quat_exp(0.5 * env.dt * w[:, t])))
+    assert np.array_equal(q, ref)
+    # The accelerometer reads R_q^T (p_ddot - g0): rotated back to the world
+    # frame it matches the position stencil up to its O(dt^2) truncation.
+    a = window.values[10:13]
+    world = np.stack([rotmat(q[:, t]) @ a[:, t] for t in range(1, q.shape[1] - 1)], axis=1)
+    pdd = time_derivative(window.values[0:3], env.dt, 2).data
+    assert np.allclose(world + env.gravity[:, None], pdd, rtol=0.0, atol=1e-3)
 
 
 def test_ins_residual_tape_is_block_sized():
