@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 import time
@@ -93,11 +94,12 @@ def _load_config(args) -> configparser.ConfigParser:
         if section not in cp:
             cp[section] = {}
         cp[section][option] = value
+    known = _known_keys()
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             raise ValueError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known[section]:
                 raise ValueError(f"unknown config key [{section}] {key}")
     return cp
 
@@ -149,6 +151,19 @@ def _get_typed(cp, section: str, key: str, kind: type, default=None):
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
+# The parser kind of each scalar annotation the config dataclasses use.
+_ANNOTATION_KINDS = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool}
+
+
+def _field_keys(cls) -> dict[str, type]:
+    """The scalar fields of a config dataclass, each with the kind to parse it as."""
+    return {
+        f.name: _ANNOTATION_KINDS[f.type]
+        for f in dataclasses.fields(cls)
+        if f.type in _ANNOTATION_KINDS
+    }
+
+
 def _given(cp, section: str, kinds: dict[str, type]) -> dict:
     """Parsed values of the keys the config sets; unset keys keep the library defaults."""
     values = {key: _get_typed(cp, section, key, kind) for key, kind in kinds.items()}
@@ -165,60 +180,39 @@ def _run_dir(args, seed: int) -> Path:
     return path
 
 
-# Keys that map one to one onto config fields, with the kind to parse them as.
-_SIMULATE_KEYS = {
-    "family": str,
-    "count": int,
-    "duration": float,
-    "dt": float,
-    "seed": int,
-    "noise_kind": str,
-    "noise_scale": float,
-    "mask_fraction": float,
-    "motion_scale": float,
-    "rotation_scale": float,
-    "n_modes": int,
-    "room_volume": float,
-    "emission_rate": float,
-    "initial_ppm": float,
-    "flow": float,
-    "inflow_ppm": float,
-    "outdoor_offset": float,
-    "mass_flow": float,
-    "specific_heat": float,
-}
-_TRAIN_KEYS = {
-    "lr": float,
-    "batch_size": int,
-    "epochs_total": int,
-    "pretrain_fraction": float,
-    "lambda_mode": str,
-    "lambda_value": float,
-    "seed": int,
-    "predict_residual": bool,
-}
+# The noise keys of [train] are SimulateConfig's names, not NoiseSpec's.
 _NOISE_KEYS = {
     "noise_kind": str,
     "noise_scale": float,
     "mask_fraction": float,
 }
-# Every key some command reads, by section. A section accepts the keys of all
-# commands, so one config file can drive simulate, train and eval alike.
-_KNOWN_KEYS = {
-    "data": {*_SIMULATE_KEYS, "bias_frac", "manifest", "input", "subset"},
-    "train": {*_TRAIN_KEYS, *_NOISE_KEYS, "widths"},
-    "model": {"denoise", "checkpoint"},
-    "output": {"file", "timing_repeats"},
-    "gradcheck": {"seed", "instances", "tolerance"},
-    "demo": {"eta_frac", "n_windows", "seed"},
-}
+
+
+def _known_keys() -> dict[str, set[str]]:
+    """Every key some command reads, by section.
+
+    A section accepts the keys of all commands, so one config file can drive
+    simulate, train and eval alike. The [data] and [train] keys are the
+    config dataclasses' own fields.
+    """
+    from .data import SimulateConfig
+    from .training import TrainConfig
+
+    return {
+        "data": {*_field_keys(SimulateConfig), "bias_frac", "manifest", "input", "subset"},
+        "train": {*_field_keys(TrainConfig), *_NOISE_KEYS, "widths"},
+        "model": {"denoise", "checkpoint"},
+        "output": {"file", "timing_repeats"},
+        "gradcheck": {"seed", "instances", "tolerance"},
+        "demo": {"eta_frac", "n_windows", "seed"},
+    }
 
 
 def _train_config(cp):
     from .data import NoiseSpec
     from .training import TrainConfig
 
-    given = _given(cp, "train", _TRAIN_KEYS)
+    given = _given(cp, "train", _field_keys(TrainConfig))
     widths_raw = _get(cp, "train", "widths")
     if widths_raw is not None:
         try:
@@ -238,7 +232,7 @@ def _cmd_simulate(args, cp) -> int:
     from .data import SimulateConfig, generate_dataset, save_dataset
     from .physics import physics_loss
 
-    given = _given(cp, "data", _SIMULATE_KEYS)
+    given = _given(cp, "data", _field_keys(SimulateConfig))
     raw_bias = _get(cp, "data", "bias_frac", "")
     if raw_bias:
         given["bias_frac"] = {}
@@ -315,16 +309,9 @@ def _cmd_denoise(args, cp) -> int:
         raise ValueError(f"input CSV not found: {input_csv}")
     denoiser = load_checkpoint(checkpoint)
     window = load_csv(input_csv)
-    missing = [c for c in denoiser.channels if c not in window.channels]
-    if missing:
-        raise ValueError(
-            f"input lacks channels: {', '.join(missing)} "
-            f"(checkpoint reconstructs {', '.join(denoiser.channels)})"
-        )
 
     restored = denoise(denoiser, window)
-    run_dir = _run_dir(args, 0)
-    out_path = Path(_get(cp, "output", "file", "") or run_dir / "denoised.csv")
+    out_path = Path(_get(cp, "output", "file", "") or _run_dir(args, 0) / "denoised.csv")
     save_csv(restored, out_path)
     print(f"wrote {out_path}")
 
@@ -448,16 +435,10 @@ def main(argv=None) -> int:
     try:
         cp = _load_config(args)
         return _COMMANDS[args.command](args, cp)
-    except TrainingAborted as err:
+    except (TrainingAborted, NumericalError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

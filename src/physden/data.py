@@ -108,14 +108,6 @@ class SampleWindow:
     def row(self, name: str) -> np.ndarray:
         return self.values[self.channel_index(name), :]
 
-    def copy(self) -> "SampleWindow":
-        return SampleWindow(
-            channels=list(self.channels),
-            values=self.values.copy(),
-            dt=self.dt,
-            units=list(self.units),
-        )
-
 
 @dataclass
 class NormStats:
@@ -500,12 +492,13 @@ def save_csv(window: SampleWindow, path) -> None:
         fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
-def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | None = None) -> SampleWindow:
+def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
     """Read a window CSV; dt is inferred from the time column.
 
     schema, when given, lists channel names that must be present (extra
     columns are kept, file order preserved). Values, the time column
-    included, must be finite. Errors carry path:line.
+    included, must be finite. Errors carry path:line. A CSV stores no
+    units, so every row gets '1'; load_manifest sets the manifest's.
     The data lines are parsed in one pass with ``float``; a file that pass
     cannot take whole (a bad line, a quoted number) is rescanned by csv.reader.
     """
@@ -558,9 +551,7 @@ def load_csv(path, schema: Sequence[str] | None = None, units: Sequence[str] | N
     if off.size:
         raise ValueError(f"{path}:{off[0] + 3}: non-uniform time step")
 
-    if units is None:
-        units = ["1"] * len(names)
-    return SampleWindow(channels=names, values=parsed[:, 1:].T.copy(), dt=dt, units=list(units))
+    return SampleWindow(channels=names, values=parsed[:, 1:].T.copy(), dt=dt, units=["1"] * len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -700,19 +691,21 @@ def load_manifest(path) -> Dataset:
     env = _env_from_section(family, cfg["environment"], base)
     units = dict(cfg["units"]) if "units" in cfg else {}
 
+    def window(key: str) -> SampleWindow:
+        w = load_csv(base / cfg["windows"][key], schema=CHANNEL_NAMES[family])
+        w.units = [units.get(name, "1") for name in w.channels]
+        return w
+
     windows: list[SampleWindow] = []
     clean: list[SampleWindow] = []
     for i in range(count):
         key = f"noisy_{i:03d}"
         if key not in cfg["windows"]:
             raise ValueError(f"{path}: [windows] is missing {key}")
-        w = load_csv(base / cfg["windows"][key], schema=CHANNEL_NAMES[family])
-        if units:
-            w.units = [units.get(name, "1") for name in w.channels]
-        windows.append(w)
+        windows.append(window(key))
         clean_key = f"clean_{i:03d}"
         if clean_key in cfg["windows"]:
-            clean.append(load_csv(base / cfg["windows"][clean_key], schema=CHANNEL_NAMES[family]))
+            clean.append(window(clean_key))
 
     if clean and len(clean) != count:
         raise ValueError(f"{path}: expected 0 or {count} clean windows, got {len(clean)}")

@@ -1,5 +1,7 @@
 """Reconstruction and physics-alignment metrics with CSV/table reporting.
 
+A report reduces two pooled blocks: every window's noisy-minus-clean rows
+side by side in time, and every window's residual rows flattened end to end.
 Means are the primary reduction (comparable across window counts); summed
 forms are reported alongside. The physics mean-square here is computed from
 the same residual arithmetic as the training loss, so the two numbers agree
@@ -59,9 +61,9 @@ def evaluate(
 
     Reconstruction compares against the paired clean windows on the given
     channel subset (default: all channels); physics metrics always cover the
-    full window, whose dt must match the environment's. Entries are pooled
-    across windows before reducing, so windows of different lengths weigh by
-    their size.
+    full window, whose dt must match the environment's. Each block (channel
+    differences, residual rows) is concatenated across windows and reduced
+    once, so windows of different lengths weigh by their size.
     """
     windows = list(windows)
     if not windows:
@@ -69,55 +71,31 @@ def evaluate(
     if clean is not None and len(clean) != len(windows):
         raise ValueError(f"evaluate: {len(clean)} clean references for {len(windows)} windows")
 
-    sq_sum = 0.0
-    abs_sum = 0.0
-    n_entries = 0
     per_channel: dict[str, tuple[float, float]] | None = None
+    recon: tuple[float | None, ...] = (None,) * 4
     if clean is not None:
         names = list(channels) if channels is not None else list(windows[0].channels)
-        ch_sq = {c: 0.0 for c in names}
-        ch_abs = {c: 0.0 for c in names}
-        ch_n = {c: 0 for c in names}
+        blocks = []
         for i, (w, ref) in enumerate(zip(windows, clean)):
             if ref.n_timesteps != w.n_timesteps:
                 raise ValueError(
                     f"evaluate: window {i} has {w.n_timesteps} timesteps "
                     f"but its clean reference has {ref.n_timesteps}"
                 )
-            for c in names:
-                diff = w.row(c) - ref.row(c)
-                sq = float(np.sum(diff * diff))
-                ab = float(np.sum(np.abs(diff)))
-                ch_sq[c] += sq
-                ch_abs[c] += ab
-                ch_n[c] += diff.size
-                sq_sum += sq
-                abs_sum += ab
-                n_entries += diff.size
-        per_channel = {c: (ch_sq[c] / ch_n[c], ch_abs[c] / ch_n[c]) for c in names}
+            blocks.append([w.row(c) - ref.row(c) for c in names])
+        diff = np.concatenate(blocks, axis=1)  # names x (all windows' timesteps)
+        mse, mae = np.mean(diff * diff, axis=1), np.mean(np.abs(diff), axis=1)
+        per_channel = {c: (float(m), float(a)) for c, m, a in zip(names, mse, mae)}
+        recon = _pooled(diff)
 
-    phys_sq = 0.0
-    phys_abs = 0.0
-    phys_n = 0
-    for w in windows:
-        r = window_residual(w, spec)
-        phys_sq += float(np.sum(r * r))
-        phys_abs += float(np.sum(np.abs(r)))
-        phys_n += r.size
+    residual = np.concatenate([window_residual(w, spec).ravel() for w in windows])
+    return EvalReport(label, len(windows), *recon, *_pooled(residual), per_channel=per_channel)
 
-    return EvalReport(
-        label=label,
-        n_windows=len(windows),
-        recon_mse=None if clean is None else sq_sum / n_entries,
-        recon_mae=None if clean is None else abs_sum / n_entries,
-        recon_mse_sum=None if clean is None else sq_sum,
-        recon_mae_sum=None if clean is None else abs_sum,
-        phys_mse=phys_sq / phys_n,
-        phys_mae=phys_abs / phys_n,
-        phys_mse_sum=phys_sq,
-        phys_mae_sum=phys_abs,
-        per_channel=per_channel,
-    )
+
+def _pooled(d: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean square, mean absolute, summed square and summed absolute value of a block."""
+    sq, ab = d * d, np.abs(d)
+    return float(np.mean(sq)), float(np.mean(ab)), float(np.sum(sq)), float(np.sum(ab))
 
 
 REPORT_COLUMNS = [

@@ -127,11 +127,13 @@ class Denoiser:
 
 def denoise(denoiser: Denoiser, window: SampleWindow) -> SampleWindow:
     """Reconstruct the denoiser's channels; every other row passes through as-is."""
-    idx = []
-    for name in denoiser.channels:
-        if name not in window.channels:
-            raise ValueError(f"denoise: window is missing channel {name!r}")
-        idx.append(window.channels.index(name))
+    missing = [c for c in denoiser.channels if c not in window.channels]
+    if missing:
+        raise ValueError(
+            f"input lacks channels: {', '.join(missing)} "
+            f"(checkpoint reconstructs {', '.join(denoiser.channels)})"
+        )
+    idx = [window.channels.index(name) for name in denoiser.channels]
     x = window.values[idx, :]
     z = (x - denoiser.norm_mean[:, None]) / denoiser.norm_std[:, None]
     y = forward(denoiser.params, Tensor(z)).data

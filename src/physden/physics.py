@@ -61,6 +61,7 @@ __all__ = [
     "residual_hvac",
     "stacked_residual",
     "window_residual",
+    "check_dt",
     "physics_loss",
     "physics_loss_tensor",
     "STANDARD_GRAVITY",
@@ -225,12 +226,19 @@ class HvacEnvironment:
             raise ValueError("HvacEnvironment: specific_heat must be positive")
 
 
-FAMILIES = ("ins", "co2", "hvac")
+# Each family's residual arguments in channel order, one tuple of channel
+# names per block argument (residual_ins's p, q, w, a, and so on).
+_CHANNEL_GROUPS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "ins": (("px", "py", "pz"), ("qw", "qx", "qy", "qz"), ("wx", "wy", "wz"), ("ax", "ay", "az")),
+    "co2": (("c_room",), ("c_out",)),
+    "hvac": (("t_sa",), ("t_mix",), ("dq",)),
+}
+
+FAMILIES = tuple(_CHANNEL_GROUPS)
 
 CHANNEL_NAMES: dict[str, list[str]] = {
-    "ins": ["px", "py", "pz", "qw", "qx", "qy", "qz", "wx", "wy", "wz", "ax", "ay", "az"],
-    "co2": ["c_room", "c_out"],
-    "hvac": ["t_sa", "t_mix", "dq"],
+    family: [name for group in groups for name in group]
+    for family, groups in _CHANNEL_GROUPS.items()
 }
 
 CHANNEL_UNITS: dict[str, list[str]] = {
@@ -421,6 +429,8 @@ def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment) -> Tensor:
 # ---------------------------------------------------------------------------
 # Family dispatch
 
+_RESIDUALS = {"ins": residual_ins, "co2": residual_co2, "hvac": residual_hvac}
+
 
 def _gather(values: Tensor, spec: PhysicsSpec, names: Sequence[str]) -> Tensor:
     rows = values.data.shape[0]
@@ -438,32 +448,15 @@ def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
 
     The inertial family stacks the specific-force rows (3) on top of the
     orientation-rate rows (4); the scalar families return their single row.
-    Each window of a c x B x T block gets the residual it gets on its own.
+    Each of the family's channel groups is gathered as one block argument of
+    its residual. Each window of a c x B x T block gets the residual it gets
+    on its own.
     """
     values = _as_tensor(values)
     if values.data.ndim not in (2, 3):
         raise ValueError(f"stacked_residual: expected c x [B x] T values, got {values.data.shape}")
-    env = spec.environment
-    if spec.family == "ins":
-        return residual_ins(
-            _gather(values, spec, ("px", "py", "pz")),
-            _gather(values, spec, ("qw", "qx", "qy", "qz")),
-            _gather(values, spec, ("wx", "wy", "wz")),
-            _gather(values, spec, ("ax", "ay", "az")),
-            env,
-        )
-    if spec.family == "co2":
-        return residual_co2(
-            _gather(values, spec, ("c_room",)), _gather(values, spec, ("c_out",)), env
-        )
-    if spec.family == "hvac":
-        return residual_hvac(
-            _gather(values, spec, ("t_sa",)),
-            _gather(values, spec, ("t_mix",)),
-            _gather(values, spec, ("dq",)),
-            env,
-        )
-    raise ValueError(f"unknown physics family {spec.family!r}")
+    blocks = [_gather(values, spec, names) for names in _CHANNEL_GROUPS[spec.family]]
+    return _RESIDUALS[spec.family](*blocks, spec.environment)
 
 
 def physics_loss_tensor(values: Tensor, spec: PhysicsSpec) -> Tensor:
@@ -476,14 +469,20 @@ def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
     """All residual rows of the given physics family on one window, as plain values.
 
     The one evaluation behind the physics loss, the alignment split and the
-    evaluation metrics. Residuals scale with dt, so a window sampled at a
-    different rate than the environment is rejected rather than misjudged.
+    evaluation metrics; the window's dt must match the environment's.
+    """
+    check_dt(window, spec)
+    return stacked_residual(Tensor(window.values), spec).data
+
+
+def check_dt(window: "SampleWindow", spec: PhysicsSpec) -> None:
+    """Reject a window sampled at another rate than the environment's.
+
+    Residuals scale with dt, so such a window would be misjudged, not
+    merely measured in other units.
     """
     if abs(window.dt - spec.dt) > 1e-9 * max(window.dt, spec.dt):
-        raise ValueError(
-            f"window dt {window.dt} does not match environment dt {spec.dt}"
-        )
-    return stacked_residual(Tensor(window.values), spec).data
+        raise ValueError(f"window dt {window.dt} does not match environment dt {spec.dt}")
 
 
 def physics_loss(window: "SampleWindow", spec: PhysicsSpec) -> float:

@@ -45,7 +45,7 @@ from .data import (
 )
 from .metrics import write_rows_csv
 from .model import Denoiser, ModelParams, denoise, forward, init_params
-from .physics import DENOISE_CHANNELS, PhysicsSpec, physics_loss_tensor
+from .physics import DENOISE_CHANNELS, PhysicsSpec, check_dt, physics_loss_tensor
 
 __all__ = [
     "NoiseSpec",
@@ -237,11 +237,11 @@ def train(
     are reconstruction-only (phase 1, residual never evaluated); the rest
     add the weighted residual (phase 2). Windows are shuffled each epoch and
     batched; a batch runs as one channel x window x time block, so all
-    windows must share one channel layout and one length, and each batch
-    loss is a mean over all of its windows' entries. All randomness (init,
-    shuffling, injected noise) derives from cfg.seed, so runs repeat
-    bitwise. Raises TrainingAborted on non-finite loss or gradient, carrying
-    the last epoch-end parameters.
+    windows must share one channel layout, one length and the environment's
+    dt, and each batch loss is a mean over all of its windows' entries.
+    All randomness (init, shuffling, injected noise) derives from cfg.seed,
+    so runs repeat bitwise. Raises TrainingAborted on non-finite loss or
+    gradient, carrying the last epoch-end parameters.
     """
     windows = list(windows)
     if not windows:
@@ -253,6 +253,7 @@ def train(
             raise ValueError("train: all windows must share one channel layout")
         if w.n_timesteps != t_len:
             raise ValueError(f"train: window {i} has length {w.n_timesteps}, window 0 has {t_len}")
+        check_dt(w, spec)
     if denoise_channels is None:
         denoise_channels = DENOISE_CHANNELS[spec.family]
     denoise_channels = [str(c) for c in denoise_channels]

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from physden.cli import _load_config, build_parser, main
+from physden.cli import _known_keys, _load_config, build_parser, main
 from physden.data import load_csv, load_manifest
 from physden.metrics import REPORT_COLUMNS
 from physden.model import load_checkpoint
@@ -178,6 +178,10 @@ def test_every_documented_key_passes_the_check(tmp_path):
     assert {section: " ".join(cp[section]) for section in cp.sections()} == DOCUMENTED_KEYS
 
 
+def test_accepted_keys_are_exactly_the_documented_keys():
+    assert _known_keys() == {section: set(keys.split()) for section, keys in DOCUMENTED_KEYS.items()}
+
+
 def test_denoise_missing_checkpoint(capsys, tmp_path):
     rc = main([
         "denoise",
@@ -288,17 +292,18 @@ def test_denoise_writes_output_and_timing(capsys, tmp_path, workspace):
     assert np.array_equal(after.values[row], before.values[row])
 
 
-def test_denoise_honors_output_file(tmp_path, workspace):
+def test_denoise_honors_output_file(monkeypatch, tmp_path, workspace):
+    monkeypatch.chdir(tmp_path)  # where a default run directory would go
     target = tmp_path / "custom.csv"
     rc = main([
         "denoise",
-        "--run-dir", str(tmp_path),
         "--set", f"model.checkpoint={workspace['checkpoint']}",
         "--set", f"data.input={noisy_csvs(workspace)[0]}",
         "--set", f"output.file={target}",
     ])
     assert rc == 0
     assert target.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_denoise_rejects_missing_channels(capsys, tmp_path, workspace):

@@ -1,5 +1,6 @@
 """Evaluation metrics: hand oracles, pooling rules, report formats."""
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ def hvac_spec(env):
 def test_recon_metrics_hand_values():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
     clean, _ = simulate_hvac(180.0, 60.0, env, seed=1)  # T = 4
-    off = clean.copy()
-    off.values = off.values + np.array([3.0, 4.0, 3.0, 4.0])
+    off = dataclasses.replace(clean, values=clean.values + np.array([3.0, 4.0, 3.0, 4.0]))
     report = evaluate("x", [off], hvac_spec(env), clean=[clean])
     assert report.recon_mse == 12.5
     assert report.recon_mae == 3.5
@@ -71,9 +71,7 @@ def test_evaluate_pools_entries_across_windows():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
     base, _ = simulate_hvac(240.0, 60.0, env, seed=2)
     spec = hvac_spec(env)
-    w1, w2 = base.copy(), base.copy()
-    w1.values = w1.values + 1.0
-    w2.values = w2.values + 3.0
+    w1, w2 = (dataclasses.replace(base, values=base.values + d) for d in (1.0, 3.0))
     report = evaluate("pair", [w1, w2], spec, clean=[base, base])
     # errors are 1 and 3 on every entry: pooled mse (1+9)/2, pooled mae 2
     assert report.recon_mse == pytest.approx(5.0)
@@ -83,12 +81,26 @@ def test_evaluate_pools_entries_across_windows():
     assert report.recon_mse_sum == pytest.approx(5.0 * n_entries)
 
 
+def test_evaluate_weighs_windows_by_length():
+    env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
+    short, _ = simulate_hvac(120.0, 60.0, env, seed=2)  # T = 3
+    long, _ = simulate_hvac(540.0, 60.0, env, seed=2)  # T = 10
+    spec = hvac_spec(env)
+    w1 = dataclasses.replace(short, values=short.values + 1.0)
+    w2 = dataclasses.replace(long, values=long.values + 3.0)
+    report = evaluate("pair", [w1, w2], spec, clean=[short, long])
+    assert report.recon_mse == pytest.approx((3 * 1.0 + 10 * 9.0) / 13)
+    assert report.per_channel["dq"] == pytest.approx(((3 * 1.0 + 10 * 9.0) / 13, (3 * 1.0 + 10 * 3.0) / 13))
+    assert report.phys_mse == pytest.approx((3 * physics_loss(w1, spec) + 10 * physics_loss(w2, spec)) / 13)
+
+
 def test_evaluate_channel_subset():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
     base, _ = simulate_hvac(240.0, 60.0, env, seed=3)
     spec = hvac_spec(env)
-    noisy = base.copy()
-    noisy.values[0] += 2.0  # only t_sa is wrong
+    values = base.values.copy()
+    values[0] += 2.0  # only t_sa is wrong
+    noisy = dataclasses.replace(base, values=values)
     full = evaluate("full", [noisy], spec, clean=[base])
     subset = evaluate("subset", [noisy], spec, clean=[base], channels=["t_sa", "t_mix"])
     assert subset.recon_mse == pytest.approx(2.0)  # 4 spread over two channels

@@ -135,11 +135,12 @@ def test_denoise_merges_only_its_channels():
 
 
 def test_denoise_requires_all_model_channels():
-    params = init_params(2, widths=(2, 2, 2), rng=3)
-    den = Denoiser(params, ["sig", "gone"], np.zeros(2), np.ones(2))
+    params = init_params(3, widths=(2, 2, 2), rng=3)
+    den = Denoiser(params, ["sig", "gone", "lost"], np.zeros(3), np.ones(3))
     window = make_window(np.ones((1, 5)), names=["sig"])
-    with pytest.raises(ValueError, match="gone"):
+    with pytest.raises(ValueError) as err:
         denoise(den, window)
+    assert str(err.value) == "input lacks channels: gone, lost (checkpoint reconstructs sig, gone, lost)"
 
 
 def test_denoise_applies_zscore_normalization():

@@ -8,7 +8,9 @@ from physden.autodiff import Tape, Tensor, mul, reduce_sum
 from physden.data import SimulateConfig, generate_dataset, simulate_co2, simulate_hvac, simulate_ins
 from physden.gradcheck import check_gradient
 from physden.physics import (
+    _CHANNEL_GROUPS,
     CHANNEL_NAMES,
+    FAMILIES,
     Co2Environment,
     HvacEnvironment,
     InsEnvironment,
@@ -391,6 +393,17 @@ def test_heat_capacity_rate_series():
 
 # ---------------------------------------------------------------------------
 # Family dispatch and loss
+
+
+def test_channel_names_are_the_residual_groups_in_order():
+    assert CHANNEL_NAMES == {
+        "ins": ["px", "py", "pz", "qw", "qx", "qy", "qz", "wx", "wy", "wz", "ax", "ay", "az"],
+        "co2": ["c_room", "c_out"],
+        "hvac": ["t_sa", "t_mix", "dq"],
+    }
+    assert FAMILIES == tuple(_CHANNEL_GROUPS) == tuple(CHANNEL_NAMES)
+    for family, groups in _CHANNEL_GROUPS.items():
+        assert [name for group in groups for name in group] == CHANNEL_NAMES[family]
 
 
 def test_physics_spec_normalizes_family_case():

@@ -87,10 +87,10 @@ def hvac_losses(offset, rebalance=False):
         channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
     )
     clean, _ = simulate_hvac(300.0, 60.0, env, seed=6)
-    off = clean.copy()
-    off.values = off.values + offset
+    values = clean.values + offset
     if rebalance:
-        off.values[2] = 1000.0 * (off.values[0] - off.values[1])  # keep balance exact
+        values[2] = 1000.0 * (values[0] - values[1])  # keep balance exact
+    off = dataclasses.replace(clean, values=values)
     return float(np.mean((off.values - clean.values) ** 2)), physics_loss(off, spec)
 
 
@@ -226,6 +226,9 @@ def test_train_validates_inputs():
     short = SampleWindow(second.channels, second.values[:, 1:], second.dt, second.units)
     with pytest.raises(ValueError, match=f"window 1 has length {t_len - 1}, window 0 has {t_len}"):
         train([first, short, short], ds.spec, SMALL)
+    slow = [dataclasses.replace(w, dt=120.0) for w in ds.train_windows]
+    with pytest.raises(ValueError, match="window dt 120.0 does not match environment dt 60.0"):
+        train(slow, ds.spec, SMALL)
 
 
 def test_passthrough_channels_come_from_target_window():
