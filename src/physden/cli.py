@@ -229,8 +229,10 @@ def _train_config(cp):
 
 
 def _cmd_simulate(args, cp) -> int:
+    import numpy as np
+
     from .data import SimulateConfig, generate_dataset, save_dataset
-    from .physics import physics_loss
+    from .physics import window_residuals
 
     given = _given(cp, "data", _field_keys(SimulateConfig))
     raw_bias = _get(cp, "data", "bias_frac", "")
@@ -245,11 +247,10 @@ def _cmd_simulate(args, cp) -> int:
             except ValueError:
                 raise ValueError(f"[data] bias_frac: bad fraction in {part!r}") from None
     cfg = SimulateConfig(**given)
-    run_dir = _run_dir(args, cfg.seed)
     dataset = generate_dataset(cfg)
-    manifest = save_dataset(dataset, run_dir / "data")
+    manifest = save_dataset(dataset, _run_dir(args, cfg.seed) / "data")
 
-    worst = max(physics_loss(w, dataset.spec) for w in dataset.clean)
+    worst = max(float(np.mean(r * r)) for r in window_residuals(dataset.clean, dataset.spec))
     print(f"wrote {len(dataset.windows)} {cfg.family} windows to {manifest.parent}")
     print(f"manifest: {manifest}")
     print(f"clean self-check phys_mse (worst window): {worst:.6g}")
@@ -264,13 +265,17 @@ def _cmd_train(args, cp) -> int:
     manifest = _require(cp, "data", "manifest")
     dataset = load_manifest(manifest)
     cfg = _train_config(cp)
-    run_dir = _run_dir(args, cfg.seed)
 
     denoise_raw = _get(cp, "model", "denoise", "")
     channels = [c for c in denoise_raw.split(",") if c] or dataset.denoise_channels
 
-    checkpoint = run_dir / "model.npz"
-    log_path = run_dir / "train_log.csv"
+    def save(denoiser, log) -> tuple[Path, Path]:
+        # The run directory is made only once training has something to write.
+        run_dir = _run_dir(args, cfg.seed)
+        save_checkpoint(denoiser, run_dir / "model.npz")
+        write_log_csv(log, run_dir / "train_log.csv")
+        return run_dir / "model.npz", run_dir / "train_log.csv"
+
     try:
         result = train(
             dataset.train_windows,
@@ -280,12 +285,10 @@ def _cmd_train(args, cp) -> int:
             norm_stats=dataset.norm_stats,
         )
     except TrainingAborted as err:
-        save_checkpoint(err.denoiser, checkpoint)
-        write_log_csv(err.log, log_path)
+        checkpoint, _ = save(err.denoiser, err.log)
         print(f"last good checkpoint: {checkpoint}", file=sys.stderr)
         raise
-    save_checkpoint(result.denoiser, checkpoint)
-    write_log_csv(result.log, log_path)
+    checkpoint, log_path = save(result.denoiser, result.log)
 
     first, last = result.log[0], result.log[-1]
     print(f"trained {cfg.epochs_total} epochs on {len(dataset.train_windows)} windows")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +35,7 @@ from .physics import (
     hamilton_rows,
     hvac_heat_capacity_rate,
     quat_exp,
-    window_residual,
+    window_residuals,
 )
 
 __all__ = [
@@ -223,15 +222,21 @@ def corrupt(
 
 
 def _sum_of_modes(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k amp[...,k] sin(2 pi freq[...,k] t + phase[...,k]), shape (..., len(t))."""
-    arg = 2.0 * np.pi * freq[..., None] * t + phase[..., None]
-    return np.sum(amp[..., None] * np.sin(arg), axis=-2)
+    """sum_k amp[...,k] sin(2 pi freq[...,k] t + phase[...,k]), shape (..., len(t)).
+
+    Modes are added one at a time in order, as np.sum over a mode axis adds
+    them, so no (..., modes, T) block is held.
+    """
+    total = None
+    for k in range(amp.shape[-1]):
+        term = amp[..., k, None] * np.sin(2.0 * np.pi * freq[..., k, None] * t + phase[..., k, None])
+        total = term if total is None else total + term
+    return total
 
 
 def _sum_of_modes_ddot(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
-    arg = 2.0 * np.pi * freq[..., None] * t + phase[..., None]
-    w2 = (2.0 * np.pi * freq[..., None]) ** 2
-    return np.sum(-amp[..., None] * w2 * np.sin(arg), axis=-2)
+    """Second time derivative of _sum_of_modes."""
+    return _sum_of_modes(-amp * (2.0 * np.pi * freq) ** 2, freq, phase, t)
 
 
 def _timesteps(duration: float, dt: float) -> int:
@@ -260,46 +265,72 @@ def simulate_ins(
     q[t+1] = q[t] * exp(0.5 w[t] dt), which leaves the orientation-rate
     residual at O(dt) per entry: its mean square is bounded by
     dt^2 * max_t |w_dot(t)|^2 / 16 and shrinks by ~4x when dt is halved.
-    Every step's exponential is one block; only the Hamilton product and the
-    renormalisation (quat_unit's norm) recur, on floats. Accelerometer rows use
-    the analytic second derivative of position, rotated by the residual's own
-    conjugation Im(conj(q) (0, p_ddot - g0) q), so the specific-force residual
-    carries only the O(dt^2) stencil truncation. No step goes through BLAS.
+    Accelerometer rows use the analytic second derivative of position, rotated
+    by the residual's own conjugation Im(conj(q) (0, p_ddot - g0) q), so the
+    specific-force residual carries only the O(dt^2) stencil truncation.
+    This is the block of one window of _simulate_ins_block, which
+    generate_dataset calls once for a whole dataset.
+    """
+    windows, env = _simulate_ins_block(duration, dt, motion_scale, rotation_scale, n_modes, [seed])
+    return windows[0], env
+
+
+def _simulate_ins_block(
+    duration: float, dt: float, motion_scale: float, rotation_scale: float, n_modes: int, seeds
+) -> tuple[list[SampleWindow], InsEnvironment]:
+    """simulate_ins for one window per seed, every window in the same block operations.
+
+    Each window draws its mode coefficients from its own generator (amplitude,
+    frequency, phase of position, then of angular rate), so a window does not
+    depend on the others. Every step's exponential is one block (Solà, arXiv:1711.02508,
+    section 4); the q recurrence is one Hamilton product per step on length-B
+    arrays, renormalised with quat_unit's norm, and the accelerometer rows are
+    one block conjugation. Every operation is elementwise and none goes
+    through BLAS, so each window is bitwise the window simulated alone.
     """
     t_len = _timesteps(duration, dt)
-    rng = np.random.default_rng(seed)
-    amp_p = rng.uniform(-motion_scale, motion_scale, size=(3, n_modes))
-    freq_p = rng.uniform(0.05, 0.4, size=(3, n_modes))
-    phase_p = rng.uniform(0.0, 2.0 * np.pi, size=(3, n_modes))
-    amp_w = rng.uniform(-rotation_scale, rotation_scale, size=(3, n_modes))
-    freq_w = rng.uniform(0.05, 0.4, size=(3, n_modes))
-    phase_w = rng.uniform(0.0, 2.0 * np.pi, size=(3, n_modes))
-
-    t = np.arange(t_len) * dt
-    p = _sum_of_modes(amp_p, freq_p, phase_p, t)
-    pdd = _sum_of_modes_ddot(amp_p, freq_p, phase_p, t)
-    w = _sum_of_modes(amp_w, freq_w, phase_w, t)
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append([
+            rng.uniform(lo, hi, size=(3, n_modes))
+            for scale in (motion_scale, rotation_scale)
+            for lo, hi in ((-scale, scale), (0.05, 0.4), (0.0, 2.0 * np.pi))
+        ])
+    # 3 x B x n_modes each: a channel x window block, as the residual takes.
+    amp_p, freq_p, phase_p, amp_w, freq_w, phase_w = (np.stack(c, axis=1) for c in zip(*draws))
 
     env = InsEnvironment(dt=dt)
-    qk = (1.0, 0.0, 0.0, 0.0)
-    rows = [qk]
-    for step in quat_exp(0.5 * dt * w[:, :-1]).T.tolist():
-        qw, qx, qy, qz = hamilton_rows(qk, step)
-        n = math.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
-        qk = (qw / n, qx / n, qy / n, qz / n)
-        rows.append(qk)
-    q = np.array(rows).T
-    v = pdd - env.gravity[:, None]
-    conj = (q[0], -q[1], -q[2], -q[3])
-    a = np.array(hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:])
+    n_win = len(draws)
+    values = np.empty((n_win, len(CHANNEL_NAMES["ins"]), t_len))  # the windows' rows, B x C x T
+    p, q, w, a = np.split(values.transpose(1, 0, 2), [3, 7, 10])  # C x B x T views
+    t = np.arange(t_len) * dt
+    p[...] = _sum_of_modes(amp_p, freq_p, phase_p, t)
+    w[...] = _sum_of_modes(amp_w, freq_w, phase_w, t)
 
-    window = SampleWindow(
-        channels=list(CHANNEL_NAMES["ins"]),
-        values=np.vstack([p, q, w, a]),
-        dt=dt,
-        units=list(CHANNEL_UNITS["ins"]),
-    )
-    return window, env
+    steps = quat_exp(0.5 * dt * w[:, :, :-1].reshape(3, -1)).reshape(4, n_win, t_len - 1)
+    steps = steps.transpose(2, 0, 1).copy()  # (T-1) x 4 x B
+    q[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
+    qk = q[:, :, 0]
+    for k in range(t_len - 1):
+        qw, qx, qy, qz = hamilton_rows(qk, steps[k])
+        n = np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
+        qk = (qw / n, qx / n, qy / n, qz / n)
+        q[:, :, k + 1] = qk
+    v = _sum_of_modes_ddot(amp_p, freq_p, phase_p, t) - env.gravity[:, None, None]
+    conj = (q[0], -q[1], -q[2], -q[3])
+    a[...] = hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:]
+
+    windows = [
+        SampleWindow(
+            channels=list(CHANNEL_NAMES["ins"]),
+            values=block,
+            dt=dt,
+            units=list(CHANNEL_UNITS["ins"]),
+        )
+        for block in values
+    ]
+    return windows, env
 
 
 def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
@@ -411,8 +442,11 @@ def simulate_hvac(
 
 def alignment_score(window: SampleWindow, spec: PhysicsSpec) -> float:
     """Sum of squared residual entries; the split's ranking statistic."""
-    r = window_residual(window, spec)
-    return float(np.sum(r * r))
+    return _alignment_scores([window], spec)[0]
+
+
+def _alignment_scores(windows: Sequence[SampleWindow], spec: PhysicsSpec) -> list[float]:
+    return [float(np.sum(r * r)) for r in window_residuals(windows, spec)]
 
 
 def split_by_alignment(
@@ -425,7 +459,7 @@ def split_by_alignment(
     """
     if len(windows) < 2:
         raise ValueError(f"split_by_alignment: need at least 2 windows, got {len(windows)}")
-    scores = np.array([alignment_score(w, spec) for w in windows])
+    scores = np.array(_alignment_scores(windows, spec))
     order = np.argsort(scores, kind="stable")
     n_train = (len(windows) + 1) // 2
     train = sorted(int(i) for i in order[:n_train])
@@ -799,41 +833,29 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
     sim_seeds = ss.spawn(cfg.count)
     noise_seeds = ss.spawn(cfg.count)
 
-    clean: list[SampleWindow] = []
-    env = None
-    for i in range(cfg.count):
-        if cfg.family == "ins":
-            w, env_i = simulate_ins(
-                cfg.duration,
-                cfg.dt,
-                motion_scale=cfg.motion_scale,
-                rotation_scale=cfg.rotation_scale,
-                n_modes=cfg.n_modes,
-                seed=sim_seeds[i],
-            )
-            if env is None:
-                env = env_i
-        elif cfg.family == "co2":
-            if env is None:
-                env = Co2Environment(
-                    room_volume=cfg.room_volume,
-                    emission_rate=cfg.emission_rate,
-                    initial_ppm=cfg.initial_ppm,
-                    dt=cfg.dt,
-                    flow=cfg.flow,
-                    inflow_ppm=cfg.inflow_ppm,
-                )
+    if cfg.family == "ins":
+        clean, env = _simulate_ins_block(
+            cfg.duration, cfg.dt, cfg.motion_scale, cfg.rotation_scale, cfg.n_modes, sim_seeds
+        )
+    elif cfg.family == "co2":
+        env = Co2Environment(
+            room_volume=cfg.room_volume,
+            emission_rate=cfg.emission_rate,
+            initial_ppm=cfg.initial_ppm,
+            dt=cfg.dt,
+            flow=cfg.flow,
+            inflow_ppm=cfg.inflow_ppm,
+        )
+        clean = []
+        for seed in sim_seeds:
             # The first window draws the occupancy schedule; the rest reuse it.
             w, env = simulate_co2(
-                cfg.duration, cfg.dt, env, seed=sim_seeds[i], outdoor_offset=cfg.outdoor_offset
+                cfg.duration, cfg.dt, env, seed=seed, outdoor_offset=cfg.outdoor_offset
             )
-        else:
-            if env is None:
-                env = HvacEnvironment(
-                    dt=cfg.dt, mass_flow=cfg.mass_flow, specific_heat=cfg.specific_heat
-                )
-            w, _ = simulate_hvac(cfg.duration, cfg.dt, env, seed=sim_seeds[i])
-        clean.append(w)
+            clean.append(w)
+    else:
+        env = HvacEnvironment(dt=cfg.dt, mass_flow=cfg.mass_flow, specific_heat=cfg.specific_heat)
+        clean = [simulate_hvac(cfg.duration, cfg.dt, env, seed=seed)[0] for seed in sim_seeds]
 
     bias = None
     if cfg.bias_frac:

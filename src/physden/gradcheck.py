@@ -181,99 +181,112 @@ def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     return fn, arrays
 
 
-def _cases_for(name: str, rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    if name in ("add", "sub", "mul"):
-        op = {"add": add, "sub": sub, "mul": mul}[name]
+def _elementwise_case(op: Callable) -> Callable:
+    def case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
         a = rng.uniform(-2.0, 2.0, size=(2, 3))
         b = rng.uniform(-2.0, 2.0, size=(2, 3))
         if rng.uniform() < 0.3:
             b = np.array(float(_away_from_zero(rng.uniform(-1.5, 1.5, size=()), 0.5)))
         w = rng.uniform(-1.0, 1.0, size=(2, 3))
         return (lambda xs: _weighted_sum(op(xs[0], xs[1]), w)), [a, b]
-    if name == "relu":
-        a = _away_from_zero(rng.uniform(-2.0, 2.0, size=(2, 5)))
-        w = rng.uniform(-1.0, 1.0, size=(2, 5))
-        return (lambda xs: _weighted_sum(relu(xs[0]), w)), [a]
-    if name == "reduce_sum":
-        a = rng.uniform(-2.0, 2.0, size=(2, 4))
-        return (lambda xs: reduce_sum(xs[0])), [a]
-    if name == "reduce_mean":
-        a = rng.uniform(-2.0, 2.0, size=(2, 4))
-        return (lambda xs: reduce_mean(xs[0])), [a]
-    if name == "take":
-        a = rng.uniform(-2.0, 2.0, size=(3, 7))
-        rows = rng.integers(0, 3, size=4)
-        rows[-1] = rows[0]  # a repeated row accumulates its gradient
-        start = int(rng.integers(0, 6))
-        stop = int(rng.integers(start + 1, 8))
-        w = rng.uniform(-1.0, 1.0, size=(4, stop - start))
-        index = (list(rows), slice(start, stop))
-        return (lambda xs: _weighted_sum(take(xs[0], index), w)), [a]
-    if name == "concat":
-        axis = int(rng.integers(0, 2))
-        if axis == 0:
-            a = rng.uniform(-2.0, 2.0, size=(2, 3))
-            b = rng.uniform(-2.0, 2.0, size=(1, 3))
-            w = rng.uniform(-1.0, 1.0, size=(3, 3))
-        else:
-            a = rng.uniform(-2.0, 2.0, size=(2, 3))
-            b = rng.uniform(-2.0, 2.0, size=(2, 4))
-            w = rng.uniform(-1.0, 1.0, size=(2, 7))
-        return (lambda xs: _weighted_sum(concat([xs[0], xs[1]], axis=axis), w)), [a, b]
-    if name == "prefix_sum_exclusive":
-        a = rng.uniform(-2.0, 2.0, size=(2, 5))
-        w = rng.uniform(-1.0, 1.0, size=(2, 5))
-        return (lambda xs: _weighted_sum(prefix_sum_exclusive(xs[0]), w)), [a]
-    if name == "conv1d":
-        k = int(rng.choice([3, 5]))
-        shape = (*_batch(rng), 8)
-        x = rng.uniform(-1.0, 1.0, size=(2, *shape))
-        wgt = rng.uniform(-1.0, 1.0, size=(3, 2, k))
-        b = rng.uniform(-1.0, 1.0, size=(3,))
-        w = rng.uniform(-1.0, 1.0, size=(3, *shape))
-        return (lambda xs: _weighted_sum(conv1d(xs[0], xs[1], xs[2]), w)), [x, wgt, b]
-    if name == "mse":
-        a = rng.uniform(-2.0, 2.0, size=(2, 5))
-        b = rng.uniform(-2.0, 2.0, size=(2, 5))
-        return (lambda xs: mse(xs[0], xs[1])), [a, b]
-    if name == "quat_product":
-        shape = (4, *_batch(rng), 5)
-        a, b, w = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(3))
-        return (lambda xs: _weighted_sum(quat_product(xs[0], xs[1]), w)), [a, b]
-    if name == "quat_unit":
-        q = _unit_like_quat(rng, (*_batch(rng), 5))
-        w = rng.uniform(-1.0, 1.0, size=q.shape)
-        return (lambda xs: _weighted_sum(quat_unit(xs[0]), w)), [q]
-    if name == "residual_ins":
-        return _ins_case(rng)
-    if name == "residual_co2":
-        return _co2_case(rng)
-    if name == "residual_hvac":
-        return _hvac_case(rng)
-    if name == "model_forward":
-        return _model_case(rng)
-    raise ValueError(f"unknown gradient-check family {name!r}")
+
+    return case
 
 
-SUITE_FAMILIES = (
-    "add",
-    "sub",
-    "mul",
-    "relu",
-    "reduce_sum",
-    "reduce_mean",
-    "take",
-    "concat",
-    "prefix_sum_exclusive",
-    "conv1d",
-    "mse",
-    "quat_product",
-    "quat_unit",
-    "residual_ins",
-    "residual_co2",
-    "residual_hvac",
-    "model_forward",
-)
+def _relu_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    a = _away_from_zero(rng.uniform(-2.0, 2.0, size=(2, 5)))
+    w = rng.uniform(-1.0, 1.0, size=(2, 5))
+    return (lambda xs: _weighted_sum(relu(xs[0]), w)), [a]
+
+
+def _reduction_case(op: Callable) -> Callable:
+    def case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+        a = rng.uniform(-2.0, 2.0, size=(2, 4))
+        return (lambda xs: op(xs[0])), [a]
+
+    return case
+
+
+def _take_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    a = rng.uniform(-2.0, 2.0, size=(3, 7))
+    rows = rng.integers(0, 3, size=4)
+    rows[-1] = rows[0]  # a repeated row accumulates its gradient
+    start = int(rng.integers(0, 6))
+    stop = int(rng.integers(start + 1, 8))
+    w = rng.uniform(-1.0, 1.0, size=(4, stop - start))
+    index = (list(rows), slice(start, stop))
+    return (lambda xs: _weighted_sum(take(xs[0], index), w)), [a]
+
+
+def _concat_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    axis = int(rng.integers(0, 2))
+    if axis == 0:
+        a = rng.uniform(-2.0, 2.0, size=(2, 3))
+        b = rng.uniform(-2.0, 2.0, size=(1, 3))
+        w = rng.uniform(-1.0, 1.0, size=(3, 3))
+    else:
+        a = rng.uniform(-2.0, 2.0, size=(2, 3))
+        b = rng.uniform(-2.0, 2.0, size=(2, 4))
+        w = rng.uniform(-1.0, 1.0, size=(2, 7))
+    return (lambda xs: _weighted_sum(concat([xs[0], xs[1]], axis=axis), w)), [a, b]
+
+
+def _prefix_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    a = rng.uniform(-2.0, 2.0, size=(2, 5))
+    w = rng.uniform(-1.0, 1.0, size=(2, 5))
+    return (lambda xs: _weighted_sum(prefix_sum_exclusive(xs[0]), w)), [a]
+
+
+def _conv1d_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    k = int(rng.choice([3, 5]))
+    shape = (*_batch(rng), 8)
+    x = rng.uniform(-1.0, 1.0, size=(2, *shape))
+    wgt = rng.uniform(-1.0, 1.0, size=(3, 2, k))
+    b = rng.uniform(-1.0, 1.0, size=(3,))
+    w = rng.uniform(-1.0, 1.0, size=(3, *shape))
+    return (lambda xs: _weighted_sum(conv1d(xs[0], xs[1], xs[2]), w)), [x, wgt, b]
+
+
+def _mse_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    a = rng.uniform(-2.0, 2.0, size=(2, 5))
+    b = rng.uniform(-2.0, 2.0, size=(2, 5))
+    return (lambda xs: mse(xs[0], xs[1])), [a, b]
+
+
+def _quat_product_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    shape = (4, *_batch(rng), 5)
+    a, b, w = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(3))
+    return (lambda xs: _weighted_sum(quat_product(xs[0], xs[1]), w)), [a, b]
+
+
+def _quat_unit_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    q = _unit_like_quat(rng, (*_batch(rng), 5))
+    w = rng.uniform(-1.0, 1.0, size=q.shape)
+    return (lambda xs: _weighted_sum(quat_unit(xs[0]), w)), [q]
+
+
+# Each operation family's case builder, in suite order.
+_CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, list[np.ndarray]]]] = {
+    "add": _elementwise_case(add),
+    "sub": _elementwise_case(sub),
+    "mul": _elementwise_case(mul),
+    "relu": _relu_case,
+    "reduce_sum": _reduction_case(reduce_sum),
+    "reduce_mean": _reduction_case(reduce_mean),
+    "take": _take_case,
+    "concat": _concat_case,
+    "prefix_sum_exclusive": _prefix_sum_case,
+    "conv1d": _conv1d_case,
+    "mse": _mse_case,
+    "quat_product": _quat_product_case,
+    "quat_unit": _quat_unit_case,
+    "residual_ins": _ins_case,
+    "residual_co2": _co2_case,
+    "residual_hvac": _hvac_case,
+    "model_forward": _model_case,
+}
+
+SUITE_FAMILIES = tuple(_CASES)
 
 
 def run_suite(seed: int = 0, instances: int = 20, rel_tol: float = 1e-5) -> list[CheckResult]:
@@ -283,7 +296,7 @@ def run_suite(seed: int = 0, instances: int = 20, rel_tol: float = 1e-5) -> list
     for name in SUITE_FAMILIES:
         worst = 0.0
         for _ in range(instances):
-            fn, inputs = _cases_for(name, rng)
+            fn, inputs = _CASES[name](rng)
             worst = max(worst, check_gradient(fn, inputs))
         results.append(CheckResult(name=name, instances=instances, max_rel_err=worst, tol=rel_tol))
     return results

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import SampleWindow
-from .physics import PhysicsSpec, window_residual
+from .physics import PhysicsSpec, window_residuals
 
 __all__ = [
     "EvalReport",
@@ -88,7 +88,7 @@ def evaluate(
         per_channel = {c: (float(m), float(a)) for c, m, a in zip(names, mse, mae)}
         recon = _pooled(diff)
 
-    residual = np.concatenate([window_residual(w, spec).ravel() for w in windows])
+    residual = np.concatenate([r.ravel() for r in window_residuals(windows, spec)])
     return EvalReport(label, len(windows), *recon, *_pooled(residual), per_channel=per_channel)
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "residual_hvac",
     "stacked_residual",
     "window_residual",
+    "window_residuals",
     "check_dt",
     "physics_loss",
     "physics_loss_tensor",
@@ -465,14 +466,41 @@ def physics_loss_tensor(values: Tensor, spec: PhysicsSpec) -> Tensor:
     return reduce_mean(mul(r, r))
 
 
-def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
-    """All residual rows of the given physics family on one window, as plain values.
+# Most windows stacked into one C x B x T residual evaluation. One block of the
+# gate's 64 inertial windows raised a training run's peak RSS by 1.8 MB; blocks
+# of 16 by 0.5 MB, at nearly the same speed.
+RESIDUAL_BLOCK = 16
 
-    The one evaluation behind the physics loss, the alignment split and the
-    evaluation metrics; the window's dt must match the environment's.
+
+def window_residuals(windows: Sequence["SampleWindow"], spec: PhysicsSpec) -> list[np.ndarray]:
+    """All residual rows of the given physics family on each window, as plain values.
+
+    The one evaluation behind the physics loss, the alignment split, the
+    evaluation metrics and the CLI's self-check; every window's dt must match
+    the environment's. Windows of one shape and channel layout are stacked,
+    RESIDUAL_BLOCK at a time, into C x B x T blocks, each one stacked_residual
+    call; every window gets the residual it gets on its own, as its own
+    contiguous array.
     """
-    check_dt(window, spec)
-    return stacked_residual(Tensor(window.values), spec).data
+    for window in windows:
+        check_dt(window, spec)
+    groups: dict[tuple, list[int]] = {}
+    for i, window in enumerate(windows):
+        groups.setdefault((window.values.shape, tuple(window.channels)), []).append(i)
+    out: list[np.ndarray] = [None] * len(windows)
+    for members in groups.values():
+        for lo in range(0, len(members), RESIDUAL_BLOCK):
+            chunk = members[lo : lo + RESIDUAL_BLOCK]
+            block = np.stack([windows[i].values for i in chunk], axis=1)
+            r = np.ascontiguousarray(np.moveaxis(stacked_residual(Tensor(block), spec).data, 1, 0))
+            for i, ri in zip(chunk, r):
+                out[i] = ri
+    return out
+
+
+def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
+    """window_residuals of one window."""
+    return window_residuals([window], spec)[0]
 
 
 def check_dt(window: "SampleWindow", spec: PhysicsSpec) -> None:

@@ -23,7 +23,7 @@ from physden.autodiff import (
     relu,
     take,
 )
-from physden.gradcheck import _EPS, _cases_for, check_gradient
+from physden.gradcheck import _CASES, _EPS, check_gradient
 
 
 def leaf(values):
@@ -181,7 +181,7 @@ def test_backward_of_product_plus_term():
 def test_model_gradcheck_case_stays_off_the_relu_kink(seed):
     # Finite differences step each input by _EPS; a hidden pre-activation
     # within reach of zero would straddle the kink and spoil the check.
-    fn, inputs = _cases_for("model_forward", np.random.default_rng(seed))
+    fn, inputs = _CASES["model_forward"](np.random.default_rng(seed))
     h = inputs[0]
     layers = list(zip(inputs[1::2], inputs[2::2]))
     for w, b in layers[:-1]:
@@ -246,6 +246,23 @@ def test_take_repeated_row_accumulates_gradient():
     with Tape() as tape:
         loss = reduce_sum(mul(take(x, ([2, 0, 2],)), weights))
     assert np.array_equal(backward(loss, tape)[x], [[10.0, 20.0], [0.0, 0.0], [101.0, 202.0]])
+
+
+@pytest.mark.parametrize(
+    "index",
+    [(slice(None), slice(1, 4)), ([2, 0], slice(0, 5)), (slice(1, 3), [4, 0, 2])],
+    ids=["slices", "unique-rows", "unique-columns"],
+)
+def test_take_gradient_without_repeats_is_add_at_bitwise(index):
+    rng = np.random.default_rng(3)
+    x = leaf(rng.uniform(-1.0, 1.0, size=(3, 5)))
+    g = rng.uniform(-1.0, 1.0, size=x.data[index].shape)
+    g[0, 0] = -0.0
+    with Tape() as tape:
+        loss = reduce_sum(mul(take(x, index), Tensor(g)))
+    expected = np.zeros(x.data.shape)
+    np.add.at(expected, index, g)
+    assert backward(loss, tape)[x].tobytes() == expected.tobytes()
 
 
 def test_gradient_accumulates_over_reuse():

@@ -207,6 +207,14 @@ def test_simulate_writes_manifest_and_reports_zero_residual(capsys, workspace):
     assert "clean self-check phys_mse (worst window): 0" in out
 
 
+def test_simulate_rejecting_its_config_makes_no_run_directory(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where a default run directory would go
+    args = [a for a in simulate_args(tmp_path) if a not in ("--run-dir", str(tmp_path))]
+    assert main(args + ["--set", "data.bias_frac=nope:0.5"]) == 1
+    assert "bias_frac names unknown channels: nope" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(simulate_args(d1)) == 0
@@ -256,6 +264,36 @@ def test_train_respects_model_denoise_override(tmp_path, workspace):
     ])
     assert rc == 0
     assert load_checkpoint(run_dir / "model.npz").channels == ["t_sa"]
+
+
+def test_train_rejecting_its_inputs_makes_no_run_directory(capsys, monkeypatch, tmp_path, workspace):
+    monkeypatch.chdir(tmp_path)  # where a default run directory would go
+    rc = main([
+        "train",
+        "--set", f"data.manifest={workspace['manifest']}",
+        "--set", "train.epochs_total=1",
+        "--set", "train.widths=2,3,2",
+        "--set", "model.denoise=t_sa,nope",
+    ])
+    assert rc == 1
+    assert "nope" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_aborted_train_writes_its_last_good_checkpoint(capsys, monkeypatch, tmp_path, workspace):
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(all="ignore"):
+        rc = main([
+            "train",
+            "--set", f"data.manifest={workspace['manifest']}",
+            "--set", "train.epochs_total=6",
+            "--set", "train.widths=2,3,2",
+            "--set", "train.lr=1e308",
+        ])
+    assert rc == 2
+    assert "last good checkpoint" in capsys.readouterr().err
+    (run_dir,) = (tmp_path / "out").iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["model.npz", "train_log.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physden.data import (
+    _alignment_scores,
     Dataset,
     NoiseSpec,
     SampleWindow,
@@ -182,6 +183,19 @@ def test_ins_channels_and_units():
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
+def test_ins_dataset_windows_are_each_seeds_simulate_ins_bitwise():
+    cfg = SimulateConfig(family="ins", count=5, duration=0.5, dt=0.02, seed=9,
+                         motion_scale=1.5, rotation_scale=0.8, n_modes=3)
+    ds = generate_dataset(cfg)
+    sim_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.count)
+    for window, seed in zip(ds.clean, sim_seeds):
+        alone, env = simulate_ins(cfg.duration, cfg.dt, motion_scale=1.5, rotation_scale=0.8,
+                                  n_modes=3, seed=seed)
+        assert window.values.tobytes() == alone.values.tobytes()
+        assert (window.channels, window.units, window.dt) == (alone.channels, alone.units, alone.dt)
+        assert ds.spec.dt == env.dt
+
+
 def test_co2_shares_one_schedule_through_env():
     env = Co2Environment(
         room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0, flow=0.03,
@@ -235,6 +249,15 @@ def test_split_ranks_by_residual_magnitude():
     train, test = split_by_alignment(windows, spec)
     assert train == [0, 1]
     assert test == [2, 3]
+
+
+def test_split_scores_equal_each_windows_alignment_score():
+    ds = generate_dataset(SimulateConfig(family="ins", count=20, duration=0.47, dt=0.01, seed=3,
+                                         noise_kind="gaussian", noise_scale=0.2))
+    scores = [alignment_score(w, ds.spec) for w in ds.windows]
+    assert _alignment_scores(ds.windows, ds.spec) == scores
+    order = [int(i) for i in np.argsort(scores, kind="stable")]
+    assert ds.split == (sorted(order[:10]), sorted(order[10:]))
 
 
 def test_alignment_score_rejects_dt_mismatch():

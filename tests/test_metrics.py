@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from physden.autodiff import Tensor
-from physden.data import simulate_hvac
+from physden.data import SimulateConfig, generate_dataset, simulate_hvac
 from physden.metrics import (
     REPORT_COLUMNS,
     evaluate,
@@ -20,6 +20,7 @@ from physden.physics import (
     default_channel_map,
     physics_loss,
     physics_loss_tensor,
+    stacked_residual,
 )
 
 
@@ -58,6 +59,20 @@ def test_physics_metrics_agree_with_training_loss():
     assert report.phys_mse == physics_loss(window, spec)
     assert report.phys_mse == float(physics_loss_tensor(Tensor(window.values), spec).data)
     assert report.phys_mae == pytest.approx(0.25 * 1006.0)
+
+
+def test_evaluate_pools_each_windows_own_residual():
+    # 17 windows of T=10 fill more than one residual block; 2 of T=4 sit among them.
+    cfg = SimulateConfig(family="hvac", count=17, duration=540.0, dt=60.0, seed=4,
+                         noise_kind="gaussian", noise_scale=0.2)
+    ds = generate_dataset(cfg)
+    short = generate_dataset(dataclasses.replace(cfg, count=2, duration=180.0))
+    windows = ds.windows[:5] + short.windows + ds.windows[5:]
+    report = evaluate("mixed", windows, ds.spec)
+    r = np.concatenate([stacked_residual(Tensor(w.values), ds.spec).data.ravel() for w in windows])
+    sq, ab = r * r, np.abs(r)
+    assert (report.phys_mse, report.phys_mae) == (float(np.mean(sq)), float(np.mean(ab)))
+    assert (report.phys_mse_sum, report.phys_mae_sum) == (float(np.sum(sq)), float(np.sum(ab)))
 
 
 def test_evaluate_rejects_dt_mismatch():

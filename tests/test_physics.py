@@ -1,4 +1,6 @@
 """Residual definitions: quaternion algebra, balance equations, exact-zero floors."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from physden.data import SimulateConfig, generate_dataset, simulate_co2, simulat
 from physden.gradcheck import check_gradient
 from physden.physics import (
     _CHANNEL_GROUPS,
+    RESIDUAL_BLOCK,
     CHANNEL_NAMES,
     FAMILIES,
     Co2Environment,
@@ -27,6 +30,7 @@ from physden.physics import (
     residual_ins,
     stacked_residual,
     time_derivative,
+    window_residuals,
 )
 
 GRAVITY_Z = -9.80665
@@ -479,6 +483,22 @@ def test_stacked_residual_of_a_batch_equals_each_window(family, dt):
         alone = stacked_residual(Tensor(window.values), ds.spec).data
         assert np.any(alone != 0.0)
         assert np.array_equal(batched[:, i], alone)
+
+
+def test_window_residuals_equal_each_window_alone():
+    # 18 windows of T=48 fill more than one block; 3 of T=30 sit among them.
+    cfg = SimulateConfig(family="ins", count=18, duration=0.47, dt=0.01, seed=5,
+                         noise_kind="gaussian", noise_scale=0.2)
+    long = generate_dataset(cfg)
+    short = generate_dataset(dataclasses.replace(cfg, count=3, duration=0.29, seed=6))
+    windows = long.windows[:9] + short.windows + long.windows[9:]
+    assert len(long.windows) > RESIDUAL_BLOCK
+    residuals = window_residuals(windows, long.spec)
+    assert len(residuals) == len(windows)
+    for window, r in zip(windows, residuals):
+        alone = stacked_residual(Tensor(window.values), long.spec).data
+        assert r.shape == alone.shape == (7, window.n_timesteps - 2)
+        assert r.tobytes() == alone.tobytes()
 
 
 def test_physics_loss_matches_stacked_mean_square():
