@@ -9,7 +9,7 @@ walking an explicit tape of recorded operations in reverse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -353,8 +353,8 @@ def prefix_sum_exclusive(a) -> Tensor:
 def conv1d(x, weight, bias) -> Tensor:
     """Same-length 1-D convolution over a Cin x T or Cin x B x T input.
 
-    out[o, ..., t] = bias[o] + sum_{i,k} weight[o, i, k] * padded[i, ..., t + k]
-    with (K-1)/2 zeros of padding on each side of every window; K must be odd.
+    out[o, ..., t] = bias[o] + sum_{i,k} weight[o, i, k] * x[i, ..., t + k - (K-1)/2]
+    with x read as zero outside each window's T timesteps; K must be odd.
     A batch axis B convolves each window on its own, so windows never mix.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
@@ -372,11 +372,18 @@ def conv1d(x, weight, bias) -> Tensor:
         raise ValueError(f"conv1d: bias has {bias.data.shape[0]} entries, weight expects {cout}")
     batch, t_len = x.data.shape[1:-1], x.data.shape[-1]
     pad = (k - 1) // 2
-    xpad = np.zeros((cin, *batch, t_len + k - 1))
-    xpad[..., pad:pad + t_len] = x.data
-    # im2col so both passes run as one BLAS matmul each:
-    # col[i*k + j, (b, t)] = xpad[i, b, t + j]
-    col = np.stack([xpad[..., j:j + t_len] for j in range(k)], axis=1).reshape(cin * k, -1)
+    # (j, output timesteps t, input timesteps t + j - pad) of each tap j, where inside the window.
+    taps = []
+    for j in range(k):
+        s = j - pad
+        lo, hi = max(-s, 0), min(t_len - s, t_len)
+        if lo < hi:
+            taps.append((j, slice(lo, hi), slice(lo + s, hi + s)))
+    # im2col so both passes run as one BLAS matmul each: col[i*k + j, (b, t)] = x[i, b, t + j - pad].
+    col = np.zeros((cin, k, *batch, t_len))
+    for j, out_t, in_t in taps:
+        col[:, j, ..., out_t] = x.data[..., in_t]
+    col = col.reshape(cin * k, -1)
     w2d = weight.data.reshape(cout, cin * k)
     out = (w2d @ col + bias.data[:, None]).reshape(cout, *batch, t_len)
 
@@ -389,10 +396,9 @@ def conv1d(x, weight, bias) -> Tensor:
             gw = (g2d @ col.T).reshape(cout, cin, k)
         if x.requires_grad:
             gcol = (w2d.T @ g2d).reshape(cin, k, *batch, t_len)
-            gxpad = np.zeros((cin, *batch, t_len + k - 1))
-            for j in range(k):
-                gxpad[..., j:j + t_len] += gcol[:, j]
-            gx = gxpad[..., pad:pad + t_len]
+            gx = np.zeros((cin, *batch, t_len))
+            for j, out_t, in_t in taps:
+                gx[..., in_t] += gcol[:, j, ..., out_t]
         return gx, gw, gb
 
     return _record("conv1d", (x, weight, bias), out, vjp)
@@ -413,18 +419,16 @@ def mse(a, b) -> Tensor:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators, flat over the parameter list, and the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+        size = sum(p.data.size for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 # Adam's moment decay rates and denominator guard, at the usual values.
@@ -434,19 +438,27 @@ _EPS = 1e-8
 
 
 def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
-    if len(state.m) != len(params):
+    """One bias-corrected Adam update, in place on the parameter tensors.
+
+    The parameters' gradients are updated as one flat block, elementwise as
+    each parameter alone would be. A non-finite gradient raises before any
+    parameter, moment or the step counter changes.
+    """
+    if state.m.size != sum(p.data.size for p in params):
         raise ValueError("adam_step: state does not match parameter list")
-    state.t += 1
-    c1 = 1.0 - _BETA1 ** state.t
-    c2 = 1.0 - _BETA2 ** state.t
-    for i, p in enumerate(params):
-        g = grads[p]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {i} at step {state.t}")
-        state.m[i] = _BETA1 * state.m[i] + (1.0 - _BETA1) * g
-        state.v[i] = _BETA2 * state.v[i] + (1.0 - _BETA2) * (g * g)
-        mhat = state.m[i] / c1
-        vhat = state.v[i] / c2
-        p.data -= lr * mhat / (np.sqrt(vhat) + _EPS)
+    t = state.t + 1
+    g = np.concatenate([grads[p].ravel() for p in params])
+    if not np.all(np.isfinite(g)):
+        first = next(i for i, p in enumerate(params) if not np.all(np.isfinite(grads[p])))
+        raise NumericalError(f"non-finite gradient for parameter {first} at step {t}")
+    state.t = t
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * (g * g)
+    mhat = state.m / (1.0 - _BETA1 ** t)
+    vhat = state.v / (1.0 - _BETA2 ** t)
+    step = lr * mhat / (np.sqrt(vhat) + _EPS)
+    offset = 0
+    for p in params:
+        p.data -= step[offset:offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
     return state

@@ -37,8 +37,6 @@ from .physics import (
     PhysicsSpec,
     CHANNEL_NAMES,
     default_channel_map,
-    quat_product,
-    quat_unit,
     stacked_residual,
 )
 
@@ -114,11 +112,6 @@ def _batch(rng: np.random.Generator) -> tuple[int, ...]:
     return (2,) if rng.uniform() < 0.5 else ()
 
 
-def _unit_like_quat(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    signs = rng.choice([-1.0, 1.0], size=(4, *shape))
-    return signs * rng.uniform(0.3, 1.0, size=(4, *shape))
-
-
 def _residual_case(
     rng: np.random.Generator, family: str, env, vals: np.ndarray
 ) -> tuple[Callable, list[np.ndarray]]:
@@ -135,7 +128,8 @@ def _residual_case(
 def _ins_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     shape = (*_batch(rng), 6)
     vals = rng.uniform(-1.0, 1.0, size=(13, *shape))
-    vals[3:7] = _unit_like_quat(rng, shape)
+    # Orientation samples of norm 0.6 to 2, away from the zero quaternion.
+    vals[3:7] = rng.choice([-1.0, 1.0], size=(4, *shape)) * rng.uniform(0.3, 1.0, size=(4, *shape))
     return _residual_case(rng, "ins", InsEnvironment(dt=0.05), vals)
 
 
@@ -253,18 +247,6 @@ def _mse_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     return (lambda xs: mse(xs[0], xs[1])), [a, b]
 
 
-def _quat_product_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    shape = (4, *_batch(rng), 5)
-    a, b, w = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(3))
-    return (lambda xs: _weighted_sum(quat_product(xs[0], xs[1]), w)), [a, b]
-
-
-def _quat_unit_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    q = _unit_like_quat(rng, (*_batch(rng), 5))
-    w = rng.uniform(-1.0, 1.0, size=q.shape)
-    return (lambda xs: _weighted_sum(quat_unit(xs[0]), w)), [q]
-
-
 # Each operation family's case builder, in suite order.
 _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, list[np.ndarray]]]] = {
     "add": _elementwise_case(add),
@@ -278,8 +260,6 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, list[np.ndarra
     "prefix_sum_exclusive": _prefix_sum_case,
     "conv1d": _conv1d_case,
     "mse": _mse_case,
-    "quat_product": _quat_product_case,
-    "quat_unit": _quat_unit_case,
     "residual_ins": _ins_case,
     "residual_co2": _co2_case,
     "residual_hvac": _hvac_case,

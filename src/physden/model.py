@@ -116,6 +116,8 @@ class Denoiser:
                 f"Denoiser: norm stats must have shape ({n},) to match channels, "
                 f"got mean {self.norm_mean.shape} and std {self.norm_std.shape}"
             )
+        if not (np.isfinite(self.norm_mean).all() and np.isfinite(self.norm_std).all()):
+            raise ValueError("Denoiser: norm_mean and norm_std must be finite")
         if np.any(self.norm_std <= 0):
             raise ValueError("Denoiser: norm_std entries must be positive")
         expected = self.params.weights[0].data.shape[1]
@@ -168,10 +170,13 @@ def load_checkpoint(path) -> Denoiser:
         if version != 1:
             raise ValueError(f"unsupported checkpoint format version {version}")
         n_layers = int(bundle["n_layers"])
-        weights = [Tensor(bundle[f"weight_{i}"], requires_grad=True) for i in range(n_layers)]
-        biases = [Tensor(bundle[f"bias_{i}"], requires_grad=True) for i in range(n_layers)]
+        names = [f"{kind}_{i}" for i in range(n_layers) for kind in ("weight", "bias")]
+        tensors = [Tensor(bundle[name], requires_grad=True) for name in names]
+        for name, t in zip(names, tensors):
+            if not np.isfinite(t.data).all():
+                raise ValueError(f"checkpoint array {name} has non-finite entries")
         return Denoiser(
-            params=ModelParams(weights=weights, biases=biases),
+            params=ModelParams(weights=tensors[0::2], biases=tensors[1::2]),
             channels=[str(c) for c in bundle["channels"]],
             norm_mean=bundle["norm_mean"],
             norm_std=bundle["norm_std"],

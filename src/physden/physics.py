@@ -10,9 +10,8 @@ Residuals are written with the autodiff operations, so the same code path
 serves plain evaluation (metrics, splitting) and gradient-based training.
 They work on whole channel blocks, C x T for one window or C x B x T for a
 batch of equal-length windows (channels on axis 0, time on the last axis):
-the inertial residual is a few dozen tape nodes per block, built from two
-quaternion block ops with hand-written VJPs (quat_product, quat_unit) plus
-take/concat and elementwise arithmetic.
+the inertial residual is one tape node per block, whose forward and
+hand-written VJP run on plain arrays (hamilton_rows, time_derivative).
 All quaternions are scalar-first Hamilton convention. Accelerometers measure
 specific force: a = R_q^T (p_ddot - g0) with g0 = (0, 0, -9.80665) in the
 world frame, so a stationary level device reads (0, 0, +9.80665).
@@ -28,8 +27,6 @@ from .autodiff import (
     Tensor,
     _as_tensor,
     _record,
-    add,
-    concat,
     exclusive_prefix_sum_values,
     mul,
     prefix_sum_exclusive,
@@ -43,8 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
 
 __all__ = [
     "hamilton_rows",
-    "quat_product",
-    "quat_unit",
     "quat_exp",
     "InsEnvironment",
     "Co2Environment",
@@ -79,7 +74,7 @@ def hamilton_rows(a, b):
     """Hamilton product a * b of two scalar-first quaternions given as (w, x, y, z).
 
     Components may be floats or arrays of per-timestep values; the simulator,
-    and quat_product's forward and VJP, share this one product.
+    and residual_ins's forward and VJP, share this one product.
     """
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
@@ -93,51 +88,6 @@ def hamilton_rows(a, b):
 
 # Scalar-first conjugation as a per-row sign.
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _per_row(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A constant block of the given shape holding values[r] throughout row r."""
-    return np.broadcast_to(values.reshape((-1,) + (1,) * (len(shape) - 1)), shape)
-
-
-def quat_product(a, b) -> Tensor:
-    """Differentiable Hamilton product of two 4 x ... quaternion blocks, column by column.
-
-    The transpose of left (right) multiplication by a quaternion is left
-    (right) multiplication by its conjugate, so the VJP is g b* for a and
-    a* g for b, through the same product.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape or a.data.shape[:1] != (4,):
-        raise ValueError(
-            f"quat_product: need two 4 x ... blocks, got {a.data.shape} and {b.data.shape}"
-        )
-    ad, bd = a.data, b.data
-    conj = _per_row(_CONJ, ad.shape)
-
-    def vjp(g):
-        ga = np.array(hamilton_rows(g, bd * conj)) if a.requires_grad else None
-        gb = np.array(hamilton_rows(ad * conj, g)) if b.requires_grad else None
-        return ga, gb
-
-    return _record("quat_product", (a, b), np.array(hamilton_rows(ad, bd)), vjp)
-
-
-def quat_unit(q) -> Tensor:
-    """Differentiable scaling of each column of a 4 x ... quaternion block to unit norm."""
-    q = _as_tensor(q)
-    w, x, y, z = q.data
-    n2 = ((w * w + x * x) + y * y) + z * z
-    if float(np.min(n2)) <= 1e-24:
-        raise ValueError("zero-norm quaternion sample in channel data")
-    n = np.sqrt(n2)
-    u = q.data / n
-
-    def vjp(g):
-        # d(q/|q|) = (I - u u^T) / |q| per column, a symmetric Jacobian.
-        return ((g - u * np.sum(u * g, axis=0)) / n if q.requires_grad else None,)
-
-    return _record("quat_unit", (q,), u, vjp)
 
 
 def quat_exp(v) -> np.ndarray:
@@ -292,39 +242,48 @@ class PhysicsSpec:
 
 
 # ---------------------------------------------------------------------------
-# Differentiable building blocks
+# Building blocks
 
 
-def time_derivative(series, dt: float, order: int) -> Tensor:
+def time_derivative(series: np.ndarray, dt: float, order: int) -> np.ndarray:
     """Central-difference derivative of a C x [B x] T series, boundaries trimmed.
 
     order 1: (x[t+1] - x[t-1]) / (2 dt); order 2: (x[t+1] - 2 x[t] + x[t-1]) / dt^2.
-    Returns a C x [B x] (T-2) tensor on interior timesteps.
+    Returns a C x [B x] (T-2) array on interior timesteps.
     """
-    series = _as_tensor(series)
-    if series.data.ndim not in (2, 3):
-        raise ValueError(f"time_derivative: expected a 2-d or 3-d series, got {series.data.ndim}-d")
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim not in (2, 3):
+        raise ValueError(f"time_derivative: expected a 2-d or 3-d series, got {series.ndim}-d")
     if dt <= 0:
         raise ValueError(f"time_derivative: dt must be positive, got {dt}")
-    t_len = series.data.shape[-1]
+    t_len = series.shape[-1]
     if t_len < 3:
         raise ValueError(f"time_derivative: series too short (T={t_len}, need >= 3)")
-    ahead = _span(series, 2, t_len)
-    behind = _span(series, 0, t_len - 2)
+    ahead, behind = series[..., 2:], series[..., :-2]
     if order == 1:
-        return mul(sub(ahead, behind), 1.0 / (2.0 * dt))
+        return (ahead - behind) * (1.0 / (2.0 * dt))
     if order == 2:
-        return mul(add(sub(ahead, mul(_interior(series), 2.0)), behind), 1.0 / (dt * dt))
+        return ((ahead - series[..., 1:-1] * 2.0) + behind) * (1.0 / (dt * dt))
     raise ValueError(f"time_derivative: order must be 1 or 2, got {order}")
 
 
-def _span(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Timesteps lo..hi-1 of every row (and window) of x."""
-    return take(x, (slice(None),) * (x.data.ndim - 1) + (slice(lo, hi),))
+def _time_derivative_vjp(g: np.ndarray, dt: float, order: int) -> np.ndarray:
+    """The transpose of time_derivative applied to g, over the full T timesteps.
 
-
-def _interior(x: Tensor) -> Tensor:
-    return _span(x, 1, x.data.shape[-1] - 1)
+    Its terms are added in place into one zero block in the order a tape of
+    slices accumulated them; a sum that starts as 0.0 + x is never -0.0, so
+    this gives the bits of adding zero-padded blocks.
+    """
+    out = np.zeros(g.shape[:-1] + (g.shape[-1] + 2,))
+    if order == 1:
+        gs = g * (1.0 / (2.0 * dt))
+        out[..., :-2] -= gs
+    else:
+        gs = g * (1.0 / (dt * dt))
+        out[..., 1:-1] += -gs * 2.0
+        out[..., :-2] += gs
+    out[..., 2:] += gs
+    return out
 
 
 def _series_blocks(name: str, **blocks) -> list[Tensor]:
@@ -354,30 +313,60 @@ def _series(value, t_len: int, name: str) -> np.ndarray:
 
 
 def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
-    """Inertial residual on interior timesteps, 7 x [B x] (T-2).
+    """Inertial residual on interior timesteps, 7 x [B x] (T-2), as one tape node.
 
     Rows 0-2 are the specific-force residual a - R_q^T (p_ddot - g0); rows
     3-6 are the orientation-rate residual dq/dt - 0.5 q (0, w), with the
     derivative taken of the renormalized series. p: 3 x [B x] T positions,
-    q: 4 x [B x] T orientations (renormalized per timestep on the tape, once
-    for both parts), w: 3 x [B x] T angular rates (rad/s), a: 3 x [B x] T
+    q: 4 x [B x] T orientations (renormalized per timestep, once for both
+    parts), w: 3 x [B x] T angular rates (rad/s), a: 3 x [B x] T
     accelerometer readings.
+
+    The VJP is written by hand (Sola, arXiv:1711.02508): the transpose of
+    left (right) multiplication by a quaternion is left (right) multiplication
+    by its conjugate, and d(q/|q|) = (I - u u^T) / |q| per column. Gradient
+    terms add up in the order a tape of the separate block ops added them.
     """
     p, q, w, a = _series_blocks("residual_ins", p=(p, 3), q=(q, 4), w=(w, 3), a=(a, 3))
-
-    pdd = time_derivative(p, env.dt, 2)  # 3 x [B x] (T-2)
-    qn = quat_unit(q)  # 4 x [B x] T, unit per timestep
-    qi = _interior(qn)
-    zero = Tensor(np.zeros((1, *pdd.data.shape[1:])))
-    v = sub(pdd, Tensor(_per_row(env.gravity, pdd.data.shape)))
+    dt = env.dt
+    pdd = time_derivative(p.data, dt, 2)  # 3 x [B x] (T-2)
+    qw, qx, qy, qz = q.data
+    n2 = ((qw * qw + qx * qx) + qy * qy) + qz * qz
+    if float(np.min(n2)) <= 1e-24:
+        raise ValueError("zero-norm quaternion sample in channel data")
+    n = np.sqrt(n2)
+    u = q.data / n  # 4 x [B x] T, unit per timestep
+    qi = u[..., 1:-1]
+    sign = _CONJ.reshape((4,) + (1,) * (qi.ndim - 1))
+    conj = qi * sign
+    v = pdd - env.gravity.reshape((3,) + (1,) * (pdd.ndim - 1))
     # R_q^T v via the conjugation q^-1 (0, v) q with unit q, q^-1 = conj(q).
-    conj = mul(qi, Tensor(_per_row(_CONJ, qi.data.shape)))
-    rot = quat_product(quat_product(conj, concat([zero, v])), qi)
-    accel = sub(_interior(a), take(rot, (slice(1, 4),)))
+    left = np.array(hamilton_rows(conj, (0.0, *v)))
+    rot = np.array(hamilton_rows(left, qi))
+    wi = w.data[..., 1:-1]
+    rate = np.array(hamilton_rows(qi, (0.0, *wi)))
+    out = np.concatenate([a.data[..., 1:-1] - rot[1:], time_derivative(u, dt, 1) - rate * 0.5])
 
-    rate = quat_product(qi, concat([zero, _interior(w)]))
-    orientation = sub(time_derivative(qn, env.dt, 1), mul(rate, 0.5))
-    return concat([accel, orientation])
+    def vjp(g):
+        g_accel, g_orient = g[:3], g[3:]
+        g_rate = -g_orient * 0.5
+        g_rot = np.zeros(rot.shape)
+        g_rot[1:] -= g_accel
+        g_left = np.array(hamilton_rows(g_rot, conj))
+        g_conj = np.array(hamilton_rows(g_left, (0.0, *-v)))
+        g_qi = (np.array(hamilton_rows(g_rate, (0.0, *-wi)))
+                + np.array(hamilton_rows(left * sign, g_rot))) + g_conj * sign
+        g_u = _time_derivative_vjp(g_orient, dt, 1)
+        g_u[..., 1:-1] += g_qi
+        g_q = (g_u - u * np.sum(u * g_u, axis=0)) / n
+        g_v = np.array(hamilton_rows(qi, g_left)[1:])  # conj(conj(q)) = q, bitwise
+        g_w, g_a = np.zeros(w.data.shape), np.zeros(a.data.shape)
+        g_w[..., 1:-1] += np.array(hamilton_rows(conj, g_rate)[1:])
+        g_a[..., 1:-1] += g_accel
+        grads = (_time_derivative_vjp(g_v, dt, 2), g_q, g_w, g_a)
+        return tuple(gi if x.requires_grad else None for x, gi in zip((p, q, w, a), grads))
+
+    return _record("residual_ins", (p, q, w, a), out, vjp)
 
 
 def co2_known_terms(env: Co2Environment, t_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -376,6 +376,59 @@ def test_adam_rejects_non_finite_gradient():
         adam_step([p], grads, state, lr=0.01)
 
 
+def _adam_problem(rng):
+    """Conv parameters the loss reaches, plus one parameter it never reaches."""
+    x = Tensor(rng.normal(size=(2, 3, 9)))
+    target = Tensor(rng.normal(size=(3, 3, 9)))
+    params = [leaf(rng.normal(size=(3, 2, 5))), leaf(rng.normal(size=3)), leaf(rng.normal(size=(2, 2)))]
+
+    def grads():
+        with Tape() as tape:
+            loss = mse(conv1d(x, params[0], params[1]), target)
+        return backward(loss, tape)
+
+    return params, grads
+
+
+def test_adam_flat_update_equals_per_parameter_reference():
+    params, grads = _adam_problem(np.random.default_rng(3))
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros_like(r) for r in ref]
+    ref_v = [np.zeros_like(r) for r in ref]
+    state = AdamState.for_params(params)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 51):
+        g = grads()
+        for i, p in enumerate(params):
+            gi = g[p]
+            ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * gi
+            ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (gi * gi)
+            mhat = ref_m[i] / (1.0 - b1 ** t)
+            vhat = ref_v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+        adam_step(params, g, state, lr=lr)
+    assert state.t == 50
+    assert not np.any(ref_m[2])  # the unreached parameter keeps zero moments
+    assert all(p.data.tobytes() == r.tobytes() for p, r in zip(params, ref))
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+def test_adam_non_finite_gradient_changes_nothing():
+    params, grads = _adam_problem(np.random.default_rng(4))
+    state = AdamState.for_params(params)
+    for _ in range(2):
+        adam_step(params, grads(), state, lr=0.01)
+    before = [p.data.copy() for p in params], state.m.copy(), state.v.copy()
+    g = grads()
+    g[params[1]][1] = np.nan  # parameter 0 comes first and stays finite
+    with pytest.raises(NumericalError, match="parameter 1 at step 3"):
+        adam_step(params, g, state, lr=0.01)
+    assert state.t == 2
+    assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before[0]))
+    assert state.m.tobytes() == before[1].tobytes() and state.v.tobytes() == before[2].tobytes()
+
+
 def test_adam_state_must_match_params():
     p = leaf([0.0])
     state = AdamState.for_params([p, leaf([1.0])])

@@ -29,6 +29,7 @@ from physden.data import (
     split_by_alignment,
 )
 from physden.physics import (
+    CHANNEL_NAMES,
     Co2Environment,
     HvacEnvironment,
     PhysicsSpec,
@@ -520,6 +521,21 @@ def test_generate_dataset_applies_bias_fraction():
         delta = noisy.values - clean.values
         assert np.allclose(delta[i], expected)
         assert np.all(delta[[j for j in range(3) if j != i]] == 0.0)
+
+
+@pytest.mark.parametrize("family, kind", [("ins", "gaussian"), ("hvac", "uniform"),
+                                          ("co2", "zero-mask")])
+def test_generate_dataset_corrupts_each_window_as_corrupt_does(family, kind):
+    cfg = SimulateConfig(family=family, count=5, seed=12, noise_kind=kind, noise_scale=0.3,
+                         mask_fraction=0.2, bias_frac={CHANNEL_NAMES[family][0]: 0.4})
+    ds = generate_dataset(cfg)
+    noise = NoiseSpec(kind=kind, scale=0.3, mask_fraction=0.2)
+    bias = np.zeros(len(CHANNEL_NAMES[family]))
+    bias[0] = 0.4 * compute_norm_stats(ds.clean).std[0]
+    noise_seeds = np.random.SeedSequence(12).spawn(2 * cfg.count)[cfg.count:]
+    for window, clean, seed in zip(ds.windows, ds.clean, noise_seeds):
+        alone = corrupt(clean, noise, bias=bias, rng=np.random.default_rng(seed))
+        assert window.values.tobytes() == alone.values.tobytes()
 
 
 def test_generate_dataset_rejects_unknown_bias_channel():

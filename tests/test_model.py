@@ -118,6 +118,9 @@ def test_denoiser_validates_stats_and_channels():
         Denoiser(params, ["a", "b"], np.zeros(3), np.ones(3))
     with pytest.raises(ValueError, match="positive"):
         Denoiser(params, ["a", "b"], np.zeros(2), np.array([1.0, 0.0]))
+    for mean, std in (([0.0, np.inf], [1.0, 1.0]), ([0.0, 0.0], [np.nan, 1.0])):
+        with pytest.raises(ValueError, match="norm_mean and norm_std must be finite"):
+            Denoiser(params, ["a", "b"], np.array(mean), np.array(std))
     with pytest.raises(ValueError, match="expects 2 channels"):
         Denoiser(params, ["a", "b", "c"], np.zeros(3), np.ones(3))
 
@@ -210,6 +213,22 @@ def test_checkpoint_rejects_unknown_format_version(tmp_path):
     blob["format_version"] = np.array(99)
     np.savez(path, **blob)
     with pytest.raises(ValueError, match="format"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("weight_1", np.nan, "checkpoint array weight_1 has non-finite entries"),
+    ("bias_3", -np.inf, "checkpoint array bias_3 has non-finite entries"),
+    ("norm_std", np.nan, "norm_mean and norm_std must be finite"),
+])
+def test_checkpoint_rejects_non_finite_arrays(tmp_path, name, value, message):
+    den = Denoiser(init_params(2, widths=(2, 3, 2), rng=0), ["a", "b"], np.zeros(2), np.ones(2))
+    path = tmp_path / "model.npz"
+    save_checkpoint(den, path)
+    blob = dict(np.load(path))
+    blob[name].flat[1] = value
+    np.savez(path, **blob)
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from physden.autodiff import Tape, Tensor, mul, reduce_sum
+from physden.autodiff import Tape, Tensor, backward, mul, reduce_sum
 from physden.data import SimulateConfig, generate_dataset, simulate_co2, simulate_hvac, simulate_ins
-from physden.gradcheck import check_gradient
+from physden.gradcheck import _CASES, check_gradient
 from physden.physics import (
     _CHANNEL_GROUPS,
     RESIDUAL_BLOCK,
@@ -24,7 +24,6 @@ from physden.physics import (
     physics_loss,
     physics_loss_tensor,
     quat_exp,
-    quat_unit,
     residual_co2,
     residual_hvac,
     residual_ins,
@@ -69,7 +68,7 @@ def test_hamilton_product_on_timestep_rows_matches_each_column():
 
 
 def unit(q):
-    """q scaled to unit norm, with quat_unit's association order."""
+    """q scaled to unit norm, with residual_ins's association order."""
     w, x, y, z = q
     return q / np.sqrt(((w * w + x * x) + y * y) + z * z)
 
@@ -127,15 +126,18 @@ def test_quat_exp_of_a_block_is_each_columns_exponential():
         quat_exp(np.zeros((4, 2)))
 
 
-def test_quat_unit_rejects_zero():
+def test_zero_norm_quaternion_rejected_in_any_window():
+    values = np.stack([stationary_ins_values(), stationary_ins_values()], axis=1)
+    values[3:7, 1, 0] = 0.0  # the second window's first orientation sample
+    spec = PhysicsSpec("ins", InsEnvironment(dt=0.01), default_channel_map("ins", CHANNEL_NAMES["ins"]))
     with pytest.raises(ValueError, match="zero-norm"):
-        quat_unit(np.zeros((4, 1)))
+        stacked_residual(Tensor(values), spec)
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_rotation_preserves_vector_norm(seed):
     rng = np.random.default_rng(seed)
-    q = quat_unit(rng.normal(size=(4, 1))).data[:, 0]
+    q = unit(rng.normal(size=4))
     v = rng.normal(size=3)
     assert np.isclose(np.linalg.norm(rotate(q, v)), np.linalg.norm(v), rtol=1e-12)
     assert np.allclose(rotate(q, v), rotmat(q) @ v, rtol=1e-12, atol=1e-14)
@@ -156,21 +158,23 @@ def test_hamilton_product_preserves_norm_product(seed):
 
 def test_time_derivative_exact_on_quadratic():
     t = np.arange(6, dtype=np.float64)
-    series = Tensor((t * t)[None, :])
+    series = (t * t)[None, :]
     first = time_derivative(series, 1.0, 1)
     second = time_derivative(series, 1.0, 2)
     # Central stencils are exact on polynomials up to degree 2.
-    assert np.array_equal(first.data, (2.0 * t[1:-1])[None, :])
-    assert np.array_equal(second.data, np.full((1, 4), 2.0))
+    assert np.array_equal(first, (2.0 * t[1:-1])[None, :])
+    assert np.array_equal(second, np.full((1, 4), 2.0))
 
 
 def test_time_derivative_validation():
     with pytest.raises(ValueError, match="too short"):
-        time_derivative(Tensor(np.zeros((1, 2))), 1.0, 1)
+        time_derivative(np.zeros((1, 2)), 1.0, 1)
     with pytest.raises(ValueError, match="order"):
-        time_derivative(Tensor(np.zeros((1, 5))), 1.0, 3)
+        time_derivative(np.zeros((1, 5)), 1.0, 3)
     with pytest.raises(ValueError, match="dt"):
-        time_derivative(Tensor(np.zeros((1, 5))), 0.0, 1)
+        time_derivative(np.zeros((1, 5)), 0.0, 1)
+    with pytest.raises(ValueError, match="too short"):
+        residual_ins(*(np.zeros((rows, 2)) for rows in (3, 4, 3, 3)), InsEnvironment(dt=0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +266,48 @@ def test_simulated_orientation_follows_per_step_recurrence():
     # frame it matches the position stencil up to its O(dt^2) truncation.
     a = window.values[10:13]
     world = np.stack([rotmat(q[:, t]) @ a[:, t] for t in range(1, q.shape[1] - 1)], axis=1)
-    pdd = time_derivative(window.values[0:3], env.dt, 2).data
+    pdd = time_derivative(window.values[0:3], env.dt, 2)
     assert np.allclose(world + env.gravity[:, None], pdd, rtol=0.0, atol=1e-3)
 
 
 def test_ins_residual_tape_is_block_sized():
-    window, env = simulate_ins(duration=1.27, dt=0.01, seed=3)
-    spec = PhysicsSpec("ins", env, default_channel_map("ins", window.channels))
+    ds = generate_dataset(SimulateConfig(family="ins", count=2, duration=1.27, dt=0.01, seed=3))
+    block = np.stack([w.values for w in ds.windows], axis=1)  # 13 x 2 x T
     with Tape() as tape:
-        stacked_residual(Tensor(window.values, requires_grad=True), spec)
-    assert len(tape.nodes) <= 35
+        physics_loss_tensor(Tensor(block, requires_grad=True), ds.spec)
+    # One gather per channel group, the fused residual, and its mean square.
+    assert [node.op for node in tape.nodes] == ["take"] * 4 + ["residual_ins", "mul", "reduce_mean"]
+
+
+def test_residual_ins_gradcheck_family_batched_and_unbatched():
+    worst = {}
+    rng = np.random.default_rng(0)
+    while len(worst) < 2:
+        fn, inputs = _CASES["residual_ins"](rng)
+        ndim = inputs[0].ndim
+        worst[ndim] = max(worst.get(ndim, 0.0), check_gradient(fn, inputs))
+    assert sorted(worst) == [2, 3]
+    assert max(worst.values()) <= 1e-5
+
+
+def test_residual_ins_gradient_of_one_input_equals_its_share_of_all():
+    rng = np.random.default_rng(5)
+    blocks = [rng.normal(size=(rows, 2, 9)) for rows in (3, 4, 3, 3)]
+    weights = Tensor(rng.normal(size=(7, 2, 7)))
+    env = InsEnvironment(dt=0.05)
+
+    def grads(needed):
+        xs = [Tensor(b, requires_grad=i in needed) for i, b in enumerate(blocks)]
+        with Tape() as tape:
+            loss = reduce_sum(mul(residual_ins(*xs, env), weights))
+        g = backward(loss, tape)
+        return [g[x] if x in g else None for x in xs]
+
+    full = grads(range(4))
+    for i in range(4):
+        alone = grads([i])
+        assert alone[i].tobytes() == full[i].tobytes()
+        assert sum(g is not None for g in alone) == 1
 
 
 def test_clean_ins_simulation_residual_is_small():

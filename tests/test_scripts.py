@@ -1,5 +1,6 @@
-"""Experiment scripts under scripts/, run as a user would, at a tiny size."""
+"""Experiment scripts under scripts/ and the benchmark, run as a user would, at a tiny size."""
 import csv
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 from physden.metrics import REPORT_COLUMNS
 from physden.training import BIAS_CSV_COLUMNS
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_lambda_sweep_writes_report(tmp_path):
@@ -40,3 +42,19 @@ def test_bias_sweep_writes_report(tmp_path):
     assert rows[0] == BIAS_CSV_COLUMNS
     assert len(rows) == 2 and rows[1][0] == "0"
     assert "eta 0:" in proc.stdout
+
+
+def test_perfbench_traced_ins_train_runs():
+    # The traced run replaces names that physden.training imports; a renamed
+    # or dropped name shows here as an error or an empty tape count.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "ins-train",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    assert result["metrics"]["autodiff.tape_nodes_per_step"]["value"] > 0
