@@ -26,9 +26,7 @@ __all__ = [
     "mul",
     "relu",
     "reduce_sum",
-    "reduce_mean",
     "take",
-    "concat",
     "prefix_sum_exclusive",
     "exclusive_prefix_sum_values",
     "conv1d",
@@ -242,17 +240,6 @@ def reduce_sum(a) -> Tensor:
     return _record("reduce_sum", (a,), np.asarray(a.data.sum()), vjp)
 
 
-def reduce_mean(a) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.data.shape
-    n = a.data.size
-
-    def vjp(g):
-        return (np.full(shape, float(g) / n) if a.requires_grad else None,)
-
-    return _record("reduce_mean", (a,), np.asarray(a.data.mean()), vjp)
-
-
 def take(a, index: Sequence) -> Tensor:
     """``a.data[index]``: a unit-step slice or an integer list per leading axis.
 
@@ -286,37 +273,6 @@ def take(a, index: Sequence) -> Tensor:
         return (ga,)
 
     return _record("take", (a,), a.data[index], vjp)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors of matching shapes along one axis."""
-    parts = tuple(_as_tensor(p) for p in parts)
-    if not parts:
-        raise ValueError("concat: need at least one tensor")
-    nd = parts[0].data.ndim
-    if not 0 <= axis < nd:
-        raise ValueError(f"concat: axis {axis} out of range for {nd}-d tensor")
-    for p in parts[1:]:
-        if p.data.ndim != nd or any(
-            p.data.shape[i] != parts[0].data.shape[i] for i in range(nd) if i != axis
-        ):
-            raise ValueError(
-                f"concat: incompatible shapes {parts[0].data.shape} vs {p.data.shape}"
-            )
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        out = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = tuple(slice(lo, hi) if i == axis else slice(None) for i in range(nd))
-                out.append(g[idx])
-            else:
-                out.append(None)
-        return tuple(out)
-
-    return _record("concat", parts, np.concatenate([p.data for p in parts], axis=axis), vjp)
 
 
 def exclusive_prefix_sum_values(x: np.ndarray) -> np.ndarray:
@@ -405,12 +361,22 @@ def conv1d(x, weight, bias) -> Tensor:
 
 
 def mse(a, b) -> Tensor:
-    """Mean over all elements of (a - b) squared."""
+    """Mean over all elements of (a - b) squared; b may be a 0-d target.
+
+    One node whose VJP replays the sub -> mul -> mean chain's arithmetic.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
+    if a.data.shape != b.data.shape and b.data.ndim != 0:
         raise ValueError(f"mse: shape mismatch {a.data.shape} vs {b.data.shape}")
-    d = sub(a, b)
-    return reduce_mean(mul(d, d))
+    d = a.data - b.data
+
+    def vjp(g):
+        t = np.full(d.shape, float(g) / d.size) * d
+        gd = t + t
+        return (gd if a.requires_grad else None,
+                _reduce_to(-gd, b.data.shape) if b.requires_grad else None)
+
+    return _record("mse", (a, b), np.asarray((d * d).mean()), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -427,10 +427,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    threads = max(1, args.threads)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
+        os.environ[var] = str(args.threads)
 
     from .autodiff import NumericalError
     from .training import TrainingAborted

@@ -49,6 +49,7 @@ __all__ = [
     "simulate_co2",
     "simulate_hvac",
     "inject_noise",
+    "noise_std",
     "corrupt",
     "alignment_score",
     "split_by_alignment",
@@ -177,32 +178,54 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _add_noise(values: np.ndarray, spec: NoiseSpec, rngs: Sequence[np.random.Generator]) -> None:
-    """Add noise in place to a contiguous C x T window or B x C x T block: each window draws
-    from its own generator in rngs, as it would alone, scaled by its own channels' std."""
-    c, t_len = values.shape[-2:]
+def noise_std(values: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """Each window's per-channel noise scale: spec.scale times the channel's std over time."""
+    return spec.scale * values.std(axis=-1)
+
+
+def _draw(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    if spec.kind == "gaussian":
+        return rng.standard_normal(shape)
+    return rng.uniform(-1.0, 1.0, size=shape)
+
+
+def _add_noise(values: np.ndarray, spec: NoiseSpec, rng, scaled_std: np.ndarray | None = None) -> None:
+    """Add noise in place to a B x C x T block (or view) of windows.
+
+    rng is one generator, which serves the windows in turn (one B x C x T
+    draw equals B sequential C x T draws), or a sequence of one generator per
+    window. Window b's rows are scaled by row b of scaled_std, by default
+    noise_std of the block.
+    """
+    rngs = [rng] * len(values) if isinstance(rng, np.random.Generator) else rng
+    t_len = values.shape[-1]
     if spec.kind == "zero-mask":
         n_mask = int(round(spec.mask_fraction * t_len))
-        for window, rng in zip(values.reshape(-1, c, t_len), rngs):
-            for i in range(c):
-                window[i, rng.choice(t_len, size=n_mask, replace=False)] = 0.0
+        for window, g in zip(values, rngs):
+            for row in window:
+                row[g.choice(t_len, size=n_mask, replace=False)] = 0.0
         return
-    per_channel = spec.scale * values.std(axis=-1)
-    noise = np.empty(values.shape)
-    for window, rng in zip(noise.reshape(-1, c, t_len), rngs):
-        if spec.kind == "gaussian":
-            window[...] = rng.standard_normal((c, t_len))
-        else:
-            window[...] = rng.uniform(-1.0, 1.0, size=(c, t_len))
-    noise *= per_channel[..., None]
+    if scaled_std is None:
+        scaled_std = noise_std(values, spec)
+    if isinstance(rng, np.random.Generator):
+        noise = _draw(spec, rng, values.shape)
+    else:
+        noise = np.stack([_draw(spec, g, values.shape[1:]) for g in rng])
+    noise *= scaled_std[..., None]
     values += noise
 
 
-def inject_noise(window: SampleWindow, spec: NoiseSpec, rng) -> SampleWindow:
-    """Fresh noisy view of a window; deterministic given the generator state."""
-    values = window.values.copy()
-    _add_noise(values, spec, [_as_rng(rng)])
-    return SampleWindow(window.channels, values, window.dt, window.units)
+def inject_noise(block: np.ndarray, spec: NoiseSpec, scaled_std: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Fresh noisy copy of a C x B x T block of windows, all drawn from rng at once.
+
+    Window b gets the noise a C x T draw of its own would give, in batch
+    order, scaled by row b of the B x C scaled_std (noise_std of the clean
+    windows); deterministic given the generator state.
+    """
+    noisy = block.copy()
+    _add_noise(noisy.transpose(1, 0, 2), spec, rng, scaled_std)
+    return noisy
 
 
 def corrupt(
@@ -214,7 +237,7 @@ def corrupt(
     """Observed window: clean + drawn noise + constant per-channel bias."""
     values = clean.values.copy()
     if noise is not None:
-        _add_noise(values, noise, [_as_rng(rng)])
+        _add_noise(values[None], noise, _as_rng(rng))
     if bias is not None:
         offsets = np.asarray(bias, dtype=np.float64)
         if offsets.shape != (values.shape[0],):

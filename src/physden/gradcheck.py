@@ -18,12 +18,10 @@ from .autodiff import (
     Tensor,
     add,
     backward,
-    concat,
     conv1d,
     mse,
     mul,
     prefix_sum_exclusive,
-    reduce_mean,
     reduce_sum,
     relu,
     sub,
@@ -39,6 +37,7 @@ from .physics import (
     default_channel_map,
     stacked_residual,
 )
+from .training import merge_denoised
 
 __all__ = ["CheckResult", "check_gradient", "run_suite", "SUITE_FAMILIES"]
 
@@ -193,12 +192,8 @@ def _relu_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     return (lambda xs: _weighted_sum(relu(xs[0]), w)), [a]
 
 
-def _reduction_case(op: Callable) -> Callable:
-    def case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-        a = rng.uniform(-2.0, 2.0, size=(2, 4))
-        return (lambda xs: op(xs[0])), [a]
-
-    return case
+def _reduce_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    return (lambda xs: reduce_sum(xs[0])), [rng.uniform(-2.0, 2.0, size=(2, 4))]
 
 
 def _take_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -210,19 +205,6 @@ def _take_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     w = rng.uniform(-1.0, 1.0, size=(4, stop - start))
     index = (list(rows), slice(start, stop))
     return (lambda xs: _weighted_sum(take(xs[0], index), w)), [a]
-
-
-def _concat_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    axis = int(rng.integers(0, 2))
-    if axis == 0:
-        a = rng.uniform(-2.0, 2.0, size=(2, 3))
-        b = rng.uniform(-2.0, 2.0, size=(1, 3))
-        w = rng.uniform(-1.0, 1.0, size=(3, 3))
-    else:
-        a = rng.uniform(-2.0, 2.0, size=(2, 3))
-        b = rng.uniform(-2.0, 2.0, size=(2, 4))
-        w = rng.uniform(-1.0, 1.0, size=(2, 7))
-    return (lambda xs: _weighted_sum(concat([xs[0], xs[1]], axis=axis), w)), [a, b]
 
 
 def _prefix_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -243,8 +225,19 @@ def _conv1d_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
 
 def _mse_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     a = rng.uniform(-2.0, 2.0, size=(2, 5))
-    b = rng.uniform(-2.0, 2.0, size=(2, 5))
+    b = rng.uniform(-2.0, 2.0, size=(2, 5) if rng.uniform() < 0.7 else ())
     return (lambda xs: mse(xs[0], xs[1])), [a, b]
+
+
+def _merge_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    """The training merge into 5 base rows; rows 3 and 1 are neither first nor contiguous."""
+    rows, shape = [3, 1], (*_batch(rng), 6)
+    y = rng.uniform(-2.0, 2.0, size=(len(rows), *shape))
+    z = rng.uniform(-2.0, 2.0, size=y.shape) if rng.uniform() < 0.5 else None
+    base = rng.uniform(-2.0, 2.0, size=(5, *shape))
+    mean, std = rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.5, 2.0, size=2)
+    w = rng.uniform(-1.0, 1.0, size=base.shape)
+    return (lambda xs: _weighted_sum(merge_denoised(xs[0], z, base, rows, mean, std), w)), [y]
 
 
 # Each operation family's case builder, in suite order.
@@ -253,13 +246,12 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, list[np.ndarra
     "sub": _elementwise_case(sub),
     "mul": _elementwise_case(mul),
     "relu": _relu_case,
-    "reduce_sum": _reduction_case(reduce_sum),
-    "reduce_mean": _reduction_case(reduce_mean),
+    "reduce_sum": _reduce_sum_case,
     "take": _take_case,
-    "concat": _concat_case,
     "prefix_sum_exclusive": _prefix_sum_case,
     "conv1d": _conv1d_case,
     "mse": _mse_case,
+    "merge": _merge_case,
     "residual_ins": _ins_case,
     "residual_co2": _co2_case,
     "residual_hvac": _hvac_case,

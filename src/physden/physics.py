@@ -28,9 +28,9 @@ from .autodiff import (
     _as_tensor,
     _record,
     exclusive_prefix_sum_values,
+    mse,
     mul,
     prefix_sum_exclusive,
-    reduce_mean,
     sub,
     take,
 )
@@ -451,8 +451,7 @@ def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
 
 def physics_loss_tensor(values: Tensor, spec: PhysicsSpec) -> Tensor:
     """Mean squared residual as a differentiable scalar."""
-    r = stacked_residual(values, spec)
-    return reduce_mean(mul(r, r))
+    return mse(stacked_residual(values, spec), 0.0)
 
 
 # Most windows stacked into one C x B x T residual evaluation. One block of the

@@ -9,7 +9,8 @@ differentiation; only the residual term carries gradient.
 
 Batches re-noise the observed windows on the fly: the model sees window
 plus fresh noise and is trained to reproduce the window, which is what
-makes the denoiser generalize instead of memorizing.
+makes the denoiser generalize instead of memorizing. Each batch draws its
+noise once, for all of its windows.
 """
 from __future__ import annotations
 
@@ -26,13 +27,12 @@ from .autodiff import (
     NumericalError,
     Tape,
     Tensor,
+    _record,
     adam_step,
     add,
     backward,
-    concat,
     mse,
     mul,
-    take,
 )
 from .data import (
     NoiseSpec,
@@ -41,6 +41,7 @@ from .data import (
     compute_norm_stats,
     generate_dataset,
     inject_noise,
+    noise_std,
     NormStats,
 )
 from .metrics import write_rows_csv
@@ -54,6 +55,7 @@ __all__ = [
     "TrainResult",
     "TrainingAborted",
     "train",
+    "merge_denoised",
     "write_log_csv",
     "read_log_csv",
     "BIAS_CSV_COLUMNS",
@@ -187,32 +189,29 @@ def _lambda_for(l_rec: float, l_phy: float, mode: str, value: float) -> float:
 # Training loop
 
 
-def _merged_forward(
-    params: ModelParams,
-    input_values: np.ndarray,
-    base_values: np.ndarray,
-    den_idx: Sequence[int],
+def merge_denoised(
+    y: Tensor,
+    z: np.ndarray | None,
+    base: np.ndarray,
+    rows: Sequence[int],
     mean: np.ndarray,
     std: np.ndarray,
-    predict_residual: bool,
 ) -> Tensor:
-    """Model applied to the denoised rows of input_values, merged over base_values.
+    """base with rows[j] replaced by (y[j] + z[j]) * std[j] + mean[j], as one tape node.
 
-    Both blocks are c x B x T. Returns a c x B x T tensor whose denoised rows
-    are the de-normalized model output and whose remaining rows are the base
-    windows', as constants.
+    y is the model output on the z-scored rows z (z None adds nothing), both
+    c x [B x] T with c = len(rows); base is C x [B x] T, and its other rows
+    are constants. The VJP's 0.0 + turns -0.0 into 0.0, as a scatter into
+    zeros does, so the gradient has the bits of the unfused add/mul/take ops.
     """
-    z = (input_values[den_idx] - mean[:, None, None]) / std[:, None, None]
-    y = forward(params, Tensor(z))
-    if predict_residual:
-        y = add(y, Tensor(z))
-    scale, shift = (Tensor(np.broadcast_to(v[:, None, None], z.shape)) for v in (std, mean))
-    restored = add(mul(y, scale), shift)
+    scale, shift = (v.reshape(-1, *[1] * (y.data.ndim - 1)) for v in (std, mean))
+    out = base.copy()
+    out[rows] = (y.data if z is None else y.data + z) * scale + shift
 
-    # Row r of the merge is restored row j where den_idx[j] == r, else base row r.
-    position = {row: j for j, row in enumerate(den_idx)}
-    order = [position.get(row, len(den_idx) + row) for row in range(base_values.shape[0])]
-    return take(concat([restored, Tensor(base_values)]), (order,))
+    def vjp(g):
+        return ((0.0 + g[rows]) * scale,)
+
+    return _record("merge", (y,), out, vjp)
 
 
 def _snapshot(params: ModelParams) -> list[np.ndarray]:
@@ -286,16 +285,20 @@ def train(
             predict_residual=cfg.predict_residual,
         )
 
+    # The windows never change: one C x N x T block and each window's noise scale.
+    values = np.stack([w.values for w in windows], axis=1)
+    scaled_std = noise_std(values, cfg.noise).T
     for epoch in range(cfg.epochs_total):
         phase = 1 if epoch < pretrain_epochs else 2
         order = rng_shuffle.permutation(len(windows))
         for iteration, start in enumerate(range(0, len(windows), cfg.batch_size)):
-            targets = [windows[int(wi)] for wi in order[start : start + cfg.batch_size]]
+            batch = order[start : start + cfg.batch_size]
+            target = values.take(batch, axis=1)
             with Tape() as tape:
-                noisy = [inject_noise(w, cfg.noise, rng_noise).values for w in targets]
-                target = np.stack([w.values for w in targets], axis=1)
-                merged = _merged_forward(params, np.stack(noisy, axis=1), target, den_idx,
-                                         mean, std, cfg.predict_residual)
+                noisy = inject_noise(target, cfg.noise, scaled_std[batch], rng_noise)
+                z = (noisy[den_idx] - mean[:, None, None]) / std[:, None, None]
+                merged = merge_denoised(forward(params, Tensor(z)), z if cfg.predict_residual else None,
+                                        target, den_idx, mean, std)
                 l_rec_t = mse(merged, Tensor(target))
                 l_rec = float(l_rec_t.data)
                 if phase == 2:

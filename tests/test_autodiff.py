@@ -12,13 +12,11 @@ from physden.autodiff import (
     adam_step,
     add,
     backward,
-    concat,
     conv1d,
     exclusive_prefix_sum_values,
     mse,
     mul,
     prefix_sum_exclusive,
-    reduce_mean,
     reduce_sum,
     relu,
     take,
@@ -63,18 +61,15 @@ def test_tensor_rejects_four_dims():
 def test_reductions():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert reduce_sum(a).item() == 10.0
-    assert reduce_mean(a).item() == 2.5
+    assert mse(a, 0.0).item() == 7.5
 
 
-def test_take_and_concat_forward():
+def test_take_forward():
     a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert np.array_equal(take(a, (slice(None), slice(1, 3))).data, [[2.0, 3.0], [5.0, 6.0]])
     assert np.array_equal(take(a, ([0],)).data, [[1.0, 2.0, 3.0]])
     assert np.array_equal(take(a, ([1, 0, 1], slice(2, 3))).data, [[6.0], [3.0], [6.0]])
-    out = concat([Tensor([[1.0]]), Tensor([[2.0]])], axis=0)
-    assert np.array_equal(out.data, [[1.0], [2.0]])
-    with pytest.raises(ValueError, match="incompatible shapes"):
-        concat([Tensor([[1.0, 2.0]]), Tensor([[1.0]])], axis=0)
+    assert np.array_equal(take(a, ([1, 0],)).data, [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
 
 
 @pytest.mark.parametrize(
@@ -206,6 +201,18 @@ def test_mse_gradient():
     assert np.array_equal(backward(loss, tape)[a], [-3.0, -4.0])
 
 
+def test_mse_to_a_scalar_target_is_one_node():
+    a = leaf([1.0, 3.0])
+    b = leaf(0.0)
+    with Tape() as tape:
+        loss = mse(a, b)
+    assert loss.item() == 5.0
+    assert [node.op for node in tape.nodes] == ["mse"]
+    grads = backward(loss, tape)
+    assert np.array_equal(grads[a], [1.0, 3.0])
+    assert grads[b].shape == () and grads[b] == -4.0
+
+
 def test_conv1d_gradients_hand_values():
     # Box kernel, loss = sum(out): grad x counts kernel taps that see each
     # sample, grad w sums the padded input under each tap.
@@ -229,15 +236,12 @@ def test_prefix_sum_gradient_hand_values():
     assert np.array_equal(backward(loss, tape)[x], [60.0, 40.0, 0.0])
 
 
-def test_take_concat_gradient_routing():
-    x = leaf([[1.0, 2.0, 3.0, 4.0]])
-    y = leaf([[5.0, 6.0]])
+def test_take_gradient_routing():
+    x = leaf([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     with Tape() as tape:
-        piece = take(x, (slice(None), slice(1, 3)))
-        loss = reduce_sum(mul(concat([piece, y], axis=1), Tensor([[1.0, 2.0, 3.0, 4.0]])))
-    grads = backward(loss, tape)
-    assert np.array_equal(grads[x], [[0.0, 1.0, 2.0, 0.0]])
-    assert np.array_equal(grads[y], [[3.0, 4.0]])
+        piece = take(x, ([1, 0], slice(1, 3)))
+        loss = reduce_sum(mul(piece, Tensor([[1.0, 2.0], [3.0, 4.0]])))
+    assert np.array_equal(backward(loss, tape)[x], [[0.0, 3.0, 4.0, 0.0], [0.0, 1.0, 2.0, 0.0]])
 
 
 def test_take_repeated_row_accumulates_gradient():

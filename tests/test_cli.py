@@ -74,6 +74,14 @@ def test_unknown_command_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--threads", threads])
+    assert exc.value.code == 1
+    assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+
+
 def test_malformed_set_item(capsys):
     assert main(["simulate", "--set", "oops"]) == 1
     assert "SECTION.KEY=VALUE" in capsys.readouterr().err

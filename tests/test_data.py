@@ -21,6 +21,7 @@ from physden.data import (
     inject_noise,
     load_csv,
     load_manifest,
+    noise_std,
     save_csv,
     save_dataset,
     simulate_co2,
@@ -114,13 +115,19 @@ def test_noise_spec_validation():
         NoiseSpec(kind="zero-mask", mask_fraction=1.5)
 
 
+def noisy_window(w, spec, rng):
+    """inject_noise on a one-window block, as a C x T array."""
+    block = w.values[:, None, :]
+    return inject_noise(block, spec, noise_std(w.values, spec)[None], rng)[:, 0, :]
+
+
 def test_gaussian_noise_scales_with_channel_std():
     rng = np.random.default_rng(0)
     quiet = np.sin(np.linspace(0, 2 * np.pi, 500))
     loud = 100.0 * quiet
     w = make_window(np.vstack([quiet, loud]), names=["quiet", "loud"])
-    noisy = inject_noise(w, NoiseSpec(kind="gaussian", scale=0.1), rng)
-    dev = noisy.values - w.values
+    noisy = noisy_window(w, NoiseSpec(kind="gaussian", scale=0.1), rng)
+    dev = noisy - w.values
     ratio = dev[1].std() / dev[0].std()
     assert 50.0 < ratio < 200.0
 
@@ -128,27 +135,54 @@ def test_gaussian_noise_scales_with_channel_std():
 def test_noise_is_deterministic_per_generator_seed():
     w = make_window(np.random.default_rng(3).normal(size=(2, 50)))
     spec = NoiseSpec(kind="uniform", scale=0.2)
-    a = inject_noise(w, spec, np.random.default_rng(11))
-    b = inject_noise(w, spec, np.random.default_rng(11))
-    c = inject_noise(w, spec, np.random.default_rng(12))
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    a = noisy_window(w, spec, np.random.default_rng(11))
+    b = noisy_window(w, spec, np.random.default_rng(11))
+    c = noisy_window(w, spec, np.random.default_rng(12))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_zero_mask_zeroes_rounded_fraction_per_channel():
     w = make_window(np.ones((3, 40)))
-    masked = inject_noise(
+    masked = noisy_window(
         w, NoiseSpec(kind="zero-mask", mask_fraction=0.25), np.random.default_rng(5)
     )
-    for row in masked.values:
+    for row in masked:
         assert int((row == 0.0).sum()) == 10
 
 
 def test_uniform_noise_bounded_by_half_width():
     w = make_window(np.random.default_rng(1).normal(size=(1, 200)))
     half_width = 0.3 * w.values[0].std()
-    noisy = inject_noise(w, NoiseSpec(kind="uniform", scale=0.3), np.random.default_rng(2))
-    assert np.max(np.abs(noisy.values - w.values)) <= half_width
+    noisy = noisy_window(w, NoiseSpec(kind="uniform", scale=0.3), np.random.default_rng(2))
+    assert np.max(np.abs(noisy - w.values)) <= half_width
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "zero-mask"])
+def test_batch_noise_equals_one_draw_per_window(kind):
+    # The reference is one C x T draw per window, in batch order, from the
+    # same generator: the arithmetic of a window noised on its own.
+    spec = NoiseSpec(kind=kind, scale=0.3, mask_fraction=0.2)
+    windows = np.random.default_rng(4).normal(size=(3, 4, 25)) * [[[1.0], [10.0], [0.1], [3.0]]]
+    ref_rng = np.random.default_rng(9)
+    expected = []
+    for values in windows:
+        out = values.copy()
+        if kind == "zero-mask":
+            for row in out:
+                row[ref_rng.choice(25, size=5, replace=False)] = 0.0
+        else:
+            noise = (ref_rng.standard_normal((4, 25)) if kind == "gaussian"
+                     else ref_rng.uniform(-1.0, 1.0, size=(4, 25)))
+            noise *= (spec.scale * values.std(axis=-1))[:, None]
+            out += noise
+        expected.append(out)
+    block = np.stack(list(windows), axis=1)  # C x B x T
+    rng = np.random.default_rng(9)
+    got = inject_noise(block, spec, noise_std(windows, spec), rng)
+    assert got.tobytes() == np.stack(expected, axis=1).tobytes()
+    assert np.array_equal(block, np.stack(list(windows), axis=1))  # the input is not touched
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_corrupt_applies_constant_bias():

@@ -276,7 +276,7 @@ def test_ins_residual_tape_is_block_sized():
     with Tape() as tape:
         physics_loss_tensor(Tensor(block, requires_grad=True), ds.spec)
     # One gather per channel group, the fused residual, and its mean square.
-    assert [node.op for node in tape.nodes] == ["take"] * 4 + ["residual_ins", "mul", "reduce_mean"]
+    assert [node.op for node in tape.nodes] == ["take"] * 4 + ["residual_ins", "mse"]
 
 
 def test_residual_ins_gradcheck_family_batched_and_unbatched():

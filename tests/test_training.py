@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import physden
+import physden.training as training_mod
+from physden.autodiff import Tensor, mul, reduce_sum
 from physden.data import (
     NoiseSpec,
     SampleWindow,
@@ -17,6 +19,7 @@ from physden.data import (
     generate_dataset,
     simulate_hvac,
 )
+from physden.gradcheck import check_gradient
 from physden.model import denoise
 from physden.physics import (
     CHANNEL_NAMES,
@@ -32,6 +35,7 @@ from physden.training import (
     TrainConfig,
     TrainingAborted,
     _lambda_for,
+    merge_denoised,
     read_log_csv,
     train,
     write_log_csv,
@@ -239,6 +243,43 @@ def test_passthrough_channels_come_from_target_window():
     w = ds.train_windows[0]
     restored = denoise(result.denoiser, w)
     assert np.array_equal(restored.row("dq"), w.row("dq"))
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("residual", [False, True])
+def test_merge_denoised_values_and_gradient(batch, residual):
+    rng = np.random.default_rng(len(batch) + 2 * residual)
+    rows, shape = [3, 1], (*batch, 6)  # neither first nor contiguous
+    y = rng.normal(size=(2, *shape))
+    z = rng.normal(size=y.shape) if residual else None
+    base = rng.normal(size=(5, *shape))
+    mean, std = np.array([0.5, -2.0]), np.array([3.0, 0.25])
+    out = merge_denoised(Tensor(y), z, base, rows, mean, std).data
+    for j, row in enumerate(rows):
+        assert np.array_equal(out[row], ((y[j] + z[j]) if residual else y[j]) * std[j] + mean[j])
+    for row in (0, 2, 4):
+        assert np.array_equal(out[row], base[row])
+    w = Tensor(rng.normal(size=base.shape))
+    fn = lambda xs: reduce_sum(mul(merge_denoised(xs[0], z, base, rows, mean, std), w))
+    assert check_gradient(fn, [y]) <= 1e-5
+
+
+def test_phase2_ins_batch_records_seventeen_nodes(monkeypatch):
+    ds = generate_dataset(SimulateConfig(family="ins", count=4, duration=0.3, dt=0.01, seed=1))
+    cfg = dataclasses.replace(SMALL, epochs_total=2, pretrain_fraction=0.5, predict_residual=True)
+    tapes = []
+    real_backward = training_mod.backward
+
+    def recording_backward(loss, tape):
+        tapes.append([node.op for node in tape.nodes])
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(training_mod, "backward", recording_backward)
+    result = train(ds.train_windows, ds.spec, cfg, norm_stats=ds.norm_stats)
+    assert result.log[-1].phase == 2
+    model = ["conv1d", "relu"] * 3 + ["conv1d"]
+    assert tapes[-1] == model + ["merge", "mse"] + ["take"] * 4 + ["residual_ins", "mse", "mul", "add"]
+    assert tapes[0] == model + ["merge", "mse"]
 
 
 def test_log_csv_round_trip(tmp_path):
