@@ -240,39 +240,23 @@ def reduce_sum(a) -> Tensor:
     return _record("reduce_sum", (a,), np.asarray(a.data.sum()), vjp)
 
 
-def take(a, index: Sequence) -> Tensor:
-    """``a.data[index]``: a unit-step slice or an integer list per leading axis.
-
-    At most one axis takes a list, which may repeat an entry; the gradient
-    of a repeated entry accumulates.
-    """
+def take(a, rows: Sequence[int]) -> Tensor:
+    """``a.data[rows]``: distinct rows of the leading axis, in the given order."""
     a = _as_tensor(a)
-    shape = a.data.shape
-    if len(index) > len(shape) or sum(not isinstance(ix, slice) for ix in index) > 1:
-        raise ValueError(f"take: index {index} does not fit a {len(shape)}-d tensor")
-    for axis, (ix, dim) in enumerate(zip(index, shape)):
-        if isinstance(ix, slice):
-            lo, hi = ix.start or 0, dim if ix.stop is None else ix.stop
-            ok = ix.step in (None, 1) and 0 <= lo < hi <= dim
-        else:
-            ok = len(ix) > 0 and 0 <= min(ix) and max(ix) < dim
-        if not ok:
-            raise ValueError(f"take: {ix} outside axis {axis} of size {dim}")
-    index = tuple(index)
-    repeats = any(not isinstance(ix, slice) and len(set(ix)) < len(ix) for ix in index)
+    rows = list(rows)
+    dim = a.data.shape[0] if a.data.ndim else 0
+    if not rows or min(rows) < 0 or max(rows) >= dim or len(set(rows)) < len(rows):
+        raise ValueError(f"take: rows {rows} are not distinct rows of an axis of size {dim}")
 
     def vjp(g):
         if not a.requires_grad:
             return (None,)
-        ga = np.zeros(shape)
-        if repeats:
-            np.add.at(ga, index, g)
-        else:
-            # Each position is hit once, so this is np.add.at's 0.0 + g, faster.
-            ga[index] += g
+        ga = np.zeros(a.data.shape)
+        # Each row is hit once, so this is np.add.at's 0.0 + g, faster.
+        ga[rows] += g
         return (ga,)
 
-    return _record("take", (a,), a.data[index], vjp)
+    return _record("take", (a,), a.data[rows], vjp)
 
 
 def exclusive_prefix_sum_values(x: np.ndarray) -> np.ndarray:

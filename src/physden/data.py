@@ -539,6 +539,18 @@ class Dataset:
         return [self.windows[i] for i in self.split[1]]
 
 
+def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[SampleWindow],
+             split: tuple[list[int], list[int]] | None = None,
+             denoise_channels: Sequence[str] = ()) -> Dataset:
+    """A Dataset of observed windows: the family's channel map by name, the
+    given split (by default split_by_alignment) and the train split's norm stats."""
+    spec = PhysicsSpec(family, environment, default_channel_map(family, windows[0].channels))
+    split = split or split_by_alignment(windows, spec)
+    stats = compute_norm_stats([windows[i] for i in split[0]] or windows)
+    return Dataset(windows, spec, split, stats, clean=clean or None,
+                   denoise_channels=list(denoise_channels))
+
+
 # ---------------------------------------------------------------------------
 # CSV window files
 
@@ -757,7 +769,12 @@ def load_manifest(path) -> Dataset:
     units = dict(cfg["units"]) if "units" in cfg else {}
 
     def window(key: str) -> SampleWindow:
-        w = load_csv(base / cfg["windows"][key], schema=CHANNEL_NAMES[family])
+        file = base / cfg["windows"][key]
+        w = load_csv(file, schema=CHANNEL_NAMES[family])
+        if windows and w.channels != windows[0].channels:
+            # Every window is read with window 0's channel map.
+            raise ValueError(f"{file}:1: columns {','.join(w.channels)} differ from "
+                             f"the first window's {','.join(windows[0].channels)}")
         w.units = [units.get(name, "1") for name in w.channels]
         return w
 
@@ -775,28 +792,12 @@ def load_manifest(path) -> Dataset:
     if clean and len(clean) != count:
         raise ValueError(f"{path}: expected 0 or {count} clean windows, got {len(clean)}")
 
-    spec = PhysicsSpec(
-        family=family,
-        environment=env,
-        channel_map=default_channel_map(family, windows[0].channels),
-    )
-
+    split = None
     if "split" in cfg and cfg["split"].get("train"):
         train = [int(v) for v in cfg["split"]["train"].split(",") if v]
         test = [int(v) for v in _manifest_value(cfg["split"], "test").split(",") if v != ""]
         split = (train, test)
-    else:
-        split = split_by_alignment(windows, spec)
-
-    stats = compute_norm_stats([windows[i] for i in split[0]] or windows)
-    return Dataset(
-        windows=windows,
-        spec=spec,
-        split=split,
-        norm_stats=stats,
-        clean=clean or None,
-        denoise_channels=denoise,
-    )
+    return _dataset(family, env, windows, clean, split, denoise)
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +858,8 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
 
     Windows share one environment. For the CO2 family the driving schedules
     live in that shared environment, so every clean window in a dataset is
-    the same trajectory and only the noise differs; the inertial and HVAC
-    generators draw fresh schedules per window.
+    the same trajectory, simulated once, and only the noise differs; the
+    inertial and HVAC generators draw fresh schedules per window.
     """
     ss = np.random.SeedSequence(cfg.seed)
     sim_seeds = ss.spawn(cfg.count)
@@ -877,13 +878,11 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
             flow=cfg.flow,
             inflow_ppm=cfg.inflow_ppm,
         )
-        clean = []
-        for seed in sim_seeds:
-            # The first window draws the occupancy schedule; the rest reuse it.
-            w, env = simulate_co2(
-                cfg.duration, cfg.dt, env, seed=seed, outdoor_offset=cfg.outdoor_offset
-            )
-            clean.append(w)
+        # The first seed draws the occupancy schedule, which fixes the trajectory.
+        w, env = simulate_co2(
+            cfg.duration, cfg.dt, env, seed=sim_seeds[0], outdoor_offset=cfg.outdoor_offset
+        )
+        clean = [SampleWindow(w.channels, w.values.copy(), w.dt, w.units) for _ in sim_seeds]
     else:
         env = HvacEnvironment(dt=cfg.dt, mass_flow=cfg.mass_flow, specific_heat=cfg.specific_heat)
         clean = [simulate_hvac(cfg.duration, cfg.dt, env, seed=seed)[0] for seed in sim_seeds]
@@ -909,19 +908,4 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
     if bias is not None:
         observed += bias[:, None]
     windows = [SampleWindow(w.channels, v, w.dt, w.units) for w, v in zip(clean, observed)]
-
-    spec = PhysicsSpec(
-        family=cfg.family,
-        environment=env,
-        channel_map=default_channel_map(cfg.family, windows[0].channels),
-    )
-    split = split_by_alignment(windows, spec)
-    stats = compute_norm_stats([windows[i] for i in split[0]])
-    return Dataset(
-        windows=windows,
-        spec=spec,
-        split=split,
-        norm_stats=stats,
-        clean=clean,
-        denoise_channels=list(DENOISE_CHANNELS[cfg.family]),
-    )
+    return _dataset(cfg.family, env, windows, clean)

@@ -27,7 +27,7 @@ from .autodiff import (
     sub,
     take,
 )
-from .model import ModelParams, forward, init_params
+from .model import ModelParams, forward, init_params, merge_denoised
 from .physics import (
     Co2Environment,
     HvacEnvironment,
@@ -37,7 +37,6 @@ from .physics import (
     default_channel_map,
     stacked_residual,
 )
-from .training import merge_denoised
 
 __all__ = ["CheckResult", "check_gradient", "run_suite", "SUITE_FAMILIES"]
 
@@ -197,14 +196,11 @@ def _reduce_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarra
 
 
 def _take_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    a = rng.uniform(-2.0, 2.0, size=(3, 7))
-    rows = rng.integers(0, 3, size=4)
-    rows[-1] = rows[0]  # a repeated row accumulates its gradient
-    start = int(rng.integers(0, 6))
-    stop = int(rng.integers(start + 1, 8))
-    w = rng.uniform(-1.0, 1.0, size=(4, stop - start))
-    index = (list(rows), slice(start, stop))
-    return (lambda xs: _weighted_sum(take(xs[0], index), w)), [a]
+    """Three distinct rows of four, in drawn order."""
+    a = rng.uniform(-2.0, 2.0, size=(4, *_batch(rng), 6))
+    rows = list(rng.permutation(4)[:3])
+    w = rng.uniform(-1.0, 1.0, size=(3, *a.shape[1:]))
+    return (lambda xs: _weighted_sum(take(xs[0], rows), w)), [a]
 
 
 def _prefix_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d, relu
+from .autodiff import Tensor, _record, conv1d, relu
 from .data import SampleWindow
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "init_params",
     "param_count",
     "forward",
+    "merge_denoised",
     "Denoiser",
     "denoise",
     "save_checkpoint",
@@ -93,6 +94,31 @@ def forward(params: ModelParams, x: Tensor) -> Tensor:
     return h
 
 
+def merge_denoised(
+    y: Tensor,
+    z: np.ndarray | None,
+    base: np.ndarray,
+    rows: Sequence[int],
+    mean: np.ndarray,
+    std: np.ndarray,
+) -> Tensor:
+    """base with rows[j] replaced by (y[j] + z[j]) * std[j] + mean[j], as one tape node.
+
+    y is the model output on the z-scored rows z (z None adds nothing), both
+    c x [B x] T with c = len(rows); base is C x [B x] T, and its other rows
+    are constants. The VJP's 0.0 + turns -0.0 into 0.0, as a scatter into
+    zeros does, so the gradient has the bits of the unfused add/mul/take ops.
+    """
+    scale, shift = (v.reshape(-1, *[1] * (y.data.ndim - 1)) for v in (std, mean))
+    out = base.copy()
+    out[rows] = (y.data if z is None else y.data + z) * scale + shift
+
+    def vjp(g):
+        return ((0.0 + g[rows]) * scale,)
+
+    return _record("merge", (y,), out, vjp)
+
+
 @dataclass
 class Denoiser:
     """Model plus the channel subset it reconstructs and its frozen z-score stats.
@@ -128,7 +154,11 @@ class Denoiser:
 
 
 def denoise(denoiser: Denoiser, window: SampleWindow) -> SampleWindow:
-    """Reconstruct the denoiser's channels; every other row passes through as-is."""
+    """Reconstruct the denoiser's channels; every other row passes through as-is.
+
+    The window's z-scored rows go through forward and merge_denoised, the
+    output head of training, so a window is restored as training restores it.
+    """
     missing = [c for c in denoiser.channels if c not in window.channels]
     if missing:
         raise ValueError(
@@ -136,17 +166,11 @@ def denoise(denoiser: Denoiser, window: SampleWindow) -> SampleWindow:
             f"(checkpoint reconstructs {', '.join(denoiser.channels)})"
         )
     idx = [window.channels.index(name) for name in denoiser.channels]
-    x = window.values[idx, :]
-    z = (x - denoiser.norm_mean[:, None]) / denoiser.norm_std[:, None]
-    y = forward(denoiser.params, Tensor(z)).data
-    if denoiser.predict_residual:
-        y = z + y
-    restored = y * denoiser.norm_std[:, None] + denoiser.norm_mean[:, None]
-    merged = window.values.copy()
-    merged[idx, :] = restored
-    return SampleWindow(
-        channels=list(window.channels), values=merged, dt=window.dt, units=list(window.units)
-    )
+    mean, std = denoiser.norm_mean, denoiser.norm_std
+    z = (window.values[idx] - mean[:, None]) / std[:, None]
+    merged = merge_denoised(forward(denoiser.params, Tensor(z)), z if denoiser.predict_residual else None,
+                            window.values, idx, mean, std)
+    return SampleWindow(list(window.channels), merged.data, window.dt, list(window.units))
 
 
 def save_checkpoint(denoiser: Denoiser, path) -> None:

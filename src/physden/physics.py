@@ -57,7 +57,7 @@ __all__ = [
     "stacked_residual",
     "window_residual",
     "window_residuals",
-    "check_dt",
+    "check_window",
     "physics_loss",
     "physics_loss_tensor",
     "STANDARD_GRAVITY",
@@ -235,6 +235,9 @@ class PhysicsSpec:
             raise ValueError(
                 f"channel_map for {self.family} is missing symbols: {', '.join(missing)}"
             )
+        rows = [self.channel_map[n] for n in CHANNEL_NAMES[self.family]]
+        if len(set(rows)) < len(rows):
+            raise ValueError(f"channel_map for {self.family} points two symbols at one row: {rows}")
 
     @property
     def dt(self) -> float:
@@ -430,7 +433,7 @@ def _gather(values: Tensor, spec: PhysicsSpec, names: Sequence[str]) -> Tensor:
             raise ValueError(
                 f"channel_map points {name!r} at row {i}, but the window has {rows} rows"
             )
-    return take(values, (idx,))
+    return take(values, idx)
 
 
 def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
@@ -464,14 +467,14 @@ def window_residuals(windows: Sequence["SampleWindow"], spec: PhysicsSpec) -> li
     """All residual rows of the given physics family on each window, as plain values.
 
     The one evaluation behind the physics loss, the alignment split, the
-    evaluation metrics and the CLI's self-check; every window's dt must match
-    the environment's. Windows of one shape and channel layout are stacked,
+    evaluation metrics and the CLI's self-check; every window must pass
+    check_window. Windows of one shape and channel layout are stacked,
     RESIDUAL_BLOCK at a time, into C x B x T blocks, each one stacked_residual
     call; every window gets the residual it gets on its own, as its own
     contiguous array.
     """
     for window in windows:
-        check_dt(window, spec)
+        check_window(window, spec)
     groups: dict[tuple, list[int]] = {}
     for i, window in enumerate(windows):
         groups.setdefault((window.values.shape, tuple(window.channels)), []).append(i)
@@ -491,14 +494,16 @@ def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
     return window_residuals([window], spec)[0]
 
 
-def check_dt(window: "SampleWindow", spec: PhysicsSpec) -> None:
-    """Reject a window sampled at another rate than the environment's.
-
-    Residuals scale with dt, so such a window would be misjudged, not
-    merely measured in other units.
-    """
+def check_window(window: "SampleWindow", spec: PhysicsSpec) -> None:
+    """Reject a window sampled at another rate than the environment's (residuals
+    scale with dt), or one whose mapped rows do not carry their symbols' names."""
     if abs(window.dt - spec.dt) > 1e-9 * max(window.dt, spec.dt):
         raise ValueError(f"window dt {window.dt} does not match environment dt {spec.dt}")
+    for name in CHANNEL_NAMES[spec.family]:
+        row = spec.channel_map[name]
+        if not 0 <= row < len(window.channels) or window.channels[row] != name:
+            raise ValueError(f"channel_map points {name!r} at row {row}, but the window's "
+                             f"channels are {', '.join(window.channels)}")
 
 
 def physics_loss(window: "SampleWindow", spec: PhysicsSpec) -> float:

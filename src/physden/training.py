@@ -27,7 +27,6 @@ from .autodiff import (
     NumericalError,
     Tape,
     Tensor,
-    _record,
     adam_step,
     add,
     backward,
@@ -45,8 +44,8 @@ from .data import (
     NormStats,
 )
 from .metrics import write_rows_csv
-from .model import Denoiser, ModelParams, denoise, forward, init_params
-from .physics import DENOISE_CHANNELS, PhysicsSpec, check_dt, physics_loss_tensor
+from .model import Denoiser, ModelParams, denoise, forward, init_params, merge_denoised
+from .physics import DENOISE_CHANNELS, PhysicsSpec, check_window, physics_loss_tensor
 
 __all__ = [
     "NoiseSpec",
@@ -55,7 +54,6 @@ __all__ = [
     "TrainResult",
     "TrainingAborted",
     "train",
-    "merge_denoised",
     "write_log_csv",
     "read_log_csv",
     "BIAS_CSV_COLUMNS",
@@ -189,31 +187,6 @@ def _lambda_for(l_rec: float, l_phy: float, mode: str, value: float) -> float:
 # Training loop
 
 
-def merge_denoised(
-    y: Tensor,
-    z: np.ndarray | None,
-    base: np.ndarray,
-    rows: Sequence[int],
-    mean: np.ndarray,
-    std: np.ndarray,
-) -> Tensor:
-    """base with rows[j] replaced by (y[j] + z[j]) * std[j] + mean[j], as one tape node.
-
-    y is the model output on the z-scored rows z (z None adds nothing), both
-    c x [B x] T with c = len(rows); base is C x [B x] T, and its other rows
-    are constants. The VJP's 0.0 + turns -0.0 into 0.0, as a scatter into
-    zeros does, so the gradient has the bits of the unfused add/mul/take ops.
-    """
-    scale, shift = (v.reshape(-1, *[1] * (y.data.ndim - 1)) for v in (std, mean))
-    out = base.copy()
-    out[rows] = (y.data if z is None else y.data + z) * scale + shift
-
-    def vjp(g):
-        return ((0.0 + g[rows]) * scale,)
-
-    return _record("merge", (y,), out, vjp)
-
-
 def _snapshot(params: ModelParams) -> list[np.ndarray]:
     return [t.data.copy() for t in params.all_tensors()]
 
@@ -236,8 +209,8 @@ def train(
     are reconstruction-only (phase 1, residual never evaluated); the rest
     add the weighted residual (phase 2). Windows are shuffled each epoch and
     batched; a batch runs as one channel x window x time block, so all
-    windows must share one channel layout, one length and the environment's
-    dt, and each batch loss is a mean over all of its windows' entries.
+    windows must share one channel layout and one length and pass
+    check_window, and each batch loss is a mean over all of its windows' entries.
     All randomness (init, shuffling, injected noise) derives from cfg.seed,
     so runs repeat bitwise. Raises TrainingAborted on non-finite loss or
     gradient, carrying the last epoch-end parameters.
@@ -252,7 +225,7 @@ def train(
             raise ValueError("train: all windows must share one channel layout")
         if w.n_timesteps != t_len:
             raise ValueError(f"train: window {i} has length {w.n_timesteps}, window 0 has {t_len}")
-        check_dt(w, spec)
+        check_window(w, spec)
     if denoise_channels is None:
         denoise_channels = DENOISE_CHANNELS[spec.family]
     denoise_channels = [str(c) for c in denoise_channels]

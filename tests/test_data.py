@@ -242,6 +242,18 @@ def test_co2_shares_one_schedule_through_env():
     assert np.array_equal(first.values, second.values)
 
 
+def test_co2_dataset_windows_are_one_trajectory_in_separate_copies():
+    cfg = SimulateConfig(family="co2", count=4, duration=900.0, dt=30.0, seed=3)
+    ds = generate_dataset(cfg)
+    first_seed = np.random.SeedSequence(cfg.seed).spawn(cfg.count)[0]
+    alone, env = simulate_co2(900.0, 30.0, dataclasses.replace(ds.spec.environment, occupants=0.0),
+                              seed=first_seed)
+    assert np.array_equal(env.occupants, ds.spec.environment.occupants)
+    for i, window in enumerate(ds.clean):
+        assert window.values.tobytes() == alone.values.tobytes()
+        assert not any(np.shares_memory(window.values, other.values) for other in ds.clean[:i])
+
+
 def test_co2_occupancy_drives_concentration_up():
     env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0,
                          occupants=3.0)
@@ -521,6 +533,20 @@ def test_manifest_rejects_series_mark_on_fixed_field(tmp_path, family, key):
     with manifest.open("w") as fh:
         cfg.write(fh)
     with pytest.raises(ValueError, match=f"{key} cannot vary per timestep"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("name", ["clean_001.csv", "noisy_002.csv"])
+def test_load_manifest_rejects_columns_in_another_order(tmp_path, name):
+    ds = generate_dataset(SimulateConfig(family="hvac", count=4, seed=1))
+    manifest = save_dataset(ds, tmp_path / "run")
+    w = load_csv(tmp_path / "run" / name)
+    order = [w.channels.index(c) for c in ("dq", "t_sa", "t_mix")]
+    save_csv(SampleWindow([w.channels[i] for i in order], w.values[order], w.dt, w.units),
+             tmp_path / "run" / name)
+    # Read with window 0's channel map, that clean window would score phys_mse ~4.6e11, not 0.0.
+    with pytest.raises(ValueError, match=f"{name}:1: columns dq,t_sa,t_mix differ from "
+                                         "the first window's t_sa,t_mix,dq"):
         load_manifest(manifest)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from physden.autodiff import Tensor
-from physden.data import SimulateConfig, generate_dataset, simulate_hvac
+from physden.data import SampleWindow, SimulateConfig, generate_dataset, simulate_hvac
 from physden.metrics import (
     REPORT_COLUMNS,
     evaluate,
@@ -80,6 +80,17 @@ def test_evaluate_rejects_dt_mismatch():
     window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
     with pytest.raises(ValueError, match="dt"):
         evaluate("x", [window], hvac_spec(HvacEnvironment(dt=30.0)))
+
+
+def test_evaluate_rejects_a_window_whose_rows_are_in_another_order():
+    env = HvacEnvironment(dt=60.0)
+    window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
+    order = [2, 0, 1]
+    permuted = SampleWindow([window.channels[i] for i in order], window.values[order],
+                            window.dt, [window.units[i] for i in order])
+    with pytest.raises(ValueError, match="channel_map points 't_sa' at row 0, "
+                                         "but the window's channels are dq, t_sa, t_mix"):
+        evaluate("x", [permuted], hvac_spec(env), clean=[permuted])
 
 
 def test_evaluate_pools_entries_across_windows():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from physden.autodiff import Tape, Tensor, backward, reduce_sum
-from physden.data import SampleWindow
+from physden.data import SampleWindow, simulate_hvac, simulate_ins
 from physden.model import (
     KERNEL_SIZES,
     Denoiser,
@@ -14,6 +14,7 @@ from physden.model import (
     param_count,
     save_checkpoint,
 )
+from physden.physics import HvacEnvironment
 
 
 def make_window(values, names=None):
@@ -170,6 +171,36 @@ def test_predict_residual_adds_in_z_space():
     # zeroed network: plain mode collapses to the mean, residual mode to identity
     assert np.all(denoise(plain, window).row("sig") == 0.0)
     assert np.array_equal(denoise(residual, window).row("sig"), window.row("sig"))
+
+
+def reference_denoise(den: Denoiser, window: SampleWindow) -> np.ndarray:
+    """Values of a window restored by a merge written out step by step."""
+    idx = [window.channels.index(name) for name in den.channels]
+    z = (window.values[idx, :] - den.norm_mean[:, None]) / den.norm_std[:, None]
+    y = forward(den.params, Tensor(z)).data
+    if den.predict_residual:
+        y = z + y
+    merged = window.values.copy()
+    merged[idx, :] = y * den.norm_std[:, None] + den.norm_mean[:, None]
+    return merged
+
+
+@pytest.mark.parametrize("family", ["ins", "hvac"])
+@pytest.mark.parametrize("residual", [False, True])
+def test_denoise_equals_a_step_by_step_merge_bitwise(family, residual):
+    if family == "ins":
+        window, _ = simulate_ins(0.5, 0.01, seed=3)
+        names = ["qx", "px", "qz", "ay"]  # neither contiguous nor in window order
+    else:
+        window, _ = simulate_hvac(1200.0, 60.0, HvacEnvironment(dt=60.0), seed=3)
+        names = ["dq", "t_sa"]
+    rng = np.random.default_rng(5)
+    n = len(names)
+    den = Denoiser(init_params(n, (4, 6, 4), rng), names, rng.normal(size=n),
+                   rng.uniform(0.5, 2.0, size=n), predict_residual=residual)
+    restored = denoise(den, window)
+    assert restored.values.tobytes() == reference_denoise(den, window).tobytes()
+    assert (restored.channels, restored.units, restored.dt) == (window.channels, window.units, window.dt)
 
 
 # ---------------------------------------------------------------------------

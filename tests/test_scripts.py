@@ -58,3 +58,18 @@ def test_perfbench_traced_ins_train_runs():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
     assert result["metrics"]["autodiff.tape_nodes_per_step"]["value"] > 0
+
+
+def test_perfbench_traced_denoise_serve_runs():
+    # The traced run replaces physden.model's forward, which denoise calls.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "denoise-serve",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    assert result["metrics"]["model.forward_ms_per_window"]["value"] > 0

@@ -20,7 +20,7 @@ from physden.data import (
     simulate_hvac,
 )
 from physden.gradcheck import check_gradient
-from physden.model import denoise
+from physden.model import denoise, merge_denoised
 from physden.physics import (
     CHANNEL_NAMES,
     HvacEnvironment,
@@ -35,7 +35,6 @@ from physden.training import (
     TrainConfig,
     TrainingAborted,
     _lambda_for,
-    merge_denoised,
     read_log_csv,
     train,
     write_log_csv,
@@ -233,6 +232,16 @@ def test_train_validates_inputs():
     slow = [dataclasses.replace(w, dt=120.0) for w in ds.train_windows]
     with pytest.raises(ValueError, match="window dt 120.0 does not match environment dt 60.0"):
         train(slow, ds.spec, SMALL)
+
+
+def test_train_rejects_windows_whose_rows_are_in_another_order():
+    ds = hvac_setup()
+    order = [1, 0, 2]
+    permuted = [SampleWindow([w.channels[i] for i in order], w.values[order], w.dt,
+                             [w.units[i] for i in order]) for w in ds.train_windows]
+    with pytest.raises(ValueError, match="channel_map points 't_sa' at row 0, "
+                                         "but the window's channels are t_mix, t_sa, dq"):
+        train(permuted, ds.spec, SMALL)
 
 
 def test_passthrough_channels_come_from_target_window():
