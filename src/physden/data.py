@@ -50,7 +50,6 @@ __all__ = [
     "simulate_hvac",
     "inject_noise",
     "noise_std",
-    "corrupt",
     "alignment_score",
     "split_by_alignment",
     "compute_norm_stats",
@@ -172,12 +171,6 @@ class NoiseSpec:
             raise ValueError(f"NoiseSpec: mask_fraction must be in [0,1], got {self.mask_fraction}")
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def noise_std(values: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Each window's per-channel noise scale: spec.scale times the channel's std over time."""
     return spec.scale * values.std(axis=-1)
@@ -226,26 +219,6 @@ def inject_noise(block: np.ndarray, spec: NoiseSpec, scaled_std: np.ndarray,
     noisy = block.copy()
     _add_noise(noisy.transpose(1, 0, 2), spec, rng, scaled_std)
     return noisy
-
-
-def corrupt(
-    clean: SampleWindow,
-    noise: NoiseSpec | None = None,
-    bias: np.ndarray | Sequence[float] | None = None,
-    rng=None,
-) -> SampleWindow:
-    """Observed window: clean + drawn noise + constant per-channel bias."""
-    values = clean.values.copy()
-    if noise is not None:
-        _add_noise(values[None], noise, _as_rng(rng))
-    if bias is not None:
-        offsets = np.asarray(bias, dtype=np.float64)
-        if offsets.shape != (values.shape[0],):
-            raise ValueError(
-                f"corrupt: bias must have one entry per channel, got shape {offsets.shape}"
-            )
-        values = values + offsets[:, None]
-    return SampleWindow(clean.channels, values, clean.dt, clean.units)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +873,7 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
             bias[i] = frac * pooled.std[i]
 
     noise = NoiseSpec(kind=cfg.noise_kind, scale=cfg.noise_scale, mask_fraction=cfg.mask_fraction)
-    # corrupt, RESIDUAL_BLOCK windows at a time: one 64-window block raised peak RSS by 1 MB.
+    # Noise RESIDUAL_BLOCK windows at a time: one 64-window block raised peak RSS by 1 MB.
     observed = np.stack([w.values for w in clean])
     rngs = [np.random.default_rng(seed) for seed in noise_seeds]
     for lo in range(0, len(clean), RESIDUAL_BLOCK):

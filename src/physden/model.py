@@ -15,6 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor, _record, conv1d, relu
 from .data import SampleWindow
+from .physics import same_dt
 
 __all__ = [
     "KERNEL_SIZES",
@@ -124,7 +125,9 @@ class Denoiser:
     """Model plus the channel subset it reconstructs and its frozen z-score stats.
 
     With predict_residual the network learns a correction added to its input
-    (in z-scored space) instead of the signal itself; off by default.
+    (in z-scored space) instead of the signal itself; off by default. dt is
+    the sampling interval the model was trained at (train sets it), or None
+    for a model that accepts windows at any rate.
     """
 
     params: ModelParams
@@ -132,6 +135,7 @@ class Denoiser:
     norm_mean: np.ndarray
     norm_std: np.ndarray
     predict_residual: bool = False
+    dt: float | None = None
 
     def __post_init__(self):
         self.norm_mean = np.asarray(self.norm_mean, dtype=np.float64)
@@ -146,6 +150,8 @@ class Denoiser:
             raise ValueError("Denoiser: norm_mean and norm_std must be finite")
         if np.any(self.norm_std <= 0):
             raise ValueError("Denoiser: norm_std entries must be positive")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"Denoiser: dt must be positive and finite, got {self.dt}")
         expected = self.params.weights[0].data.shape[1]
         if n != expected:
             raise ValueError(
@@ -158,7 +164,10 @@ def denoise(denoiser: Denoiser, window: SampleWindow) -> SampleWindow:
 
     The window's z-scored rows go through forward and merge_denoised, the
     output head of training, so a window is restored as training restores it.
+    A window sampled at another rate than the denoiser's dt is rejected.
     """
+    if denoiser.dt is not None and not same_dt(window.dt, denoiser.dt):
+        raise ValueError(f"window dt {window.dt} does not match the denoiser's training dt {denoiser.dt}")
     missing = [c for c in denoiser.channels if c not in window.channels]
     if missing:
         raise ValueError(
@@ -184,11 +193,14 @@ def save_checkpoint(denoiser: Denoiser, path) -> None:
     arrays["channels"] = np.array(denoiser.channels, dtype=str)
     arrays["n_layers"] = np.array(len(denoiser.params.weights))
     arrays["predict_residual"] = np.array(denoiser.predict_residual)
+    if denoiser.dt is not None:
+        arrays["dt"] = np.array(denoiser.dt)
     arrays["format_version"] = np.array(1)
     np.savez(path, **arrays)
 
 
 def load_checkpoint(path) -> Denoiser:
+    """Read a save_checkpoint file; one without a dt entry gives a denoiser with dt None."""
     with np.load(path, allow_pickle=False) as bundle:
         version = int(bundle["format_version"])
         if version != 1:
@@ -205,4 +217,5 @@ def load_checkpoint(path) -> Denoiser:
             norm_mean=bundle["norm_mean"],
             norm_std=bundle["norm_std"],
             predict_residual=bool(bundle["predict_residual"]),
+            dt=float(bundle["dt"]) if "dt" in bundle.files else None,
         )

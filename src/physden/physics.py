@@ -57,6 +57,7 @@ __all__ = [
     "stacked_residual",
     "window_residual",
     "window_residuals",
+    "same_dt",
     "check_window",
     "physics_loss",
     "physics_loss_tensor",
@@ -494,10 +495,15 @@ def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
     return window_residuals([window], spec)[0]
 
 
+def same_dt(a: float, b: float) -> bool:
+    """Whether two sampling intervals agree to within a relative 1e-9."""
+    return abs(a - b) <= 1e-9 * max(a, b)
+
+
 def check_window(window: "SampleWindow", spec: PhysicsSpec) -> None:
     """Reject a window sampled at another rate than the environment's (residuals
     scale with dt), or one whose mapped rows do not carry their symbols' names."""
-    if abs(window.dt - spec.dt) > 1e-9 * max(window.dt, spec.dt):
+    if not same_dt(window.dt, spec.dt):
         raise ValueError(f"window dt {window.dt} does not match environment dt {spec.dt}")
     for name in CHANNEL_NAMES[spec.family]:
         row = spec.channel_map[name]

@@ -11,11 +11,16 @@ Batches re-noise the observed windows on the fly: the model sees window
 plus fresh noise and is trained to reproduce the window, which is what
 makes the denoiser generalize instead of memorizing. Each batch draws its
 noise once, for all of its windows.
+
+The acceptance gate's experiment lives here too: its inertial dataset
+(GATE_DATA), its training (GATE_TRAIN) and the weighting sweep over them
+(lambda_sweep), which the gate and scripts/lambda_sweep.py both run.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +39,7 @@ from .autodiff import (
     mul,
 )
 from .data import (
+    Dataset,
     NoiseSpec,
     SampleWindow,
     SimulateConfig,
@@ -43,9 +49,9 @@ from .data import (
     noise_std,
     NormStats,
 )
-from .metrics import write_rows_csv
+from .metrics import EvalReport, evaluate, write_rows_csv
 from .model import Denoiser, ModelParams, denoise, forward, init_params, merge_denoised
-from .physics import DENOISE_CHANNELS, PhysicsSpec, check_window, physics_loss_tensor
+from .physics import CHANNEL_NAMES, DENOISE_CHANNELS, PhysicsSpec, check_window, physics_loss_tensor
 
 __all__ = [
     "NoiseSpec",
@@ -60,6 +66,10 @@ __all__ = [
     "write_bias_csv",
     "BiasDemoReport",
     "bias_demo",
+    "GATE_DATA",
+    "GATE_TRAIN",
+    "SweepRun",
+    "lambda_sweep",
 ]
 
 LAMBDA_MIN = 1e-8
@@ -256,6 +266,7 @@ def train(
             norm_mean=mean.copy(),
             norm_std=std.copy(),
             predict_residual=cfg.predict_residual,
+            dt=spec.dt,
         )
 
     # The windows never change: one C x N x T block and each window's noise scale.
@@ -415,3 +426,76 @@ def bias_demo(eta_frac: float, n_windows: int = 48, seed: int = 11) -> BiasDemoR
         phys_mean_error=phys_mean,
         phys_stderr=phys_se,
     )
+
+
+# ---------------------------------------------------------------------------
+# The gate's weighting sweep
+
+
+# 64 windows of 128 samples; observations carry gaussian noise at 0.2 of
+# each channel's std plus a constant offset of 0.3 std on every channel.
+GATE_DATA = SimulateConfig(
+    family="ins",
+    count=64,
+    duration=1.27,
+    dt=0.01,
+    seed=7,
+    noise_kind="gaussian",
+    noise_scale=0.2,
+    bias_frac={c: 0.3 for c in CHANNEL_NAMES["ins"]},
+)
+
+# Training shared by the sweep's runs; only the weighting mode and value
+# differ between them.
+GATE_TRAIN = TrainConfig(
+    lr=1e-3,
+    batch_size=2,
+    epochs_total=30,
+    pretrain_fraction=0.2,
+    lambda_mode="adaptive",
+    noise=NoiseSpec(kind="gaussian", scale=0.1),
+    seed=7,
+    widths=(16, 32, 16),
+    predict_residual=True,
+)
+
+
+@dataclass
+class SweepRun:
+    """One training of a weighting sweep, evaluated on the test split; seconds is its training's wall time."""
+
+    label: str
+    result: TrainResult
+    report: EvalReport
+    seconds: float
+
+
+def lambda_sweep(
+    dataset: Dataset, base: TrainConfig, lambdas: Sequence[float]
+) -> tuple[EvalReport, list[SweepRun]]:
+    """Train base with adaptive weighting, then with each fixed weight, and evaluate each.
+
+    Runs are labelled "adaptive" and "fixed {lam:g}" ("fixed 0" is the
+    reconstruction-only model). Each trains on the train split with the
+    dataset's denoise channels and norm stats, and its denoised test split is
+    evaluated against the clean test windows. Returns the report of the noisy
+    test split and one SweepRun per run, in that order.
+    """
+    test_clean = [dataset.clean[i] for i in dataset.split[1]]
+
+    def report(label: str, windows: Sequence[SampleWindow]) -> EvalReport:
+        return evaluate(label, windows, dataset.spec, test_clean, channels=dataset.denoise_channels)
+
+    noisy = report("noisy", dataset.test_windows)
+    settings = [("adaptive", dataclasses.replace(base, lambda_mode="adaptive"))]
+    settings += [(f"fixed {lam:g}", dataclasses.replace(base, lambda_mode="fixed", lambda_value=lam))
+                 for lam in lambdas]
+    runs = []
+    for label, cfg in settings:
+        start = time.perf_counter()
+        result = train(dataset.train_windows, dataset.spec, cfg,
+                       denoise_channels=dataset.denoise_channels, norm_stats=dataset.norm_stats)
+        seconds = time.perf_counter() - start
+        restored = [denoise(result.denoiser, w) for w in dataset.test_windows]
+        runs.append(SweepRun(label, result, report(label, restored), seconds))
+    return noisy, runs

@@ -1,51 +1,18 @@
-"""Shared fixtures: the inertial benchmark dataset and its reference trainings.
+"""Shared fixtures: the gate's inertial dataset and its weighting sweep.
 
-The benchmark is one 64-window inertial dataset plus five trainings on it
-(adaptive weighting, and fixed weights 0 / 0.1 / 1 / 10). Several gate tests
-compare these runs against each other, so they are built once per session.
-Everything is seeded and single-threaded; the numbers quoted in the gate
-tests reproduce exactly on a given platform.
+The gate experiment is training.GATE_DATA plus training.lambda_sweep of
+GATE_TRAIN: adaptive weighting and fixed weights 0 / 0.1 / 1 / 10, each
+evaluated on the test split. Several gate tests compare these runs against
+each other, so they are built once per session. Everything is seeded and
+single-threaded; the numbers quoted in the gate tests reproduce exactly on a
+given platform.
 """
-import dataclasses
 import time
 
 import pytest
 
-from physden.data import NoiseSpec, SimulateConfig, generate_dataset
-from physden.metrics import evaluate
-from physden.model import denoise
-from physden.physics import CHANNEL_NAMES
-from physden.training import TrainConfig, train
-
-# Training configuration shared by the five benchmark runs; only the
-# weighting mode and value differ between them.
-BENCH_TRAIN = TrainConfig(
-    lr=1e-3,
-    batch_size=2,
-    epochs_total=30,
-    pretrain_fraction=0.2,
-    lambda_mode="adaptive",
-    lambda_value=1.0,
-    noise=NoiseSpec(kind="gaussian", scale=0.1),
-    seed=7,
-    widths=(16, 32, 16),
-    predict_residual=True,
-)
-
-
-def bench_sim_config() -> SimulateConfig:
-    # 64 windows of 128 samples; observations carry gaussian noise at 0.2 of
-    # each channel's std plus a constant offset of 0.3 std on every channel.
-    return SimulateConfig(
-        family="ins",
-        count=64,
-        duration=1.27,
-        dt=0.01,
-        seed=7,
-        noise_kind="gaussian",
-        noise_scale=0.2,
-        bias_frac={c: 0.3 for c in CHANNEL_NAMES["ins"]},
-    )
+from physden.data import generate_dataset
+from physden.training import GATE_DATA, GATE_TRAIN, lambda_sweep
 
 
 @pytest.fixture(scope="session")
@@ -56,48 +23,14 @@ def bench_timings():
 @pytest.fixture(scope="session")
 def bench_dataset(bench_timings):
     start = time.perf_counter()
-    dataset = generate_dataset(bench_sim_config())
+    dataset = generate_dataset(GATE_DATA)
     bench_timings["dataset_build"] = time.perf_counter() - start
     return dataset
 
 
-class BenchRuns:
-    """Five trainings on the benchmark dataset, evaluated on its test split."""
-
-    def __init__(self, dataset, timings):
-        self.dataset = dataset
-        test_noisy = dataset.test_windows
-        test_clean = [dataset.clean[i] for i in dataset.split[1]]
-        self.noisy_report = evaluate(
-            "noisy", test_noisy, dataset.spec, test_clean, channels=dataset.denoise_channels
-        )
-        self.reports = {}
-        self.results = {}
-        runs = [
-            ("adaptive", "adaptive", 1.0),
-            ("fixed0", "fixed", 0.0),
-            ("fixed0.1", "fixed", 0.1),
-            ("fixed1", "fixed", 1.0),
-            ("fixed10", "fixed", 10.0),
-        ]
-        for key, mode, lam in runs:
-            cfg = dataclasses.replace(BENCH_TRAIN, lambda_mode=mode, lambda_value=lam)
-            start = time.perf_counter()
-            result = train(
-                dataset.train_windows,
-                dataset.spec,
-                cfg,
-                denoise_channels=dataset.denoise_channels,
-                norm_stats=dataset.norm_stats,
-            )
-            timings[key] = time.perf_counter() - start
-            restored = [denoise(result.denoiser, w) for w in test_noisy]
-            self.results[key] = result
-            self.reports[key] = evaluate(
-                key, restored, dataset.spec, test_clean, channels=dataset.denoise_channels
-            )
-
-
 @pytest.fixture(scope="session")
 def bench_runs(bench_dataset, bench_timings):
-    return BenchRuns(bench_dataset, bench_timings)
+    """The noisy test split's report, and the sweep's runs by label ("adaptive", "fixed 0", ...)."""
+    noisy, runs = lambda_sweep(bench_dataset, GATE_TRAIN, (0, 0.1, 1, 10))
+    bench_timings.update((run.label, run.seconds) for run in runs)
+    return noisy, {run.label: run for run in runs}

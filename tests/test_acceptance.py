@@ -2,8 +2,9 @@
 
 Each test prints a single "[criterion N] label: PASS/FAIL (detail)" line and
 then asserts, so `pytest tests/test_acceptance.py -v -s` doubles as a
-human-readable report. Criteria 3-5 share the session-scoped benchmark runs
-from conftest; the whole gate is seeded and single-threaded.
+human-readable report. Criteria 3-5 share the session-scoped weighting sweep
+from conftest (training.lambda_sweep on training.GATE_DATA); the whole gate is
+seeded and single-threaded.
 """
 import time
 
@@ -107,12 +108,12 @@ def test_criterion_2_clean_simulation_residuals():
 
 
 def test_criterion_3_physics_alignment_improvement(bench_runs, bench_timings):
-    noisy = bench_runs.noisy_report
-    adaptive = bench_runs.reports["adaptive"]
-    rec_only = bench_runs.reports["fixed0"]
+    noisy, runs = bench_runs
+    adaptive = runs["adaptive"].report
+    rec_only = runs["fixed 0"].report
     ratio = noisy.phys_mse / adaptive.phys_mse
     runtime = (bench_timings["dataset_build"] + bench_timings["adaptive"]
-               + bench_timings["fixed0"])
+               + bench_timings["fixed 0"])
     ok = ratio >= 10.0 and adaptive.recon_mse < rec_only.recon_mse and runtime < 600.0
     check(3, "trained physics alignment", ok,
           f"phys_mse {noisy.phys_mse:.4g} -> {adaptive.phys_mse:.4g} "
@@ -121,8 +122,9 @@ def test_criterion_3_physics_alignment_improvement(bench_runs, bench_timings):
 
 
 def test_criterion_4_ablation_direction(bench_runs):
-    adaptive = bench_runs.reports["adaptive"]
-    rec_only = bench_runs.reports["fixed0"]
+    _, runs = bench_runs
+    adaptive = runs["adaptive"].report
+    rec_only = runs["fixed 0"].report
     ok = (rec_only.phys_mse > adaptive.phys_mse
           and rec_only.recon_mse > adaptive.recon_mse)
     check(4, "physics-term ablation", ok,
@@ -132,14 +134,15 @@ def test_criterion_4_ablation_direction(bench_runs):
 
 
 def test_criterion_5_adaptive_weighting_contract(bench_runs):
-    rows = [r for r in bench_runs.results["adaptive"].log if r.phase == 2]
+    _, runs = bench_runs
+    rows = [r for r in runs["adaptive"].result.log if r.phase == 2]
     unclamped = [r for r in rows if LAMBDA_MIN < r.lam < LAMBDA_MAX]
     devs = [abs(r.lam * r.l_phy / r.l_rec - 1.0) for r in unclamped]
     worst = max(devs) if devs else float("inf")
 
-    adaptive = bench_runs.reports["adaptive"].recon_mse
-    best_fixed = min(bench_runs.reports[k].recon_mse
-                     for k in ("fixed0.1", "fixed1", "fixed10"))
+    adaptive = runs["adaptive"].report.recon_mse
+    best_fixed = min(runs[k].report.recon_mse
+                     for k in ("fixed 0.1", "fixed 1", "fixed 10"))
     ok = (len(unclamped) > 0 and worst <= 1e-9
           and adaptive <= best_fixed * 1.05)
     check(5, "adaptive loss weighting", ok,

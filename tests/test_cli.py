@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from physden.cli import _known_keys, _load_config, build_parser, main
-from physden.data import load_csv, load_manifest
+from physden.data import SampleWindow, load_csv, load_manifest, save_csv
 from physden.metrics import REPORT_COLUMNS
 from physden.model import load_checkpoint
 
@@ -365,6 +365,23 @@ def test_denoise_rejects_missing_channels(capsys, tmp_path, workspace):
     assert rc == 1
     assert "input lacks channels" in capsys.readouterr().err
 
+
+
+def test_denoise_rejects_a_window_at_another_dt(capsys, tmp_path, workspace):
+    # the checkpoint was trained on dt 60 s windows; the same values labelled dt 1 s
+    assert load_checkpoint(workspace["checkpoint"]).dt == 60.0
+    w = load_csv(noisy_csvs(workspace)[0])
+    fast = tmp_path / "fast.csv"
+    save_csv(SampleWindow(w.channels, w.values, 1.0, w.units), fast)
+    rc = main([
+        "denoise",
+        "--run-dir", str(tmp_path / "den"),
+        "--set", f"model.checkpoint={workspace['checkpoint']}",
+        "--set", f"data.input={fast}",
+    ])
+    assert rc == 1
+    assert "window dt 1.0 does not match the denoiser's training dt 60.0" in capsys.readouterr().err
+    assert not (tmp_path / "den").exists()
 
 # ---------------------------------------------------------------------------
 # eval

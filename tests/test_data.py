@@ -16,7 +16,6 @@ from physden.data import (
     SimulateConfig,
     alignment_score,
     compute_norm_stats,
-    corrupt,
     generate_dataset,
     inject_noise,
     load_csv,
@@ -183,17 +182,6 @@ def test_batch_noise_equals_one_draw_per_window(kind):
     assert got.tobytes() == np.stack(expected, axis=1).tobytes()
     assert np.array_equal(block, np.stack(list(windows), axis=1))  # the input is not touched
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_corrupt_applies_constant_bias():
-    w = make_window(np.zeros((2, 5)))
-    out = corrupt(w, noise=None, bias=[1.5, -2.0])
-    assert np.all(out.values[0] == 1.5)
-    assert np.all(out.values[1] == -2.0)
-    with pytest.raises(ValueError, match="per channel"):
-        corrupt(w, bias=[1.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        corrupt(w, bias=[np.inf, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +490,8 @@ def test_manifest_round_trip_preserves_env_series(tmp_path):
     hvac_env = HvacEnvironment(dt=60.0, mass_flow=np.linspace(0.5, 1.5, 11))
     hvac_clean = [simulate_hvac(600.0, 60.0, hvac_env, seed=s)[0] for s in range(3)]
     hvac = Dataset(
-        windows=[corrupt(w, NoiseSpec(scale=0.1), rng=s) for s, w in enumerate(hvac_clean)],
+        windows=[SampleWindow(w.channels, noisy_window(w, NoiseSpec(scale=0.1), np.random.default_rng(s)),
+                              w.dt, w.units) for s, w in enumerate(hvac_clean)],
         spec=hvac_spec(hvac_env),
         split=([0, 1], [2]),
         norm_stats=compute_norm_stats(hvac_clean),
@@ -594,8 +583,9 @@ def test_generate_dataset_corrupts_each_window_as_corrupt_does(family, kind):
     bias[0] = 0.4 * compute_norm_stats(ds.clean).std[0]
     noise_seeds = np.random.SeedSequence(12).spawn(2 * cfg.count)[cfg.count:]
     for window, clean, seed in zip(ds.windows, ds.clean, noise_seeds):
-        alone = corrupt(clean, noise, bias=bias, rng=np.random.default_rng(seed))
-        assert window.values.tobytes() == alone.values.tobytes()
+        # the window corrupted alone: its own noise draw, then the bias
+        alone = noisy_window(clean, noise, np.random.default_rng(seed)) + bias[:, None]
+        assert window.values.tobytes() == alone.tobytes()
 
 
 def test_generate_dataset_rejects_unknown_bias_channel():

@@ -235,6 +235,40 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(denoise(den, window).values, denoise(loaded, window).values)
 
 
+
+def test_checkpoint_round_trips_the_training_dt(tmp_path):
+    den = Denoiser(init_params(2, widths=(2, 3, 2), rng=0), ["a", "b"], np.zeros(2), np.ones(2), dt=0.5)
+    path = tmp_path / "model.npz"
+    save_checkpoint(den, path)
+    assert load_checkpoint(path).dt == 0.5
+
+
+def test_checkpoint_without_dt_loads_and_denoises_at_any_dt(tmp_path):
+    den = Denoiser(init_params(2, widths=(2, 3, 2), rng=0), ["a", "b"], np.zeros(2), np.ones(2))
+    path = tmp_path / "model.npz"
+    save_checkpoint(den, path)
+    assert "dt" not in np.load(path).files
+    loaded = load_checkpoint(path)
+    assert loaded.dt is None
+    values = np.random.default_rng(1).normal(size=(2, 12))
+    for dt in (0.5, 60.0):
+        window = SampleWindow(["a", "b"], values, dt, ["u", "u"])
+        assert np.array_equal(denoise(loaded, window).values, denoise(den, window).values)
+
+
+def test_denoise_rejects_a_window_at_another_dt():
+    den = Denoiser(init_params(2, widths=(2, 3, 2), rng=0), ["a", "b"], np.zeros(2), np.ones(2), dt=0.5)
+    values = np.random.default_rng(1).normal(size=(2, 12))
+    denoise(den, SampleWindow(["a", "b"], values, 0.5 * (1 + 1e-10), ["u", "u"]))  # within 1e-9
+    with pytest.raises(ValueError, match=r"window dt 1\.0 does not match the denoiser's training dt 0\.5"):
+        denoise(den, SampleWindow(["a", "b"], values, 1.0, ["u", "u"]))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+def test_denoiser_rejects_a_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        Denoiser(init_params(1, widths=(1, 1, 1), rng=0), ["a"], np.zeros(1), np.ones(1), dt=dt)
+
 def test_checkpoint_rejects_unknown_format_version(tmp_path):
     params = init_params(1, widths=(1, 1, 1), rng=0)
     den = Denoiser(params, ["a"], np.zeros(1), np.ones(1))

@@ -1,6 +1,7 @@
 """Experiment scripts under scripts/ and the benchmark, run as a user would, at a tiny size."""
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ SCRIPTS = ROOT / "scripts"
 def test_lambda_sweep_writes_report(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "lambda_sweep.py"), "--count", "4", "--epochs", "1",
-         "--lambdas", "0", "--out", str(tmp_path)],
+         "--lambdas", "0", "--seed", "3", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -26,6 +27,9 @@ def test_lambda_sweep_writes_report(tmp_path):
     assert list(rows[0].keys()) == REPORT_COLUMNS
     assert [r["label"] for r in rows] == ["noisy", "adaptive", "fixed 0"]
     assert "fixed 0" in proc.stdout
+    # 2 train windows in one batch and no phase-1 epoch make one phase-2 iteration,
+    # whose l_rec/l_phy (about 1e-10) sits on the lower clamp
+    assert re.search(r"^adaptive: 0/1 phase-2 iterations unclamped$", proc.stdout, re.M), proc.stdout
 
 
 def test_bias_sweep_writes_report(tmp_path):
