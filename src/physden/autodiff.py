@@ -22,12 +22,9 @@ __all__ = [
     "NumericalError",
     "backward",
     "add",
-    "sub",
     "mul",
     "relu",
     "reduce_sum",
-    "take",
-    "prefix_sum_exclusive",
     "exclusive_prefix_sum_values",
     "conv1d",
     "mse",
@@ -120,7 +117,7 @@ def _as_tensor(x) -> Tensor:
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
             vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op's output and record its node on the active tape (physics' block ops use it too)."""
+    """Wrap an op's output and record its node on the active tape (physics' residual node uses it too)."""
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = _active_tape()
     if tape is not None and out.requires_grad:
@@ -191,18 +188,6 @@ def add(a, b) -> Tensor:
     return _record("add", (a, b), a.data + b.data, vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("sub", a, b)
-
-    def vjp(g):
-        ga = _reduce_to(g, a.data.shape) if a.requires_grad else None
-        gb = _reduce_to(-g, b.data.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record("sub", (a, b), a.data - b.data, vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise("mul", a, b)
@@ -227,7 +212,7 @@ def relu(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Reductions and structural operations
+# Reductions
 
 
 def reduce_sum(a) -> Tensor:
@@ -240,50 +225,15 @@ def reduce_sum(a) -> Tensor:
     return _record("reduce_sum", (a,), np.asarray(a.data.sum()), vjp)
 
 
-def take(a, rows: Sequence[int]) -> Tensor:
-    """``a.data[rows]``: distinct rows of the leading axis, in the given order."""
-    a = _as_tensor(a)
-    rows = list(rows)
-    dim = a.data.shape[0] if a.data.ndim else 0
-    if not rows or min(rows) < 0 or max(rows) >= dim or len(set(rows)) < len(rows):
-        raise ValueError(f"take: rows {rows} are not distinct rows of an axis of size {dim}")
-
-    def vjp(g):
-        if not a.requires_grad:
-            return (None,)
-        ga = np.zeros(a.data.shape)
-        # Each row is hit once, so this is np.add.at's 0.0 + g, faster.
-        ga[rows] += g
-        return (ga,)
-
-    return _record("take", (a,), a.data[rows], vjp)
-
-
 def exclusive_prefix_sum_values(x: np.ndarray) -> np.ndarray:
     """out[..., t] = sum of x[..., s] for s < t, accumulated left to right.
 
-    Shared by the differentiable op below and the simulators, so that data
-    constructed to satisfy a balance equation cancels it bitwise.
+    Shared by the CO2 residual and its simulator, so that data constructed
+    to satisfy the balance equation cancels it bitwise.
     """
     out = np.zeros_like(x)
     out[..., 1:] = np.cumsum(x[..., :-1], axis=-1)
     return out
-
-
-def prefix_sum_exclusive(a) -> Tensor:
-    """Differentiable exclusive prefix sum along the last axis."""
-    a = _as_tensor(a)
-    if a.data.ndim < 1:
-        raise ValueError("prefix_sum_exclusive: needs at least 1 dim")
-
-    def vjp(g):
-        if not a.requires_grad:
-            return (None,)
-        # d out[t] / d a[s] = 1 for t > s: reversed exclusive cumulative sum.
-        rev = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
-        return (rev - g,)
-
-    return _record("prefix_sum_exclusive", (a,), exclusive_prefix_sum_values(a.data), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +297,7 @@ def conv1d(x, weight, bias) -> Tensor:
 def mse(a, b) -> Tensor:
     """Mean over all elements of (a - b) squared; b may be a 0-d target.
 
-    One node whose VJP replays the sub -> mul -> mean chain's arithmetic.
+    One node whose VJP replays the arithmetic of a subtract, square and mean chain.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape and b.data.ndim != 0:

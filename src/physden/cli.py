@@ -61,14 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser = _Parser(prog="physden", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
-    sub.add_parser("simulate", parents=[common], help="generate a synthetic dataset + manifest")
-    sub.add_parser("train", parents=[common], help="two-phase training on a dataset manifest")
-    sub.add_parser("denoise", parents=[common], help="run a checkpoint on one window CSV")
-    sub.add_parser("eval", parents=[common], help="metrics for original vs denoised windows")
-    sub.add_parser("gradcheck", parents=[common], help="finite-difference gradient suite")
-    sub.add_parser("bias-demo", parents=[common], help="rec-only vs physics bias comparison")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    commands.required = True
+    commands.add_parser("simulate", parents=[common], help="generate a synthetic dataset + manifest")
+    commands.add_parser("train", parents=[common], help="two-phase training on a dataset manifest")
+    commands.add_parser("denoise", parents=[common], help="run a checkpoint on one window CSV")
+    commands.add_parser("eval", parents=[common], help="metrics for original vs denoised windows")
+    commands.add_parser("gradcheck", parents=[common], help="finite-difference gradient suite")
+    commands.add_parser("bias-demo", parents=[common], help="rec-only vs physics bias comparison")
     return parser
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "simulate_hvac",
     "inject_noise",
     "noise_std",
-    "alignment_score",
     "split_by_alignment",
     "compute_norm_stats",
     "save_csv",
@@ -444,12 +443,8 @@ def simulate_hvac(
 # Alignment split
 
 
-def alignment_score(window: SampleWindow, spec: PhysicsSpec) -> float:
-    """Sum of squared residual entries; the split's ranking statistic."""
-    return _alignment_scores([window], spec)[0]
-
-
 def _alignment_scores(windows: Sequence[SampleWindow], spec: PhysicsSpec) -> list[float]:
+    """Each window's sum of squared residual entries; the split's ranking statistic."""
     return [float(np.sum(r * r)) for r in window_residuals(windows, spec)]
 
 
@@ -458,7 +453,7 @@ def split_by_alignment(
 ) -> tuple[list[int], list[int]]:
     """Best-aligned half trains, the rest tests.
 
-    Ranks windows by alignment_score ascending with ties broken by original
+    Ranks windows by _alignment_scores ascending with ties broken by original
     index (stable sort); the ceil(N/2) smallest go to train.
     """
     if len(windows) < 2:
@@ -736,6 +731,8 @@ def load_manifest(path) -> Dataset:
 
     family = _manifest_value(cfg["dataset"], "family").lower()
     count = int(_manifest_value(cfg["dataset"], "count"))
+    if count < 1:
+        raise ValueError(f"{path}: [dataset] count must be at least 1, got {count}")
     denoise = [c for c in cfg["dataset"].get("denoise", "").split(",") if c]
 
     env = _env_from_section(family, cfg["environment"], base)

@@ -21,11 +21,8 @@ from .autodiff import (
     conv1d,
     mse,
     mul,
-    prefix_sum_exclusive,
     reduce_sum,
     relu,
-    sub,
-    take,
 )
 from .model import ModelParams, forward, init_params, merge_denoised
 from .physics import (
@@ -195,20 +192,6 @@ def _reduce_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarra
     return (lambda xs: reduce_sum(xs[0])), [rng.uniform(-2.0, 2.0, size=(2, 4))]
 
 
-def _take_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    """Three distinct rows of four, in drawn order."""
-    a = rng.uniform(-2.0, 2.0, size=(4, *_batch(rng), 6))
-    rows = list(rng.permutation(4)[:3])
-    w = rng.uniform(-1.0, 1.0, size=(3, *a.shape[1:]))
-    return (lambda xs: _weighted_sum(take(xs[0], rows), w)), [a]
-
-
-def _prefix_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    a = rng.uniform(-2.0, 2.0, size=(2, 5))
-    w = rng.uniform(-1.0, 1.0, size=(2, 5))
-    return (lambda xs: _weighted_sum(prefix_sum_exclusive(xs[0]), w)), [a]
-
-
 def _conv1d_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     k = int(rng.choice([3, 5]))
     shape = (*_batch(rng), 8)
@@ -239,12 +222,9 @@ def _merge_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
 # Each operation family's case builder, in suite order.
 _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, list[np.ndarray]]]] = {
     "add": _elementwise_case(add),
-    "sub": _elementwise_case(sub),
     "mul": _elementwise_case(mul),
     "relu": _relu_case,
     "reduce_sum": _reduce_sum_case,
-    "take": _take_case,
-    "prefix_sum_exclusive": _prefix_sum_case,
     "conv1d": _conv1d_case,
     "mse": _mse_case,
     "merge": _merge_case,

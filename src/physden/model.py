@@ -108,7 +108,7 @@ def merge_denoised(
     y is the model output on the z-scored rows z (z None adds nothing), both
     c x [B x] T with c = len(rows); base is C x [B x] T, and its other rows
     are constants. The VJP's 0.0 + turns -0.0 into 0.0, as a scatter into
-    zeros does, so the gradient has the bits of the unfused add/mul/take ops.
+    zeros does, so the gradient has the bits of the unfused add, mul and row-gather ops.
     """
     scale, shift = (v.reshape(-1, *[1] * (y.data.ndim - 1)) for v in (std, mean))
     out = base.copy()
@@ -207,6 +207,9 @@ def load_checkpoint(path) -> Denoiser:
             raise ValueError(f"unsupported checkpoint format version {version}")
         n_layers = int(bundle["n_layers"])
         names = [f"{kind}_{i}" for i in range(n_layers) for kind in ("weight", "bias")]
+        missing = [name for name in names if name not in bundle.files]
+        if missing:
+            raise ValueError(f"checkpoint lists {n_layers} layers but lacks the array {missing[0]}")
         tensors = [Tensor(bundle[name], requires_grad=True) for name in names]
         for name, t in zip(names, tensors):
             if not np.isfinite(t.data).all():

@@ -6,34 +6,24 @@ Families:
   co2  - room CO2 mass balance with ventilation and occupant emission.
   hvac - air-handler coil power balance in rate form (watts).
 
-Residuals are written with the autodiff operations, so the same code path
-serves plain evaluation (metrics, splitting) and gradient-based training.
-They work on whole channel blocks, C x T for one window or C x B x T for a
-batch of equal-length windows (channels on axis 0, time on the last axis):
-the inertial residual is one tape node per block, whose forward and
-hand-written VJP run on plain arrays (hamilton_rows, time_derivative).
+One code path, stacked_residual, serves plain evaluation (metrics,
+splitting) and gradient-based training. It works on whole channel blocks,
+C x T for one window or C x B x T for a batch of equal-length windows
+(channels on axis 0, time on the last axis), and records each family's
+residual as one tape node per block, whose forward and hand-written VJP run
+on plain arrays (hamilton_rows, time_derivative, the prefix sums).
 All quaternions are scalar-first Hamilton convention. Accelerometers measure
 specific force: a = R_q^T (p_ddot - g0) with g0 = (0, 0, -9.80665) in the
 world frame, so a stationary level device reads (0, 0, +9.80665).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _as_tensor,
-    _record,
-    exclusive_prefix_sum_values,
-    mse,
-    mul,
-    prefix_sum_exclusive,
-    sub,
-    take,
-)
+from .autodiff import Tensor, _as_tensor, _record, exclusive_prefix_sum_values, mse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from .data import SampleWindow
@@ -55,11 +45,9 @@ __all__ = [
     "residual_co2",
     "residual_hvac",
     "stacked_residual",
-    "window_residual",
     "window_residuals",
     "same_dt",
     "check_window",
-    "physics_loss",
     "physics_loss_tensor",
     "STANDARD_GRAVITY",
 ]
@@ -109,6 +97,13 @@ def quat_exp(v) -> np.ndarray:
 # Environments
 
 
+def _check_finite(env) -> None:
+    """Reject an environment with a non-finite constant or series entry, naming its field."""
+    for f in fields(env):
+        if not np.all(np.isfinite(np.asarray(getattr(env, f.name), dtype=np.float64))):
+            raise ValueError(f"{type(env).__name__}: {f.name} must be finite")
+
+
 def _as_gravity(g) -> np.ndarray:
     arr = np.asarray(g, dtype=np.float64)
     if arr.shape != (3,):
@@ -127,9 +122,10 @@ class InsEnvironment:
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -STANDARD_GRAVITY]))
 
     def __post_init__(self):
+        self.gravity = _as_gravity(self.gravity)
+        _check_finite(self)
         if self.dt <= 0:
             raise ValueError(f"InsEnvironment: dt must be positive, got {self.dt}")
-        self.gravity = _as_gravity(self.gravity)
 
 
 @dataclass
@@ -151,6 +147,7 @@ class Co2Environment:
     occupants: float | np.ndarray = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.room_volume <= 0:
             raise ValueError(f"Co2Environment: room_volume must be positive, got {self.room_volume}")
         if self.dt <= 0:
@@ -170,6 +167,7 @@ class HvacEnvironment:
     specific_heat: float | np.ndarray = 1006.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.dt <= 0:
             raise ValueError(f"HvacEnvironment: dt must be positive, got {self.dt}")
         if np.any(np.asarray(self.mass_flow) < 0):
@@ -290,19 +288,6 @@ def _time_derivative_vjp(g: np.ndarray, dt: float, order: int) -> np.ndarray:
     return out
 
 
-def _series_blocks(name: str, **blocks) -> list[Tensor]:
-    """Each (block, rows) argument as a tensor, checked to be rows x [B x] T with one B and T."""
-    out: list[Tensor] = []
-    for arg, (x, rows) in blocks.items():
-        x = _as_tensor(x)
-        if x.data.ndim not in (2, 3) or x.data.shape[0] != rows:
-            raise ValueError(f"{name}: {arg} must be {rows} x [B x] T, got shape {x.data.shape}")
-        if out and x.data.shape[1:] != out[0].data.shape[1:]:
-            raise ValueError(f"{name}: {arg} has shape {x.data.shape}, unlike {out[0].data.shape}")
-        out.append(x)
-    return out
-
-
 def _series(value, t_len: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
@@ -314,10 +299,15 @@ def _series(value, t_len: int, name: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Residual families
+#
+# Each takes its family's channel groups as arrays, in _CHANNEL_GROUPS order,
+# plus the environment, and returns the residual and a VJP that maps the
+# residual's gradient to one gradient per group; stacked_residual records the
+# pair as one tape node.
 
 
-def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
-    """Inertial residual on interior timesteps, 7 x [B x] (T-2), as one tape node.
+def residual_ins(p, q, w, a, env: InsEnvironment):
+    """Inertial residual on interior timesteps, 7 x [B x] (T-2), and its VJP.
 
     Rows 0-2 are the specific-force residual a - R_q^T (p_ddot - g0); rows
     3-6 are the orientation-rate residual dq/dt - 0.5 q (0, w), with the
@@ -331,15 +321,14 @@ def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
     by its conjugate, and d(q/|q|) = (I - u u^T) / |q| per column. Gradient
     terms add up in the order a tape of the separate block ops added them.
     """
-    p, q, w, a = _series_blocks("residual_ins", p=(p, 3), q=(q, 4), w=(w, 3), a=(a, 3))
     dt = env.dt
-    pdd = time_derivative(p.data, dt, 2)  # 3 x [B x] (T-2)
-    qw, qx, qy, qz = q.data
+    pdd = time_derivative(p, dt, 2)  # 3 x [B x] (T-2)
+    qw, qx, qy, qz = q
     n2 = ((qw * qw + qx * qx) + qy * qy) + qz * qz
     if float(np.min(n2)) <= 1e-24:
         raise ValueError("zero-norm quaternion sample in channel data")
     n = np.sqrt(n2)
-    u = q.data / n  # 4 x [B x] T, unit per timestep
+    u = q / n  # 4 x [B x] T, unit per timestep
     qi = u[..., 1:-1]
     sign = _CONJ.reshape((4,) + (1,) * (qi.ndim - 1))
     conj = qi * sign
@@ -347,9 +336,9 @@ def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
     # R_q^T v via the conjugation q^-1 (0, v) q with unit q, q^-1 = conj(q).
     left = np.array(hamilton_rows(conj, (0.0, *v)))
     rot = np.array(hamilton_rows(left, qi))
-    wi = w.data[..., 1:-1]
+    wi = w[..., 1:-1]
     rate = np.array(hamilton_rows(qi, (0.0, *wi)))
-    out = np.concatenate([a.data[..., 1:-1] - rot[1:], time_derivative(u, dt, 1) - rate * 0.5])
+    out = np.concatenate([a[..., 1:-1] - rot[1:], time_derivative(u, dt, 1) - rate * 0.5])
 
     def vjp(g):
         g_accel, g_orient = g[:3], g[3:]
@@ -364,13 +353,12 @@ def residual_ins(p, q, w, a, env: InsEnvironment) -> Tensor:
         g_u[..., 1:-1] += g_qi
         g_q = (g_u - u * np.sum(u * g_u, axis=0)) / n
         g_v = np.array(hamilton_rows(qi, g_left)[1:])  # conj(conj(q)) = q, bitwise
-        g_w, g_a = np.zeros(w.data.shape), np.zeros(a.data.shape)
+        g_w, g_a = np.zeros(w.shape), np.zeros(a.shape)
         g_w[..., 1:-1] += np.array(hamilton_rows(conj, g_rate)[1:])
         g_a[..., 1:-1] += g_accel
-        grads = (_time_derivative_vjp(g_v, dt, 2), g_q, g_w, g_a)
-        return tuple(gi if x.requires_grad else None for x, gi in zip((p, q, w, a), grads))
+        return _time_derivative_vjp(g_v, dt, 2), g_q, g_w, g_a
 
-    return _record("residual_ins", (p, q, w, a), out, vjp)
+    return out, vjp
 
 
 def co2_known_terms(env: Co2Environment, t_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,21 +377,24 @@ def co2_known_terms(env: Co2Environment, t_len: int) -> tuple[np.ndarray, np.nda
     return base, v
 
 
-def residual_co2(c_room, c_out, env: Co2Environment) -> Tensor:
-    """Mass-balance residual of room CO2 in ppm*m^3, 1 x [B x] T.
+def residual_co2(c_room, c_out, env: Co2Environment):
+    """Mass-balance residual of room CO2 in ppm*m^3, 1 x [B x] T, and its VJP.
 
     residual[t] = c_room[t]*V - (c0*V + sum_{s<t} c_in v dt + sum_{s<t} n q dt
                   - sum_{s<t} c_out v dt).
     Prefix sums exclude the current timestep, so residual[0] compares c_room[0]
-    against the initial condition alone.
+    against the initial condition alone. The c_out gradient at s sums the
+    upstream gradient over t > s: the reversed cumulative sum less g itself.
     """
-    c_room, c_out = _series_blocks("residual_co2", c_room=(c_room, 1), c_out=(c_out, 1))
-    shape = c_out.data.shape
-    base, v = co2_known_terms(env, shape[-1])
-    term_out = mul(mul(c_out, Tensor(np.broadcast_to(v, shape))), env.dt)
-    s_out = prefix_sum_exclusive(term_out)
-    supplied = sub(Tensor(np.broadcast_to(base, shape)), s_out)
-    return sub(mul(c_room, float(env.room_volume)), supplied)
+    base, v = co2_known_terms(env, c_out.shape[-1])
+    dt, volume = float(env.dt), float(env.room_volume)
+    out = c_room * volume - (base - exclusive_prefix_sum_values((c_out * v) * dt))
+
+    def vjp(g):
+        rev = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
+        return g * volume, ((rev - g) * dt) * v
+
+    return out, vjp
 
 
 def hvac_heat_capacity_rate(env: HvacEnvironment, t_len: int) -> np.ndarray:
@@ -413,11 +404,15 @@ def hvac_heat_capacity_rate(env: HvacEnvironment, t_len: int) -> np.ndarray:
     return m * c
 
 
-def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment) -> Tensor:
-    """Coil power-balance residual dq - m*c*(t_sa - t_mix) in watts, 1 x [B x] T."""
-    t_sa, t_mix, dq = _series_blocks("residual_hvac", t_sa=(t_sa, 1), t_mix=(t_mix, 1), dq=(dq, 1))
-    mc = hvac_heat_capacity_rate(env, dq.data.shape[-1])
-    return sub(dq, mul(Tensor(np.broadcast_to(mc, t_sa.data.shape)), sub(t_sa, t_mix)))
+def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment):
+    """Coil power-balance residual dq - m*c*(t_sa - t_mix) in watts, 1 x [B x] T, and its VJP."""
+    mc = hvac_heat_capacity_rate(env, dq.shape[-1])
+
+    def vjp(g):
+        g_sa = (-g) * mc
+        return g_sa, -g_sa, g
+
+    return dq - mc * (t_sa - t_mix), vjp
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +421,35 @@ def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment) -> Tensor:
 _RESIDUALS = {"ins": residual_ins, "co2": residual_co2, "hvac": residual_hvac}
 
 
-def _gather(values: Tensor, spec: PhysicsSpec, names: Sequence[str]) -> Tensor:
-    rows = values.data.shape[0]
-    idx = [spec.channel_map[name] for name in names]
-    for name, i in zip(names, idx):
-        if not 0 <= i < rows:
-            raise ValueError(
-                f"channel_map points {name!r} at row {i}, but the window has {rows} rows"
-            )
-    return take(values, idx)
-
-
 def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
-    """All residual rows of the given physics family over a c x [B x] T value block.
+    """All residual rows of the given physics family over a c x [B x] T value block, as one tape node.
 
     The inertial family stacks the specific-force rows (3) on top of the
     orientation-rate rows (4); the scalar families return their single row.
-    Each of the family's channel groups is gathered as one block argument of
-    its residual. Each window of a c x B x T block gets the residual it gets
-    on its own.
+    Each of the family's channel groups is read from its rows of the block as
+    one array argument of its residual. The node's VJP adds each group's
+    gradient into its rows of one zero block; PhysicsSpec keeps the rows
+    distinct, so a mapped entry is 0.0 + g and an unmapped one 0.0. Each
+    window of a c x B x T block gets the residual it gets on its own.
     """
     values = _as_tensor(values)
     if values.data.ndim not in (2, 3):
         raise ValueError(f"stacked_residual: expected c x [B x] T values, got {values.data.shape}")
-    blocks = [_gather(values, spec, names) for names in _CHANNEL_GROUPS[spec.family]]
-    return _RESIDUALS[spec.family](*blocks, spec.environment)
+    n_rows = values.data.shape[0]
+    for name in CHANNEL_NAMES[spec.family]:
+        row = spec.channel_map[name]
+        if not 0 <= row < n_rows:
+            raise ValueError(f"channel_map points {name!r} at row {row}, but the window has {n_rows} rows")
+    groups = [[spec.channel_map[name] for name in names] for names in _CHANNEL_GROUPS[spec.family]]
+    out, group_vjp = _RESIDUALS[spec.family](*(values.data[rows] for rows in groups), spec.environment)
+
+    def vjp(g):
+        grad = np.zeros(values.data.shape)
+        for rows, g_rows in zip(groups, group_vjp(g)):
+            grad[rows] += g_rows
+        return (grad,)
+
+    return _record(f"residual_{spec.family}", (values,), out, vjp)
 
 
 def physics_loss_tensor(values: Tensor, spec: PhysicsSpec) -> Tensor:
@@ -490,11 +489,6 @@ def window_residuals(windows: Sequence["SampleWindow"], spec: PhysicsSpec) -> li
     return out
 
 
-def window_residual(window: "SampleWindow", spec: PhysicsSpec) -> np.ndarray:
-    """window_residuals of one window."""
-    return window_residuals([window], spec)[0]
-
-
 def same_dt(a: float, b: float) -> bool:
     """Whether two sampling intervals agree to within a relative 1e-9."""
     return abs(a - b) <= 1e-9 * max(a, b)
@@ -511,8 +505,3 @@ def check_window(window: "SampleWindow", spec: PhysicsSpec) -> None:
             raise ValueError(f"channel_map points {name!r} at row {row}, but the window's "
                              f"channels are {', '.join(window.channels)}")
 
-
-def physics_loss(window: "SampleWindow", spec: PhysicsSpec) -> float:
-    """Mean squared residual of the given physics family on one window."""
-    r = window_residual(window, spec)
-    return float(np.mean(r * r))

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from physden.data import (
     SampleWindow,
-    alignment_score,
     simulate_co2,
     simulate_hvac,
     simulate_ins,
@@ -36,7 +35,7 @@ from physden.physics import (
     HvacEnvironment,
     PhysicsSpec,
     default_channel_map,
-    physics_loss,
+    window_residuals,
 )
 from physden.training import LAMBDA_MAX, LAMBDA_MIN, bias_demo
 
@@ -44,6 +43,12 @@ from physden.training import LAMBDA_MAX, LAMBDA_MIN, bias_demo
 def check(n: int, label: str, ok: bool, detail: str) -> None:
     print(f"[criterion {n}] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {n} {label}: {detail}"
+
+
+def phys_mse(window, spec):
+    """The physics loss of one window: its mean squared residual entry."""
+    (r,) = window_residuals([window], spec)
+    return float(np.mean(r * r))
 
 
 def spec_for(family, window, env):
@@ -84,18 +89,18 @@ def test_criterion_2_clean_simulation_residuals():
                              initial_ppm=420.0, dt=30.0, flow=0.03,
                              inflow_ppm=420.0)
         w, env_out = simulate_co2(3600.0, 30.0, env, seed=seed)
-        ok = ok and physics_loss(w, spec_for("co2", w, env_out)) == 0.0
+        ok = ok and phys_mse(w, spec_for("co2", w, env_out)) == 0.0
 
         henv = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
         w, henv_out = simulate_hvac(3840.0, 60.0, henv, seed=seed)
-        ok = ok and physics_loss(w, spec_for("hvac", w, henv_out)) == 0.0
+        ok = ok and phys_mse(w, spec_for("hvac", w, henv_out)) == 0.0
 
         # the orientation-rate rows dominate the inertial residual; their
         # documented bound is dt^2 * max_t |w_dot|^2 / 16
         mse = {}
         for dt in (0.01, 0.005):
             w, env_out = simulate_ins(1.27, dt, seed=seed)
-            mse[dt] = physics_loss(w, spec_for("ins", w, env_out))
+            mse[dt] = phys_mse(w, spec_for("ins", w, env_out))
             wdot = np.gradient(w.values[7:10], dt, axis=1)
             bound = dt * dt * np.max(np.sum(wdot * wdot, axis=0)) / 16.0
             ok = ok and mse[dt] <= bound
@@ -187,7 +192,7 @@ def test_criterion_7_alignment_split_rule():
         train, test = split_by_alignment(windows, spec)
         assert sorted(train + test) == list(range(n))
         assert len(train) == (n + 1) // 2
-        scores = [alignment_score(w, spec) for w in windows]
+        scores = [float(np.sum(r * r)) for r in window_residuals(windows, spec)]
         if len(set(scores)) == n:
             assert max(scores[i] for i in train) <= min(scores[i] for i in test)
 

@@ -16,10 +16,8 @@ from physden.autodiff import (
     exclusive_prefix_sum_values,
     mse,
     mul,
-    prefix_sum_exclusive,
     reduce_sum,
     relu,
-    take,
 )
 from physden.gradcheck import _CASES, _EPS, check_gradient
 
@@ -64,31 +62,9 @@ def test_reductions():
     assert mse(a, 0.0).item() == 7.5
 
 
-def test_take_forward():
-    a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-    assert np.array_equal(take(a, [0]).data, [[1.0, 2.0, 3.0]])
-    assert np.array_equal(take(a, [2, 0]).data, [[7.0, 8.0, 9.0], [1.0, 2.0, 3.0]])
-    batch = Tensor(np.arange(12.0).reshape(3, 2, 2))
-    assert np.array_equal(take(batch, [1, 2]).data, batch.data[1:])
-
-
-# Rows of a 2-row tensor that lie outside its leading axis, or none at all.
-@pytest.mark.parametrize("index", [[2], [-1], [], [0, 2], [3, 0], [-2, 1], [1, 5], [0, 1, 2]])
-def test_take_rejects_out_of_range_index(index):
-    with pytest.raises(ValueError, match="take"):
-        take(Tensor(np.zeros((2, 3))), index)
-
-
-@pytest.mark.parametrize("rows", [[0, 0], [1, 0, 1]])
-def test_take_rejects_repeated_rows(rows):
-    with pytest.raises(ValueError, match="not distinct"):
-        take(Tensor(np.zeros((2, 3))), rows)
-
-
 def test_exclusive_prefix_sum_values():
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(exclusive_prefix_sum_values(x), [0.0, 1.0, 3.0])
-    assert np.array_equal(prefix_sum_exclusive(Tensor(x)).data, [0.0, 1.0, 3.0])
     two_d = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     assert np.array_equal(
         exclusive_prefix_sum_values(two_d), [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]
@@ -220,37 +196,6 @@ def test_conv1d_gradients_hand_values():
     assert np.array_equal(grads[x], [[2.0, 3.0, 2.0]])
     assert np.array_equal(grads[w], [[[3.0, 6.0, 5.0]]])
     assert np.array_equal(grads[b], [3.0])
-
-
-def test_prefix_sum_gradient_hand_values():
-    # out[t] = sum_{s<t} x[s], so dL/dx[s] = sum of upstream weights after s.
-    x = leaf([1.0, 2.0, 3.0])
-    weights = Tensor([10.0, 20.0, 40.0])
-    with Tape() as tape:
-        loss = reduce_sum(mul(prefix_sum_exclusive(x), weights))
-    assert np.array_equal(backward(loss, tape)[x], [60.0, 40.0, 0.0])
-
-
-def test_take_gradient_routing():
-    x = leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    with Tape() as tape:
-        loss = reduce_sum(mul(take(x, [2, 0]), Tensor([[1.0, 2.0], [3.0, 4.0]])))
-    assert np.array_equal(backward(loss, tape)[x], [[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]])
-
-
-@pytest.mark.parametrize("rows", [[1], [2, 0], [3, 1, 0, 2]], ids=["one-row", "unique-rows", "all-rows"])
-def test_take_gradient_without_repeats_is_add_at_bitwise(rows):
-    rng = np.random.default_rng(3)
-    x = leaf(rng.uniform(-1.0, 1.0, size=(4, 2, 5)))
-    g = rng.uniform(-1.0, 1.0, size=x.data[rows].shape)
-    g[0, 0, 0] = -0.0
-    with Tape() as tape:
-        loss = reduce_sum(mul(take(x, rows), Tensor(g)))
-    expected = np.zeros(x.data.shape)
-    np.add.at(expected, rows, g)
-    grad = backward(loss, tape)[x]
-    assert grad.tobytes() == expected.tobytes()
-    assert not np.signbit(grad[rows[0], 0, 0])  # 0.0 + -0.0
 
 
 def test_gradient_accumulates_over_reuse():

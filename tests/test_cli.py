@@ -120,6 +120,42 @@ def test_manifest_missing_key_names_it(capsys, tmp_path, workspace, section, key
     assert f"[{section}] is missing the '{key}' key" in capsys.readouterr().err
 
 
+def rewritten_manifest(data_dir, tmp_path, section, key, value):
+    """A copy of a dataset directory whose manifest sets [section] key to value."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = data / "manifest.ini"
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    cfg.read(manifest)
+    cfg[section][key] = value
+    with manifest.open("w") as fh:
+        cfg.write(fh)
+    return manifest
+
+
+def test_manifest_count_below_one_is_an_error(capsys, tmp_path, workspace):
+    manifest = rewritten_manifest(workspace["sim_data"], tmp_path, "dataset", "count", "0")
+    rc = main(["train", "--run-dir", str(tmp_path / "run"), "--set", f"data.manifest={manifest}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[dataset] count must be at least 1, got 0" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_finite_environment_constant_is_rejected_before_training(capsys, monkeypatch, tmp_path):
+    assert main(["simulate", "--run-dir", str(tmp_path / "sim"), "--set", "data.family=co2",
+                 "--set", "data.count=2", "--set", "data.duration=300"]) == 0
+    manifest = rewritten_manifest(tmp_path / "sim" / "data", tmp_path, "environment", "emission_rate", "nan")
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)  # where a default run directory would go
+    rc = main(["train", "--set", f"data.manifest={manifest}", "--set", "train.widths=2,3,2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "emission_rate must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_integer_names_the_key(capsys, workspace):
     rc = main([
         "train",
@@ -365,6 +401,25 @@ def test_denoise_rejects_missing_channels(capsys, tmp_path, workspace):
     assert rc == 1
     assert "input lacks channels" in capsys.readouterr().err
 
+
+
+def test_checkpoint_missing_a_layer_array_is_an_error(capsys, tmp_path, workspace):
+    with np.load(workspace["checkpoint"]) as bundle:
+        arrays = dict(bundle)
+    n_layers = int(arrays["n_layers"])
+    arrays["n_layers"] = np.array(n_layers + 1)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    rc = main([
+        "denoise",
+        "--run-dir", str(tmp_path / "den"),
+        "--set", f"model.checkpoint={bad}",
+        "--set", f"data.input={noisy_csvs(workspace)[0]}",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"lacks the array weight_{n_layers}" in err
+    assert not (tmp_path / "den").exists()
 
 
 def test_denoise_rejects_a_window_at_another_dt(capsys, tmp_path, workspace):

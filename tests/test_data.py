@@ -14,7 +14,6 @@ from physden.data import (
     NoiseSpec,
     SampleWindow,
     SimulateConfig,
-    alignment_score,
     compute_norm_stats,
     generate_dataset,
     inject_noise,
@@ -34,7 +33,7 @@ from physden.physics import (
     HvacEnvironment,
     PhysicsSpec,
     default_channel_map,
-    physics_loss,
+    window_residuals,
 )
 
 
@@ -279,7 +278,7 @@ def test_split_ranks_by_residual_magnitude():
         values = clean.values.copy()
         values[0] += float(k)  # monotonically worse balance violation
         windows.append(dataclasses.replace(clean, values=values))
-    scores = [alignment_score(w, spec) for w in windows]
+    scores = [float(np.sum(r * r)) for r in window_residuals(windows, spec)]
     assert scores == sorted(scores)
     train, test = split_by_alignment(windows, spec)
     assert train == [0, 1]
@@ -289,7 +288,7 @@ def test_split_ranks_by_residual_magnitude():
 def test_split_scores_equal_each_windows_alignment_score():
     ds = generate_dataset(SimulateConfig(family="ins", count=20, duration=0.47, dt=0.01, seed=3,
                                          noise_kind="gaussian", noise_scale=0.2))
-    scores = [alignment_score(w, ds.spec) for w in ds.windows]
+    scores = [float(np.sum(r * r)) for w in ds.windows for r in window_residuals([w], ds.spec)]
     assert _alignment_scores(ds.windows, ds.spec) == scores
     order = [int(i) for i in np.argsort(scores, kind="stable")]
     assert ds.split == (sorted(order[:10]), sorted(order[10:]))
@@ -298,7 +297,7 @@ def test_split_scores_equal_each_windows_alignment_score():
 def test_alignment_score_rejects_dt_mismatch():
     w, _ = simulate_hvac(300.0, 60.0, HvacEnvironment(dt=60.0), seed=1)
     with pytest.raises(ValueError, match="dt"):
-        alignment_score(w, hvac_spec(HvacEnvironment(dt=30.0)))
+        split_by_alignment([w, w], hvac_spec(HvacEnvironment(dt=30.0)))
 
 
 def test_split_needs_two_windows():
@@ -500,8 +499,8 @@ def test_manifest_round_trip_preserves_env_series(tmp_path):
     for name, ds, field in [("co2", co2, "occupants"), ("hvac", hvac, "mass_flow")]:
         back = load_manifest(save_dataset(ds, tmp_path / name))
         # the schedule must survive, or clean residuals stop being zero
-        for w in back.clean:
-            assert physics_loss(w, back.spec) == 0.0
+        for r in window_residuals(back.clean, back.spec):
+            assert float(np.mean(r * r)) == 0.0
         assert np.ndim(getattr(ds.spec.environment, field)) == 1
         assert np.array_equal(
             getattr(back.spec.environment, field), getattr(ds.spec.environment, field)

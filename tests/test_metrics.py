@@ -18,9 +18,9 @@ from physden.physics import (
     HvacEnvironment,
     PhysicsSpec,
     default_channel_map,
-    physics_loss,
     physics_loss_tensor,
     stacked_residual,
+    window_residuals,
 )
 
 
@@ -56,7 +56,8 @@ def test_physics_metrics_agree_with_training_loss():
     window.values[0] += 0.25  # break the balance
     spec = hvac_spec(env)
     report = evaluate("x", [window], spec)
-    assert report.phys_mse == physics_loss(window, spec)
+    (r,) = window_residuals([window], spec)
+    assert report.phys_mse == float(np.mean(r * r))
     assert report.phys_mse == float(physics_loss_tensor(Tensor(window.values), spec).data)
     assert report.phys_mae == pytest.approx(0.25 * 1006.0)
 
@@ -115,9 +116,10 @@ def test_evaluate_weighs_windows_by_length():
     w1 = dataclasses.replace(short, values=short.values + 1.0)
     w2 = dataclasses.replace(long, values=long.values + 3.0)
     report = evaluate("pair", [w1, w2], spec, clean=[short, long])
+    r1, r2 = window_residuals([w1, w2], spec)
     assert report.recon_mse == pytest.approx((3 * 1.0 + 10 * 9.0) / 13)
     assert report.per_channel["dq"] == pytest.approx(((3 * 1.0 + 10 * 9.0) / 13, (3 * 1.0 + 10 * 3.0) / 13))
-    assert report.phys_mse == pytest.approx((3 * physics_loss(w1, spec) + 10 * physics_loss(w2, spec)) / 13)
+    assert report.phys_mse == pytest.approx((3 * float(np.mean(r1 * r1)) + 10 * float(np.mean(r2 * r2))) / 13)
 
 
 def test_evaluate_channel_subset():

@@ -21,7 +21,6 @@ from physden.physics import (
     default_channel_map,
     hamilton_rows,
     hvac_heat_capacity_rate,
-    physics_loss,
     physics_loss_tensor,
     quat_exp,
     residual_co2,
@@ -33,6 +32,12 @@ from physden.physics import (
 )
 
 GRAVITY_Z = -9.80665
+
+
+def phys_mse(window, spec):
+    """The physics loss of one window: its mean squared residual entry."""
+    (r,) = window_residuals([window], spec)
+    return float(np.mean(r * r))
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +210,17 @@ def test_accel_residual_detects_wrong_gravity_sign():
     values = stationary_ins_values()
     values[12, :] = GRAVITY_Z  # accelerometer reporting the wrong sign
     env = InsEnvironment(dt=0.01)
-    r = residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
-    assert np.allclose(r.data[2], 2.0 * GRAVITY_Z)
+    r, _ = residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
+    assert np.allclose(r[2], 2.0 * GRAVITY_Z)
 
 
 def test_orientation_rate_residual_shapes_and_zero_case():
     t_len = 10
     env = InsEnvironment(dt=0.05)
     values = stationary_ins_values(t_len)
-    r = residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
-    assert r.data.shape == (7, t_len - 2)
-    assert np.all(r.data[3:] == 0.0)
+    r, _ = residual_ins(values[0:3], values[3:7], values[7:10], values[10:13], env)
+    assert r.shape == (7, t_len - 2)
+    assert np.all(r[3:] == 0.0)
 
 
 def test_quat_rows_are_renormalized_before_derivative():
@@ -226,8 +231,8 @@ def test_quat_rows_are_renormalized_before_derivative():
     scale = np.linspace(1.0, 3.0, t_len)
     q = np.vstack([scale, np.zeros((3, t_len))])
     zeros = np.zeros((3, t_len))
-    r = residual_ins(zeros, q, zeros, zeros, env)
-    assert np.allclose(r.data[3:], 0.0, atol=1e-15)
+    r, _ = residual_ins(zeros, q, zeros, zeros, env)
+    assert np.allclose(r[3:], 0.0, atol=1e-15)
 
 
 def test_zero_norm_quaternion_sample_rejected():
@@ -243,7 +248,7 @@ def test_ins_residual_matches_per_timestep_reference():
     v = window.values + np.random.default_rng(0).normal(scale=1e-3, size=window.values.shape)
     p, q, w, a = v[0:3], v[3:7], v[7:10], v[10:13]
     assert np.min(np.linalg.norm(w, axis=0)) > 0.1  # the platform rotates throughout
-    r = residual_ins(p, q, w, a, env).data
+    r, _ = residual_ins(p, q, w, a, env)
     dt = env.dt
     for t in range(1, v.shape[1] - 1):
         pdd = ((p[:, t + 1] - 2.0 * p[:, t]) + p[:, t - 1]) / (dt * dt)
@@ -270,13 +275,14 @@ def test_simulated_orientation_follows_per_step_recurrence():
     assert np.allclose(world + env.gravity[:, None], pdd, rtol=0.0, atol=1e-3)
 
 
-def test_ins_residual_tape_is_block_sized():
-    ds = generate_dataset(SimulateConfig(family="ins", count=2, duration=1.27, dt=0.01, seed=3))
-    block = np.stack([w.values for w in ds.windows], axis=1)  # 13 x 2 x T
+@pytest.mark.parametrize("family", FAMILIES)
+def test_residual_tape_is_block_sized(family):
+    ds = generate_dataset(SimulateConfig(family=family, count=2, seed=3))
+    block = np.stack([w.values for w in ds.windows], axis=1)  # c x 2 x T
     with Tape() as tape:
         physics_loss_tensor(Tensor(block, requires_grad=True), ds.spec)
-    # One gather per channel group, the fused residual, and its mean square.
-    assert [node.op for node in tape.nodes] == ["take"] * 4 + ["residual_ins", "mse"]
+    # One residual node reads every channel group from the block; then its mean square.
+    assert [node.op for node in tape.nodes] == [f"residual_{family}", "mse"]
 
 
 def test_residual_ins_gradcheck_family_batched_and_unbatched():
@@ -290,26 +296,6 @@ def test_residual_ins_gradcheck_family_batched_and_unbatched():
     assert max(worst.values()) <= 1e-5
 
 
-def test_residual_ins_gradient_of_one_input_equals_its_share_of_all():
-    rng = np.random.default_rng(5)
-    blocks = [rng.normal(size=(rows, 2, 9)) for rows in (3, 4, 3, 3)]
-    weights = Tensor(rng.normal(size=(7, 2, 7)))
-    env = InsEnvironment(dt=0.05)
-
-    def grads(needed):
-        xs = [Tensor(b, requires_grad=i in needed) for i, b in enumerate(blocks)]
-        with Tape() as tape:
-            loss = reduce_sum(mul(residual_ins(*xs, env), weights))
-        g = backward(loss, tape)
-        return [g[x] if x in g else None for x in xs]
-
-    full = grads(range(4))
-    for i in range(4):
-        alone = grads([i])
-        assert alone[i].tobytes() == full[i].tobytes()
-        assert sum(g is not None for g in alone) == 1
-
-
 def test_clean_ins_simulation_residual_is_small():
     window, env = simulate_ins(duration=1.0, dt=0.005, seed=5)
     spec = PhysicsSpec(
@@ -318,7 +304,7 @@ def test_clean_ins_simulation_residual_is_small():
         channel_map=default_channel_map("ins", window.channels),
     )
     # Discretization floor only: orders of magnitude below signal power.
-    assert physics_loss(window, spec) < 1e-4
+    assert phys_mse(window, spec) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +319,8 @@ def test_sealed_room_closed_form():
     )
     t = np.arange(12)
     c_room = 420.0 + 2.0 * 10.0 * 30.0 * t / 64.0
-    r = residual_co2(c_room[None, :], np.zeros((1, 12)), env)
-    assert np.all(r.data == 0.0)
+    r, _ = residual_co2(c_room[None, :], np.zeros((1, 12)), env)
+    assert np.all(r == 0.0)
 
 
 def test_balanced_flow_steady_state_is_exact():
@@ -345,16 +331,16 @@ def test_balanced_flow_steady_state_is_exact():
         flow=0.5, inflow_ppm=420.0, occupants=0.0,
     )
     c = np.full((1, 9), 420.0)
-    r = residual_co2(c, c, env)
-    assert np.all(r.data == 0.0)
+    r, _ = residual_co2(c, c, env)
+    assert np.all(r == 0.0)
 
 
 def test_co2_residual_first_timestep_checks_initial_condition():
     env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=400.0, dt=30.0)
     c_room = np.full((1, 5), 410.0)
-    r = residual_co2(c_room, np.zeros((1, 5)), env)
+    r, _ = residual_co2(c_room, np.zeros((1, 5)), env)
     # residual[0] = (c_room[0] - c0) * V regardless of any flow history.
-    assert r.data[0, 0] == (410.0 - 400.0) * 64.0
+    assert r[0, 0] == (410.0 - 400.0) * 64.0
 
 
 def test_clean_co2_simulation_residual_is_exactly_zero():
@@ -368,7 +354,7 @@ def test_clean_co2_simulation_residual_is_exactly_zero():
         environment=env_out,
         channel_map=default_channel_map("co2", window.channels),
     )
-    assert physics_loss(window, spec) == 0.0
+    assert phys_mse(window, spec) == 0.0
 
 
 def test_co2_environment_accepts_series_flow():
@@ -383,7 +369,7 @@ def test_co2_environment_accepts_series_flow():
         environment=env_out,
         channel_map=default_channel_map("co2", window.channels),
     )
-    assert physics_loss(window, spec) == 0.0
+    assert phys_mse(window, spec) == 0.0
 
 
 def test_co2_environment_series_length_must_match():
@@ -395,6 +381,17 @@ def test_co2_environment_series_length_must_match():
         residual_co2(np.zeros((1, 6)), np.zeros((1, 6)), env)
 
 
+def test_co2_c_out_gradient_hand_values():
+    # residual[t] adds sum_{s<t} c_out[s] v dt; with v dt = 1, dL/dc_out[s] is
+    # the sum of the upstream weights after s, and dL/dc_room[t] = V w[t].
+    env = Co2Environment(room_volume=64.0, emission_rate=0.0, initial_ppm=400.0, dt=2.0, flow=0.5)
+    spec = PhysicsSpec("co2", env, default_channel_map("co2", CHANNEL_NAMES["co2"]))
+    x = Tensor(np.full((2, 3), 400.0), requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(mul(stacked_residual(x, spec), Tensor([[10.0, 20.0, 40.0]])))
+    assert np.array_equal(backward(loss, tape)[x], [[640.0, 1280.0, 2560.0], [60.0, 40.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # Air-handler heat balance
 
@@ -404,9 +401,9 @@ def test_hvac_residual_hand_values():
     t_sa = np.full((1, 4), 295.0)
     t_mix = np.full((1, 4), 293.0)
     dq = np.full((1, 4), 4000.0)  # exactly m c (t_sa - t_mix)
-    assert np.all(residual_hvac(t_sa, t_mix, dq, env).data == 0.0)
-    short = residual_hvac(t_sa, t_mix, np.full((1, 4), 1000.0), env)
-    assert np.all(short.data == -3000.0)
+    assert np.all(residual_hvac(t_sa, t_mix, dq, env)[0] == 0.0)
+    short, _ = residual_hvac(t_sa, t_mix, np.full((1, 4), 1000.0), env)
+    assert np.all(short == -3000.0)
 
 
 def test_clean_hvac_simulation_residual_is_exactly_zero():
@@ -417,7 +414,7 @@ def test_clean_hvac_simulation_residual_is_exactly_zero():
         environment=env_out,
         channel_map=default_channel_map("hvac", window.channels),
     )
-    assert physics_loss(window, spec) == 0.0
+    assert phys_mse(window, spec) == 0.0
 
 
 def test_degenerate_heat_capacity_rate_rejected():
@@ -429,6 +426,28 @@ def test_degenerate_heat_capacity_rate_rejected():
 def test_heat_capacity_rate_series():
     env = HvacEnvironment(dt=60.0, mass_flow=np.array([1.0, 2.0, 3.0]), specific_heat=1000.0)
     assert np.array_equal(hvac_heat_capacity_rate(env, 3), [1000.0, 2000.0, 3000.0])
+
+
+# ---------------------------------------------------------------------------
+# Environments
+
+_CO2_CONSTANTS = {"room_volume": 64.0, "emission_rate": 10.0, "initial_ppm": 420.0, "dt": 30.0}
+
+
+@pytest.mark.parametrize("env_type, fields, name", [
+    (InsEnvironment, {"dt": np.nan}, "dt"),
+    (InsEnvironment, {"dt": np.inf}, "dt"),
+    (InsEnvironment, {"dt": 0.01, "gravity": [0.0, 0.0, np.inf]}, "gravity"),
+    (Co2Environment, {**_CO2_CONSTANTS, "room_volume": np.nan}, "room_volume"),
+    (Co2Environment, {**_CO2_CONSTANTS, "emission_rate": np.inf}, "emission_rate"),
+    (Co2Environment, {**_CO2_CONSTANTS, "flow": np.array([0.03, np.nan, 0.03])}, "flow"),
+    (HvacEnvironment, {"dt": 60.0, "mass_flow": np.nan}, "mass_flow"),
+    (HvacEnvironment, {"dt": 60.0, "specific_heat": np.inf}, "specific_heat"),
+], ids=["ins-dt-nan", "ins-dt-inf", "ins-gravity-inf", "co2-room_volume-nan",
+        "co2-emission_rate-inf", "co2-flow-series-nan", "hvac-mass_flow-nan", "hvac-specific_heat-inf"])
+def test_environment_rejects_a_non_finite_field(env_type, fields, name):
+    with pytest.raises(ValueError, match=f"{env_type.__name__}: {name} must be finite"):
+        env_type(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +490,37 @@ def test_channel_map_row_outside_window_rejected():
         stacked_residual(Tensor(np.zeros((3, 4))), spec)
 
 
+def test_stacked_residual_gradient_routing():
+    # Each family's channels on permuted rows of a block with one extra row.
+    rng = np.random.default_rng(2)
+    for family, fn in [("ins", residual_ins), ("co2", residual_co2), ("hvac", residual_hvac)]:
+        ds = generate_dataset(SimulateConfig(family=family, count=2, seed=1, noise_scale=0.2))
+        values = np.stack([w.values for w in ds.windows], axis=1)
+        c = values.shape[0]
+        rows = rng.permutation(c + 1)  # channel i on row rows[i]; row rows[c] is unmapped
+        block = np.full((c + 1, *values.shape[1:]), 5.0)
+        block[rows[:c]] = values
+        spec = PhysicsSpec(family, ds.spec.environment,
+                           {name: int(row) for name, row in zip(CHANNEL_NAMES[family], rows)})
+        out, vjp = fn(*(values[[CHANNEL_NAMES[family].index(n) for n in names]]
+                        for names in _CHANNEL_GROUPS[family]), ds.spec.environment)
+        g = rng.uniform(-1.0, 1.0, size=out.shape)
+        g[..., 0] = -0.0
+        x = Tensor(block, requires_grad=True)
+        with Tape() as tape:
+            loss = reduce_sum(mul(stacked_residual(x, spec), Tensor(g)))
+        grad = backward(loss, tape)[x]
+        assert np.all(grad[rows[c]] == 0.0) and not np.any(np.signbit(grad[rows[c]]))
+        negative_zeros = 0
+        for names, g_group in zip(_CHANNEL_GROUPS[family], vjp(g)):
+            mapped = grad[[spec.channel_map[n] for n in names]]
+            assert mapped.tobytes() == (0.0 + g_group).tobytes()
+            negative_zeros += np.count_nonzero((g_group == 0.0) & np.signbit(g_group))
+            assert not np.any(np.signbit(mapped[g_group == 0.0]))
+        # The scalar families pass g's -0.0 column straight to a group.
+        assert family == "ins" or negative_zeros > 0
+
+
 def test_channel_map_rejects_two_symbols_at_one_row():
     cmap = default_channel_map("ins", CHANNEL_NAMES["ins"])
     cmap["py"] = cmap["px"]
@@ -493,7 +543,7 @@ def test_stacked_residual_orders_rate_then_orientation():
     v = window.values
     stacked = stacked_residual(Tensor(v), spec)
     assert stacked.data.shape == (7, window.n_timesteps - 2)
-    assert np.array_equal(stacked.data, residual_ins(v[0:3], v[3:7], v[7:10], v[10:13], env).data)
+    assert np.array_equal(stacked.data, residual_ins(v[0:3], v[3:7], v[7:10], v[10:13], env)[0])
     # the specific-force rows are the accelerometer's, the orientation rows are not
     v[10:13] += 1.0
     shifted = stacked_residual(Tensor(v), spec).data
@@ -537,7 +587,7 @@ def test_physics_loss_matches_stacked_mean_square():
         channel_map=default_channel_map("ins", window.channels),
     )
     r = stacked_residual(Tensor(window.values), spec).data
-    assert physics_loss(window, spec) == float(np.mean(r * r))
+    assert phys_mse(window, spec) == float(np.mean(r * r))
     assert physics_loss_tensor(Tensor(window.values), spec).item() == float(np.mean(r * r))
 
 
@@ -549,4 +599,4 @@ def test_physics_loss_rejects_dt_mismatch():
         channel_map=default_channel_map("ins", window.channels),
     )
     with pytest.raises(ValueError, match="dt"):
-        physics_loss(window, spec)
+        phys_mse(window, spec)
