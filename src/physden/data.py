@@ -351,40 +351,37 @@ def simulate_co2(
     duration: float,
     dt: float,
     env: Co2Environment,
+    flow: float,
+    inflow_ppm: float,
     seed: int | None = None,
-    outdoor_offset: float = 0.0,
 ) -> tuple[SampleWindow, Co2Environment]:
-    """Room CO2 evolved by the exact discrete mass balance.
+    """Room CO2 evolved by the exact discrete mass balance, next to its driver rows.
 
-    The returned environment carries the occupancy schedule: env's own when
-    it sets one, else a random piecewise-constant profile. The update uses
-    the residual's own accumulated-supply helper and association order, so
-    the residual of the clean output is exactly 0.0 bitwise when
+    The window's flow and inflow_ppm rows hold the given constants and its
+    occupancy row a random piecewise-constant headcount drawn from seed. The
+    update uses the residual's own accumulated-supply helper and association
+    order, so the residual of the clean output is exactly 0.0 bitwise when
     room_volume is a power of two (the default elsewhere in the package);
     for other volumes it is zero up to the final rounding step.
 
-    c_out is modeled as the well-mixed room value plus outdoor_offset.
+    c_out is modeled as the well-mixed room value.
     """
     t_len = _timesteps(duration, dt)
     if abs(dt - env.dt) > 1e-12 * max(dt, env.dt):
         raise ValueError(f"simulate_co2: dt {dt} does not match env.dt {env.dt}")
-    rng = np.random.default_rng(seed)
-    if np.ndim(env.occupants) == 0 and float(env.occupants) == 0.0:
-        env = dataclasses.replace(env, occupants=_random_occupancy(t_len, rng))
+    occupants = _random_occupancy(t_len, np.random.default_rng(seed))
+    flow_row, inflow_row = np.full(t_len, float(flow)), np.full(t_len, float(inflow_ppm))
 
-    base, flow = co2_known_terms(env, t_len)
-    volume = env.room_volume
+    base = co2_known_terms(flow_row, inflow_row, occupants, env)
     c_room = np.empty(t_len)
-    c_out = np.empty(t_len)
     removed = 0.0
     for k in range(t_len):
-        c_room[k] = (base[k] - removed) / volume
-        c_out[k] = c_room[k] + outdoor_offset
-        removed = removed + (c_out[k] * flow[k]) * env.dt
+        c_room[k] = (base[k] - removed) / env.room_volume
+        removed = removed + (c_room[k] * flow_row[k]) * env.dt
 
     window = SampleWindow(
         channels=list(CHANNEL_NAMES["co2"]),
-        values=np.vstack([c_room, c_out]),
+        values=np.vstack([c_room, c_room, flow_row, inflow_row, occupants]),
         dt=dt,
         units=list(CHANNEL_UNITS["co2"]),
     )
@@ -421,12 +418,9 @@ def simulate_hvac(
     phase_q = rng.uniform(0.0, 2.0 * np.pi, size=3)
     dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
 
-    mc = hvac_heat_capacity_rate(env, t_len)
-    degenerate = np.flatnonzero(mc == 0.0)
-    if degenerate.size:
-        raise ValueError(
-            f"simulate_hvac: degenerate environment, m*c is zero at timestep {degenerate[0]}"
-        )
+    mc = hvac_heat_capacity_rate(env)
+    if mc == 0.0:
+        raise ValueError("simulate_hvac: degenerate environment, m*c is zero")
     t_sa = t_mix + dq / mc
     dq_stored = mc * (t_sa - t_mix)
 
@@ -487,12 +481,7 @@ class Dataset:
     denoise_channels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        train, test = self.split
-        both = sorted(train) + sorted(test)
-        if sorted(both) != list(range(len(self.windows))):
-            raise ValueError("Dataset: split must partition window indices")
-        if set(train) & set(test):
-            raise ValueError("Dataset: split lists must be disjoint")
+        _check_split(self.split, len(self.windows))
         if self.clean is not None and len(self.clean) != len(self.windows):
             raise ValueError("Dataset: clean list must pair 1:1 with windows")
         if not self.denoise_channels:
@@ -507,6 +496,12 @@ class Dataset:
         return [self.windows[i] for i in self.split[1]]
 
 
+def _check_split(split: tuple[list[int], list[int]], n_windows: int) -> None:
+    """Reject a split whose train and test lists do not partition the window indices."""
+    if sorted([*split[0], *split[1]]) != list(range(n_windows)):
+        raise ValueError("Dataset: split must partition window indices")
+
+
 def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[SampleWindow],
              split: tuple[list[int], list[int]] | None = None,
              denoise_channels: Sequence[str] = ()) -> Dataset:
@@ -514,6 +509,7 @@ def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[
     given split (by default split_by_alignment) and the train split's norm stats."""
     spec = PhysicsSpec(family, environment, default_channel_map(family, windows[0].channels))
     split = split or split_by_alignment(windows, spec)
+    _check_split(split, len(windows))  # before the train split's stats index the windows
     stats = compute_norm_stats([windows[i] for i in split[0]] or windows)
     return Dataset(windows, spec, split, stats, clean=clean or None,
                    denoise_channels=list(denoise_channels))
@@ -602,13 +598,7 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
 # ---------------------------------------------------------------------------
 # Dataset manifest (INI)
 
-_SERIES_MARK = "@series"
-
 _ENVIRONMENTS = {"ins": InsEnvironment, "co2": Co2Environment, "hvac": HvacEnvironment}
-
-
-def _format_scalar(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _env_keys(env_type) -> list[str]:
@@ -616,59 +606,60 @@ def _env_keys(env_type) -> list[str]:
     return sorted((f.name for f in dataclasses.fields(env_type)), key=lambda name: name != "dt")
 
 
-def _env_sections(spec: PhysicsSpec) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """[environment] key/values plus any per-timestep series to store aside."""
+def _env_section(spec: PhysicsSpec) -> dict[str, str]:
+    """[environment] key/values, each constant at 17 significant digits.
+
+    gravity's three components are joined by commas.
+    """
     env = spec.environment
-    out: dict[str, str] = {}
-    series: dict[str, np.ndarray] = {}
-    for name in _env_keys(env):
-        value = getattr(env, name)
-        if name == "gravity":
-            out[name] = ",".join(_format_scalar(g) for g in value)
-        elif name in env.SERIES_FIELDS and np.ndim(value) > 0:
-            out[name] = _SERIES_MARK
-            series[name] = np.asarray(value, dtype=np.float64)
-        else:
-            out[name] = _format_scalar(value)
-    return out, series
+    return {name: ",".join(f"{float(v):.17g}" for v in np.atleast_1d(getattr(env, name)))
+            for name in _env_keys(env)}
 
 
-def _manifest_value(section, key: str) -> str:
+def _manifest_value(path: Path, section, key: str) -> str:
     """A required manifest entry; a missing one is an error naming its section and key."""
     if key not in section:
-        raise ValueError(f"manifest: [{section.name}] is missing the {key!r} key")
+        raise ValueError(f"{path}: [{section.name}] is missing the {key!r} key")
     return section[key]
 
 
-def _env_from_section(family: str, section, base_dir: Path):
-    if family not in _ENVIRONMENTS:
-        raise ValueError(f"manifest: unknown family {family!r}")
-    env_type = _ENVIRONMENTS[family]
-    series_window = None
-    if section.get("series_csv"):
-        series_window = load_csv(base_dir / section["series_csv"])
+def _manifest_numbers(path: Path, section, key: str, kind=float, size: int | None = 1) -> list:
+    """A required manifest entry as its comma-separated numbers of the given kind.
 
+    There must be exactly size of them; with size None, any number, and
+    empty items are skipped. Any other value is an error naming the
+    manifest, the section and the key.
+    """
+    raw = _manifest_value(path, section, key)
+    try:
+        values = [kind(v) for v in raw.split(",") if size is not None or v.strip()]
+    except ValueError:
+        values = None
+    if values is None or size not in (None, len(values)):
+        noun = "integer" if kind is int else "number"
+        want = f"comma-separated {noun}s" if size is None else f"{size} {noun}" + "s" * (size > 1)
+        raise ValueError(f"{path}: [{section.name}] {key} must be {want}, got {raw!r}")
+    return values
+
+
+def _env_from_section(family: str, section, path: Path):
+    if family not in _ENVIRONMENTS:
+        raise ValueError(f"{path}: unknown family {family!r}")
+    env_type = _ENVIRONMENTS[family]
     values = {}
     for name in _env_keys(env_type):
-        raw = _manifest_value(section, name)
-        if raw == _SERIES_MARK:
-            if name not in env_type.SERIES_FIELDS:
-                raise ValueError(f"manifest: {name} cannot vary per timestep, but is marked {_SERIES_MARK}")
-            if series_window is None:
-                raise ValueError(f"manifest: {name} marked {_SERIES_MARK} but no series_csv given")
-            values[name] = series_window.row(name).copy()
-        elif name == "gravity":
-            values[name] = np.array([float(v) for v in raw.split(",")])
+        if name == "gravity":
+            values[name] = np.array(_manifest_numbers(path, section, name, size=3))
         else:
-            values[name] = float(raw)
+            [values[name]] = _manifest_numbers(path, section, name)
     return env_type(**values)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write window CSVs, any environment series, and manifest.ini; returns the manifest path."""
+    """Write window CSVs and manifest.ini; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
 
     cfg["dataset"] = {
@@ -677,18 +668,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         "denoise": ",".join(dataset.denoise_channels),
     }
 
-    env_kv, series = _env_sections(dataset.spec)
-    if series:
-        names = sorted(series)
-        series_window = SampleWindow(
-            channels=names,
-            values=np.vstack([series[n] for n in names]),
-            dt=dataset.spec.dt,
-            units=["1"] * len(names),
-        )
-        save_csv(series_window, out_dir / "env_series.csv")
-        env_kv["series_csv"] = "env_series.csv"
-    cfg["environment"] = env_kv
+    cfg["environment"] = _env_section(dataset.spec)
 
     cfg["units"] = {
         name: unit for name, unit in zip(dataset.windows[0].channels, dataset.windows[0].units)
@@ -722,24 +702,26 @@ def load_manifest(path) -> Dataset:
     if not path.exists():
         raise ValueError(f"manifest not found: {path}")
     base = path.parent
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     cfg.read(path)
     for section in ("dataset", "environment", "windows"):
         if section not in cfg:
             raise ValueError(f"{path}: manifest is missing the [{section}] section")
 
-    family = _manifest_value(cfg["dataset"], "family").lower()
-    count = int(_manifest_value(cfg["dataset"], "count"))
+    family = _manifest_value(path, cfg["dataset"], "family").lower()
+    [count] = _manifest_numbers(path, cfg["dataset"], "count", int)
     if count < 1:
         raise ValueError(f"{path}: [dataset] count must be at least 1, got {count}")
     denoise = [c for c in cfg["dataset"].get("denoise", "").split(",") if c]
 
-    env = _env_from_section(family, cfg["environment"], base)
+    env = _env_from_section(family, cfg["environment"], path)
     units = dict(cfg["units"]) if "units" in cfg else {}
 
     def window(key: str) -> SampleWindow:
         file = base / cfg["windows"][key]
+        if not file.is_file():
+            raise ValueError(f"{path}: [windows] {key} names no file: {file}")
         w = load_csv(file, schema=CHANNEL_NAMES[family])
         if windows and w.channels != windows[0].channels:
             # Every window is read with window 0's channel map.
@@ -764,9 +746,8 @@ def load_manifest(path) -> Dataset:
 
     split = None
     if "split" in cfg and cfg["split"].get("train"):
-        train = [int(v) for v in cfg["split"]["train"].split(",") if v]
-        test = [int(v) for v in _manifest_value(cfg["split"], "test").split(",") if v != ""]
-        split = (train, test)
+        split = tuple(_manifest_numbers(path, cfg["split"], key, int, size=None)
+                      for key in ("train", "test"))
     return _dataset(family, env, windows, clean, split, denoise)
 
 
@@ -803,9 +784,9 @@ class SimulateConfig:
     room_volume: float = 64.0
     emission_rate: float = 10.0
     initial_ppm: float = 420.0
+    # co2's constant flow (m^3/s) and inflow (ppm) rows
     flow: float = 0.03
     inflow_ppm: float = 420.0
-    outdoor_offset: float = 0.0
     # hvac environment
     mass_flow: float = 1.0
     specific_heat: float = 1006.0
@@ -826,10 +807,9 @@ class SimulateConfig:
 def generate_dataset(cfg: SimulateConfig) -> Dataset:
     """Simulate clean windows, corrupt them, split, and pool norm stats.
 
-    Windows share one environment. For the CO2 family the driving schedules
-    live in that shared environment, so every clean window in a dataset is
-    the same trajectory, simulated once, and only the noise differs; the
-    inertial and HVAC generators draw fresh schedules per window.
+    Windows share one environment of constants; each window is simulated
+    from its own seed, co2's occupancy row included. Every row is noised by
+    the same rule, so constant rows (co2's flow and inflow) get none.
     """
     ss = np.random.SeedSequence(cfg.seed)
     sim_seeds = ss.spawn(cfg.count)
@@ -840,19 +820,10 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
             cfg.duration, cfg.dt, cfg.motion_scale, cfg.rotation_scale, cfg.n_modes, sim_seeds
         )
     elif cfg.family == "co2":
-        env = Co2Environment(
-            room_volume=cfg.room_volume,
-            emission_rate=cfg.emission_rate,
-            initial_ppm=cfg.initial_ppm,
-            dt=cfg.dt,
-            flow=cfg.flow,
-            inflow_ppm=cfg.inflow_ppm,
-        )
-        # The first seed draws the occupancy schedule, which fixes the trajectory.
-        w, env = simulate_co2(
-            cfg.duration, cfg.dt, env, seed=sim_seeds[0], outdoor_offset=cfg.outdoor_offset
-        )
-        clean = [SampleWindow(w.channels, w.values.copy(), w.dt, w.units) for _ in sim_seeds]
+        env = Co2Environment(room_volume=cfg.room_volume, emission_rate=cfg.emission_rate,
+                             initial_ppm=cfg.initial_ppm, dt=cfg.dt)
+        clean = [simulate_co2(cfg.duration, cfg.dt, env, cfg.flow, cfg.inflow_ppm, seed=seed)[0]
+                 for seed in sim_seeds]
     else:
         env = HvacEnvironment(dt=cfg.dt, mass_flow=cfg.mass_flow, specific_heat=cfg.specific_heat)
         clean = [simulate_hvac(cfg.duration, cfg.dt, env, seed=seed)[0] for seed in sim_seeds]

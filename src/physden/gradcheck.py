@@ -129,27 +129,21 @@ def _ins_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
 
 
 def _co2_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    t_len = 6
-    env = Co2Environment(
-        room_volume=64.0,
-        emission_rate=0.5,
-        initial_ppm=4.0,
-        dt=2.0,
-        flow=rng.uniform(0.05, 0.2, size=t_len),
-        inflow_ppm=4.0,
-        occupants=rng.integers(0, 3, size=t_len).astype(float),
-    )
-    return _residual_case(rng, "co2", env, rng.uniform(3.0, 5.0, size=(2, *_batch(rng), t_len)))
+    shape = (*_batch(rng), 6)
+    env = Co2Environment(room_volume=64.0, emission_rate=0.5, initial_ppm=4.0, dt=2.0)
+    # c_room and c_out, then the driver rows: flow, inflow and headcount.
+    vals = np.concatenate([
+        rng.uniform(3.0, 5.0, size=(2, *shape)),
+        rng.uniform(0.05, 0.2, size=(1, *shape)),
+        rng.uniform(3.0, 5.0, size=(1, *shape)),
+        rng.integers(0, 3, size=(1, *shape)).astype(float),
+    ])
+    return _residual_case(rng, "co2", env, vals)
 
 
 def _hvac_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    t_len = 6
-    env = HvacEnvironment(
-        dt=1.0,
-        mass_flow=rng.uniform(0.5, 1.5, size=t_len),
-        specific_heat=1.0,
-    )
-    return _residual_case(rng, "hvac", env, rng.uniform(-2.0, 2.0, size=(3, *_batch(rng), t_len)))
+    env = HvacEnvironment(dt=1.0, mass_flow=rng.uniform(0.5, 1.5), specific_heat=1.0)
+    return _residual_case(rng, "hvac", env, rng.uniform(-2.0, 2.0, size=(3, *_batch(rng), 6)))
 
 
 def _model_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:

@@ -19,7 +19,7 @@ world frame, so a stationary level device reads (0, 0, +9.80665).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def quat_exp(v) -> np.ndarray:
 
 
 def _check_finite(env) -> None:
-    """Reject an environment with a non-finite constant or series entry, naming its field."""
+    """Reject an environment with a non-finite constant, naming its field."""
     for f in fields(env):
         if not np.all(np.isfinite(np.asarray(getattr(env, f.name), dtype=np.float64))):
             raise ValueError(f"{type(env).__name__}: {f.name} must be finite")
@@ -115,9 +115,6 @@ def _as_gravity(g) -> np.ndarray:
 class InsEnvironment:
     """Sampling interval and world-frame gravity for the inertial family."""
 
-    # Fields that may hold one value per timestep instead of a constant.
-    SERIES_FIELDS: ClassVar[tuple[str, ...]] = ()
-
     dt: float
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -STANDARD_GRAVITY]))
 
@@ -130,21 +127,16 @@ class InsEnvironment:
 
 @dataclass
 class Co2Environment:
-    """Room constants and known flow/occupancy series for the CO2 balance.
+    """Room constants for the CO2 balance; per-person emission is in ppm*m^3/s.
 
-    Series fields accept a scalar (constant over time) or an array of length
-    T. Flow is volumetric (m^3/s); per-person emission is in ppm*m^3/s.
+    The known drivers (ventilation flow, inflow concentration, headcount) are
+    channels of each window, not constants of the room.
     """
-
-    SERIES_FIELDS: ClassVar[tuple[str, ...]] = ("flow", "inflow_ppm", "occupants")
 
     room_volume: float
     emission_rate: float
     initial_ppm: float
     dt: float
-    flow: float | np.ndarray = 0.0
-    inflow_ppm: float | np.ndarray = 0.0
-    occupants: float | np.ndarray = 0.0
 
     def __post_init__(self):
         _check_finite(self)
@@ -152,27 +144,23 @@ class Co2Environment:
             raise ValueError(f"Co2Environment: room_volume must be positive, got {self.room_volume}")
         if self.dt <= 0:
             raise ValueError(f"Co2Environment: dt must be positive, got {self.dt}")
-        if np.any(np.asarray(self.occupants) < 0):
-            raise ValueError("Co2Environment: occupants must be non-negative")
 
 
 @dataclass
 class HvacEnvironment:
-    """Air mass flow (kg/s) and specific heat (J/(kg K)) series for the coil balance."""
-
-    SERIES_FIELDS: ClassVar[tuple[str, ...]] = ("mass_flow", "specific_heat")
+    """Air mass flow (kg/s) and specific heat (J/(kg K)) for the coil balance."""
 
     dt: float
-    mass_flow: float | np.ndarray = 1.0
-    specific_heat: float | np.ndarray = 1006.0
+    mass_flow: float = 1.0
+    specific_heat: float = 1006.0
 
     def __post_init__(self):
         _check_finite(self)
         if self.dt <= 0:
             raise ValueError(f"HvacEnvironment: dt must be positive, got {self.dt}")
-        if np.any(np.asarray(self.mass_flow) < 0):
+        if self.mass_flow < 0:
             raise ValueError("HvacEnvironment: mass_flow must be non-negative")
-        if np.any(np.asarray(self.specific_heat) <= 0):
+        if self.specific_heat <= 0:
             raise ValueError("HvacEnvironment: specific_heat must be positive")
 
 
@@ -180,7 +168,7 @@ class HvacEnvironment:
 # names per block argument (residual_ins's p, q, w, a, and so on).
 _CHANNEL_GROUPS: dict[str, tuple[tuple[str, ...], ...]] = {
     "ins": (("px", "py", "pz"), ("qw", "qx", "qy", "qz"), ("wx", "wy", "wz"), ("ax", "ay", "az")),
-    "co2": (("c_room",), ("c_out",)),
+    "co2": (("c_room",), ("c_out",), ("flow",), ("inflow_ppm",), ("occupants",)),
     "hvac": (("t_sa",), ("t_mix",), ("dq",)),
 }
 
@@ -193,13 +181,13 @@ CHANNEL_NAMES: dict[str, list[str]] = {
 
 CHANNEL_UNITS: dict[str, list[str]] = {
     "ins": ["m", "m", "m", "1", "1", "1", "1", "rad/s", "rad/s", "rad/s", "m/s^2", "m/s^2", "m/s^2"],
-    "co2": ["ppm", "ppm"],
+    "co2": ["ppm", "ppm", "m^3/s", "ppm", "1"],
     "hvac": ["K", "K", "W"],
 }
 
 # Channels the denoiser reconstructs by default; the rest of the window
-# (gyro/accel for ins, coil power for hvac) is kept as observed and feeds
-# the residual unchanged.
+# (gyro/accel for ins, the known drivers for co2, coil power for hvac) is
+# kept as observed and feeds the residual unchanged.
 DENOISE_CHANNELS: dict[str, list[str]] = {
     "ins": ["px", "py", "pz", "qw", "qx", "qy", "qz"],
     "co2": ["c_room", "c_out"],
@@ -288,15 +276,6 @@ def _time_derivative_vjp(g: np.ndarray, dt: float, order: int) -> np.ndarray:
     return out
 
 
-def _series(value, t_len: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(t_len, float(arr))
-    if arr.shape != (t_len,):
-        raise ValueError(f"environment series {name!r} has length {arr.shape}, expected ({t_len},)")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Residual families
 #
@@ -361,52 +340,49 @@ def residual_ins(p, q, w, a, env: InsEnvironment):
     return out, vjp
 
 
-def co2_known_terms(env: Co2Environment, t_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated known-supply side of the CO2 balance and the flow series.
+def co2_known_terms(flow, inflow, occupants, env: Co2Environment) -> np.ndarray:
+    """Accumulated known-supply side of the CO2 balance, from the driver rows.
 
     base[t] = c0*V + sum_{s<t} c_in[s]*v[s]*dt + sum_{s<t} n[s]*q*dt.
     The simulator consumes the same arrays and association order, which is
     what lets clean data cancel the residual exactly.
     """
-    v = _series(env.flow, t_len, "flow")
-    cin = _series(env.inflow_ppm, t_len, "inflow_ppm")
-    occ = _series(env.occupants, t_len, "occupants")
-    s_in = exclusive_prefix_sum_values((cin * v) * env.dt)
-    s_occ = exclusive_prefix_sum_values((occ * env.emission_rate) * env.dt)
-    base = (env.initial_ppm * env.room_volume + s_in) + s_occ
-    return base, v
+    s_in = exclusive_prefix_sum_values((inflow * flow) * env.dt)
+    s_occ = exclusive_prefix_sum_values((occupants * env.emission_rate) * env.dt)
+    return (env.initial_ppm * env.room_volume + s_in) + s_occ
 
 
-def residual_co2(c_room, c_out, env: Co2Environment):
+def residual_co2(c_room, c_out, flow, inflow, occupants, env: Co2Environment):
     """Mass-balance residual of room CO2 in ppm*m^3, 1 x [B x] T, and its VJP.
 
     residual[t] = c_room[t]*V - (c0*V + sum_{s<t} c_in v dt + sum_{s<t} n q dt
-                  - sum_{s<t} c_out v dt).
-    Prefix sums exclude the current timestep, so residual[0] compares c_room[0]
-    against the initial condition alone. The c_out gradient at s sums the
-    upstream gradient over t > s: the reversed cumulative sum less g itself.
+                  - sum_{s<t} c_out v dt),
+    with the ventilation flow v (m^3/s), inflow concentration c_in (ppm) and
+    headcount n read from the window's rows. Prefix sums exclude the current
+    timestep, so residual[0] compares c_room[0] against the initial condition
+    alone. Every gradient but c_room's at s sums the upstream gradient over
+    t > s: the reversed cumulative sum less g itself.
     """
-    base, v = co2_known_terms(env, c_out.shape[-1])
     dt, volume = float(env.dt), float(env.room_volume)
-    out = c_room * volume - (base - exclusive_prefix_sum_values((c_out * v) * dt))
+    base = co2_known_terms(flow, inflow, occupants, env)
+    out = c_room * volume - (base - exclusive_prefix_sum_values((c_out * flow) * dt))
 
     def vjp(g):
-        rev = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
-        return g * volume, ((rev - g) * dt) * v
+        later = (np.cumsum(g[..., ::-1], axis=-1)[..., ::-1] - g) * dt
+        return (g * volume, later * flow, later * (c_out - inflow), -later * flow,
+                later * -env.emission_rate)
 
     return out, vjp
 
 
-def hvac_heat_capacity_rate(env: HvacEnvironment, t_len: int) -> np.ndarray:
-    """m*c series in W/K; shared between residual and simulator."""
-    m = _series(env.mass_flow, t_len, "mass_flow")
-    c = _series(env.specific_heat, t_len, "specific_heat")
-    return m * c
+def hvac_heat_capacity_rate(env: HvacEnvironment) -> float:
+    """m*c in W/K; shared between residual and simulator."""
+    return env.mass_flow * env.specific_heat
 
 
 def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment):
     """Coil power-balance residual dq - m*c*(t_sa - t_mix) in watts, 1 x [B x] T, and its VJP."""
-    mc = hvac_heat_capacity_rate(env, dq.shape[-1])
+    mc = hvac_heat_capacity_rate(env)
 
     def vjp(g):
         g_sa = (-g) * mc

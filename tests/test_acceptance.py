@@ -86,9 +86,8 @@ def test_criterion_2_clean_simulation_residuals():
     ok = True
     for seed in (3, 7, 11):
         env = Co2Environment(room_volume=64.0, emission_rate=10.0,
-                             initial_ppm=420.0, dt=30.0, flow=0.03,
-                             inflow_ppm=420.0)
-        w, env_out = simulate_co2(3600.0, 30.0, env, seed=seed)
+                             initial_ppm=420.0, dt=30.0)
+        w, env_out = simulate_co2(3600.0, 30.0, env, 0.03, 420.0, seed=seed)
         ok = ok and phys_mse(w, spec_for("co2", w, env_out)) == 0.0
 
         henv = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)

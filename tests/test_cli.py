@@ -143,6 +143,20 @@ def test_manifest_count_below_one_is_an_error(capsys, tmp_path, workspace):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, key, value, shown", [
+    ("dataset", "count", "two", "must be 1 integer, got 'two'"),
+    ("split", "train", "0,a", "must be comma-separated integers, got '0,a'"),
+    ("environment", "mass_flow", "abc", "must be 1 number, got 'abc'"),
+])
+def test_manifest_number_error_names_file_section_and_key(capsys, tmp_path, workspace, section,
+                                                         key, value, shown):
+    manifest = rewritten_manifest(workspace["sim_data"], tmp_path, section, key, value)
+    rc = main(["train", "--run-dir", str(tmp_path / "run"), "--set", f"data.manifest={manifest}"])
+    assert rc == 1
+    assert f"error: {manifest}: [{section}] {key} {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_non_finite_environment_constant_is_rejected_before_training(capsys, monkeypatch, tmp_path):
     assert main(["simulate", "--run-dir", str(tmp_path / "sim"), "--set", "data.family=co2",
                  "--set", "data.count=2", "--set", "data.duration=300"]) == 0
@@ -202,7 +216,7 @@ def test_unknown_config_key_is_an_error(capsys, tmp_path, config, override, mess
 DOCUMENTED_KEYS = {
     "data": "family count duration dt seed noise_kind noise_scale mask_fraction bias_frac "
             "motion_scale rotation_scale n_modes room_volume emission_rate initial_ppm flow "
-            "inflow_ppm outdoor_offset mass_flow specific_heat manifest input subset",
+            "inflow_ppm mass_flow specific_heat manifest input subset",
     "train": "lr batch_size epochs_total pretrain_fraction lambda_mode lambda_value noise_kind "
              "noise_scale mask_fraction seed widths predict_residual",
     "model": "denoise checkpoint",

@@ -2,6 +2,7 @@
 import configparser
 import csv
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -218,36 +219,30 @@ def test_ins_dataset_windows_are_each_seeds_simulate_ins_bitwise():
         assert ds.spec.dt == env.dt
 
 
-def test_co2_shares_one_schedule_through_env():
-    env = Co2Environment(
-        room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0, flow=0.03,
-        inflow_ppm=420.0,
-    )
-    first, env_out = simulate_co2(900.0, 30.0, env, seed=7)
-    second, _ = simulate_co2(900.0, 30.0, env_out, seed=99)
-    # once the occupancy schedule lives in the environment the trajectory is fixed
-    assert np.array_equal(first.values, second.values)
-
-
-def test_co2_dataset_windows_are_one_trajectory_in_separate_copies():
-    cfg = SimulateConfig(family="co2", count=4, duration=900.0, dt=30.0, seed=3)
+def test_co2_dataset_windows_are_each_seeds_simulate_co2_bitwise():
+    cfg = SimulateConfig(family="co2", count=8, seed=1)
     ds = generate_dataset(cfg)
-    first_seed = np.random.SeedSequence(cfg.seed).spawn(cfg.count)[0]
-    alone, env = simulate_co2(900.0, 30.0, dataclasses.replace(ds.spec.environment, occupants=0.0),
-                              seed=first_seed)
-    assert np.array_equal(env.occupants, ds.spec.environment.occupants)
-    for i, window in enumerate(ds.clean):
+    assert len({w.values.tobytes() for w in ds.clean}) == 8
+    sim_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.count)
+    for window, seed in zip(ds.clean, sim_seeds):
+        alone, env = simulate_co2(cfg.duration, cfg.dt, ds.spec.environment, cfg.flow,
+                                  cfg.inflow_ppm, seed=seed)
         assert window.values.tobytes() == alone.values.tobytes()
-        assert not any(np.shares_memory(window.values, other.values) for other in ds.clean[:i])
+        assert np.all(window.row("flow") == 0.03) and np.all(window.row("inflow_ppm") == 420.0)
+        assert env == ds.spec.environment
+    for r in window_residuals(ds.clean, ds.spec):
+        assert np.all(r == 0.0)
 
 
 def test_co2_occupancy_drives_concentration_up():
-    env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0,
-                         occupants=3.0)
-    window, _ = simulate_co2(1800.0, 30.0, env, seed=0)
+    # With no ventilation the room only gains CO2, and gains it whenever someone is in.
+    env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0)
+    window, _ = simulate_co2(1800.0, 30.0, env, 0.0, 420.0, seed=0)
     c = window.row("c_room")
     assert c[0] == 420.0
-    assert np.all(np.diff(c) > 0)
+    assert np.any(window.row("occupants") > 0)
+    assert np.array_equal(np.diff(c) > 0, window.row("occupants")[:-1] > 0)
+    assert np.all(np.diff(c) >= 0)
 
 
 def test_hvac_window_satisfies_power_balance():
@@ -484,27 +479,23 @@ def test_manifest_round_trip(tmp_path):
     assert np.array_equal(back.norm_stats.std, ds.norm_stats.std)
 
 
-def test_manifest_round_trip_preserves_env_series(tmp_path):
-    co2 = generate_dataset(SimulateConfig(family="co2", count=3, duration=900.0, dt=30.0, seed=2))
-    hvac_env = HvacEnvironment(dt=60.0, mass_flow=np.linspace(0.5, 1.5, 11))
-    hvac_clean = [simulate_hvac(600.0, 60.0, hvac_env, seed=s)[0] for s in range(3)]
-    hvac = Dataset(
-        windows=[SampleWindow(w.channels, noisy_window(w, NoiseSpec(scale=0.1), np.random.default_rng(s)),
-                              w.dt, w.units) for s, w in enumerate(hvac_clean)],
-        spec=hvac_spec(hvac_env),
-        split=([0, 1], [2]),
-        norm_stats=compute_norm_stats(hvac_clean),
-        clean=hvac_clean,
-    )
-    for name, ds, field in [("co2", co2, "occupants"), ("hvac", hvac, "mass_flow")]:
-        back = load_manifest(save_dataset(ds, tmp_path / name))
-        # the schedule must survive, or clean residuals stop being zero
-        for r in window_residuals(back.clean, back.spec):
-            assert float(np.mean(r * r)) == 0.0
-        assert np.ndim(getattr(ds.spec.environment, field)) == 1
-        assert np.array_equal(
-            getattr(back.spec.environment, field), getattr(ds.spec.environment, field)
-        )
+def test_co2_manifest_keeps_driver_rows_and_only_constants(tmp_path):
+    ds = generate_dataset(SimulateConfig(family="co2", count=3, duration=900.0, dt=30.0, seed=2))
+    manifest = save_dataset(ds, tmp_path / "run")
+    cfg = configparser.ConfigParser()
+    cfg.read(manifest)
+    assert dict(cfg["environment"]) == {"dt": "30", "room_volume": "64", "emission_rate": "10",
+                                        "initial_ppm": "420"}
+    assert sorted(p.name for p in manifest.parent.iterdir()) == sorted(
+        ["manifest.ini"] + [f"{kind}_{i:03d}.csv" for kind in ("noisy", "clean") for i in range(3)])
+    back = load_manifest(manifest)
+    assert back.spec.environment == ds.spec.environment
+    for a, b in zip(ds.clean, back.clean):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert b.units == ["ppm", "ppm", "m^3/s", "ppm", "1"]
+    # the occupancy rows survive, so clean residuals stay exactly zero
+    for r in window_residuals(back.clean, back.spec):
+        assert np.all(r == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -520,7 +511,9 @@ def test_manifest_rejects_series_mark_on_fixed_field(tmp_path, family, key):
     cfg["environment"][key] = "@series"
     with manifest.open("w") as fh:
         cfg.write(fh)
-    with pytest.raises(ValueError, match=f"{key} cannot vary per timestep"):
+    # An environment holds constants only; a series mark is not a number.
+    with pytest.raises(ValueError, match=rf"manifest\.ini: \[environment\] {key} must be \d numbers?, "
+                                         "got '@series'"):
         load_manifest(manifest)
 
 
@@ -541,6 +534,63 @@ def test_load_manifest_rejects_columns_in_another_order(tmp_path, name):
 def test_load_manifest_missing_file():
     with pytest.raises(ValueError, match="manifest not found"):
         load_manifest("/nonexistent/manifest.ini")
+
+
+@pytest.fixture(scope="module")
+def saved_datasets(tmp_path_factory):
+    """A saved 4-window dataset of each scalar family, by family: its directory."""
+    root = tmp_path_factory.mktemp("saved")
+    return {family: save_dataset(generate_dataset(SimulateConfig(family=family, count=4,
+                                                                 duration=10 * dt, dt=dt, seed=2)),
+                                 root / family).parent
+            for family, dt in (("co2", 30.0), ("hvac", 60.0))}
+
+
+MUTATIONS = ("drop section", "drop key", "set value", "count", "truncate csv", "swap csv columns")
+# Non-finite, empty and non-numeric entries, "%" and "," among them.
+BAD_VALUES = st.one_of(st.sampled_from(["nan", "inf", "-inf", ""]),
+                       st.text(alphabet="abe%,.-+ 1", min_size=1, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(family=st.sampled_from(["co2", "hvac"]), mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_manifest_loads_or_raises_value_error(saved_datasets, tmp_path_factory, family,
+                                                      mutation, data):
+    root = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(saved_datasets[family], root, dirs_exist_ok=True)
+    manifest = root / "manifest.ini"
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.optionxform = str
+    cfg.read(manifest)
+    if mutation == "drop section":
+        cfg.remove_section(data.draw(st.sampled_from(cfg.sections())))
+    elif mutation in ("drop key", "set value"):
+        section = data.draw(st.sampled_from(cfg.sections()))
+        key = data.draw(st.sampled_from(list(cfg[section])))
+        if mutation == "drop key":
+            cfg.remove_option(section, key)
+        else:
+            cfg[section][key] = data.draw(BAD_VALUES)
+    elif mutation == "count":
+        cfg["dataset"]["count"] = str(4 + data.draw(st.sampled_from([-1, 1])))
+    else:
+        path = root / data.draw(st.sampled_from(sorted(cfg["windows"].values())))
+        raw = path.read_bytes()
+        if mutation == "truncate csv":
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        else:
+            rows = [line.split(b",") for line in raw.splitlines()]
+            i, j = data.draw(st.lists(st.integers(0, len(rows[0]) - 1), min_size=2, max_size=2,
+                                      unique=True))
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+            path.write_bytes(b"\r\n".join(b",".join(row) for row in rows) + b"\r\n")
+    with manifest.open("w") as fh:
+        cfg.write(fh)
+    try:
+        assert isinstance(load_manifest(manifest), Dataset)
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

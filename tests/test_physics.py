@@ -7,7 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from physden.autodiff import Tape, Tensor, backward, mul, reduce_sum
-from physden.data import SimulateConfig, generate_dataset, simulate_co2, simulate_hvac, simulate_ins
+from physden.data import (
+    SampleWindow,
+    SimulateConfig,
+    generate_dataset,
+    load_csv,
+    save_csv,
+    simulate_co2,
+    simulate_hvac,
+    simulate_ins,
+)
 from physden.gradcheck import _CASES, check_gradient
 from physden.physics import (
     _CHANNEL_GROUPS,
@@ -311,85 +320,64 @@ def test_clean_ins_simulation_residual_is_small():
 # Room CO2 balance
 
 
+def drivers(t_len, flow=0.0, inflow=0.0, occupants=0.0):
+    """co2's flow, inflow and headcount rows, each a constant 1 x T row."""
+    return [np.full((1, t_len), v) for v in (flow, inflow, occupants)]
+
+
 def test_sealed_room_closed_form():
     # No airflow: concentration grows linearly, c[t] = c0 + n q t dt / V.
     # Power-of-two volume keeps every term exactly representable.
-    env = Co2Environment(
-        room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0, occupants=2.0
-    )
+    env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0)
     t = np.arange(12)
     c_room = 420.0 + 2.0 * 10.0 * 30.0 * t / 64.0
-    r, _ = residual_co2(c_room[None, :], np.zeros((1, 12)), env)
+    r, _ = residual_co2(c_room[None, :], np.zeros((1, 12)), *drivers(12, occupants=2.0), env)
     assert np.all(r == 0.0)
 
 
 def test_balanced_flow_steady_state_is_exact():
     # Ventilation in equals ventilation out at identical concentration:
     # the room holds steady and every term is integer-valued.
-    env = Co2Environment(
-        room_volume=50.0, emission_rate=0.0, initial_ppm=420.0, dt=2.0,
-        flow=0.5, inflow_ppm=420.0, occupants=0.0,
-    )
+    env = Co2Environment(room_volume=50.0, emission_rate=0.0, initial_ppm=420.0, dt=2.0)
     c = np.full((1, 9), 420.0)
-    r, _ = residual_co2(c, c, env)
+    r, _ = residual_co2(c, c, *drivers(9, flow=0.5, inflow=420.0), env)
     assert np.all(r == 0.0)
 
 
 def test_co2_residual_first_timestep_checks_initial_condition():
     env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=400.0, dt=30.0)
     c_room = np.full((1, 5), 410.0)
-    r, _ = residual_co2(c_room, np.zeros((1, 5)), env)
+    r, _ = residual_co2(c_room, np.zeros((1, 5)), *drivers(5, flow=0.03, occupants=3.0), env)
     # residual[0] = (c_room[0] - c0) * V regardless of any flow history.
     assert r[0, 0] == (410.0 - 400.0) * 64.0
 
 
 def test_clean_co2_simulation_residual_is_exactly_zero():
-    env = Co2Environment(
-        room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0,
-        flow=0.03, inflow_ppm=420.0,
-    )
-    window, env_out = simulate_co2(1800.0, 30.0, env, seed=3)
+    env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0)
+    window, env_out = simulate_co2(1800.0, 30.0, env, 0.03, 420.0, seed=3)
     spec = PhysicsSpec(
         family="co2",
         environment=env_out,
         channel_map=default_channel_map("co2", window.channels),
     )
+    assert np.any(window.row("occupants") > 0)
     assert phys_mse(window, spec) == 0.0
-
-
-def test_co2_environment_accepts_series_flow():
-    t_len = 6
-    env = Co2Environment(
-        room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0,
-        flow=np.linspace(0.01, 0.05, t_len), inflow_ppm=420.0, occupants=2.0,
-    )
-    window, env_out = simulate_co2((t_len - 1) * 30.0, 30.0, env, seed=9)
-    spec = PhysicsSpec(
-        family="co2",
-        environment=env_out,
-        channel_map=default_channel_map("co2", window.channels),
-    )
-    assert phys_mse(window, spec) == 0.0
-
-
-def test_co2_environment_series_length_must_match():
-    env = Co2Environment(
-        room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0,
-        flow=np.ones(4),
-    )
-    with pytest.raises(ValueError, match="length"):
-        residual_co2(np.zeros((1, 6)), np.zeros((1, 6)), env)
 
 
 def test_co2_c_out_gradient_hand_values():
-    # residual[t] adds sum_{s<t} c_out[s] v dt; with v dt = 1, dL/dc_out[s] is
+    # residual[t] adds sum_{s<t} (c_out[s] - c_in[s]) v[s] dt - n[s] q dt; with
+    # dt = 2, dL/dx[s] for each of those terms is its coefficient times 2 times
     # the sum of the upstream weights after s, and dL/dc_room[t] = V w[t].
-    env = Co2Environment(room_volume=64.0, emission_rate=0.0, initial_ppm=400.0, dt=2.0, flow=0.5)
+    env = Co2Environment(room_volume=64.0, emission_rate=3.0, initial_ppm=400.0, dt=2.0)
     spec = PhysicsSpec("co2", env, default_channel_map("co2", CHANNEL_NAMES["co2"]))
-    x = Tensor(np.full((2, 3), 400.0), requires_grad=True)
+    rows = [[400.0] * 3, [401.0] * 3, [0.5] * 3, [420.0] * 3, [2.0] * 3]
+    x = Tensor(np.array(rows), requires_grad=True)
     with Tape() as tape:
         loss = reduce_sum(mul(stacked_residual(x, spec), Tensor([[10.0, 20.0, 40.0]])))
-    assert np.array_equal(backward(loss, tape)[x], [[640.0, 1280.0, 2560.0], [60.0, 40.0, 0.0]])
+    later = np.array([60.0, 40.0, 0.0]) * 2.0
+    assert np.array_equal(backward(loss, tape)[x],
+                          [[640.0, 1280.0, 2560.0], later * 0.5, later * (401.0 - 420.0),
+                           later * -0.5, later * -3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +407,9 @@ def test_clean_hvac_simulation_residual_is_exactly_zero():
 
 def test_degenerate_heat_capacity_rate_rejected():
     env = HvacEnvironment(dt=60.0, mass_flow=0.0, specific_heat=1006.0)
-    with pytest.raises(ValueError, match="m\\*c is zero at timestep 0"):
+    assert hvac_heat_capacity_rate(env) == 0.0
+    with pytest.raises(ValueError, match="m\\*c is zero"):
         simulate_hvac(600.0, 60.0, env, seed=0)
-
-
-def test_heat_capacity_rate_series():
-    env = HvacEnvironment(dt=60.0, mass_flow=np.array([1.0, 2.0, 3.0]), specific_heat=1000.0)
-    assert np.array_equal(hvac_heat_capacity_rate(env, 3), [1000.0, 2000.0, 3000.0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +424,24 @@ _CO2_CONSTANTS = {"room_volume": 64.0, "emission_rate": 10.0, "initial_ppm": 420
     (InsEnvironment, {"dt": 0.01, "gravity": [0.0, 0.0, np.inf]}, "gravity"),
     (Co2Environment, {**_CO2_CONSTANTS, "room_volume": np.nan}, "room_volume"),
     (Co2Environment, {**_CO2_CONSTANTS, "emission_rate": np.inf}, "emission_rate"),
-    (Co2Environment, {**_CO2_CONSTANTS, "flow": np.array([0.03, np.nan, 0.03])}, "flow"),
     (HvacEnvironment, {"dt": 60.0, "mass_flow": np.nan}, "mass_flow"),
     (HvacEnvironment, {"dt": 60.0, "specific_heat": np.inf}, "specific_heat"),
 ], ids=["ins-dt-nan", "ins-dt-inf", "ins-gravity-inf", "co2-room_volume-nan",
-        "co2-emission_rate-inf", "co2-flow-series-nan", "hvac-mass_flow-nan", "hvac-specific_heat-inf"])
+        "co2-emission_rate-inf", "hvac-mass_flow-nan", "hvac-specific_heat-inf"])
 def test_environment_rejects_a_non_finite_field(env_type, fields, name):
     with pytest.raises(ValueError, match=f"{env_type.__name__}: {name} must be finite"):
         env_type(**fields)
+
+
+def test_co2_window_rejects_a_non_finite_flow_row(tmp_path):
+    window, _ = simulate_co2(300.0, 30.0, Co2Environment(**_CO2_CONSTANTS), 0.03, 420.0, seed=1)
+    window.values[2, 4] = np.nan
+    with pytest.raises(ValueError, match="'flow' is non-finite at timestep 4"):
+        SampleWindow(window.channels, window.values, window.dt, window.units)
+    path = tmp_path / "w.csv"
+    save_csv(window, path)
+    with pytest.raises(ValueError, match=r"w\.csv:6: non-finite"):
+        load_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +451,7 @@ def test_environment_rejects_a_non_finite_field(env_type, fields, name):
 def test_channel_names_are_the_residual_groups_in_order():
     assert CHANNEL_NAMES == {
         "ins": ["px", "py", "pz", "qw", "qx", "qy", "qz", "wx", "wy", "wz", "ax", "ay", "az"],
-        "co2": ["c_room", "c_out"],
+        "co2": ["c_room", "c_out", "flow", "inflow_ppm", "occupants"],
         "hvac": ["t_sa", "t_mix", "dq"],
     }
     assert FAMILIES == tuple(_CHANNEL_GROUPS) == tuple(CHANNEL_NAMES)
