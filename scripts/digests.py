@@ -1,0 +1,76 @@
+"""Print a SHA-256 digest of each output whose bits the project keeps across changes.
+
+One `name sha256` line per output:
+- the datasets generate_dataset makes from GATE_DATA at seeds 1-3, from
+  co2 at count 8 and seed 1, and from hvac at count 16, seed 5 and noise
+  scale 0.2; each digest covers the observed windows, the clean windows,
+  the split and the norm stats;
+- a 2-epoch GATE_TRAIN training on GATE_DATA: its trained parameters, and
+  its log rows.
+It uses only library names that have stood since the co2 driver rows became
+window channels, so the same file, copied into an older checkout's scripts/,
+digests that checkout, and the two outputs can be diffed. BLAS and OpenMP are
+held to one thread unless the environment already sets their thread counts.
+
+Usage: python3 scripts/digests.py
+"""
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(var, "1")  # before numpy loads its BLAS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from physden.data import SimulateConfig, generate_dataset
+from physden.training import GATE_DATA, GATE_TRAIN, train
+
+
+def sha256(parts) -> str:
+    """Digest of a sequence of arrays (their float64 bytes) and plain values (their repr)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def dataset_digest(dataset) -> str:
+    parts = []
+    for w in [*dataset.windows, *(dataset.clean or [])]:
+        parts += [(w.channels, w.units, w.dt), w.values]
+    return sha256(parts + [dataset.split, dataset.norm_stats.mean, dataset.norm_stats.std])
+
+
+def digests() -> list[tuple[str, str]]:
+    configs = [(f"gate_data_seed{seed}", dataclasses.replace(GATE_DATA, seed=seed)) for seed in (1, 2, 3)]
+    configs += [
+        ("co2_count8_seed1", SimulateConfig(family="co2", count=8, seed=1)),
+        ("hvac_count16_seed5_noise0.2", SimulateConfig(family="hvac", count=16, seed=5, noise_scale=0.2)),
+    ]
+    lines = [(name, dataset_digest(generate_dataset(cfg))) for name, cfg in configs]
+
+    gate = generate_dataset(GATE_DATA)
+    result = train(gate.train_windows, gate.spec, dataclasses.replace(GATE_TRAIN, epochs_total=2),
+                   denoise_channels=gate.denoise_channels, norm_stats=gate.norm_stats)
+    lines.append(("gate_train_2epochs_params", sha256([t.data for t in result.params.all_tensors()])))
+    lines.append(("gate_train_2epochs_log", sha256([dataclasses.astuple(row) for row in result.log])))
+    return lines
+
+
+def main() -> int:
+    for name, digest in digests():
+        print(name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -203,12 +203,13 @@ def mul(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0.0
+    out = np.maximum(a.data, 0.0)
+    out += 0.0  # -0.0 to 0.0, as np.where(a > 0, a, 0.0) gives; a NaN propagates
 
     def vjp(g):
-        return (g * mask if a.requires_grad else None,)
+        return (g * (a.data > 0.0) if a.requires_grad else None,)
 
-    return _record("relu", (a,), np.where(mask, a.data, 0.0), vjp)
+    return _record("relu", (a,), out, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .physics import (
     InsEnvironment,
     RESIDUAL_BLOCK,
     PhysicsSpec,
+    check_window,
     co2_known_terms,
     default_channel_map,
     hamilton_rows,
@@ -243,23 +244,21 @@ def _sum_of_modes_ddot(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: 
 
 
 def _timesteps(duration: float, dt: float) -> int:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     t_len = int(round(duration / dt)) + 1
     if t_len < 3:
         raise ValueError(f"duration {duration} with dt {dt} gives T={t_len}, need >= 3")
     return t_len
 
 
-def simulate_ins(
-    duration: float,
-    dt: float,
-    motion_scale: float = 1.0,
-    rotation_scale: float = 0.5,
-    n_modes: int = 4,
-    seed: int | None = None,
-) -> tuple[SampleWindow, InsEnvironment]:
-    """Smooth inertial trajectory with self-consistent sensor channels.
+def _windows(family: str, values: np.ndarray, dt: float) -> list[SampleWindow]:
+    """One SampleWindow of the family's channels per row of a B x C x T block."""
+    return [SampleWindow(list(CHANNEL_NAMES[family]), block, dt, list(CHANNEL_UNITS[family]))
+            for block in values]
+
+
+def simulate_ins(duration: float, env: InsEnvironment, seeds: Sequence, motion_scale: float = 1.0,
+                 rotation_scale: float = 0.5, n_modes: int = 4) -> list[SampleWindow]:
+    """Smooth inertial trajectories with self-consistent sensor channels, one per seed.
 
     Positions and angular rates are superpositions of random sinusoids whose
     coefficients are drawn before any time sampling, so regenerating with a
@@ -271,26 +270,17 @@ def simulate_ins(
     Accelerometer rows use the analytic second derivative of position, rotated
     by the residual's own conjugation Im(conj(q) (0, p_ddot - g0) q), so the
     specific-force residual carries only the O(dt^2) stencil truncation.
-    This is the block of one window of _simulate_ins_block, which
-    generate_dataset calls once for a whole dataset.
-    """
-    windows, env = _simulate_ins_block(duration, dt, motion_scale, rotation_scale, n_modes, [seed])
-    return windows[0], env
-
-
-def _simulate_ins_block(
-    duration: float, dt: float, motion_scale: float, rotation_scale: float, n_modes: int, seeds
-) -> tuple[list[SampleWindow], InsEnvironment]:
-    """simulate_ins for one window per seed, every window in the same block operations.
 
     Each window draws its mode coefficients from its own generator (amplitude,
-    frequency, phase of position, then of angular rate), so a window does not
-    depend on the others. Every step's exponential is one block (Solà, arXiv:1711.02508,
-    section 4); the q recurrence is one Hamilton product per step on length-B
-    arrays, renormalised with residual_ins's norm, and the accelerometer rows are
-    one block conjugation. Every operation is elementwise and none goes
-    through BLAS, so each window is bitwise the window simulated alone.
+    frequency, phase of position, then of angular rate), and every window runs
+    in the same block operations: each step's exponential is one block (Solà,
+    arXiv:1711.02508, section 4), the q recurrence is one Hamilton product per
+    step on length-B arrays, renormalised with residual_ins's norm, and the
+    accelerometer rows are one block conjugation. Every operation is
+    elementwise and none goes through BLAS, so each window is bitwise the
+    window simulated alone.
     """
+    dt = env.dt
     t_len = _timesteps(duration, dt)
     draws = []
     for seed in seeds:
@@ -303,7 +293,6 @@ def _simulate_ins_block(
     # 3 x B x n_modes each: a channel x window block, as the residual takes.
     amp_p, freq_p, phase_p, amp_w, freq_w, phase_w = (np.stack(c, axis=1) for c in zip(*draws))
 
-    env = InsEnvironment(dt=dt)
     n_win = len(draws)
     values = np.empty((n_win, len(CHANNEL_NAMES["ins"]), t_len))  # the windows' rows, B x C x T
     p, q, w, a = np.split(values.transpose(1, 0, 2), [3, 7, 10])  # C x B x T views
@@ -323,17 +312,7 @@ def _simulate_ins_block(
     v = _sum_of_modes_ddot(amp_p, freq_p, phase_p, t) - env.gravity[:, None, None]
     conj = (q[0], -q[1], -q[2], -q[3])
     a[...] = hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:]
-
-    windows = [
-        SampleWindow(
-            channels=list(CHANNEL_NAMES["ins"]),
-            values=block,
-            dt=dt,
-            units=list(CHANNEL_UNITS["ins"]),
-        )
-        for block in values
-    ]
-    return windows, env
+    return _windows("ins", values, dt)
 
 
 def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
@@ -347,90 +326,63 @@ def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
     return occ
 
 
-def simulate_co2(
-    duration: float,
-    dt: float,
-    env: Co2Environment,
-    flow: float,
-    inflow_ppm: float,
-    seed: int | None = None,
-) -> tuple[SampleWindow, Co2Environment]:
-    """Room CO2 evolved by the exact discrete mass balance, next to its driver rows.
+def simulate_co2(duration: float, env: Co2Environment, seeds: Sequence, flow: float,
+                 inflow_ppm: float) -> list[SampleWindow]:
+    """Room CO2 by the exact discrete mass balance, next to its driver rows, one window per seed.
 
-    The window's flow and inflow_ppm rows hold the given constants and its
-    occupancy row a random piecewise-constant headcount drawn from seed. The
-    update uses the residual's own accumulated-supply helper and association
-    order, so the residual of the clean output is exactly 0.0 bitwise when
-    room_volume is a power of two (the default elsewhere in the package);
-    for other volumes it is zero up to the final rounding step.
+    Each window's flow and inflow_ppm rows hold the given constants and its
+    occupancy row a random piecewise-constant headcount drawn from its seed.
+    The update runs once over the B windows and uses the residual's own
+    accumulated-supply helper and association order, so the residual of the
+    clean output is exactly 0.0 bitwise when room_volume is a power of two
+    (the default elsewhere in the package); for other volumes it is zero up to
+    the final rounding step.
 
     c_out is modeled as the well-mixed room value.
     """
-    t_len = _timesteps(duration, dt)
-    if abs(dt - env.dt) > 1e-12 * max(dt, env.dt):
-        raise ValueError(f"simulate_co2: dt {dt} does not match env.dt {env.dt}")
-    occupants = _random_occupancy(t_len, np.random.default_rng(seed))
-    flow_row, inflow_row = np.full(t_len, float(flow)), np.full(t_len, float(inflow_ppm))
+    t_len = _timesteps(duration, env.dt)
+    occupants = np.array([_random_occupancy(t_len, np.random.default_rng(seed)) for seed in seeds])
+    flow_rows = np.full(occupants.shape, float(flow))
+    inflow_rows = np.full(occupants.shape, float(inflow_ppm))
 
-    base = co2_known_terms(flow_row, inflow_row, occupants, env)
-    c_room = np.empty(t_len)
+    base = co2_known_terms(flow_rows, inflow_rows, occupants, env)
+    c_room = np.empty(occupants.shape)
     removed = 0.0
     for k in range(t_len):
-        c_room[k] = (base[k] - removed) / env.room_volume
-        removed = removed + (c_room[k] * flow_row[k]) * env.dt
-
-    window = SampleWindow(
-        channels=list(CHANNEL_NAMES["co2"]),
-        values=np.vstack([c_room, c_room, flow_row, inflow_row, occupants]),
-        dt=dt,
-        units=list(CHANNEL_UNITS["co2"]),
-    )
-    return window, env
+        c_room[:, k] = (base[:, k] - removed) / env.room_volume
+        removed = removed + (c_room[:, k] * flow_rows[:, k]) * env.dt
+    values = np.stack([c_room, c_room, flow_rows, inflow_rows, occupants], axis=1)
+    return _windows("co2", values, env.dt)
 
 
-def simulate_hvac(
-    duration: float,
-    dt: float,
-    env: HvacEnvironment,
-    seed: int | None = None,
-) -> tuple[SampleWindow, HvacEnvironment]:
-    """Air-handler temperatures consistent with the coil power balance.
+def simulate_hvac(duration: float, env: HvacEnvironment, seeds: Sequence) -> list[SampleWindow]:
+    """Air-handler temperatures consistent with the coil power balance, one window per seed.
 
-    Draws a smooth mixed-air temperature (295 K plus three sinusoids of up
-    to 2 K) and a smooth coil power schedule (three sinusoids of up to
-    2 kW), then sets t_sa = t_mix + dq/(m c). The stored power row
-    is recomputed as m*c*(t_sa - t_mix), the residual's exact expression, so
-    the clean residual is 0.0 bitwise.
+    Each window draws a smooth mixed-air temperature (295 K plus three
+    sinusoids of up to 2 K) and a smooth coil power schedule (three sinusoids
+    of up to 2 kW) from its own seed, then sets t_sa = t_mix + dq/(m c). The
+    stored power row is recomputed as m*c*(t_sa - t_mix), the residual's exact
+    expression, so the clean residual is 0.0 bitwise.
     """
-    t_len = _timesteps(duration, dt)
-    if abs(dt - env.dt) > 1e-12 * max(dt, env.dt):
-        raise ValueError(f"simulate_hvac: dt {dt} does not match env.dt {env.dt}")
-    rng = np.random.default_rng(seed)
-    t = np.arange(t_len) * dt
-
-    amp_m = rng.uniform(-2.0, 2.0, size=3)
-    freq_m = rng.uniform(0.2, 2.0, size=3) / (t_len * dt)
-    phase_m = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    t_mix = 295.0 + _sum_of_modes(amp_m, freq_m, phase_m, t)
-
-    amp_q = rng.uniform(-2000.0, 2000.0, size=3)
-    freq_q = rng.uniform(0.2, 2.0, size=3) / (t_len * dt)
-    phase_q = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
-
     mc = hvac_heat_capacity_rate(env)
     if mc == 0.0:
         raise ValueError("simulate_hvac: degenerate environment, m*c is zero")
+    dt = env.dt
+    t_len = _timesteps(duration, dt)
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append([rng.uniform(lo, hi, size=3) for amp in (2.0, 2000.0)
+                      for lo, hi in ((-amp, amp), (0.2, 2.0), (0.0, 2.0 * np.pi))])
+    # B x 3 each: mixed-air temperature modes, then coil power modes.
+    amp_m, freq_m, phase_m, amp_q, freq_q, phase_q = (np.array(c) for c in zip(*draws))
+    freq_m, freq_q = freq_m / (t_len * dt), freq_q / (t_len * dt)
+    t = np.arange(t_len) * dt
+    t_mix = 295.0 + _sum_of_modes(amp_m, freq_m, phase_m, t)
+    dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
     t_sa = t_mix + dq / mc
-    dq_stored = mc * (t_sa - t_mix)
-
-    window = SampleWindow(
-        channels=list(CHANNEL_NAMES["hvac"]),
-        values=np.vstack([t_sa, t_mix, dq_stored]),
-        dt=dt,
-        units=list(CHANNEL_UNITS["hvac"]),
-    )
-    return window, env
+    values = np.stack([t_sa, t_mix, mc * (t_sa - t_mix)], axis=1)
+    return _windows("hvac", values, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +458,14 @@ def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[
              split: tuple[list[int], list[int]] | None = None,
              denoise_channels: Sequence[str] = ()) -> Dataset:
     """A Dataset of observed windows: the family's channel map by name, the
-    given split (by default split_by_alignment) and the train split's norm stats."""
+    given split (by default split_by_alignment) and the train split's norm stats.
+    Every window must pass check_window, with a given split as without."""
     spec = PhysicsSpec(family, environment, default_channel_map(family, windows[0].channels))
-    split = split or split_by_alignment(windows, spec)
+    if split is None:
+        split = split_by_alignment(windows, spec)  # which checks each window
+    else:
+        for window in windows:
+            check_window(window, spec)
     _check_split(split, len(windows))  # before the train split's stats index the windows
     stats = compute_norm_stats([windows[i] for i in split[0]] or windows)
     return Dataset(windows, spec, split, stats, clean=clean or None,
@@ -804,29 +761,32 @@ class SimulateConfig:
             self.dt = defaults["dt"]
 
 
+# Each family's simulator and the SimulateConfig fields it takes after its seeds.
+_SIMULATORS = {
+    "ins": (simulate_ins, ("motion_scale", "rotation_scale", "n_modes")),
+    "co2": (simulate_co2, ("flow", "inflow_ppm")),
+    "hvac": (simulate_hvac, ()),
+}
+
+
 def generate_dataset(cfg: SimulateConfig) -> Dataset:
     """Simulate clean windows, corrupt them, split, and pool norm stats.
 
-    Windows share one environment of constants; each window is simulated
-    from its own seed, co2's occupancy row included. Every row is noised by
-    the same rule, so constant rows (co2's flow and inflow) get none.
+    The family's environment is built from the config's fields of the same
+    names (ins keeps its default gravity), and the family's simulator
+    simulates every window as one block, each from its own seed, co2's
+    occupancy row included. Every row is noised by the same rule, so
+    constant rows (co2's flow and inflow) get none.
     """
     ss = np.random.SeedSequence(cfg.seed)
     sim_seeds = ss.spawn(cfg.count)
     noise_seeds = ss.spawn(cfg.count)
 
-    if cfg.family == "ins":
-        clean, env = _simulate_ins_block(
-            cfg.duration, cfg.dt, cfg.motion_scale, cfg.rotation_scale, cfg.n_modes, sim_seeds
-        )
-    elif cfg.family == "co2":
-        env = Co2Environment(room_volume=cfg.room_volume, emission_rate=cfg.emission_rate,
-                             initial_ppm=cfg.initial_ppm, dt=cfg.dt)
-        clean = [simulate_co2(cfg.duration, cfg.dt, env, cfg.flow, cfg.inflow_ppm, seed=seed)[0]
-                 for seed in sim_seeds]
-    else:
-        env = HvacEnvironment(dt=cfg.dt, mass_flow=cfg.mass_flow, specific_heat=cfg.specific_heat)
-        clean = [simulate_hvac(cfg.duration, cfg.dt, env, seed=seed)[0] for seed in sim_seeds]
+    env_type = _ENVIRONMENTS[cfg.family]
+    env = env_type(**{name: getattr(cfg, name) for name in _env_keys(env_type)
+                      if hasattr(cfg, name)})
+    simulate, constants = _SIMULATORS[cfg.family]
+    clean = simulate(cfg.duration, env, sim_seeds, *(getattr(cfg, name) for name in constants))
 
     bias = None
     if cfg.bias_frac:

@@ -33,6 +33,7 @@ from physden.physics import (
     CHANNEL_UNITS,
     Co2Environment,
     HvacEnvironment,
+    InsEnvironment,
     PhysicsSpec,
     default_channel_map,
     window_residuals,
@@ -87,19 +88,20 @@ def test_criterion_2_clean_simulation_residuals():
     for seed in (3, 7, 11):
         env = Co2Environment(room_volume=64.0, emission_rate=10.0,
                              initial_ppm=420.0, dt=30.0)
-        w, env_out = simulate_co2(3600.0, 30.0, env, 0.03, 420.0, seed=seed)
-        ok = ok and phys_mse(w, spec_for("co2", w, env_out)) == 0.0
+        [w] = simulate_co2(3600.0, env, [seed], 0.03, 420.0)
+        ok = ok and phys_mse(w, spec_for("co2", w, env)) == 0.0
 
         henv = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-        w, henv_out = simulate_hvac(3840.0, 60.0, henv, seed=seed)
-        ok = ok and phys_mse(w, spec_for("hvac", w, henv_out)) == 0.0
+        [w] = simulate_hvac(3840.0, henv, [seed])
+        ok = ok and phys_mse(w, spec_for("hvac", w, henv)) == 0.0
 
         # the orientation-rate rows dominate the inertial residual; their
         # documented bound is dt^2 * max_t |w_dot|^2 / 16
         mse = {}
         for dt in (0.01, 0.005):
-            w, env_out = simulate_ins(1.27, dt, seed=seed)
-            mse[dt] = phys_mse(w, spec_for("ins", w, env_out))
+            ienv = InsEnvironment(dt=dt)
+            [w] = simulate_ins(1.27, ienv, [seed])
+            mse[dt] = phys_mse(w, spec_for("ins", w, ienv))
             wdot = np.gradient(w.values[7:10], dt, axis=1)
             bound = dt * dt * np.max(np.sum(wdot * wdot, axis=0)) / 16.0
             ok = ok and mse[dt] <= bound

@@ -36,6 +36,9 @@ def test_elementwise_forward_values():
     assert np.array_equal(add(a, b).data, [5.0, 3.0, -3.0])
     assert np.array_equal(mul(a, b).data, [4.0, -10.0, -18.0])
     assert np.array_equal(relu(a).data, [1.0, 0.0, 3.0])
+    out = relu(Tensor([-0.0, np.inf, -np.inf, np.nan])).data
+    assert out[:3].tolist() == [0.0, np.inf, 0.0] and not np.signbit(out[0])
+    assert np.isnan(out[3])
 
 
 def test_scalar_operand_broadcasts():

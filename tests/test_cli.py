@@ -157,6 +157,18 @@ def test_manifest_number_error_names_file_section_and_key(capsys, tmp_path, work
     assert not (tmp_path / "run").exists()
 
 
+def test_manifest_dt_disagreeing_with_its_windows_is_an_error(capsys, tmp_path, workspace):
+    # The saved [split] skips the alignment split, which used to be the only dt check.
+    manifest = rewritten_manifest(workspace["sim_data"], tmp_path, "environment", "dt", "1")
+    with pytest.raises(ValueError, match="window dt 60.0 does not match environment dt 1.0"):
+        load_manifest(manifest)
+    rc = main(["train", "--run-dir", str(tmp_path / "run"), "--set", f"data.manifest={manifest}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "window dt 60.0 does not match environment dt 1.0" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_non_finite_environment_constant_is_rejected_before_training(capsys, monkeypatch, tmp_path):
     assert main(["simulate", "--run-dir", str(tmp_path / "sim"), "--set", "data.family=co2",
                  "--set", "data.count=2", "--set", "data.duration=300"]) == 0

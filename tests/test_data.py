@@ -32,6 +32,7 @@ from physden.physics import (
     CHANNEL_NAMES,
     Co2Environment,
     HvacEnvironment,
+    InsEnvironment,
     PhysicsSpec,
     default_channel_map,
     window_residuals,
@@ -189,55 +190,54 @@ def test_batch_noise_equals_one_draw_per_window(kind):
 
 
 def test_ins_same_seed_same_motion_at_shared_timestamps():
-    coarse, _ = simulate_ins(duration=1.0, dt=0.02, seed=21)
-    fine, _ = simulate_ins(duration=1.0, dt=0.01, seed=21)
+    [coarse] = simulate_ins(1.0, InsEnvironment(dt=0.02), [21])
+    [fine] = simulate_ins(1.0, InsEnvironment(dt=0.01), [21])
     # Mode coefficients are drawn before time sampling, and position is
     # analytic, so coarse samples are a strict subset of the fine ones.
     assert np.array_equal(fine.values[0:3, ::2], coarse.values[0:3, :])
 
 
 def test_ins_channels_and_units():
-    window, env = simulate_ins(duration=0.3, dt=0.01, seed=0)
+    env = InsEnvironment(dt=0.01)
+    [window] = simulate_ins(0.3, env, [0])
     assert window.channels[:3] == ["px", "py", "pz"]
     assert window.channels[3:7] == ["qw", "qx", "qy", "qz"]
     assert len(window.channels) == 13
-    assert env.dt == 0.01
+    assert window.dt == env.dt == 0.01
     norms = np.linalg.norm(window.values[3:7], axis=0)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
-def test_ins_dataset_windows_are_each_seeds_simulate_ins_bitwise():
-    cfg = SimulateConfig(family="ins", count=5, duration=0.5, dt=0.02, seed=9,
-                         motion_scale=1.5, rotation_scale=0.8, n_modes=3)
+@pytest.mark.parametrize("cfg, env, simulate, constants", [
+    (SimulateConfig(family="ins", count=5, duration=0.5, dt=0.02, seed=9, motion_scale=1.5,
+                    rotation_scale=0.8, n_modes=3),
+     InsEnvironment(dt=0.02), simulate_ins, {"motion_scale": 1.5, "rotation_scale": 0.8, "n_modes": 3}),
+    (SimulateConfig(family="co2", count=8, seed=1), Co2Environment(64.0, 10.0, 420.0, 30.0),
+     simulate_co2, {"flow": 0.03, "inflow_ppm": 420.0}),
+    (SimulateConfig(family="hvac", count=6, seed=5), HvacEnvironment(dt=60.0), simulate_hvac, {}),
+], ids=["ins", "co2", "hvac"])
+def test_dataset_windows_are_each_seeds_simulation_bitwise(cfg, env, simulate, constants):
+    # Each clean window is its seed's window, simulated alone or inside a block of seeds.
     ds = generate_dataset(cfg)
+    assert repr(ds.spec.environment) == repr(env)
+    assert len({w.values.tobytes() for w in ds.clean}) == cfg.count
     sim_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.count)
-    for window, seed in zip(ds.clean, sim_seeds):
-        alone, env = simulate_ins(cfg.duration, cfg.dt, motion_scale=1.5, rotation_scale=0.8,
-                                  n_modes=3, seed=seed)
-        assert window.values.tobytes() == alone.values.tobytes()
-        assert (window.channels, window.units, window.dt) == (alone.channels, alone.units, alone.dt)
-        assert ds.spec.dt == env.dt
-
-
-def test_co2_dataset_windows_are_each_seeds_simulate_co2_bitwise():
-    cfg = SimulateConfig(family="co2", count=8, seed=1)
-    ds = generate_dataset(cfg)
-    assert len({w.values.tobytes() for w in ds.clean}) == 8
-    sim_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.count)
-    for window, seed in zip(ds.clean, sim_seeds):
-        alone, env = simulate_co2(cfg.duration, cfg.dt, ds.spec.environment, cfg.flow,
-                                  cfg.inflow_ppm, seed=seed)
-        assert window.values.tobytes() == alone.values.tobytes()
-        assert np.all(window.row("flow") == 0.03) and np.all(window.row("inflow_ppm") == 420.0)
-        assert env == ds.spec.environment
-    for r in window_residuals(ds.clean, ds.spec):
-        assert np.all(r == 0.0)
+    block = simulate(cfg.duration, env, sim_seeds[::-1], **constants)[::-1]
+    for window, seed, in_block in zip(ds.clean, sim_seeds, block, strict=True):
+        [alone] = simulate(cfg.duration, env, [seed], **constants)
+        for sim in (alone, in_block):
+            assert window.values.tobytes() == sim.values.tobytes()
+            assert (window.channels, window.units, window.dt) == (sim.channels, sim.units, sim.dt)
+    for name in set(constants) & set(ds.clean[0].channels):  # co2's flow and inflow rows
+        assert all(np.all(w.row(name) == constants[name]) for w in ds.clean)
+    exact = [np.all(r == 0.0) for r in window_residuals(ds.clean, ds.spec)]
+    assert all(exact) == (cfg.family != "ins")  # co2 and hvac cancel exactly, ins to O(dt^2)
 
 
 def test_co2_occupancy_drives_concentration_up():
     # With no ventilation the room only gains CO2, and gains it whenever someone is in.
     env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0)
-    window, _ = simulate_co2(1800.0, 30.0, env, 0.0, 420.0, seed=0)
+    [window] = simulate_co2(1800.0, env, [0], 0.0, 420.0)
     c = window.row("c_room")
     assert c[0] == 420.0
     assert np.any(window.row("occupants") > 0)
@@ -247,17 +247,11 @@ def test_co2_occupancy_drives_concentration_up():
 
 def test_hvac_window_satisfies_power_balance():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    window, _ = simulate_hvac(1200.0, 60.0, env, seed=13)
+    [window] = simulate_hvac(1200.0, env, [13])
     mc = 1.0 * 1006.0
     assert np.array_equal(
         window.row("dq"), mc * (window.row("t_sa") - window.row("t_mix"))
     )
-
-
-def test_simulator_dt_must_match_environment():
-    env = HvacEnvironment(dt=60.0)
-    with pytest.raises(ValueError, match="does not match env.dt"):
-        simulate_hvac(600.0, 30.0, env, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,7 @@ def test_simulator_dt_must_match_environment():
 def test_split_ranks_by_residual_magnitude():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1000.0)
     spec = hvac_spec(env)
-    clean, _ = simulate_hvac(300.0, 60.0, env, seed=1)
+    [clean] = simulate_hvac(300.0, env, [1])
     windows = []
     for k in range(4):
         values = clean.values.copy()
@@ -290,14 +284,14 @@ def test_split_scores_equal_each_windows_alignment_score():
 
 
 def test_alignment_score_rejects_dt_mismatch():
-    w, _ = simulate_hvac(300.0, 60.0, HvacEnvironment(dt=60.0), seed=1)
+    [w] = simulate_hvac(300.0, HvacEnvironment(dt=60.0), [1])
     with pytest.raises(ValueError, match="dt"):
         split_by_alignment([w, w], hvac_spec(HvacEnvironment(dt=30.0)))
 
 
 def test_split_needs_two_windows():
     env = HvacEnvironment(dt=60.0)
-    w, _ = simulate_hvac(300.0, 60.0, env, seed=1)
+    [w] = simulate_hvac(300.0, env, [1])
     with pytest.raises(ValueError, match="at least 2"):
         split_by_alignment([w], hvac_spec(env))
 
@@ -305,7 +299,7 @@ def test_split_needs_two_windows():
 def test_split_tie_break_is_stable():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1000.0)
     spec = hvac_spec(env)
-    w, _ = simulate_hvac(300.0, 60.0, env, seed=2)
+    [w] = simulate_hvac(300.0, env, [2])
     windows = [dataclasses.replace(w, values=w.values.copy()) for _ in range(3)]  # identical scores
     train, test = split_by_alignment(windows, spec)
     assert train == [0, 1]
@@ -318,7 +312,7 @@ def test_split_partitions_exhaustively(n, seed):
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1000.0)
     spec = hvac_spec(env)
     rng = np.random.default_rng(seed)
-    base, _ = simulate_hvac(240.0, 60.0, env, seed=int(seed % 1000))
+    [base] = simulate_hvac(240.0, env, [int(seed % 1000)])
     windows = []
     for _ in range(n):
         noise = rng.normal(scale=rng.uniform(0.0, 2.0), size=base.values.shape)
@@ -450,7 +444,7 @@ def test_csv_schema_reports_missing_channels(tmp_path):
 def test_dataset_split_must_partition():
     env = HvacEnvironment(dt=60.0)
     spec = hvac_spec(env)
-    w, _ = simulate_hvac(240.0, 60.0, env, seed=0)
+    [w] = simulate_hvac(240.0, env, [0])
     windows = [w, dataclasses.replace(w, values=w.values.copy())]
     stats = compute_norm_stats(windows)
     with pytest.raises(ValueError, match="partition"):

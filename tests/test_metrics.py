@@ -34,7 +34,7 @@ def hvac_spec(env):
 
 def test_recon_metrics_hand_values():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    clean, _ = simulate_hvac(180.0, 60.0, env, seed=1)  # T = 4
+    [clean] = simulate_hvac(180.0, env, [1])  # T = 4
     off = dataclasses.replace(clean, values=clean.values + np.array([3.0, 4.0, 3.0, 4.0]))
     report = evaluate("x", [off], hvac_spec(env), clean=[clean])
     assert report.recon_mse == 12.5
@@ -44,15 +44,15 @@ def test_recon_metrics_hand_values():
 
 def test_evaluate_rejects_length_mismatch():
     env = HvacEnvironment(dt=60.0)
-    short, _ = simulate_hvac(120.0, 60.0, env, seed=1)
-    long, _ = simulate_hvac(180.0, 60.0, env, seed=1)
+    [short] = simulate_hvac(120.0, env, [1])
+    [long] = simulate_hvac(180.0, env, [1])
     with pytest.raises(ValueError, match="window 0 has 3 timesteps but its clean reference has 4"):
         evaluate("x", [short], hvac_spec(env), clean=[long])
 
 
 def test_physics_metrics_agree_with_training_loss():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
+    [window] = simulate_hvac(600.0, env, [1])
     window.values[0] += 0.25  # break the balance
     spec = hvac_spec(env)
     report = evaluate("x", [window], spec)
@@ -78,14 +78,14 @@ def test_evaluate_pools_each_windows_own_residual():
 
 def test_evaluate_rejects_dt_mismatch():
     env = HvacEnvironment(dt=60.0)
-    window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
+    [window] = simulate_hvac(600.0, env, [1])
     with pytest.raises(ValueError, match="dt"):
         evaluate("x", [window], hvac_spec(HvacEnvironment(dt=30.0)))
 
 
 def test_evaluate_rejects_a_window_whose_rows_are_in_another_order():
     env = HvacEnvironment(dt=60.0)
-    window, _ = simulate_hvac(600.0, 60.0, env, seed=1)
+    [window] = simulate_hvac(600.0, env, [1])
     order = [2, 0, 1]
     permuted = SampleWindow([window.channels[i] for i in order], window.values[order],
                             window.dt, [window.units[i] for i in order])
@@ -96,7 +96,7 @@ def test_evaluate_rejects_a_window_whose_rows_are_in_another_order():
 
 def test_evaluate_pools_entries_across_windows():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    base, _ = simulate_hvac(240.0, 60.0, env, seed=2)
+    [base] = simulate_hvac(240.0, env, [2])
     spec = hvac_spec(env)
     w1, w2 = (dataclasses.replace(base, values=base.values + d) for d in (1.0, 3.0))
     report = evaluate("pair", [w1, w2], spec, clean=[base, base])
@@ -110,8 +110,8 @@ def test_evaluate_pools_entries_across_windows():
 
 def test_evaluate_weighs_windows_by_length():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    short, _ = simulate_hvac(120.0, 60.0, env, seed=2)  # T = 3
-    long, _ = simulate_hvac(540.0, 60.0, env, seed=2)  # T = 10
+    [short] = simulate_hvac(120.0, env, [2])  # T = 3
+    [long] = simulate_hvac(540.0, env, [2])  # T = 10
     spec = hvac_spec(env)
     w1 = dataclasses.replace(short, values=short.values + 1.0)
     w2 = dataclasses.replace(long, values=long.values + 3.0)
@@ -124,7 +124,7 @@ def test_evaluate_weighs_windows_by_length():
 
 def test_evaluate_channel_subset():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    base, _ = simulate_hvac(240.0, 60.0, env, seed=3)
+    [base] = simulate_hvac(240.0, env, [3])
     spec = hvac_spec(env)
     values = base.values.copy()
     values[0] += 2.0  # only t_sa is wrong
@@ -140,7 +140,7 @@ def test_evaluate_channel_subset():
 
 def test_evaluate_without_clean_reports_physics_only(capsys):
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    w, _ = simulate_hvac(240.0, 60.0, env, seed=4)
+    [w] = simulate_hvac(240.0, env, [4])
     report = evaluate("blind", [w], hvac_spec(env))
     assert report.recon_mse is None and report.recon_mae is None
     assert report.phys_mse == 0.0
@@ -152,14 +152,14 @@ def test_evaluate_requires_windows_and_matched_clean():
     env = HvacEnvironment(dt=60.0)
     with pytest.raises(ValueError, match="at least one window"):
         evaluate("x", [], hvac_spec(env))
-    w, _ = simulate_hvac(240.0, 60.0, env, seed=5)
+    [w] = simulate_hvac(240.0, env, [5])
     with pytest.raises(ValueError, match="clean references"):
         evaluate("x", [w], hvac_spec(env), clean=[w, w])
 
 
 def test_report_csv_schema_and_blank_fields(tmp_path):
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    w, _ = simulate_hvac(240.0, 60.0, env, seed=6)
+    [w] = simulate_hvac(240.0, env, [6])
     spec = hvac_spec(env)
     reports = [
         evaluate("with_clean", [w], spec, clean=[w]),
@@ -178,7 +178,7 @@ def test_report_csv_schema_and_blank_fields(tmp_path):
 
 def test_report_table_lists_channels():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    w, _ = simulate_hvac(240.0, 60.0, env, seed=7)
+    [w] = simulate_hvac(240.0, env, [7])
     report = evaluate("r", [w], hvac_spec(env), clean=[w], channels=["t_sa"])
     table = format_report_table([report])
     assert "per-channel reconstruction (r):" in table

@@ -14,7 +14,7 @@ from physden.model import (
     param_count,
     save_checkpoint,
 )
-from physden.physics import HvacEnvironment
+from physden.physics import HvacEnvironment, InsEnvironment
 
 
 def make_window(values, names=None):
@@ -189,10 +189,10 @@ def reference_denoise(den: Denoiser, window: SampleWindow) -> np.ndarray:
 @pytest.mark.parametrize("residual", [False, True])
 def test_denoise_equals_a_step_by_step_merge_bitwise(family, residual):
     if family == "ins":
-        window, _ = simulate_ins(0.5, 0.01, seed=3)
+        [window] = simulate_ins(0.5, InsEnvironment(dt=0.01), [3])
         names = ["qx", "px", "qz", "ay"]  # neither contiguous nor in window order
     else:
-        window, _ = simulate_hvac(1200.0, 60.0, HvacEnvironment(dt=60.0), seed=3)
+        [window] = simulate_hvac(1200.0, HvacEnvironment(dt=60.0), [3])
         names = ["dq", "t_sa"]
     rng = np.random.default_rng(5)
     n = len(names)

@@ -253,7 +253,8 @@ def test_zero_norm_quaternion_sample_rejected():
 
 
 def test_ins_residual_matches_per_timestep_reference():
-    window, env = simulate_ins(duration=0.5, dt=0.01, seed=6)
+    env = InsEnvironment(dt=0.01)
+    [window] = simulate_ins(0.5, env, [6])
     v = window.values + np.random.default_rng(0).normal(scale=1e-3, size=window.values.shape)
     p, q, w, a = v[0:3], v[3:7], v[7:10], v[10:13]
     assert np.min(np.linalg.norm(w, axis=0)) > 0.1  # the platform rotates throughout
@@ -269,7 +270,8 @@ def test_ins_residual_matches_per_timestep_reference():
 
 
 def test_simulated_orientation_follows_per_step_recurrence():
-    window, env = simulate_ins(duration=0.5, dt=0.01, seed=6)
+    env = InsEnvironment(dt=0.01)
+    [window] = simulate_ins(0.5, env, [6])
     q, w = window.values[3:7], window.values[7:10]
     ref = np.empty_like(q)
     ref[:, 0] = (1.0, 0.0, 0.0, 0.0)
@@ -306,7 +308,8 @@ def test_residual_ins_gradcheck_family_batched_and_unbatched():
 
 
 def test_clean_ins_simulation_residual_is_small():
-    window, env = simulate_ins(duration=1.0, dt=0.005, seed=5)
+    env = InsEnvironment(dt=0.005)
+    [window] = simulate_ins(1.0, env, [5])
     spec = PhysicsSpec(
         family="ins",
         environment=env,
@@ -354,10 +357,10 @@ def test_co2_residual_first_timestep_checks_initial_condition():
 
 def test_clean_co2_simulation_residual_is_exactly_zero():
     env = Co2Environment(room_volume=64.0, emission_rate=10.0, initial_ppm=420.0, dt=30.0)
-    window, env_out = simulate_co2(1800.0, 30.0, env, 0.03, 420.0, seed=3)
+    [window] = simulate_co2(1800.0, env, [3], 0.03, 420.0)
     spec = PhysicsSpec(
         family="co2",
-        environment=env_out,
+        environment=env,
         channel_map=default_channel_map("co2", window.channels),
     )
     assert np.any(window.row("occupants") > 0)
@@ -396,10 +399,10 @@ def test_hvac_residual_hand_values():
 
 def test_clean_hvac_simulation_residual_is_exactly_zero():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    window, env_out = simulate_hvac(1800.0, 60.0, env, seed=4)
+    [window] = simulate_hvac(1800.0, env, [4])
     spec = PhysicsSpec(
         family="hvac",
-        environment=env_out,
+        environment=env,
         channel_map=default_channel_map("hvac", window.channels),
     )
     assert phys_mse(window, spec) == 0.0
@@ -409,7 +412,7 @@ def test_degenerate_heat_capacity_rate_rejected():
     env = HvacEnvironment(dt=60.0, mass_flow=0.0, specific_heat=1006.0)
     assert hvac_heat_capacity_rate(env) == 0.0
     with pytest.raises(ValueError, match="m\\*c is zero"):
-        simulate_hvac(600.0, 60.0, env, seed=0)
+        simulate_hvac(600.0, env, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +437,7 @@ def test_environment_rejects_a_non_finite_field(env_type, fields, name):
 
 
 def test_co2_window_rejects_a_non_finite_flow_row(tmp_path):
-    window, _ = simulate_co2(300.0, 30.0, Co2Environment(**_CO2_CONSTANTS), 0.03, 420.0, seed=1)
+    [window] = simulate_co2(300.0, Co2Environment(**_CO2_CONSTANTS), [1], 0.03, 420.0)
     window.values[2, 4] = np.nan
     with pytest.raises(ValueError, match="'flow' is non-finite at timestep 4"):
         SampleWindow(window.channels, window.values, window.dt, window.units)
@@ -528,7 +531,8 @@ def test_default_channel_map_reports_missing_channels():
 
 
 def test_stacked_residual_orders_rate_then_orientation():
-    window, env = simulate_ins(duration=0.5, dt=0.01, seed=2)
+    env = InsEnvironment(dt=0.01)
+    [window] = simulate_ins(0.5, env, [2])
     spec = PhysicsSpec(
         family="ins",
         environment=env,
@@ -574,7 +578,8 @@ def test_window_residuals_equal_each_window_alone():
 
 
 def test_physics_loss_matches_stacked_mean_square():
-    window, env = simulate_ins(duration=0.5, dt=0.01, seed=8)
+    env = InsEnvironment(dt=0.01)
+    [window] = simulate_ins(0.5, env, [8])
     spec = PhysicsSpec(
         family="ins",
         environment=env,
@@ -586,7 +591,8 @@ def test_physics_loss_matches_stacked_mean_square():
 
 
 def test_physics_loss_rejects_dt_mismatch():
-    window, env = simulate_ins(duration=0.5, dt=0.01, seed=8)
+    env = InsEnvironment(dt=0.01)
+    [window] = simulate_ins(0.5, env, [8])
     spec = PhysicsSpec(
         family="ins",
         environment=InsEnvironment(dt=0.02),

@@ -77,3 +77,20 @@ def test_perfbench_traced_denoise_serve_runs():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
     assert result["metrics"]["model.forward_ms_per_window"]["value"] > 0
+
+
+def test_digests_prints_each_name_once_and_the_same_lines_twice():
+    runs = [
+        subprocess.run([sys.executable, str(SCRIPTS / "digests.py")], capture_output=True, text=True,
+                       timeout=300)
+        for _ in range(2)
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split(" ")[0] for line in lines] == [
+        "gate_data_seed1", "gate_data_seed2", "gate_data_seed3", "co2_count8_seed1",
+        "hvac_count16_seed5_noise0.2", "gate_train_2epochs_params", "gate_train_2epochs_log",
+    ]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    assert runs[1].stdout == runs[0].stdout

@@ -89,7 +89,7 @@ def hvac_losses(offset, rebalance=False):
         environment=env,
         channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
     )
-    clean, _ = simulate_hvac(300.0, 60.0, env, seed=6)
+    [clean] = simulate_hvac(300.0, env, [6])
     values = clean.values + offset
     if rebalance:
         values[2] = 1000.0 * (values[0] - values[1])  # keep balance exact
