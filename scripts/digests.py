@@ -5,8 +5,8 @@ One `name sha256` line per output:
   co2 at count 8 and seed 1, and from hvac at count 16, seed 5 and noise
   scale 0.2; each digest covers the observed windows, the clean windows,
   the split and the norm stats;
-- a 2-epoch GATE_TRAIN training on GATE_DATA: its trained parameters, and
-  its log rows.
+- a 2-epoch GATE_TRAIN training on GATE_DATA: its trained parameters, its
+  log rows, and its test split after model.denoise.
 It uses only library names that have stood since the co2 driver rows became
 window channels, so the same file, copied into an older checkout's scripts/,
 digests that checkout, and the two outputs can be diffed. BLAS and OpenMP are
@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from physden.data import SimulateConfig, generate_dataset
+from physden.model import denoise
 from physden.training import GATE_DATA, GATE_TRAIN, train
 
 
@@ -63,6 +64,8 @@ def digests() -> list[tuple[str, str]]:
                    denoise_channels=gate.denoise_channels, norm_stats=gate.norm_stats)
     lines.append(("gate_train_2epochs_params", sha256([t.data for t in result.params.all_tensors()])))
     lines.append(("gate_train_2epochs_log", sha256([dataclasses.astuple(row) for row in result.log])))
+    denoised = [denoise(result.denoiser, w) for w in gate.test_windows]
+    lines.append(("gate_train_2epochs_denoised", sha256([w.values for w in denoised])))
     return lines
 
 

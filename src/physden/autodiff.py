@@ -2,13 +2,13 @@
 
 Deliberately small: exactly the operations needed to train a 1-D
 convolutional denoiser and to differentiate physics residuals. Tensors are
-dense 1-D/2-D/3-D float64 arrays; binary operations require equal shapes or
-a 0-d scalar operand (no general broadcasting). Gradients are computed by
-walking an explicit tape of recorded operations in reverse.
+dense 0-D to 3-D float64 arrays; binary operations take operands of equal
+shape (two 0-d scalars included) and never broadcast. Gradients are computed
+by walking an explicit tape of recorded operations in reverse, and are
+returned in a dict keyed by the tensor objects themselves.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,14 +18,12 @@ __all__ = [
     "Tensor",
     "Tape",
     "Node",
-    "GradientMap",
     "NumericalError",
     "backward",
     "add",
     "mul",
     "relu",
     "reduce_sum",
-    "exclusive_prefix_sum_values",
     "conv1d",
     "mse",
     "AdamState",
@@ -37,24 +35,21 @@ class NumericalError(RuntimeError):
     """A computation produced non-finite values or failed a numeric check."""
 
 
-_tensor_ids = itertools.count()
-
-
 class Tensor:
     """A dense float64 array plus the bookkeeping needed for backprop.
 
     ``requires_grad`` marks leaves the caller wants gradients for; it
     propagates to results of operations so the tape can prune dead branches.
+    Tensors hash by identity (no ``__eq__``), which keys backward's gradients.
     """
 
-    __slots__ = ("data", "requires_grad", "tid")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 3:
             raise ValueError(f"Tensor supports at most 3 dims, got {self.data.ndim}")
         self.requires_grad = bool(requires_grad)
-        self.tid = next(_tensor_ids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -126,50 +121,30 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    if a.data.shape != b.data.shape:
         raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Undo the implicit scalar broadcast of a 0-d operand.
-    if shape == () and g.shape != ():
-        return np.asarray(g.sum())
-    return g
+def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(tensor) for every tensor the loss reaches on the tape, keyed by the tensor.
 
-
-class GradientMap:
-    """Gradients keyed by tensor; unreached tensors read as zeros."""
-
-    def __init__(self, grads: dict[int, np.ndarray]):
-        self._grads = grads
-
-    def __getitem__(self, t: Tensor) -> np.ndarray:
-        g = self._grads.get(t.tid)
-        return np.zeros_like(t.data) if g is None else g
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t.tid in self._grads
-
-
-def backward(loss: Tensor, tape: Tape) -> GradientMap:
-    """Accumulate d(loss)/d(tensor) for everything reachable on the tape.
-
-    Pure in the tape: calling twice returns identical gradients. The loss
-    must be a scalar (0-d) tensor.
+    A tensor the loss does not reach, or that needs no gradient, has no
+    entry. Pure in the tape: calling twice returns identical gradients. The
+    loss must be a scalar (0-d) tensor.
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {loss.tid: np.ones((), dtype=np.float64)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
     for node in reversed(tape.nodes):
-        g = grads.get(node.output.tid)
+        g = grads.get(node.output)
         if g is None:
             continue
         for inp, gi in zip(node.inputs, node.vjp(g)):
             if gi is None:
                 continue
-            acc = grads.get(inp.tid)
-            grads[inp.tid] = np.asarray(gi, dtype=np.float64) if acc is None else acc + gi
-    return GradientMap(grads)
+            acc = grads.get(inp)
+            grads[inp] = np.asarray(gi, dtype=np.float64) if acc is None else acc + gi
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +156,7 @@ def add(a, b) -> Tensor:
     _check_elementwise("add", a, b)
 
     def vjp(g):
-        ga = _reduce_to(g, a.data.shape) if a.requires_grad else None
-        gb = _reduce_to(g, b.data.shape) if b.requires_grad else None
-        return ga, gb
+        return (g if a.requires_grad else None), (g if b.requires_grad else None)
 
     return _record("add", (a, b), a.data + b.data, vjp)
 
@@ -194,9 +167,7 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = _reduce_to(g * bd, ad.shape) if a.requires_grad else None
-        gb = _reduce_to(g * ad, bd.shape) if b.requires_grad else None
-        return ga, gb
+        return (g * bd if a.requires_grad else None), (g * ad if b.requires_grad else None)
 
     return _record("mul", (a, b), ad * bd, vjp)
 
@@ -224,17 +195,6 @@ def reduce_sum(a) -> Tensor:
         return (np.full(shape, float(g)) if a.requires_grad else None,)
 
     return _record("reduce_sum", (a,), np.asarray(a.data.sum()), vjp)
-
-
-def exclusive_prefix_sum_values(x: np.ndarray) -> np.ndarray:
-    """out[..., t] = sum of x[..., s] for s < t, accumulated left to right.
-
-    Shared by the CO2 residual and its simulator, so that data constructed
-    to satisfy the balance equation cancels it bitwise.
-    """
-    out = np.zeros_like(x)
-    out[..., 1:] = np.cumsum(x[..., :-1], axis=-1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +255,24 @@ def conv1d(x, weight, bias) -> Tensor:
     return _record("conv1d", (x, weight, bias), out, vjp)
 
 
-def mse(a, b) -> Tensor:
-    """Mean over all elements of (a - b) squared; b may be a 0-d target.
+def mse(a, target) -> Tensor:
+    """Mean over all elements of (a - target) squared, with target a constant.
 
-    One node whose VJP replays the arithmetic of a subtract, square and mean chain.
+    target is an array of a's shape or a number such as 0.0; only a gets a
+    gradient. One node whose VJP replays the arithmetic of a subtract,
+    square and mean chain.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape and b.data.ndim != 0:
-        raise ValueError(f"mse: shape mismatch {a.data.shape} vs {b.data.shape}")
-    d = a.data - b.data
+    a = _as_tensor(a)
+    target = np.asarray(target, dtype=np.float64)
+    if a.data.shape != target.shape and target.ndim != 0:
+        raise ValueError(f"mse: shape mismatch {a.data.shape} vs {target.shape}")
+    d = a.data - target
 
     def vjp(g):
         t = np.full(d.shape, float(g) / d.size) * d
-        gd = t + t
-        return (gd if a.requires_grad else None,
-                _reduce_to(-gd, b.data.shape) if b.requires_grad else None)
+        return (t + t if a.requires_grad else None,)
 
-    return _record("mse", (a, b), np.asarray((d * d).mean()), vjp)
+    return _record("mse", (a,), np.asarray((d * d).mean()), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +299,21 @@ _BETA2 = 0.999
 _EPS = 1e-8
 
 
-def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState, lr: float) -> AdamState:
+def adam_step(params: Sequence[Tensor], grads: dict[Tensor, np.ndarray], state: AdamState,
+              lr: float) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter tensors.
 
-    The parameters' gradients are updated as one flat block, elementwise as
-    each parameter alone would be. A non-finite gradient raises before any
-    parameter, moment or the step counter changes.
+    grads is backward's dict; a parameter without an entry has a zero
+    gradient. The parameters' gradients are updated as one flat block,
+    elementwise as each parameter alone would be. A non-finite gradient
+    raises before any parameter, moment or the step counter changes.
     """
     if state.m.size != sum(p.data.size for p in params):
         raise ValueError("adam_step: state does not match parameter list")
     t = state.t + 1
-    g = np.concatenate([grads[p].ravel() for p in params])
+    g = np.concatenate([grads[p].ravel() if p in grads else np.zeros(p.data.size) for p in params])
     if not np.all(np.isfinite(g)):
-        first = next(i for i, p in enumerate(params) if not np.all(np.isfinite(grads[p])))
+        first = next(i for i, p in enumerate(params) if not np.all(np.isfinite(grads.get(p, 0.0))))
         raise NumericalError(f"non-finite gradient for parameter {first} at step {t}")
     state.t = t
     state.m = _BETA1 * state.m + (1.0 - _BETA1) * g

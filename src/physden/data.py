@@ -31,6 +31,7 @@ from .physics import (
     InsEnvironment,
     RESIDUAL_BLOCK,
     PhysicsSpec,
+    _check_finite,
     check_window,
     co2_known_terms,
     default_channel_map,
@@ -163,6 +164,7 @@ class NoiseSpec:
     mask_fraction: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"NoiseSpec: kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if self.scale < 0:
@@ -759,6 +761,14 @@ class SimulateConfig:
             self.duration = defaults["duration"]
         if self.dt is None:
             self.dt = defaults["dt"]
+        _check_finite(self)
+        if not np.isfinite(list(self.bias_frac.values())).all():
+            raise ValueError(f"SimulateConfig: bias_frac must be finite, got {self.bias_frac}")
+        if self.n_modes < 1:
+            raise ValueError(f"SimulateConfig: n_modes must be >= 1, got {self.n_modes}")
+        for name in ("motion_scale", "rotation_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"SimulateConfig: {name} must be >= 0, got {getattr(self, name)}")
 
 
 # Each family's simulator and the SimulateConfig fields it takes after its seeds.

@@ -8,6 +8,7 @@ training statistics and the output is mapped back to physical units.
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -152,11 +153,16 @@ class Denoiser:
             raise ValueError("Denoiser: norm_std entries must be positive")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"Denoiser: dt must be positive and finite, got {self.dt}")
+        if len(set(self.channels)) != n:
+            raise ValueError(f"Denoiser: channel names must be distinct, got {', '.join(self.channels)}")
         expected = self.params.weights[0].data.shape[1]
         if n != expected:
             raise ValueError(
                 f"Denoiser: model expects {expected} channels but {n} names were given"
             )
+        outputs = self.params.weights[-1].data.shape[0]
+        if outputs != n:
+            raise ValueError(f"Denoiser: the last layer outputs {outputs} channels, not the {n} named")
 
 
 def denoise(denoiser: Denoiser, window: SampleWindow) -> SampleWindow:
@@ -199,26 +205,55 @@ def save_checkpoint(denoiser: Denoiser, path) -> None:
     np.savez(path, **arrays)
 
 
+# What a checkpoint array's dtype kinds hold, for its error message.
+_KIND_NOUNS = {"iu": "integer", "iuf": "real", "b": "boolean", "U": "string"}
+
+
+def _checkpoint_array(bundle, path, key: str, ndim: int, kinds: str = "iuf") -> np.ndarray:
+    """A required checkpoint array of the given rank and dtype kinds.
+
+    A missing or different entry is an error naming the file and the key, as
+    a manifest's are.
+    """
+    if key not in bundle.files:
+        raise ValueError(f"{path}: checkpoint lacks the array {key}")
+    value = bundle[key]
+    if value.ndim != ndim or value.dtype.kind not in kinds:
+        raise ValueError(f"{path}: checkpoint array {key} must be a {ndim}-d {_KIND_NOUNS[kinds]} array, "
+                         f"got {value.dtype} of shape {value.shape}")
+    return value
+
+
 def load_checkpoint(path) -> Denoiser:
-    """Read a save_checkpoint file; one without a dt entry gives a denoiser with dt None."""
-    with np.load(path, allow_pickle=False) as bundle:
-        version = int(bundle["format_version"])
-        if version != 1:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        n_layers = int(bundle["n_layers"])
-        names = [f"{kind}_{i}" for i in range(n_layers) for kind in ("weight", "bias")]
-        missing = [name for name in names if name not in bundle.files]
-        if missing:
-            raise ValueError(f"checkpoint lists {n_layers} layers but lacks the array {missing[0]}")
-        tensors = [Tensor(bundle[name], requires_grad=True) for name in names]
-        for name, t in zip(names, tensors):
-            if not np.isfinite(t.data).all():
-                raise ValueError(f"checkpoint array {name} has non-finite entries")
-        return Denoiser(
-            params=ModelParams(weights=tensors[0::2], biases=tensors[1::2]),
-            channels=[str(c) for c in bundle["channels"]],
-            norm_mean=bundle["norm_mean"],
-            norm_std=bundle["norm_std"],
-            predict_residual=bool(bundle["predict_residual"]),
-            dt=float(bundle["dt"]) if "dt" in bundle.files else None,
-        )
+    """Read a save_checkpoint file; one without a dt entry gives a denoiser with dt None.
+
+    A file that is no readable npz archive, or whose entries are missing or
+    malformed, raises ValueError naming the file.
+    """
+    try:
+        bundle = np.load(path, allow_pickle=False)
+        if not isinstance(bundle, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: a checkpoint is an npz archive, not a single array")
+        with bundle:
+            version = int(_checkpoint_array(bundle, path, "format_version", 0, "iu"))
+            if version != 1:
+                raise ValueError(f"{path}: unsupported checkpoint format version {version}")
+            n_layers = int(_checkpoint_array(bundle, path, "n_layers", 0, "iu"))
+            if n_layers < 1:
+                raise ValueError(f"{path}: checkpoint n_layers must be >= 1, got {n_layers}")
+            tensors = []
+            for i in range(n_layers):
+                for name, ndim in ((f"weight_{i}", 3), (f"bias_{i}", 1)):
+                    tensors.append(Tensor(_checkpoint_array(bundle, path, name, ndim), requires_grad=True))
+                    if not np.isfinite(tensors[-1].data).all():
+                        raise ValueError(f"{path}: checkpoint array {name} has non-finite entries")
+            return Denoiser(
+                params=ModelParams(weights=tensors[0::2], biases=tensors[1::2]),
+                channels=[str(c) for c in _checkpoint_array(bundle, path, "channels", 1, "U")],
+                norm_mean=_checkpoint_array(bundle, path, "norm_mean", 1),
+                norm_std=_checkpoint_array(bundle, path, "norm_std", 1),
+                predict_residual=bool(_checkpoint_array(bundle, path, "predict_residual", 0, "b")),
+                dt=float(_checkpoint_array(bundle, path, "dt", 0)) if "dt" in bundle.files else None,
+            )
+    except (EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path}: not a readable checkpoint archive: {err}") from None

@@ -18,12 +18,13 @@ world frame, so a stationary level device reads (0, 0, +9.80665).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, _record, exclusive_prefix_sum_values, mse
+from .autodiff import Tensor, _as_tensor, _record, mse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from .data import SampleWindow
@@ -41,6 +42,7 @@ __all__ = [
     "DENOISE_CHANNELS",
     "default_channel_map",
     "time_derivative",
+    "exclusive_prefix_sum_values",
     "residual_ins",
     "residual_co2",
     "residual_hvac",
@@ -97,11 +99,15 @@ def quat_exp(v) -> np.ndarray:
 # Environments
 
 
-def _check_finite(env) -> None:
-    """Reject an environment with a non-finite constant, naming its field."""
-    for f in fields(env):
-        if not np.all(np.isfinite(np.asarray(getattr(env, f.name), dtype=np.float64))):
-            raise ValueError(f"{type(env).__name__}: {f.name} must be finite")
+def _check_finite(obj) -> None:
+    """Reject a dataclass (an environment or a config) with a non-finite number, naming its field.
+
+    Fields that hold no number or array (text, a nested config, a mapping) are not checked here.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (numbers.Real, np.ndarray)) and not np.all(np.isfinite(value)):
+            raise ValueError(f"{type(obj).__name__}: {f.name} must be finite, got {value}")
 
 
 def _as_gravity(g) -> np.ndarray:
@@ -338,6 +344,17 @@ def residual_ins(p, q, w, a, env: InsEnvironment):
         return _time_derivative_vjp(g_v, dt, 2), g_q, g_w, g_a
 
     return out, vjp
+
+
+def exclusive_prefix_sum_values(x: np.ndarray) -> np.ndarray:
+    """out[..., t] = sum of x[..., s] for s < t, accumulated left to right.
+
+    Shared by the CO2 residual and its simulator, so that data constructed
+    to satisfy the balance equation cancels it bitwise.
+    """
+    out = np.zeros_like(x)
+    out[..., 1:] = np.cumsum(x[..., :-1], axis=-1)
+    return out
 
 
 def co2_known_terms(flow, inflow, occupants, env: Co2Environment) -> np.ndarray:

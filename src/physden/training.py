@@ -51,7 +51,14 @@ from .data import (
 )
 from .metrics import EvalReport, evaluate, write_rows_csv
 from .model import Denoiser, ModelParams, denoise, forward, init_params, merge_denoised
-from .physics import CHANNEL_NAMES, DENOISE_CHANNELS, PhysicsSpec, check_window, physics_loss_tensor
+from .physics import (
+    CHANNEL_NAMES,
+    DENOISE_CHANNELS,
+    PhysicsSpec,
+    _check_finite,
+    check_window,
+    physics_loss_tensor,
+)
 
 __all__ = [
     "NoiseSpec",
@@ -96,6 +103,7 @@ class TrainConfig:
     predict_residual: bool = False
 
     def __post_init__(self):
+        _check_finite(self)
         if self.lr <= 0:
             raise ValueError(f"TrainConfig: lr must be positive, got {self.lr}")
         if self.batch_size < 1:
@@ -239,6 +247,8 @@ def train(
     if denoise_channels is None:
         denoise_channels = DENOISE_CHANNELS[spec.family]
     denoise_channels = [str(c) for c in denoise_channels]
+    if len(set(denoise_channels)) != len(denoise_channels):
+        raise ValueError(f"train: denoise channels must be distinct, got {', '.join(denoise_channels)}")
     missing = [c for c in denoise_channels if c not in layout]
     if missing:
         raise ValueError(f"train: windows lack denoise channels: {', '.join(missing)}")
@@ -283,7 +293,7 @@ def train(
                 z = (noisy[den_idx] - mean[:, None, None]) / std[:, None, None]
                 merged = merge_denoised(forward(params, Tensor(z)), z if cfg.predict_residual else None,
                                         target, den_idx, mean, std)
-                l_rec_t = mse(merged, Tensor(target))
+                l_rec_t = mse(merged, target)
                 l_rec = float(l_rec_t.data)
                 if phase == 2:
                     l_phy_t = physics_loss_tensor(merged, spec)

@@ -13,7 +13,6 @@ from physden.autodiff import (
     add,
     backward,
     conv1d,
-    exclusive_prefix_sum_values,
     mse,
     mul,
     reduce_sum,
@@ -41,17 +40,14 @@ def test_elementwise_forward_values():
     assert np.isnan(out[3])
 
 
-def test_scalar_operand_broadcasts():
-    a = Tensor([1.0, 2.0, 3.0])
-    assert np.array_equal(add(a, Tensor(1.0)).data, [2.0, 3.0, 4.0])
-    assert np.array_equal(mul(a, 2.0).data, [2.0, 4.0, 6.0])
-
-
 def test_equal_shape_rule_rejects_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=r"shape mismatch \(3,\) vs \(\)"):
+        mul(Tensor([1.0, 2.0, 3.0]), 2.0)  # a 0-d operand is not broadcast
     with pytest.raises(ValueError, match="shape mismatch"):
-        mse(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
+        mse(Tensor([1.0, 2.0]), np.array([[1.0, 2.0]]))
+    assert mul(Tensor(3.0), 2.0).item() == 6.0  # two 0-d scalars are equal shapes
 
 
 def test_tensor_rejects_four_dims():
@@ -63,15 +59,6 @@ def test_reductions():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert reduce_sum(a).item() == 10.0
     assert mse(a, 0.0).item() == 7.5
-
-
-def test_exclusive_prefix_sum_values():
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(exclusive_prefix_sum_values(x), [0.0, 1.0, 3.0])
-    two_d = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    assert np.array_equal(
-        exclusive_prefix_sum_values(two_d), [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]
-    )
 
 
 def test_conv1d_forward_oracle():
@@ -128,7 +115,7 @@ def test_conv1d_on_a_batch_matches_each_window():
 
 
 def test_mse_oracle():
-    assert mse(Tensor([0.0, 0.0]), Tensor([3.0, 4.0])).item() == 12.5
+    assert mse(Tensor([0.0, 0.0]), np.array([3.0, 4.0])).item() == 12.5
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +157,20 @@ def test_relu_gradient_zero_at_kink():
 def test_mse_gradient():
     a = leaf([0.0, 0.0])
     with Tape() as tape:
-        loss = mse(a, Tensor([3.0, 4.0]))
+        loss = mse(a, np.array([3.0, 4.0]))
     # d mean((a-b)^2) / da = 2 (a - b) / n.
     assert np.array_equal(backward(loss, tape)[a], [-3.0, -4.0])
 
 
 def test_mse_to_a_scalar_target_is_one_node():
     a = leaf([1.0, 3.0])
-    b = leaf(0.0)
     with Tape() as tape:
-        loss = mse(a, b)
+        loss = mse(a, 0.0)
     assert loss.item() == 5.0
-    assert [node.op for node in tape.nodes] == ["mse"]
+    assert [(node.op, node.inputs) for node in tape.nodes] == [("mse", (a,))]
     grads = backward(loss, tape)
     assert np.array_equal(grads[a], [1.0, 3.0])
-    assert grads[b].shape == () and grads[b] == -4.0
+    assert list(grads) == [loss, a]  # the constant target gets no gradient
 
 
 def test_conv1d_gradients_hand_values():
@@ -244,14 +230,14 @@ def test_backward_is_pure_in_the_tape():
     assert np.array_equal(first, second)
 
 
-def test_gradient_map_reads_zeros_for_unreached():
+def test_unreached_tensor_gets_no_entry():
     x = leaf([1.0, 2.0])
     unused = leaf([[7.0, 8.0]])
     with Tape() as tape:
         loss = reduce_sum(x)
     grads = backward(loss, tape)
-    assert unused not in grads
-    assert np.array_equal(grads[unused], np.zeros((1, 2)))
+    assert type(grads) is dict and unused not in grads
+    assert np.array_equal(grads[x], [1.0, 1.0])
 
 
 def test_no_grad_leaf_gets_no_entry():
@@ -315,7 +301,7 @@ def test_adam_rejects_non_finite_gradient():
 def _adam_problem(rng):
     """Conv parameters the loss reaches, plus one parameter it never reaches."""
     x = Tensor(rng.normal(size=(2, 3, 9)))
-    target = Tensor(rng.normal(size=(3, 3, 9)))
+    target = rng.normal(size=(3, 3, 9))
     params = [leaf(rng.normal(size=(3, 2, 5))), leaf(rng.normal(size=3)), leaf(rng.normal(size=(2, 2)))]
 
     def grads():
@@ -335,8 +321,9 @@ def test_adam_flat_update_equals_per_parameter_reference():
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 51):
         g = grads()
+        assert params[2] not in g
         for i, p in enumerate(params):
-            gi = g[p]
+            gi = g[p] if p in g else np.zeros_like(p.data)
             ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * gi
             ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (gi * gi)
             mhat = ref_m[i] / (1.0 - b1 ** t)
@@ -384,15 +371,6 @@ def test_reduce_sum_gradient_is_ones(values):
     with Tape() as tape:
         loss = reduce_sum(x)
     assert np.array_equal(backward(loss, tape)[x], np.ones(len(values)))
-
-
-@given(st.lists(st.integers(-50, 50), min_size=2, max_size=20))
-def test_prefix_sum_differences_recover_input(values):
-    # Exact for integer-valued floats: consecutive outputs differ by x[t].
-    x = np.array(values, dtype=np.float64)
-    out = exclusive_prefix_sum_values(x)
-    assert out[0] == 0.0
-    assert np.array_equal(np.diff(out), x[:-1])
 
 
 @given(

@@ -1,11 +1,15 @@
 """CLI surface: config plumbing, subcommand artifacts, exit codes."""
 import configparser
+import contextlib
 import csv
+import io
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from physden.cli import _known_keys, _load_config, build_parser, main
 from physden.data import SampleWindow, load_csv, load_manifest, save_csv
@@ -463,6 +467,138 @@ def test_denoise_rejects_a_window_at_another_dt(capsys, tmp_path, workspace):
     assert rc == 1
     assert "window dt 1.0 does not match the denoiser's training dt 60.0" in capsys.readouterr().err
     assert not (tmp_path / "den").exists()
+
+
+# ---------------------------------------------------------------------------
+# Boundary sweep: one mutated checkpoint or --set value per run
+
+
+def _checkpoint_mutations(arrays):
+    """One change to a valid checkpoint's arrays: ("checkpoint", action, key, argument)."""
+    keys = sorted(arrays)
+    reals = [k for k in keys if arrays[k].dtype.kind == "f"]
+    return st.one_of(
+        st.tuples(st.just("checkpoint"), st.just("drop"), st.sampled_from(keys), st.none()),
+        st.tuples(st.just("checkpoint"), st.just("non-finite"), st.sampled_from(reals),
+                  st.sampled_from([np.nan, np.inf, -np.inf])),
+        st.tuples(st.just("checkpoint"), st.just("reshape"), st.sampled_from(keys),
+                  st.sampled_from(["flat", "wrapped", "shortened"])),
+        st.tuples(st.just("checkpoint"), st.just("n_layers"), st.none(), st.integers(-2, 6)),
+        st.tuples(st.just("checkpoint"), st.just("truncate"), st.none(), st.integers(0, 10**6)),
+    )
+
+
+def _mutated_checkpoint(arrays, path, action, key, arg):
+    arrays = dict(arrays)
+    if action == "drop":
+        del arrays[key]
+    elif action == "non-finite":
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = arg
+    elif action == "reshape":
+        value = arrays[key]
+        arrays[key] = {"flat": value.ravel(), "wrapped": value[None],
+                       "shortened": value.ravel()[:-1]}[arg]
+    elif action == "n_layers":
+        arrays["n_layers"] = np.array(arg)
+    elif action == "set":
+        arrays[key] = arg
+    np.savez(path, **arrays)
+    if action == "truncate":
+        raw = path.read_bytes()
+        path.write_bytes(raw[:arg % len(raw)])
+
+
+# Each command the sweep runs, with the --set items of a valid run and the
+# keys a drawn item overrides; later --set items win.
+_SWEEP_COMMANDS = {
+    "simulate": (["data.family=hvac", "data.count=4", "data.duration=300", "data.dt=60"],
+                 ["data." + k for k in sorted(_known_keys()["data"])]),
+    "train": (["train.epochs_total=1", "train.widths=2,3,2"],
+              ["train." + k for k in sorted(_known_keys()["train"])] + ["model.denoise"]),
+    "gradcheck": (["gradcheck.instances=1"], ["gradcheck." + k for k in sorted(_known_keys()["gradcheck"])]),
+}
+
+
+@st.composite
+def _set_mutations(draw):
+    """One --set item of one command made non-finite, empty or non-numeric: ("set", command, items)."""
+    command = draw(st.sampled_from(sorted(_SWEEP_COMMANDS)))
+    key = draw(st.sampled_from(_SWEEP_COMMANDS[command][1]))
+    value = draw(st.sampled_from(["nan", "inf", "-inf", "", "x", "1,2"]))
+    return "set", command, (f"{key}={value}",)
+
+
+@pytest.fixture(scope="module")
+def sweep_checkpoint(workspace):
+    with np.load(workspace["checkpoint"]) as bundle:
+        return dict(bundle)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(mutation=st.data(), names=st.none())
+@example(mutation=("checkpoint", "drop", "format_version", None), names="format_version")
+@example(mutation=("checkpoint", "drop", "n_layers", None), names="n_layers")
+@example(mutation=("checkpoint", "drop", "channels", None), names="channels")
+@example(mutation=("checkpoint", "drop", "norm_mean", None), names="norm_mean")
+@example(mutation=("checkpoint", "drop", "norm_std", None), names="norm_std")
+@example(mutation=("checkpoint", "drop", "predict_residual", None), names="predict_residual")
+@example(mutation=("checkpoint", "n_layers", None, 0), names="n_layers")
+@example(mutation=("checkpoint", "n_layers", None, -1), names="n_layers")
+@example(mutation=("checkpoint", "n_layers", None, 2), names="last layer")
+@example(mutation=("checkpoint", "set", "dt", np.array([60.0, 60.0])), names="dt")
+@example(mutation=("checkpoint", "set", "channels", np.array(["t_sa", "t_sa"])), names="distinct")
+@example(mutation=("checkpoint", "set", "weight_0", np.ones((2, 2, 7), dtype=complex)), names="weight_0")
+@example(mutation=("checkpoint", "truncate", None, 100), names="not a readable checkpoint")
+@example(mutation=("set", "train", ("model.denoise=t_sa,t_sa",)), names="distinct")
+@example(mutation=("set", "train", ("train.lr=nan",)), names="lr")
+@example(mutation=("set", "train", ("train.lr=inf",)), names="lr")
+@example(mutation=("set", "train", ("train.lambda_mode=fixed", "train.lambda_value=nan")), names="lambda_value")
+@example(mutation=("set", "train", ("train.noise_scale=inf",)), names="scale")
+@example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
+                                       "data.motion_scale=nan")), names="motion_scale")
+@example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
+                                       "data.rotation_scale=inf")), names="rotation_scale")
+@example(mutation=("set", "simulate", ("data.duration=inf",)), names="duration")
+@example(mutation=("set", "simulate", ("data.duration=nan",)), names="duration")
+@example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
+                                       "data.n_modes=0")), names="n_modes")
+@example(mutation=("set", "simulate", ("data.noise_scale=nan",)), names="noise_scale")
+@example(mutation=("set", "simulate", ("data.bias_frac=t_sa:nan",)), names="bias_frac")
+@example(mutation=("set", "simulate", ("data.family=co2", "data.duration=300", "data.dt=30",
+                                       "data.flow=nan")), names="flow")
+@example(mutation=("set", "gradcheck", ("gradcheck.instances=0",)), names="instances")
+@example(mutation=("set", "gradcheck", ("gradcheck.tolerance=nan",)), names="tolerance")
+def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, tmp_path_factory, mutation, names):
+    """A mutated input exits 0, or 1 with one error: line, no traceback and no run directory.
+
+    An explicit example also names what its error line must mention, and must exit 1.
+    """
+    if isinstance(mutation, st.DataObject):
+        mutation = mutation.draw(st.one_of(_checkpoint_mutations(sweep_checkpoint), _set_mutations()))
+    root = tmp_path_factory.mktemp("sweep")
+    run_dir = root / "run"
+    if mutation[0] == "checkpoint":
+        checkpoint = root / "model.npz"
+        _mutated_checkpoint(sweep_checkpoint, checkpoint, *mutation[1:])
+        args = ["denoise", "--set", f"model.checkpoint={checkpoint}",
+                "--set", f"data.input={noisy_csvs(workspace)[0]}"]
+    else:
+        _, command, items = mutation
+        valid, _ = _SWEEP_COMMANDS[command]
+        if command == "train":
+            valid = [f"data.manifest={workspace['manifest']}", *valid]
+        args = [command] + [a for item in (*valid, *items) for a in ("--set", item)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(args + ["--run-dir", str(run_dir)])
+    lines = err.getvalue().splitlines()
+    if names is None and rc == 0:
+        return
+    assert rc == 1, lines
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert names is None or names in lines[0], lines
+    assert not run_dir.exists()
 
 # ---------------------------------------------------------------------------
 # eval

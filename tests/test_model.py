@@ -297,6 +297,18 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path, name, value, message):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("write, message", [
+    (lambda fh: None, "not a readable checkpoint archive: No data left in file"),
+    (lambda fh: np.save(fh, np.zeros(3)), "a checkpoint is an npz archive, not a single array"),
+])
+def test_checkpoint_that_is_no_npz_archive_is_rejected(tmp_path, write, message):
+    path = tmp_path / "model.npz"
+    with path.open("wb") as fh:
+        write(fh)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
 def test_loaded_params_are_trainable(tmp_path):
     params = init_params(1, widths=(2, 2, 2), rng=1)
     den = Denoiser(params, ["a"], np.zeros(1), np.ones(1))

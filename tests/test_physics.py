@@ -28,6 +28,7 @@ from physden.physics import (
     InsEnvironment,
     PhysicsSpec,
     default_channel_map,
+    exclusive_prefix_sum_values,
     hamilton_rows,
     hvac_heat_capacity_rate,
     physics_loss_tensor,
@@ -326,6 +327,24 @@ def test_clean_ins_simulation_residual_is_small():
 def drivers(t_len, flow=0.0, inflow=0.0, occupants=0.0):
     """co2's flow, inflow and headcount rows, each a constant 1 x T row."""
     return [np.full((1, t_len), v) for v in (flow, inflow, occupants)]
+
+
+def test_exclusive_prefix_sum_values():
+    x = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(exclusive_prefix_sum_values(x), [0.0, 1.0, 3.0])
+    two_d = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    assert np.array_equal(
+        exclusive_prefix_sum_values(two_d), [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]
+    )
+
+
+@given(st.lists(st.integers(-50, 50), min_size=2, max_size=20))
+def test_prefix_sum_differences_recover_input(values):
+    # Exact for integer-valued floats: consecutive outputs differ by x[t].
+    x = np.array(values, dtype=np.float64)
+    out = exclusive_prefix_sum_values(x)
+    assert out[0] == 0.0
+    assert np.array_equal(np.diff(out), x[:-1])
 
 
 def test_sealed_room_closed_form():
