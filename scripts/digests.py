@@ -6,7 +6,9 @@ One `name sha256` line per output:
   scale 0.2; each digest covers the observed windows, the clean windows,
   the split and the norm stats;
 - a 2-epoch GATE_TRAIN training on GATE_DATA: its trained parameters, its
-  log rows, and its test split after model.denoise.
+  log rows, and its test split after model.denoise;
+- 4 ins windows of 100 steps after model.denoise by the serve-shape model
+  (7 -> 128/256/128 -> 7 channels, 271,623 parameters) initialised from seed 1.
 It uses only library names that have stood since the co2 driver rows became
 window channels, so the same file, copied into an older checkout's scripts/,
 digests that checkout, and the two outputs can be diffed. BLAS and OpenMP are
@@ -29,7 +31,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from physden.data import SimulateConfig, generate_dataset
-from physden.model import denoise
+from physden.model import Denoiser, denoise, init_params
+from physden.physics import DENOISE_CHANNELS
 from physden.training import GATE_DATA, GATE_TRAIN, train
 
 
@@ -66,6 +69,13 @@ def digests() -> list[tuple[str, str]]:
     lines.append(("gate_train_2epochs_log", sha256([dataclasses.astuple(row) for row in result.log])))
     denoised = [denoise(result.denoiser, w) for w in gate.test_windows]
     lines.append(("gate_train_2epochs_denoised", sha256([w.values for w in denoised])))
+
+    serve = generate_dataset(SimulateConfig(family="ins", count=4, duration=0.99, dt=0.01, seed=1,
+                                            noise_scale=0.2))
+    channels = list(DENOISE_CHANNELS["ins"])
+    model = Denoiser(init_params(len(channels), (128, 256, 128), rng=1), channels,
+                     *serve.norm_stats.subset(channels))
+    lines.append(("serve_model_denoised", sha256([denoise(model, w).values for w in serve.windows])))
     return lines
 
 

@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Deliberately small: exactly the operations needed to train a 1-D
-convolutional denoiser and to differentiate physics residuals. Tensors are
-dense 0-D to 3-D float64 arrays; binary operations take operands of equal
-shape (two 0-d scalars included) and never broadcast. Gradients are computed
-by walking an explicit tape of recorded operations in reverse, and are
-returned in a dict keyed by the tensor objects themselves.
+Deliberately small: the tape, the elementwise ops and the loss that training
+records. The denoiser's forward and the physics residuals run on arrays and
+record one fused node each through ``_record``. Tensors are dense 0-D to 3-D
+float64 arrays; binary operations take operands of equal shape (two 0-d
+scalars included) and never broadcast. Gradients are computed by walking an
+explicit tape of recorded operations in reverse, and are returned in a dict
+keyed by the tensor objects themselves.
 """
 from __future__ import annotations
 
@@ -20,11 +21,10 @@ __all__ = [
     "Node",
     "NumericalError",
     "backward",
+    "recording",
     "add",
     "mul",
-    "relu",
     "reduce_sum",
-    "conv1d",
     "mse",
     "AdamState",
     "adam_step",
@@ -102,21 +102,21 @@ class Tape:
         return False
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on these inputs records a node: a tape is active and some input requires a gradient."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
             vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op's output and record its node on the active tape (physics' residual node uses it too)."""
+    """Wrap an op's output and record its node on the active tape (the model and physics nodes use it too)."""
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.nodes.append(Node(op, inputs, out, vjp))
+    if recording(inputs):
+        _TAPE_STACK[-1].nodes.append(Node(op, inputs, out, vjp))
     return out
 
 
@@ -172,17 +172,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", (a, b), ad * bd, vjp)
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    out += 0.0  # -0.0 to 0.0, as np.where(a > 0, a, 0.0) gives; a NaN propagates
-
-    def vjp(g):
-        return (g * (a.data > 0.0) if a.requires_grad else None,)
-
-    return _record("relu", (a,), out, vjp)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 
@@ -198,61 +187,7 @@ def reduce_sum(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Convolution and losses
-
-
-def conv1d(x, weight, bias) -> Tensor:
-    """Same-length 1-D convolution over a Cin x T or Cin x B x T input.
-
-    out[o, ..., t] = bias[o] + sum_{i,k} weight[o, i, k] * x[i, ..., t + k - (K-1)/2]
-    with x read as zero outside each window's T timesteps; K must be odd.
-    A batch axis B convolves each window on its own, so windows never mix.
-    """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.data.ndim not in (2, 3) or weight.data.ndim != 3 or bias.data.ndim != 1:
-        raise ValueError(
-            f"conv1d: expected 2-d or 3-d input, 3-d weight, 1-d bias; got "
-            f"{x.data.ndim}-d, {weight.data.ndim}-d, {bias.data.ndim}-d"
-        )
-    cout, cin, k = weight.data.shape
-    if k % 2 == 0:
-        raise ValueError(f"conv1d: kernel size must be odd, got {k}")
-    if x.data.shape[0] != cin:
-        raise ValueError(f"conv1d: input has {x.data.shape[0]} channels, weight expects {cin}")
-    if bias.data.shape[0] != cout:
-        raise ValueError(f"conv1d: bias has {bias.data.shape[0]} entries, weight expects {cout}")
-    batch, t_len = x.data.shape[1:-1], x.data.shape[-1]
-    pad = (k - 1) // 2
-    # (j, output timesteps t, input timesteps t + j - pad) of each tap j, where inside the window.
-    taps = []
-    for j in range(k):
-        s = j - pad
-        lo, hi = max(-s, 0), min(t_len - s, t_len)
-        if lo < hi:
-            taps.append((j, slice(lo, hi), slice(lo + s, hi + s)))
-    # im2col so both passes run as one BLAS matmul each: col[i*k + j, (b, t)] = x[i, b, t + j - pad].
-    col = np.zeros((cin, k, *batch, t_len))
-    for j, out_t, in_t in taps:
-        col[:, j, ..., out_t] = x.data[..., in_t]
-    col = col.reshape(cin * k, -1)
-    w2d = weight.data.reshape(cout, cin * k)
-    out = (w2d @ col + bias.data[:, None]).reshape(cout, *batch, t_len)
-
-    def vjp(g):
-        gx = gw = gb = None
-        g2d = g.reshape(cout, -1)
-        if bias.requires_grad:
-            gb = g2d.sum(axis=1)
-        if weight.requires_grad:
-            gw = (g2d @ col.T).reshape(cout, cin, k)
-        if x.requires_grad:
-            gcol = (w2d.T @ g2d).reshape(cin, k, *batch, t_len)
-            gx = np.zeros((cin, *batch, t_len))
-            for j, out_t, in_t in taps:
-                gx[..., in_t] += gcol[:, j, ..., out_t]
-        return gx, gw, gb
-
-    return _record("conv1d", (x, weight, bias), out, vjp)
+# Losses
 
 
 def mse(a, target) -> Tensor:

@@ -151,6 +151,14 @@ def _get_typed(cp, section: str, key: str, kind: type, default=None):
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
+def _get_seed(cp, section: str, default: int) -> int:
+    """[section] seed, which numpy's generators take only non-negative."""
+    seed = _get_typed(cp, section, "seed", int, default)
+    if seed < 0:
+        raise ValueError(f"[{section}] seed must be >= 0, got {seed}")
+    return seed
+
+
 # The parser kind of each scalar annotation the config dataclasses use.
 _ANNOTATION_KINDS = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool}
 
@@ -372,7 +380,7 @@ def _cmd_eval(args, cp) -> int:
 def _cmd_gradcheck(args, cp) -> int:
     from .gradcheck import run_suite
 
-    seed = _get_typed(cp, "gradcheck", "seed", int, 0)
+    seed = _get_seed(cp, "gradcheck", 0)
     instances = _get_typed(cp, "gradcheck", "instances", int, 20)
     tol = _get_typed(cp, "gradcheck", "tolerance", float, 1e-5)
     results = run_suite(seed=seed, instances=instances, rel_tol=tol)
@@ -394,7 +402,7 @@ def _cmd_bias_demo(args, cp) -> int:
 
     eta = _get_typed(cp, "demo", "eta_frac", float, 0.5)
     n_windows = _get_typed(cp, "demo", "n_windows", int, 48)
-    seed = _get_typed(cp, "demo", "seed", int, 11)
+    seed = _get_seed(cp, "demo", 11)
     report = bias_demo(eta, n_windows=n_windows, seed=seed)
 
     run_dir = _run_dir(args, seed)

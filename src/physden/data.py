@@ -663,7 +663,10 @@ def load_manifest(path) -> Dataset:
     base = path.parent
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
-    cfg.read(path)
+    try:
+        cfg.read(path)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: manifest is not text ({err.reason} at offset {err.start})") from None
     for section in ("dataset", "environment", "windows"):
         if section not in cfg:
             raise ValueError(f"{path}: manifest is missing the [{section}] section")
@@ -762,6 +765,8 @@ class SimulateConfig:
         if self.dt is None:
             self.dt = defaults["dt"]
         _check_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"SimulateConfig: seed must be >= 0, got {self.seed}")
         if not np.isfinite(list(self.bias_frac.values())).all():
             raise ValueError(f"SimulateConfig: bias_frac must be finite, got {self.bias_frac}")
         if self.n_modes < 1:

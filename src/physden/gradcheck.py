@@ -16,15 +16,14 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
+    _record,
     add,
     backward,
-    conv1d,
     mse,
     mul,
     reduce_sum,
-    relu,
 )
-from .model import ModelParams, forward, init_params, merge_denoised
+from .model import ModelParams, conv1d, forward, init_params, merge_denoised, relu
 from .physics import (
     Co2Environment,
     HvacEnvironment,
@@ -175,9 +174,15 @@ def _elementwise_case(op: Callable) -> Callable:
 
 
 def _relu_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    """model.relu as a one-node probe, its VJP as forward's node runs it."""
     a = _away_from_zero(rng.uniform(-2.0, 2.0, size=(2, 5)))
     w = rng.uniform(-1.0, 1.0, size=(2, 5))
-    return (lambda xs: _weighted_sum(relu(xs[0]), w)), [a]
+
+    def fn(xs: list[Tensor]) -> Tensor:
+        out, vjp = relu(xs[0].data)
+        return _weighted_sum(_record("relu", (xs[0],), out, lambda g: (vjp(g),)), w)
+
+    return fn, [a]
 
 
 def _reduce_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -185,13 +190,19 @@ def _reduce_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarra
 
 
 def _conv1d_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
+    """model.conv1d as a one-node probe, its input gradient included."""
     k = int(rng.choice([3, 5]))
     shape = (*_batch(rng), 8)
     x = rng.uniform(-1.0, 1.0, size=(2, *shape))
     wgt = rng.uniform(-1.0, 1.0, size=(3, 2, k))
     b = rng.uniform(-1.0, 1.0, size=(3,))
     w = rng.uniform(-1.0, 1.0, size=(3, *shape))
-    return (lambda xs: _weighted_sum(conv1d(xs[0], xs[1], xs[2]), w)), [x, wgt, b]
+
+    def fn(xs: list[Tensor]) -> Tensor:
+        out, vjp = conv1d(*(t.data for t in xs))
+        return _weighted_sum(_record("conv1d", tuple(xs), out, lambda g: vjp(g, True)), w)
+
+    return fn, [x, wgt, b]
 
 
 def _mse_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:

@@ -8,13 +8,14 @@ training statistics and the output is mapped back to physical units.
 """
 from __future__ import annotations
 
+import functools
 import zipfile
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, _record, conv1d, relu
+from .autodiff import Tensor, _record, recording
 from .data import SampleWindow
 from .physics import same_dt
 
@@ -23,6 +24,8 @@ __all__ = [
     "ModelParams",
     "init_params",
     "param_count",
+    "conv1d",
+    "relu",
     "forward",
     "merge_denoised",
     "Denoiser",
@@ -78,8 +81,82 @@ def param_count(params: ModelParams) -> int:
     return sum(int(t.data.size) for t in params.all_tensors())
 
 
+@functools.lru_cache
+def _taps(k: int, t_len: int) -> tuple[tuple[int, slice, slice], ...]:
+    """(j, output timesteps t, input timesteps t + j - pad) of each tap j of a size-k kernel, where inside the window."""
+    pad = (k - 1) // 2
+    taps = []
+    for j in range(k):
+        s = j - pad
+        lo, hi = max(-s, 0), min(t_len - s, t_len)
+        if lo < hi:
+            taps.append((j, slice(lo, hi), slice(lo + s, hi + s)))
+    return tuple(taps)
+
+
+def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """Same-length 1-D convolution over a Cin x T or Cin x B x T array; returns (out, vjp).
+
+    out[o, ..., t] = bias[o] + sum_{i,k} weight[o, i, k] * x[i, ..., t + k - (K-1)/2]
+    with x read as zero outside each window's T timesteps; K must be odd.
+    A batch axis B convolves each window on its own, so windows never mix.
+    vjp(g, need_x) returns the gradients (gx, gweight, gbias) of out's cotangent
+    g, with gx None unless need_x.
+    """
+    if x.ndim not in (2, 3) or weight.ndim != 3 or bias.ndim != 1:
+        raise ValueError(
+            f"conv1d: expected 2-d or 3-d input, 3-d weight, 1-d bias; got "
+            f"{x.ndim}-d, {weight.ndim}-d, {bias.ndim}-d"
+        )
+    cout, cin, k = weight.shape
+    if k % 2 == 0:
+        raise ValueError(f"conv1d: kernel size must be odd, got {k}")
+    if x.shape[0] != cin:
+        raise ValueError(f"conv1d: input has {x.shape[0]} channels, weight expects {cin}")
+    if bias.shape[0] != cout:
+        raise ValueError(f"conv1d: bias has {bias.shape[0]} entries, weight expects {cout}")
+    batch, t_len = x.shape[1:-1], x.shape[-1]
+    taps = _taps(k, t_len)
+    # im2col so both passes run as one BLAS matmul each: col[i*k + j, (b, t)] = x[i, b, t + j - pad].
+    col = np.zeros((cin, k, *batch, t_len))
+    for j, out_t, in_t in taps:
+        col[:, j, ..., out_t] = x[..., in_t]
+    col = col.reshape(cin * k, -1)
+    w2d = weight.reshape(cout, cin * k)
+    out = w2d @ col
+    out += bias[:, None]
+
+    def vjp(g, need_x):
+        g2d = g.reshape(cout, -1)
+        gx = None
+        if need_x:
+            gcol = (w2d.T @ g2d).reshape(cin, k, *batch, t_len)
+            gx = np.zeros((cin, *batch, t_len))
+            for j, out_t, in_t in taps:
+                gx[..., in_t] += gcol[:, j, ..., out_t]
+        return gx, (g2d @ col.T).reshape(cout, cin, k), g2d.sum(axis=1)
+
+    return out.reshape(cout, *batch, t_len), vjp
+
+
+def relu(a: np.ndarray):
+    """max(a, 0) as a new array, and its vjp(g); -0.0 becomes 0.0 and a NaN propagates."""
+    out = np.maximum(a, 0.0)
+    out += 0.0  # -0.0 to 0.0, as np.where(a > 0, a, 0.0) gives
+
+    def vjp(g):
+        return g * (out > 0.0)  # out > 0 exactly where a > 0, NaN included
+
+    return out, vjp
+
+
 def forward(params: ModelParams, x: Tensor) -> Tensor:
-    """Run the network on a c x T or c x B x T block; returns a block of the same shape."""
+    """Run the network on a c x T or c x B x T block; returns a block of the same shape.
+
+    The layers run on arrays and record one model_forward node, whose VJP
+    walks them in reverse; its gradients follow x and params.all_tensors().
+    Outside a recording tape no layer's VJP state is kept.
+    """
     if x.data.ndim not in (2, 3):
         raise ValueError(f"forward: expected a 2-d or 3-d c x [B x] T input, got {x.data.shape}")
     expected = params.weights[0].data.shape[1]
@@ -87,13 +164,30 @@ def forward(params: ModelParams, x: Tensor) -> Tensor:
         raise ValueError(
             f"forward: input has {x.data.shape[0]} channels, model expects {expected}"
         )
-    h = x
+    inputs = (x, *params.all_tensors())
+    keep = recording(inputs)
+    h, convs, relus = x.data, [], []
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = conv1d(h, w, b)
+        h, layer_vjp = conv1d(h, w.data, b.data)
+        if keep:
+            convs.append(layer_vjp)
+        del layer_vjp  # an unkept VJP frees its im2col block here, before the next layer allocates
         if i != last:
-            h = relu(h)
-    return h
+            h, layer_vjp = relu(h)
+            if keep:
+                relus.append(layer_vjp)
+
+    def vjp(g):
+        grads = []
+        for i in reversed(range(len(convs))):
+            if i != last:
+                g = relus[i](g)
+            g, gw, gb = convs[i](g, i > 0 or x.requires_grad)
+            grads += [gb, gw]
+        return tuple(gi if t.requires_grad else None for t, gi in zip(inputs, [g, *reversed(grads)]))
+
+    return _record("model_forward", inputs, h, vjp)
 
 
 def merge_denoised(
@@ -160,6 +254,15 @@ class Denoiser:
             raise ValueError(
                 f"Denoiser: model expects {expected} channels but {n} names were given"
             )
+        for i, (w, b) in enumerate(zip(self.params.weights, self.params.biases)):
+            c_out, c_in, k = w.data.shape
+            if i and c_in != self.params.weights[i - 1].data.shape[0]:
+                raise ValueError(f"Denoiser: layer {i} takes {c_in} channels, but layer {i - 1} "
+                                 f"outputs {self.params.weights[i - 1].data.shape[0]}")
+            if k % 2 == 0:
+                raise ValueError(f"Denoiser: layer {i} has kernel size {k}, which must be odd")
+            if b.data.shape != (c_out,):
+                raise ValueError(f"Denoiser: layer {i} has {b.data.size} biases for {c_out} output channels")
         outputs = self.params.weights[-1].data.shape[0]
         if outputs != n:
             raise ValueError(f"Denoiser: the last layer outputs {outputs} channels, not the {n} named")
@@ -217,7 +320,10 @@ def _checkpoint_array(bundle, path, key: str, ndim: int, kinds: str = "iuf") -> 
     """
     if key not in bundle.files:
         raise ValueError(f"{path}: checkpoint lacks the array {key}")
-    value = bundle[key]
+    try:
+        value = bundle[key]
+    except ValueError:  # an object array: numpy's message would advise loading it unsafely
+        raise ValueError(f"{path}: not a checkpoint archive: {key} is not a plain array") from None
     if value.ndim != ndim or value.dtype.kind not in kinds:
         raise ValueError(f"{path}: checkpoint array {key} must be a {ndim}-d {_KIND_NOUNS[kinds]} array, "
                          f"got {value.dtype} of shape {value.shape}")
@@ -227,11 +333,15 @@ def _checkpoint_array(bundle, path, key: str, ndim: int, kinds: str = "iuf") -> 
 def load_checkpoint(path) -> Denoiser:
     """Read a save_checkpoint file; one without a dt entry gives a denoiser with dt None.
 
-    A file that is no readable npz archive, or whose entries are missing or
-    malformed, raises ValueError naming the file.
+    A file that is no readable npz archive, holds pickled data, or whose
+    entries are missing or malformed or whose layers do not chain, raises
+    ValueError naming the file.
     """
     try:
-        bundle = np.load(path, allow_pickle=False)
+        try:
+            bundle = np.load(path, allow_pickle=False)
+        except ValueError:  # pickled or object data: numpy's message would advise loading it unsafely
+            raise ValueError(f"{path}: not a checkpoint archive") from None
         if not isinstance(bundle, np.lib.npyio.NpzFile):
             raise ValueError(f"{path}: a checkpoint is an npz archive, not a single array")
         with bundle:
@@ -247,7 +357,7 @@ def load_checkpoint(path) -> Denoiser:
                     tensors.append(Tensor(_checkpoint_array(bundle, path, name, ndim), requires_grad=True))
                     if not np.isfinite(tensors[-1].data).all():
                         raise ValueError(f"{path}: checkpoint array {name} has non-finite entries")
-            return Denoiser(
+            fields = dict(
                 params=ModelParams(weights=tensors[0::2], biases=tensors[1::2]),
                 channels=[str(c) for c in _checkpoint_array(bundle, path, "channels", 1, "U")],
                 norm_mean=_checkpoint_array(bundle, path, "norm_mean", 1),
@@ -255,5 +365,9 @@ def load_checkpoint(path) -> Denoiser:
                 predict_residual=bool(_checkpoint_array(bundle, path, "predict_residual", 0, "b")),
                 dt=float(_checkpoint_array(bundle, path, "dt", 0)) if "dt" in bundle.files else None,
             )
+        try:
+            return Denoiser(**fields)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     except (EOFError, zipfile.BadZipFile) as err:
         raise ValueError(f"{path}: not a readable checkpoint archive: {err}") from None

@@ -120,6 +120,8 @@ class TrainConfig:
             )
         if self.lambda_value < 0:
             raise ValueError(f"TrainConfig: lambda_value must be >= 0, got {self.lambda_value}")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig: seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -12,13 +12,12 @@ from physden.autodiff import (
     adam_step,
     add,
     backward,
-    conv1d,
     mse,
     mul,
     reduce_sum,
-    relu,
 )
 from physden.gradcheck import _CASES, _EPS, check_gradient
+from physden.model import ModelParams, conv1d, forward, relu
 
 
 def leaf(values):
@@ -34,8 +33,8 @@ def test_elementwise_forward_values():
     b = Tensor([4.0, 5.0, -6.0])
     assert np.array_equal(add(a, b).data, [5.0, 3.0, -3.0])
     assert np.array_equal(mul(a, b).data, [4.0, -10.0, -18.0])
-    assert np.array_equal(relu(a).data, [1.0, 0.0, 3.0])
-    out = relu(Tensor([-0.0, np.inf, -np.inf, np.nan])).data
+    assert np.array_equal(relu(a.data)[0], [1.0, 0.0, 3.0])
+    out = relu(np.array([-0.0, np.inf, -np.inf, np.nan]))[0]
     assert out[:3].tolist() == [0.0, np.inf, 0.0] and not np.signbit(out[0])
     assert np.isnan(out[3])
 
@@ -63,29 +62,29 @@ def test_reductions():
 
 def test_conv1d_forward_oracle():
     # Box kernel over [1, 2, 3] with zero padding: [0+1+2, 1+2+3, 2+3+0].
-    x = Tensor([[1.0, 2.0, 3.0]])
-    w = Tensor(np.ones((1, 1, 3)))
-    b = Tensor(np.zeros(1))
-    assert np.array_equal(conv1d(x, w, b).data, [[3.0, 6.0, 5.0]])
+    x = np.array([[1.0, 2.0, 3.0]])
+    w = np.ones((1, 1, 3))
+    b = np.zeros(1)
+    assert np.array_equal(conv1d(x, w, b)[0], [[3.0, 6.0, 5.0]])
 
 
 def test_conv1d_bias_and_multichannel():
-    x = Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-    w = Tensor(np.zeros((2, 3, 1)))
-    w.data[0, 0, 0] = 1.0  # out0 copies channel 0
-    w.data[1, 2, 0] = 1.0  # out1 copies channel 2
-    out = conv1d(x, w, Tensor([10.0, -1.0]))
-    assert np.array_equal(out.data, [[11.0, 10.0], [1.0, 1.0]])
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    w = np.zeros((2, 3, 1))
+    w[0, 0, 0] = 1.0  # out0 copies channel 0
+    w[1, 2, 0] = 1.0  # out1 copies channel 2
+    out, _ = conv1d(x, w, np.array([10.0, -1.0]))
+    assert np.array_equal(out, [[11.0, 10.0], [1.0, 1.0]])
 
 
 def test_conv1d_validation():
-    x = Tensor(np.ones((1, 4)))
+    x = np.ones((1, 4))
     with pytest.raises(ValueError, match="odd"):
-        conv1d(x, Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
+        conv1d(x, np.ones((1, 1, 2)), np.zeros(1))
     with pytest.raises(ValueError, match="channels"):
-        conv1d(x, Tensor(np.ones((1, 2, 3))), Tensor(np.zeros(1)))
+        conv1d(x, np.ones((1, 2, 3)), np.zeros(1))
     with pytest.raises(ValueError, match="bias"):
-        conv1d(x, Tensor(np.ones((2, 1, 3))), Tensor(np.zeros(1)))
+        conv1d(x, np.ones((2, 1, 3)), np.zeros(1))
 
 
 def test_conv1d_on_a_batch_matches_each_window():
@@ -95,12 +94,8 @@ def test_conv1d_on_a_batch_matches_each_window():
     g = rng.normal(size=(5, 4, 11))
 
     def run(xv, gv):
-        with Tape() as tape:
-            xs, ws, bs = leaf(xv), leaf(w), leaf(b)
-            out = conv1d(xs, ws, bs)
-            loss = reduce_sum(mul(out, Tensor(gv)))
-        grads = backward(loss, tape)
-        return out.data, grads[xs], grads[ws], grads[bs]
+        out, vjp = conv1d(xv, w, b)
+        return (out, *vjp(gv, True))
 
     def close(got, want):
         assert got.shape == want.shape
@@ -141,17 +136,15 @@ def test_model_gradcheck_case_stays_off_the_relu_kink(seed):
     h = inputs[0]
     layers = list(zip(inputs[1::2], inputs[2::2]))
     for w, b in layers[:-1]:
-        pre = conv1d(Tensor(h), Tensor(w), Tensor(b)).data
+        pre = conv1d(h, w, b)[0]
         assert np.min(np.abs(pre)) >= 10 * _EPS
         h = np.maximum(pre, 0.0)
     assert check_gradient(fn, inputs) <= 1e-5
 
 
 def test_relu_gradient_zero_at_kink():
-    x = leaf([-1.0, 0.0, 2.0])
-    with Tape() as tape:
-        loss = reduce_sum(relu(x))
-    assert np.array_equal(backward(loss, tape)[x], [0.0, 0.0, 1.0])
+    _, vjp = relu(np.array([-1.0, 0.0, 2.0]))
+    assert np.array_equal(vjp(np.ones(3)), [0.0, 0.0, 1.0])
 
 
 def test_mse_gradient():
@@ -176,15 +169,11 @@ def test_mse_to_a_scalar_target_is_one_node():
 def test_conv1d_gradients_hand_values():
     # Box kernel, loss = sum(out): grad x counts kernel taps that see each
     # sample, grad w sums the padded input under each tap.
-    x = leaf([[1.0, 2.0, 3.0]])
-    w = leaf(np.ones((1, 1, 3)))
-    b = leaf(np.zeros(1))
-    with Tape() as tape:
-        loss = reduce_sum(conv1d(x, w, b))
-    grads = backward(loss, tape)
-    assert np.array_equal(grads[x], [[2.0, 3.0, 2.0]])
-    assert np.array_equal(grads[w], [[[3.0, 6.0, 5.0]]])
-    assert np.array_equal(grads[b], [3.0])
+    _, vjp = conv1d(np.array([[1.0, 2.0, 3.0]]), np.ones((1, 1, 3)), np.zeros(1))
+    gx, gw, gb = vjp(np.ones((1, 3)), True)
+    assert np.array_equal(gx, [[2.0, 3.0, 2.0]])
+    assert np.array_equal(gw, [[[3.0, 6.0, 5.0]]])
+    assert np.array_equal(gb, [3.0])
 
 
 def test_gradient_accumulates_over_reuse():
@@ -306,7 +295,7 @@ def _adam_problem(rng):
 
     def grads():
         with Tape() as tape:
-            loss = mse(conv1d(x, params[0], params[1]), target)
+            loss = mse(forward(ModelParams(weights=params[:1], biases=params[1:2]), x), target)
         return backward(loss, tape)
 
     return params, grads
@@ -392,7 +381,7 @@ def test_conv1d_matches_direct_summation(seed, k):
     x = rng.normal(size=(cin, t_len))
     w = rng.normal(size=(cout, cin, k))
     b = rng.normal(size=cout)
-    out = conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+    out, _ = conv1d(x, w, b)
     pad = (k - 1) // 2
     xpad = np.zeros((cin, t_len + k - 1))
     xpad[:, pad:pad + t_len] = x

@@ -3,6 +3,7 @@ import configparser
 import contextlib
 import csv
 import io
+import pickle
 import shutil
 import subprocess
 
@@ -503,6 +504,9 @@ def _mutated_checkpoint(arrays, path, action, key, arg):
         arrays["n_layers"] = np.array(arg)
     elif action == "set":
         arrays[key] = arg
+    if action == "pickle":
+        path.write_bytes(pickle.dumps(arrays))
+        return
     np.savez(path, **arrays)
     if action == "truncate":
         raw = path.read_bytes()
@@ -510,20 +514,22 @@ def _mutated_checkpoint(arrays, path, action, key, arg):
 
 
 # Each command the sweep runs, with the --set items of a valid run and the
-# keys a drawn item overrides; later --set items win.
+# keys a drawn item overrides; later --set items win. bias-demo runs only as
+# an explicit example: a valid demo trains for seconds.
 _SWEEP_COMMANDS = {
     "simulate": (["data.family=hvac", "data.count=4", "data.duration=300", "data.dt=60"],
                  ["data." + k for k in sorted(_known_keys()["data"])]),
     "train": (["train.epochs_total=1", "train.widths=2,3,2"],
               ["train." + k for k in sorted(_known_keys()["train"])] + ["model.denoise"]),
     "gradcheck": (["gradcheck.instances=1"], ["gradcheck." + k for k in sorted(_known_keys()["gradcheck"])]),
+    "bias-demo": ([], []),
 }
 
 
 @st.composite
 def _set_mutations(draw):
     """One --set item of one command made non-finite, empty or non-numeric: ("set", command, items)."""
-    command = draw(st.sampled_from(sorted(_SWEEP_COMMANDS)))
+    command = draw(st.sampled_from(sorted(c for c, (_, keys) in _SWEEP_COMMANDS.items() if keys)))
     key = draw(st.sampled_from(_SWEEP_COMMANDS[command][1]))
     value = draw(st.sampled_from(["nan", "inf", "-inf", "", "x", "1,2"]))
     return "set", command, (f"{key}={value}",)
@@ -550,6 +556,12 @@ def sweep_checkpoint(workspace):
 @example(mutation=("checkpoint", "set", "channels", np.array(["t_sa", "t_sa"])), names="distinct")
 @example(mutation=("checkpoint", "set", "weight_0", np.ones((2, 2, 7), dtype=complex)), names="weight_0")
 @example(mutation=("checkpoint", "truncate", None, 100), names="not a readable checkpoint")
+@example(mutation=("checkpoint", "pickle", None, None), names="model.npz: not a checkpoint archive")
+@example(mutation=("checkpoint", "set", "channels", np.array(["t_sa"], dtype=object)),
+         names="not a checkpoint archive: channels")
+@example(mutation=("checkpoint", "set", "weight_1", np.ones((3, 5, 5))), names="layer 1 takes 5 channels")
+@example(mutation=("checkpoint", "set", "weight_1", np.ones((3, 2, 4))), names="layer 1 has kernel size 4")
+@example(mutation=("checkpoint", "set", "bias_1", np.zeros(4)), names="layer 1 has 4 biases")
 @example(mutation=("set", "train", ("model.denoise=t_sa,t_sa",)), names="distinct")
 @example(mutation=("set", "train", ("train.lr=nan",)), names="lr")
 @example(mutation=("set", "train", ("train.lr=inf",)), names="lr")
@@ -569,6 +581,11 @@ def sweep_checkpoint(workspace):
                                        "data.flow=nan")), names="flow")
 @example(mutation=("set", "gradcheck", ("gradcheck.instances=0",)), names="instances")
 @example(mutation=("set", "gradcheck", ("gradcheck.tolerance=nan",)), names="tolerance")
+@example(mutation=("set", "train", ("data.manifest={checkpoint}",)), names="model.npz: manifest is not text")
+@example(mutation=("set", "simulate", ("data.seed=-1",)), names="seed must be >= 0")
+@example(mutation=("set", "train", ("train.seed=-1",)), names="seed must be >= 0")
+@example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="[gradcheck] seed must be >= 0")
+@example(mutation=("set", "bias-demo", ("demo.seed=-1",)), names="[demo] seed must be >= 0")
 def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, tmp_path_factory, mutation, names):
     """A mutated input exits 0, or 1 with one error: line, no traceback and no run directory.
 
@@ -588,7 +605,8 @@ def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, tmp_pa
         valid, _ = _SWEEP_COMMANDS[command]
         if command == "train":
             valid = [f"data.manifest={workspace['manifest']}", *valid]
-        args = [command] + [a for item in (*valid, *items) for a in ("--set", item)]
+        # An item may name a workspace file, as {checkpoint} does.
+        args = [command] + [a for item in (*valid, *items) for a in ("--set", item.format(**workspace))]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(args + ["--run-dir", str(run_dir)])

@@ -1,8 +1,12 @@
 """Convolutional denoiser: sizing, init, forward contract, checkpoint fidelity."""
+import io
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from physden.autodiff import Tape, Tensor, backward, reduce_sum
+from physden.autodiff import Tape, Tensor, backward, mse, reduce_sum
 from physden.data import SampleWindow, simulate_hvac, simulate_ins
 from physden.model import (
     KERNEL_SIZES,
@@ -109,6 +113,39 @@ def test_forward_is_differentiable_end_to_end():
         assert w in grads
 
 
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_forward_is_one_node_with_the_bits_of_an_untaped_forward(batch):
+    params = init_params(3, widths=(4, 6, 4), rng=1)
+    x = Tensor(np.random.default_rng(0).normal(size=(3, *batch, 17)))
+    plain = forward(params, x).data
+    with Tape() as tape:
+        out = forward(params, x)
+        loss = mse(out, 0.0)
+    assert out.data.tobytes() == plain.tobytes()
+    assert [(node.op, node.inputs) for node in tape.nodes] == [
+        ("model_forward", (x, *params.all_tensors())), ("mse", (out,))]
+    grads = backward(loss, tape)
+    assert x not in grads  # x needs no gradient, so layer 0's input gradient is skipped
+    assert [grads[t].shape for t in params.all_tensors()] == [t.data.shape for t in params.all_tensors()]
+
+
+def test_untaped_forward_keeps_no_im2col_block():
+    # Outside a tape no layer keeps its VJP, so each layer's im2col block is
+    # freed before the next layer allocates its own.
+    params = init_params(7, rng=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(7, 100)))
+    forward(params, x)
+    tracemalloc.start()
+    try:
+        forward(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = sum(w.data.shape[1] * w.data.shape[2] * 100 * 8 for w in params.weights)
+    assert blocks == 1_472_800  # 1,438 KB
+    assert peak < blocks
+
+
 # ---------------------------------------------------------------------------
 # Denoiser wrapper
 
@@ -124,6 +161,31 @@ def test_denoiser_validates_stats_and_channels():
             Denoiser(params, ["a", "b"], np.array(mean), np.array(std))
     with pytest.raises(ValueError, match="expects 2 channels"):
         Denoiser(params, ["a", "b", "c"], np.zeros(3), np.ones(3))
+
+
+# Layer shapes at widths 2, 3, 2 on 2 channels: (2, 2, 7), (3, 2, 5), (2, 3, 3), (2, 2, 3).
+_BROKEN_CHAINS = [
+    ("weight_1", np.ones((3, 5, 5)), "layer 1 takes 5 channels, but layer 0 outputs 2"),
+    ("weight_2", np.ones((2, 3, 4)), "layer 2 has kernel size 4, which must be odd"),
+    ("bias_3", np.zeros(3), "layer 3 has 3 biases for 2 output channels"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _BROKEN_CHAINS)
+def test_denoiser_rejects_layers_that_do_not_chain(tmp_path, name, value, message):
+    params = init_params(2, widths=(2, 3, 2), rng=0)
+    tensors = params.all_tensors()
+    tensors[2 * int(name[-1]) + name.startswith("bias")].data = value
+    with pytest.raises(ValueError, match=f"^Denoiser: {message}$"):
+        Denoiser(params, ["a", "b"], np.zeros(2), np.ones(2))
+    path = tmp_path / "model.npz"
+    save_checkpoint(Denoiser(init_params(2, widths=(2, 3, 2), rng=0), ["a", "b"], np.zeros(2), np.ones(2)), path)
+    blob = dict(np.load(path))
+    blob[name] = value
+    np.savez(path, **blob)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: Denoiser: {message}"
 
 
 def test_denoise_merges_only_its_channels():
@@ -307,6 +369,28 @@ def test_checkpoint_that_is_no_npz_archive_is_rejected(tmp_path, write, message)
         write(fh)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
+
+
+def _object_npy() -> bytes:
+    """An .npy file holding an object array, which only unpickling can load."""
+    buf = io.BytesIO()
+    np.save(buf, np.array(["a"], dtype=object))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: path.write_bytes(pickle.dumps({"weight_0": np.zeros(3)})), "not a checkpoint archive"),
+    (lambda path: path.write_text("[dataset]\nfamily = ins\n"), "not a checkpoint archive"),
+    (lambda path: path.write_bytes(_object_npy()), "not a checkpoint archive"),
+    (lambda path: np.savez(path, format_version=np.array(["a"], dtype=object)),
+     "not a checkpoint archive: format_version is not a plain array"),
+])
+def test_checkpoint_holding_pickled_data_is_no_checkpoint(tmp_path, write, message):
+    path = tmp_path / "model.npz"
+    write(path)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"  # and no advice to load it unsafely
 
 
 def test_loaded_params_are_trainable(tmp_path):
