@@ -1,8 +1,8 @@
 """Physics-informed denoising of multi-channel sensor time series.
 
-A small reverse-mode autodiff core (`autodiff`), differentiable residuals
-for three sensor families (`physics`), a convolutional denoiser (`model`),
-synthetic data plumbing (`data`), two-phase training with adaptive loss
+A small reverse-mode autodiff core (`autodiff`), the table of three sensor
+families with their residuals and simulators (`physics`), a convolutional
+denoiser (`model`), data plumbing (`data`), two-phase training with adaptive loss
 balancing (`training`), evaluation metrics (`metrics`), finite-difference
 gradient verification (`gradcheck`), and a command-line interface (`cli`).
 

@@ -77,13 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
-        cp.read(path)
+        try:
+            cp.read(path)
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: config is not text ({err.reason} at offset {err.start})") from None
     for item in args.overrides:
         if "=" not in item:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")

@@ -1,10 +1,7 @@
-"""Synthetic data generation, corruption, splitting, and CSV/manifest plumbing.
+"""Noise, splitting, and CSV/manifest plumbing around the physics families.
 
-Simulators produce ground truth that satisfies the matching residual family
-by construction: the CO2 and HVAC generators reuse the residual's own
-arithmetic (same helper functions, same association order), so their clean
-output cancels to exactly 0.0; the inertial generator is limited only by the
-finite-difference stencil, giving a documented O(dt^2) mean-square residual.
+generate_dataset runs the simulator of a family's FAMILIES entry (physics.py),
+then corrupts the clean windows and splits them by physics alignment.
 
 File formats: one window per CSV with header ``t,<channel names>`` and a
 strictly increasing, uniformly spaced time column; a dataset is an INI
@@ -23,33 +20,22 @@ from typing import Sequence
 import numpy as np
 
 from .physics import (
-    CHANNEL_NAMES,
-    CHANNEL_UNITS,
-    DENOISE_CHANNELS,
-    Co2Environment,
-    HvacEnvironment,
-    InsEnvironment,
+    FAMILIES,
     RESIDUAL_BLOCK,
     PhysicsSpec,
+    SampleWindow,
     _check_finite,
     check_window,
-    co2_known_terms,
     default_channel_map,
-    hamilton_rows,
-    hvac_heat_capacity_rate,
-    quat_exp,
+    get_family,
     window_residuals,
 )
 
 __all__ = [
-    "SampleWindow",
     "NormStats",
     "NoiseSpec",
     "Dataset",
     "SimulateConfig",
-    "simulate_ins",
-    "simulate_co2",
-    "simulate_hvac",
     "inject_noise",
     "noise_std",
     "split_by_alignment",
@@ -64,50 +50,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Core containers
-
-
-@dataclass
-class SampleWindow:
-    """One c x T block of named, uniformly sampled sensor channels."""
-
-    channels: list[str]
-    values: np.ndarray
-    dt: float
-    units: list[str]
-
-    def __post_init__(self):
-        self.channels = [str(c) for c in self.channels]
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.units = [str(u) for u in self.units]
-        if self.values.ndim != 2:
-            raise ValueError(f"SampleWindow: values must be c x T, got shape {self.values.shape}")
-        c, t_len = self.values.shape
-        if c < 1 or t_len < 3:
-            raise ValueError(f"SampleWindow: need c >= 1 and T >= 3, got shape {self.values.shape}")
-        if len(self.channels) != c:
-            raise ValueError(f"SampleWindow: {len(self.channels)} names for {c} rows")
-        if not np.isfinite(self.values).all():
-            row, t = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(f"SampleWindow: {self.channels[row]!r} is non-finite at timestep {t}")
-        if len(set(self.channels)) != c:
-            raise ValueError("SampleWindow: channel names must be unique")
-        if len(self.units) != c:
-            raise ValueError(f"SampleWindow: {len(self.units)} units for {c} rows")
-        if not self.dt > 0:
-            raise ValueError(f"SampleWindow: dt must be positive, got {self.dt}")
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.values.shape[1]
-
-    def channel_index(self, name: str) -> int:
-        try:
-            return self.channels.index(name)
-        except ValueError:
-            raise ValueError(f"window has no channel {name!r}") from None
-
-    def row(self, name: str) -> np.ndarray:
-        return self.values[self.channel_index(name), :]
 
 
 @dataclass
@@ -224,170 +166,6 @@ def inject_noise(block: np.ndarray, spec: NoiseSpec, scaled_std: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Simulators
-
-
-def _sum_of_modes(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k amp[...,k] sin(2 pi freq[...,k] t + phase[...,k]), shape (..., len(t)).
-
-    Modes are added one at a time in order, as np.sum over a mode axis adds
-    them, so no (..., modes, T) block is held.
-    """
-    total = None
-    for k in range(amp.shape[-1]):
-        term = amp[..., k, None] * np.sin(2.0 * np.pi * freq[..., k, None] * t + phase[..., k, None])
-        total = term if total is None else total + term
-    return total
-
-
-def _sum_of_modes_ddot(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Second time derivative of _sum_of_modes."""
-    return _sum_of_modes(-amp * (2.0 * np.pi * freq) ** 2, freq, phase, t)
-
-
-def _timesteps(duration: float, dt: float) -> int:
-    t_len = int(round(duration / dt)) + 1
-    if t_len < 3:
-        raise ValueError(f"duration {duration} with dt {dt} gives T={t_len}, need >= 3")
-    return t_len
-
-
-def _windows(family: str, values: np.ndarray, dt: float) -> list[SampleWindow]:
-    """One SampleWindow of the family's channels per row of a B x C x T block."""
-    return [SampleWindow(list(CHANNEL_NAMES[family]), block, dt, list(CHANNEL_UNITS[family]))
-            for block in values]
-
-
-def simulate_ins(duration: float, env: InsEnvironment, seeds: Sequence, motion_scale: float = 1.0,
-                 rotation_scale: float = 0.5, n_modes: int = 4) -> list[SampleWindow]:
-    """Smooth inertial trajectories with self-consistent sensor channels, one per seed.
-
-    Positions and angular rates are superpositions of random sinusoids whose
-    coefficients are drawn before any time sampling, so regenerating with a
-    halved dt (same seed) samples the same continuous motion. Orientation is
-    integrated with the left-endpoint incremental rotation
-    q[t+1] = q[t] * exp(0.5 w[t] dt), which leaves the orientation-rate
-    residual at O(dt) per entry: its mean square is bounded by
-    dt^2 * max_t |w_dot(t)|^2 / 16 and shrinks by ~4x when dt is halved.
-    Accelerometer rows use the analytic second derivative of position, rotated
-    by the residual's own conjugation Im(conj(q) (0, p_ddot - g0) q), so the
-    specific-force residual carries only the O(dt^2) stencil truncation.
-
-    Each window draws its mode coefficients from its own generator (amplitude,
-    frequency, phase of position, then of angular rate), and every window runs
-    in the same block operations: each step's exponential is one block (Solà,
-    arXiv:1711.02508, section 4), the q recurrence is one Hamilton product per
-    step on length-B arrays, renormalised with residual_ins's norm, and the
-    accelerometer rows are one block conjugation. Every operation is
-    elementwise and none goes through BLAS, so each window is bitwise the
-    window simulated alone.
-    """
-    dt = env.dt
-    t_len = _timesteps(duration, dt)
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append([
-            rng.uniform(lo, hi, size=(3, n_modes))
-            for scale in (motion_scale, rotation_scale)
-            for lo, hi in ((-scale, scale), (0.05, 0.4), (0.0, 2.0 * np.pi))
-        ])
-    # 3 x B x n_modes each: a channel x window block, as the residual takes.
-    amp_p, freq_p, phase_p, amp_w, freq_w, phase_w = (np.stack(c, axis=1) for c in zip(*draws))
-
-    n_win = len(draws)
-    values = np.empty((n_win, len(CHANNEL_NAMES["ins"]), t_len))  # the windows' rows, B x C x T
-    p, q, w, a = np.split(values.transpose(1, 0, 2), [3, 7, 10])  # C x B x T views
-    t = np.arange(t_len) * dt
-    p[...] = _sum_of_modes(amp_p, freq_p, phase_p, t)
-    w[...] = _sum_of_modes(amp_w, freq_w, phase_w, t)
-
-    steps = quat_exp(0.5 * dt * w[:, :, :-1].reshape(3, -1)).reshape(4, n_win, t_len - 1)
-    steps = steps.transpose(2, 0, 1).copy()  # (T-1) x 4 x B
-    q[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
-    qk = q[:, :, 0]
-    for k in range(t_len - 1):
-        qw, qx, qy, qz = hamilton_rows(qk, steps[k])
-        n = np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
-        qk = (qw / n, qx / n, qy / n, qz / n)
-        q[:, :, k + 1] = qk
-    v = _sum_of_modes_ddot(amp_p, freq_p, phase_p, t) - env.gravity[:, None, None]
-    conj = (q[0], -q[1], -q[2], -q[3])
-    a[...] = hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:]
-    return _windows("ins", values, dt)
-
-
-def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Piecewise-constant headcount of 0 to 4, in segments of 5 to 19 steps."""
-    occ = np.zeros(t_len)
-    i = 0
-    while i < t_len:
-        seg = int(rng.integers(5, 20))
-        occ[i : i + seg] = float(rng.integers(0, 5))
-        i += seg
-    return occ
-
-
-def simulate_co2(duration: float, env: Co2Environment, seeds: Sequence, flow: float,
-                 inflow_ppm: float) -> list[SampleWindow]:
-    """Room CO2 by the exact discrete mass balance, next to its driver rows, one window per seed.
-
-    Each window's flow and inflow_ppm rows hold the given constants and its
-    occupancy row a random piecewise-constant headcount drawn from its seed.
-    The update runs once over the B windows and uses the residual's own
-    accumulated-supply helper and association order, so the residual of the
-    clean output is exactly 0.0 bitwise when room_volume is a power of two
-    (the default elsewhere in the package); for other volumes it is zero up to
-    the final rounding step.
-
-    c_out is modeled as the well-mixed room value.
-    """
-    t_len = _timesteps(duration, env.dt)
-    occupants = np.array([_random_occupancy(t_len, np.random.default_rng(seed)) for seed in seeds])
-    flow_rows = np.full(occupants.shape, float(flow))
-    inflow_rows = np.full(occupants.shape, float(inflow_ppm))
-
-    base = co2_known_terms(flow_rows, inflow_rows, occupants, env)
-    c_room = np.empty(occupants.shape)
-    removed = 0.0
-    for k in range(t_len):
-        c_room[:, k] = (base[:, k] - removed) / env.room_volume
-        removed = removed + (c_room[:, k] * flow_rows[:, k]) * env.dt
-    values = np.stack([c_room, c_room, flow_rows, inflow_rows, occupants], axis=1)
-    return _windows("co2", values, env.dt)
-
-
-def simulate_hvac(duration: float, env: HvacEnvironment, seeds: Sequence) -> list[SampleWindow]:
-    """Air-handler temperatures consistent with the coil power balance, one window per seed.
-
-    Each window draws a smooth mixed-air temperature (295 K plus three
-    sinusoids of up to 2 K) and a smooth coil power schedule (three sinusoids
-    of up to 2 kW) from its own seed, then sets t_sa = t_mix + dq/(m c). The
-    stored power row is recomputed as m*c*(t_sa - t_mix), the residual's exact
-    expression, so the clean residual is 0.0 bitwise.
-    """
-    mc = hvac_heat_capacity_rate(env)
-    if mc == 0.0:
-        raise ValueError("simulate_hvac: degenerate environment, m*c is zero")
-    dt = env.dt
-    t_len = _timesteps(duration, dt)
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append([rng.uniform(lo, hi, size=3) for amp in (2.0, 2000.0)
-                      for lo, hi in ((-amp, amp), (0.2, 2.0), (0.0, 2.0 * np.pi))])
-    # B x 3 each: mixed-air temperature modes, then coil power modes.
-    amp_m, freq_m, phase_m, amp_q, freq_q, phase_q = (np.array(c) for c in zip(*draws))
-    freq_m, freq_q = freq_m / (t_len * dt), freq_q / (t_len * dt)
-    t = np.arange(t_len) * dt
-    t_mix = 295.0 + _sum_of_modes(amp_m, freq_m, phase_m, t)
-    dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
-    t_sa = t_mix + dq / mc
-    values = np.stack([t_sa, t_mix, mc * (t_sa - t_mix)], axis=1)
-    return _windows("hvac", values, dt)
-
-
-# ---------------------------------------------------------------------------
 # Alignment split
 
 
@@ -439,7 +217,7 @@ class Dataset:
         if self.clean is not None and len(self.clean) != len(self.windows):
             raise ValueError("Dataset: clean list must pair 1:1 with windows")
         if not self.denoise_channels:
-            self.denoise_channels = list(DENOISE_CHANNELS[self.spec.family])
+            self.denoise_channels = list(FAMILIES[self.spec.family].denoise)
 
     @property
     def train_windows(self) -> list[SampleWindow]:
@@ -504,8 +282,11 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-        lines = fh.readlines()
+        try:
+            header = next(csv.reader(fh), None)
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: window CSV is not text ({err.reason} at offset {err.start})") from None
     if header is None:
         raise ValueError(f"{path}:1: empty file")
     if not header or header[0] != "t":
@@ -557,9 +338,6 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
 # ---------------------------------------------------------------------------
 # Dataset manifest (INI)
 
-_ENVIRONMENTS = {"ins": InsEnvironment, "co2": Co2Environment, "hvac": HvacEnvironment}
-
-
 def _env_keys(env_type) -> list[str]:
     """An environment's fields in manifest order: dt first, then as declared."""
     return sorted((f.name for f in dataclasses.fields(env_type)), key=lambda name: name != "dt")
@@ -601,10 +379,7 @@ def _manifest_numbers(path: Path, section, key: str, kind=float, size: int | Non
     return values
 
 
-def _env_from_section(family: str, section, path: Path):
-    if family not in _ENVIRONMENTS:
-        raise ValueError(f"{path}: unknown family {family!r}")
-    env_type = _ENVIRONMENTS[family]
+def _env_from_section(env_type, section, path: Path):
     values = {}
     for name in _env_keys(env_type):
         if name == "gravity":
@@ -672,19 +447,20 @@ def load_manifest(path) -> Dataset:
             raise ValueError(f"{path}: manifest is missing the [{section}] section")
 
     family = _manifest_value(path, cfg["dataset"], "family").lower()
+    record = get_family(family)
     [count] = _manifest_numbers(path, cfg["dataset"], "count", int)
     if count < 1:
         raise ValueError(f"{path}: [dataset] count must be at least 1, got {count}")
     denoise = [c for c in cfg["dataset"].get("denoise", "").split(",") if c]
 
-    env = _env_from_section(family, cfg["environment"], path)
+    env = _env_from_section(record.environment, cfg["environment"], path)
     units = dict(cfg["units"]) if "units" in cfg else {}
 
     def window(key: str) -> SampleWindow:
         file = base / cfg["windows"][key]
         if not file.is_file():
             raise ValueError(f"{path}: [windows] {key} names no file: {file}")
-        w = load_csv(file, schema=CHANNEL_NAMES[family])
+        w = load_csv(file, schema=record.channels)
         if windows and w.channels != windows[0].channels:
             # Every window is read with window 0's channel map.
             raise ValueError(f"{file}:1: columns {','.join(w.channels)} differ from "
@@ -715,13 +491,6 @@ def load_manifest(path) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # One-call generation
-
-
-_FAMILY_DEFAULTS = {
-    "ins": {"duration": 2.0, "dt": 0.01},
-    "co2": {"duration": 3600.0, "dt": 30.0},
-    "hvac": {"duration": 3840.0, "dt": 60.0},
-}
 
 
 @dataclass
@@ -755,15 +524,13 @@ class SimulateConfig:
 
     def __post_init__(self):
         self.family = self.family.lower()
-        if self.family not in _FAMILY_DEFAULTS:
-            raise ValueError(f"unknown family {self.family!r}")
+        family = get_family(self.family)
         if self.count < 2:
             raise ValueError(f"count must be >= 2 (split needs both halves), got {self.count}")
-        defaults = _FAMILY_DEFAULTS[self.family]
         if self.duration is None:
-            self.duration = defaults["duration"]
+            self.duration = family.duration
         if self.dt is None:
-            self.dt = defaults["dt"]
+            self.dt = family.dt
         _check_finite(self)
         if self.seed < 0:
             raise ValueError(f"SimulateConfig: seed must be >= 0, got {self.seed}")
@@ -774,14 +541,6 @@ class SimulateConfig:
         for name in ("motion_scale", "rotation_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"SimulateConfig: {name} must be >= 0, got {getattr(self, name)}")
-
-
-# Each family's simulator and the SimulateConfig fields it takes after its seeds.
-_SIMULATORS = {
-    "ins": (simulate_ins, ("motion_scale", "rotation_scale", "n_modes")),
-    "co2": (simulate_co2, ("flow", "inflow_ppm")),
-    "hvac": (simulate_hvac, ()),
-}
 
 
 def generate_dataset(cfg: SimulateConfig) -> Dataset:
@@ -797,11 +556,11 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
     sim_seeds = ss.spawn(cfg.count)
     noise_seeds = ss.spawn(cfg.count)
 
-    env_type = _ENVIRONMENTS[cfg.family]
-    env = env_type(**{name: getattr(cfg, name) for name in _env_keys(env_type)
-                      if hasattr(cfg, name)})
-    simulate, constants = _SIMULATORS[cfg.family]
-    clean = simulate(cfg.duration, env, sim_seeds, *(getattr(cfg, name) for name in constants))
+    family = FAMILIES[cfg.family]
+    env = family.environment(**{name: getattr(cfg, name) for name in _env_keys(family.environment)
+                                if hasattr(cfg, name)})
+    clean = family.simulate(cfg.duration, env, sim_seeds,
+                            *(getattr(cfg, name) for name in family.simulate_fields))
 
     bias = None
     if cfg.bias_frac:

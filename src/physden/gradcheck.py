@@ -28,8 +28,8 @@ from .physics import (
     Co2Environment,
     HvacEnvironment,
     InsEnvironment,
+    FAMILIES,
     PhysicsSpec,
-    CHANNEL_NAMES,
     default_channel_map,
     stacked_residual,
 )
@@ -110,7 +110,7 @@ def _residual_case(
     rng: np.random.Generator, family: str, env, vals: np.ndarray
 ) -> tuple[Callable, list[np.ndarray]]:
     """Weighted sum of the family's residual rows, weights drawn last in the residual's shape."""
-    spec = PhysicsSpec(family, env, default_channel_map(family, CHANNEL_NAMES[family]))
+    spec = PhysicsSpec(family, env, default_channel_map(family, FAMILIES[family].channels))
     w = rng.uniform(-1.0, 1.0, size=stacked_residual(vals, spec).shape)
 
     def fn(xs: list[Tensor]) -> Tensor:

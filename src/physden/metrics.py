@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import SampleWindow
-from .physics import PhysicsSpec, window_residuals
+from .physics import PhysicsSpec, SampleWindow, window_residuals
 
 __all__ = [
     "EvalReport",

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, _record, recording
-from .data import SampleWindow
-from .physics import same_dt
+from .physics import SampleWindow, same_dt
 
 __all__ = [
     "KERNEL_SIZES",

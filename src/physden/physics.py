@@ -1,4 +1,4 @@
-"""Differentiable physics residuals for three sensor families.
+"""Physics families: residuals, simulators and the table that names them.
 
 Families:
   ins  - inertial kinematics: accelerometer vs. position/orientation, and
@@ -6,12 +6,19 @@ Families:
   co2  - room CO2 mass balance with ventilation and occupant emission.
   hvac - air-handler coil power balance in rate form (watts).
 
+Each family is one Family record in FAMILIES, the table every family lookup
+in the package reads.
+
 One code path, stacked_residual, serves plain evaluation (metrics,
 splitting) and gradient-based training. It works on whole channel blocks,
 C x T for one window or C x B x T for a batch of equal-length windows
 (channels on axis 0, time on the last axis), and records each family's
 residual as one tape node per block, whose forward and hand-written VJP run
 on plain arrays (hamilton_rows, time_derivative, the prefix sums).
+The simulators sit beside the residuals: the CO2 and HVAC ones reuse the
+residual's arithmetic (same helpers, same association order), so their clean
+output cancels to exactly 0.0; the inertial one leaves only the stencil's
+documented O(dt^2) mean-square residual.
 All quaternions are scalar-first Hamilton convention. Accelerometers measure
 specific force: a = R_q^T (p_ddot - g0) with g0 = (0, 0, -9.80665) in the
 world frame, so a stationary level device reads (0, 0, +9.80665).
@@ -20,26 +27,26 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Sequence, TYPE_CHECKING
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, _as_tensor, _record, mse
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
-    from .data import SampleWindow
-
 __all__ = [
     "hamilton_rows",
     "quat_exp",
+    "SampleWindow",
     "InsEnvironment",
     "Co2Environment",
     "HvacEnvironment",
-    "PhysicsSpec",
+    "simulate_ins",
+    "simulate_co2",
+    "simulate_hvac",
+    "Family",
     "FAMILIES",
-    "CHANNEL_NAMES",
-    "CHANNEL_UNITS",
-    "DENOISE_CHANNELS",
+    "get_family",
+    "PhysicsSpec",
     "default_channel_map",
     "time_derivative",
     "exclusive_prefix_sum_values",
@@ -93,6 +100,54 @@ def quat_exp(v) -> np.ndarray:
     theta = np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
     # sin(theta)/theta, continuous at zero.
     return np.concatenate([np.cos(theta)[None], np.sinc(theta / np.pi) * v])
+
+
+# ---------------------------------------------------------------------------
+# Windows
+
+
+@dataclass
+class SampleWindow:
+    """One c x T block of named, uniformly sampled sensor channels."""
+
+    channels: list[str]
+    values: np.ndarray
+    dt: float
+    units: list[str]
+
+    def __post_init__(self):
+        self.channels = [str(c) for c in self.channels]
+        self.values = np.asarray(self.values, dtype=np.float64)
+        self.units = [str(u) for u in self.units]
+        if self.values.ndim != 2:
+            raise ValueError(f"SampleWindow: values must be c x T, got shape {self.values.shape}")
+        c, t_len = self.values.shape
+        if c < 1 or t_len < 3:
+            raise ValueError(f"SampleWindow: need c >= 1 and T >= 3, got shape {self.values.shape}")
+        if len(self.channels) != c:
+            raise ValueError(f"SampleWindow: {len(self.channels)} names for {c} rows")
+        if not np.isfinite(self.values).all():
+            row, t = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValueError(f"SampleWindow: {self.channels[row]!r} is non-finite at timestep {t}")
+        if len(set(self.channels)) != c:
+            raise ValueError("SampleWindow: channel names must be unique")
+        if len(self.units) != c:
+            raise ValueError(f"SampleWindow: {len(self.units)} units for {c} rows")
+        if not self.dt > 0:
+            raise ValueError(f"SampleWindow: dt must be positive, got {self.dt}")
+
+    @property
+    def n_timesteps(self) -> int:
+        return self.values.shape[1]
+
+    def channel_index(self, name: str) -> int:
+        try:
+            return self.channels.index(name)
+        except ValueError:
+            raise ValueError(f"window has no channel {name!r}") from None
+
+    def row(self, name: str) -> np.ndarray:
+        return self.values[self.channel_index(name), :]
 
 
 # ---------------------------------------------------------------------------
@@ -170,73 +225,6 @@ class HvacEnvironment:
             raise ValueError("HvacEnvironment: specific_heat must be positive")
 
 
-# Each family's residual arguments in channel order, one tuple of channel
-# names per block argument (residual_ins's p, q, w, a, and so on).
-_CHANNEL_GROUPS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "ins": (("px", "py", "pz"), ("qw", "qx", "qy", "qz"), ("wx", "wy", "wz"), ("ax", "ay", "az")),
-    "co2": (("c_room",), ("c_out",), ("flow",), ("inflow_ppm",), ("occupants",)),
-    "hvac": (("t_sa",), ("t_mix",), ("dq",)),
-}
-
-FAMILIES = tuple(_CHANNEL_GROUPS)
-
-CHANNEL_NAMES: dict[str, list[str]] = {
-    family: [name for group in groups for name in group]
-    for family, groups in _CHANNEL_GROUPS.items()
-}
-
-CHANNEL_UNITS: dict[str, list[str]] = {
-    "ins": ["m", "m", "m", "1", "1", "1", "1", "rad/s", "rad/s", "rad/s", "m/s^2", "m/s^2", "m/s^2"],
-    "co2": ["ppm", "ppm", "m^3/s", "ppm", "1"],
-    "hvac": ["K", "K", "W"],
-}
-
-# Channels the denoiser reconstructs by default; the rest of the window
-# (gyro/accel for ins, the known drivers for co2, coil power for hvac) is
-# kept as observed and feeds the residual unchanged.
-DENOISE_CHANNELS: dict[str, list[str]] = {
-    "ins": ["px", "py", "pz", "qw", "qx", "qy", "qz"],
-    "co2": ["c_room", "c_out"],
-    "hvac": ["t_sa", "t_mix"],
-}
-
-
-def default_channel_map(family: str, channels: Sequence[str]) -> dict[str, int]:
-    """Map the family's residual symbols onto rows of a channel list by name."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown physics family {family!r}; expected one of {FAMILIES}")
-    missing = [name for name in CHANNEL_NAMES[family] if name not in channels]
-    if missing:
-        raise ValueError(f"{family} residual needs missing channels: {', '.join(missing)}")
-    return {name: list(channels).index(name) for name in CHANNEL_NAMES[family]}
-
-
-@dataclass
-class PhysicsSpec:
-    """Which residual family applies, with its environment and channel wiring."""
-
-    family: str
-    environment: InsEnvironment | Co2Environment | HvacEnvironment
-    channel_map: dict[str, int]
-
-    def __post_init__(self):
-        self.family = str(self.family).lower()
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown physics family {self.family!r}; expected one of {FAMILIES}")
-        missing = [n for n in CHANNEL_NAMES[self.family] if n not in self.channel_map]
-        if missing:
-            raise ValueError(
-                f"channel_map for {self.family} is missing symbols: {', '.join(missing)}"
-            )
-        rows = [self.channel_map[n] for n in CHANNEL_NAMES[self.family]]
-        if len(set(rows)) < len(rows):
-            raise ValueError(f"channel_map for {self.family} points two symbols at one row: {rows}")
-
-    @property
-    def dt(self) -> float:
-        return self.environment.dt
-
-
 # ---------------------------------------------------------------------------
 # Building blocks
 
@@ -285,10 +273,9 @@ def _time_derivative_vjp(g: np.ndarray, dt: float, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Residual families
 #
-# Each takes its family's channel groups as arrays, in _CHANNEL_GROUPS order,
-# plus the environment, and returns the residual and a VJP that maps the
-# residual's gradient to one gradient per group; stacked_residual records the
-# pair as one tape node.
+# Each takes its family's channel groups as arrays, in Family.groups order, plus the
+# environment, and returns the residual and a VJP that maps the residual's gradient to one
+# gradient per group; stacked_residual records the pair as one tape node.
 
 
 def residual_ins(p, q, w, a, env: InsEnvironment):
@@ -409,9 +396,262 @@ def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment):
 
 
 # ---------------------------------------------------------------------------
-# Family dispatch
+# Simulators
 
-_RESIDUALS = {"ins": residual_ins, "co2": residual_co2, "hvac": residual_hvac}
+
+def _sum_of_modes(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k amp[...,k] sin(2 pi freq[...,k] t + phase[...,k]), shape (..., len(t)).
+
+    Modes are added one at a time in order, as np.sum over a mode axis adds
+    them, so no (..., modes, T) block is held.
+    """
+    total = None
+    for k in range(amp.shape[-1]):
+        term = amp[..., k, None] * np.sin(2.0 * np.pi * freq[..., k, None] * t + phase[..., k, None])
+        total = term if total is None else total + term
+    return total
+
+
+def _sum_of_modes_ddot(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Second time derivative of _sum_of_modes."""
+    return _sum_of_modes(-amp * (2.0 * np.pi * freq) ** 2, freq, phase, t)
+
+
+def _timesteps(duration: float, dt: float) -> int:
+    t_len = int(round(duration / dt)) + 1
+    if t_len < 3:
+        raise ValueError(f"duration {duration} with dt {dt} gives T={t_len}, need >= 3")
+    return t_len
+
+
+def _windows(env, values: np.ndarray) -> list[SampleWindow]:
+    """One SampleWindow per row of a B x C x T block, named as env's family names its channels."""
+    [family] = [f for f in FAMILIES.values() if type(env) is f.environment]
+    return [SampleWindow(list(family.channels), block, env.dt, list(family.units)) for block in values]
+
+
+def simulate_ins(duration: float, env: InsEnvironment, seeds: Sequence, motion_scale: float = 1.0,
+                 rotation_scale: float = 0.5, n_modes: int = 4) -> list[SampleWindow]:
+    """Smooth inertial trajectories with self-consistent sensor channels, one per seed.
+
+    Positions and angular rates are superpositions of random sinusoids whose
+    coefficients are drawn before any time sampling, so regenerating with a
+    halved dt (same seed) samples the same continuous motion. Orientation is
+    integrated with the left-endpoint incremental rotation
+    q[t+1] = q[t] * exp(0.5 w[t] dt), which leaves the orientation-rate
+    residual at O(dt) per entry: its mean square is bounded by
+    dt^2 * max_t |w_dot(t)|^2 / 16 and shrinks by ~4x when dt is halved.
+    Accelerometer rows use the analytic second derivative of position, rotated
+    by the residual's own conjugation Im(conj(q) (0, p_ddot - g0) q), so the
+    specific-force residual carries only the O(dt^2) stencil truncation.
+
+    Each window draws its mode coefficients from its own generator (amplitude,
+    frequency, phase of position, then of angular rate), and every window runs
+    in the same block operations: each step's exponential is one block (Solà,
+    arXiv:1711.02508, section 4), the q recurrence is one Hamilton product per
+    step on length-B arrays, renormalised with residual_ins's norm, and the
+    accelerometer rows are one block conjugation. Every operation is
+    elementwise and none goes through BLAS, so each window is bitwise the
+    window simulated alone.
+    """
+    dt = env.dt
+    t_len = _timesteps(duration, dt)
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append([
+            rng.uniform(lo, hi, size=(3, n_modes))
+            for scale in (motion_scale, rotation_scale)
+            for lo, hi in ((-scale, scale), (0.05, 0.4), (0.0, 2.0 * np.pi))
+        ])
+    # 3 x B x n_modes each: a channel x window block, as the residual takes.
+    amp_p, freq_p, phase_p, amp_w, freq_w, phase_w = (np.stack(c, axis=1) for c in zip(*draws))
+
+    n_win = len(draws)
+    values = np.empty((n_win, 13, t_len))  # the windows' p, q, w, a rows, B x C x T
+    p, q, w, a = np.split(values.transpose(1, 0, 2), [3, 7, 10])  # C x B x T views
+    t = np.arange(t_len) * dt
+    p[...] = _sum_of_modes(amp_p, freq_p, phase_p, t)
+    w[...] = _sum_of_modes(amp_w, freq_w, phase_w, t)
+
+    steps = quat_exp(0.5 * dt * w[:, :, :-1].reshape(3, -1)).reshape(4, n_win, t_len - 1)
+    steps = steps.transpose(2, 0, 1).copy()  # (T-1) x 4 x B
+    q[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
+    qk = q[:, :, 0]
+    for k in range(t_len - 1):
+        qw, qx, qy, qz = hamilton_rows(qk, steps[k])
+        n = np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
+        qk = (qw / n, qx / n, qy / n, qz / n)
+        q[:, :, k + 1] = qk
+    v = _sum_of_modes_ddot(amp_p, freq_p, phase_p, t) - env.gravity[:, None, None]
+    conj = (q[0], -q[1], -q[2], -q[3])
+    a[...] = hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:]
+    return _windows(env, values)
+
+
+def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
+    """Piecewise-constant headcount of 0 to 4, in segments of 5 to 19 steps."""
+    occ = np.zeros(t_len)
+    i = 0
+    while i < t_len:
+        seg = int(rng.integers(5, 20))
+        occ[i : i + seg] = float(rng.integers(0, 5))
+        i += seg
+    return occ
+
+
+def simulate_co2(duration: float, env: Co2Environment, seeds: Sequence, flow: float,
+                 inflow_ppm: float) -> list[SampleWindow]:
+    """Room CO2 by the exact discrete mass balance, next to its driver rows, one window per seed.
+
+    Each window's flow and inflow_ppm rows hold the given constants and its
+    occupancy row a random piecewise-constant headcount drawn from its seed.
+    The update runs once over the B windows and uses the residual's own
+    accumulated-supply helper and association order, so the residual of the
+    clean output is exactly 0.0 bitwise when room_volume is a power of two
+    (the default elsewhere in the package); for other volumes it is zero up to
+    the final rounding step.
+
+    c_out is modeled as the well-mixed room value.
+    """
+    t_len = _timesteps(duration, env.dt)
+    occupants = np.array([_random_occupancy(t_len, np.random.default_rng(seed)) for seed in seeds])
+    flow_rows = np.full(occupants.shape, float(flow))
+    inflow_rows = np.full(occupants.shape, float(inflow_ppm))
+
+    base = co2_known_terms(flow_rows, inflow_rows, occupants, env)
+    c_room = np.empty(occupants.shape)
+    removed = 0.0
+    for k in range(t_len):
+        c_room[:, k] = (base[:, k] - removed) / env.room_volume
+        removed = removed + (c_room[:, k] * flow_rows[:, k]) * env.dt
+    values = np.stack([c_room, c_room, flow_rows, inflow_rows, occupants], axis=1)
+    return _windows(env, values)
+
+
+def simulate_hvac(duration: float, env: HvacEnvironment, seeds: Sequence) -> list[SampleWindow]:
+    """Air-handler temperatures consistent with the coil power balance, one window per seed.
+
+    Each window draws a smooth mixed-air temperature (295 K plus three
+    sinusoids of up to 2 K) and a smooth coil power schedule (three sinusoids
+    of up to 2 kW) from its own seed, then sets t_sa = t_mix + dq/(m c). The
+    stored power row is recomputed as m*c*(t_sa - t_mix), the residual's exact
+    expression, so the clean residual is 0.0 bitwise.
+    """
+    mc = hvac_heat_capacity_rate(env)
+    if mc == 0.0:
+        raise ValueError("simulate_hvac: degenerate environment, m*c is zero")
+    dt = env.dt
+    t_len = _timesteps(duration, dt)
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append([rng.uniform(lo, hi, size=3) for amp in (2.0, 2000.0)
+                      for lo, hi in ((-amp, amp), (0.2, 2.0), (0.0, 2.0 * np.pi))])
+    # B x 3 each: mixed-air temperature modes, then coil power modes.
+    amp_m, freq_m, phase_m, amp_q, freq_q, phase_q = (np.array(c) for c in zip(*draws))
+    freq_m, freq_q = freq_m / (t_len * dt), freq_q / (t_len * dt)
+    t = np.arange(t_len) * dt
+    t_mix = 295.0 + _sum_of_modes(amp_m, freq_m, phase_m, t)
+    dq = _sum_of_modes(amp_q, freq_q, phase_q, t)
+    t_sa = t_mix + dq / mc
+    values = np.stack([t_sa, t_mix, mc * (t_sa - t_mix)], axis=1)
+    return _windows(env, values)
+
+
+# ---------------------------------------------------------------------------
+# Families
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows of one physics family; a new family is one FAMILIES entry.
+
+    groups holds the residual's array arguments in channel order, one tuple of channel names
+    each; simulate(duration, env, seeds, *constants) returns one window per seed, with the
+    SimulateConfig fields in simulate_fields as constants; denoise names the channels the
+    denoiser reconstructs by default; duration and dt are SimulateConfig's defaults.
+    """
+
+    groups: tuple[tuple[str, ...], ...]
+    units: tuple[str, ...]
+    denoise: tuple[str, ...]
+    environment: type
+    residual: Callable
+    simulate: Callable
+    simulate_fields: tuple[str, ...]
+    duration: float
+    dt: float
+
+    @property
+    def channels(self) -> tuple[str, ...]:
+        return tuple(name for group in self.groups for name in group)
+
+
+FAMILIES: dict[str, Family] = {
+    "ins": Family(
+        groups=(("px", "py", "pz"), ("qw", "qx", "qy", "qz"), ("wx", "wy", "wz"), ("ax", "ay", "az")),
+        units=("m",) * 3 + ("1",) * 4 + ("rad/s",) * 3 + ("m/s^2",) * 3,
+        denoise=("px", "py", "pz", "qw", "qx", "qy", "qz"), environment=InsEnvironment,
+        residual=residual_ins, simulate=simulate_ins,
+        simulate_fields=("motion_scale", "rotation_scale", "n_modes"), duration=2.0, dt=0.01),
+    "co2": Family(
+        groups=(("c_room",), ("c_out",), ("flow",), ("inflow_ppm",), ("occupants",)),
+        units=("ppm", "ppm", "m^3/s", "ppm", "1"), denoise=("c_room", "c_out"), environment=Co2Environment,
+        residual=residual_co2, simulate=simulate_co2,
+        simulate_fields=("flow", "inflow_ppm"), duration=3600.0, dt=30.0),
+    "hvac": Family(
+        groups=(("t_sa",), ("t_mix",), ("dq",)), units=("K", "K", "W"), denoise=("t_sa", "t_mix"),
+        environment=HvacEnvironment, residual=residual_hvac, simulate=simulate_hvac,
+        simulate_fields=(), duration=3840.0, dt=60.0),
+}
+
+# Views of FAMILIES that no library code reads; perfbench/workloads.py and scripts/digests.py import them.
+CHANNEL_NAMES = {name: list(family.channels) for name, family in FAMILIES.items()}
+DENOISE_CHANNELS = {name: list(family.denoise) for name, family in FAMILIES.items()}
+
+
+def get_family(name: str) -> Family:
+    """The FAMILIES entry of a family name; the one check that rejects an unknown name."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown physics family {name!r}; expected one of {tuple(FAMILIES)}")
+    return FAMILIES[name]
+
+
+def default_channel_map(family: str, channels: Sequence[str]) -> dict[str, int]:
+    """Map the family's residual symbols onto rows of a channel list by name."""
+    names = get_family(family).channels
+    missing = [name for name in names if name not in channels]
+    if missing:
+        raise ValueError(f"{family} residual needs missing channels: {', '.join(missing)}")
+    return {name: list(channels).index(name) for name in names}
+
+
+@dataclass
+class PhysicsSpec:
+    """Which residual family applies, with its environment and channel wiring."""
+
+    family: str
+    environment: object  # an instance of the family's environment type
+    channel_map: dict[str, int]
+
+    def __post_init__(self):
+        self.family = str(self.family).lower()
+        names = get_family(self.family).channels
+        missing = [n for n in names if n not in self.channel_map]
+        if missing:
+            raise ValueError(f"channel_map for {self.family} is missing symbols: {', '.join(missing)}")
+        rows = [self.channel_map[n] for n in names]
+        if len(set(rows)) < len(rows):
+            raise ValueError(f"channel_map for {self.family} points two symbols at one row: {rows}")
+
+    @property
+    def dt(self) -> float:
+        return self.environment.dt
+
+
+# ---------------------------------------------------------------------------
+# Family dispatch
 
 
 def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
@@ -428,13 +668,14 @@ def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
     values = _as_tensor(values)
     if values.data.ndim not in (2, 3):
         raise ValueError(f"stacked_residual: expected c x [B x] T values, got {values.data.shape}")
+    family = FAMILIES[spec.family]
     n_rows = values.data.shape[0]
-    for name in CHANNEL_NAMES[spec.family]:
+    for name in family.channels:
         row = spec.channel_map[name]
         if not 0 <= row < n_rows:
             raise ValueError(f"channel_map points {name!r} at row {row}, but the window has {n_rows} rows")
-    groups = [[spec.channel_map[name] for name in names] for names in _CHANNEL_GROUPS[spec.family]]
-    out, group_vjp = _RESIDUALS[spec.family](*(values.data[rows] for rows in groups), spec.environment)
+    groups = [[spec.channel_map[name] for name in names] for names in family.groups]
+    out, group_vjp = family.residual(*(values.data[rows] for rows in groups), spec.environment)
 
     def vjp(g):
         grad = np.zeros(values.data.shape)
@@ -456,7 +697,7 @@ def physics_loss_tensor(values: Tensor, spec: PhysicsSpec) -> Tensor:
 RESIDUAL_BLOCK = 16
 
 
-def window_residuals(windows: Sequence["SampleWindow"], spec: PhysicsSpec) -> list[np.ndarray]:
+def window_residuals(windows: Sequence[SampleWindow], spec: PhysicsSpec) -> list[np.ndarray]:
     """All residual rows of the given physics family on each window, as plain values.
 
     The one evaluation behind the physics loss, the alignment split, the
@@ -487,12 +728,12 @@ def same_dt(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-9 * max(a, b)
 
 
-def check_window(window: "SampleWindow", spec: PhysicsSpec) -> None:
+def check_window(window: SampleWindow, spec: PhysicsSpec) -> None:
     """Reject a window sampled at another rate than the environment's (residuals
     scale with dt), or one whose mapped rows do not carry their symbols' names."""
     if not same_dt(window.dt, spec.dt):
         raise ValueError(f"window dt {window.dt} does not match environment dt {spec.dt}")
-    for name in CHANNEL_NAMES[spec.family]:
+    for name in FAMILIES[spec.family].channels:
         row = spec.channel_map[name]
         if not 0 <= row < len(window.channels) or window.channels[row] != name:
             raise ValueError(f"channel_map points {name!r} at row {row}, but the window's "

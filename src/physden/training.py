@@ -41,7 +41,6 @@ from .autodiff import (
 from .data import (
     Dataset,
     NoiseSpec,
-    SampleWindow,
     SimulateConfig,
     compute_norm_stats,
     generate_dataset,
@@ -52,9 +51,9 @@ from .data import (
 from .metrics import EvalReport, evaluate, write_rows_csv
 from .model import Denoiser, ModelParams, denoise, forward, init_params, merge_denoised
 from .physics import (
-    CHANNEL_NAMES,
-    DENOISE_CHANNELS,
+    FAMILIES,
     PhysicsSpec,
+    SampleWindow,
     _check_finite,
     check_window,
     physics_loss_tensor,
@@ -247,7 +246,7 @@ def train(
             raise ValueError(f"train: window {i} has length {w.n_timesteps}, window 0 has {t_len}")
         check_window(w, spec)
     if denoise_channels is None:
-        denoise_channels = DENOISE_CHANNELS[spec.family]
+        denoise_channels = FAMILIES[spec.family].denoise
     denoise_channels = [str(c) for c in denoise_channels]
     if len(set(denoise_channels)) != len(denoise_channels):
         raise ValueError(f"train: denoise channels must be distinct, got {', '.join(denoise_channels)}")
@@ -454,7 +453,7 @@ GATE_DATA = SimulateConfig(
     seed=7,
     noise_kind="gaussian",
     noise_scale=0.2,
-    bias_frac={c: 0.3 for c in CHANNEL_NAMES["ins"]},
+    bias_frac={c: 0.3 for c in FAMILIES["ins"].channels},
 )
 
 # Training shared by the sweep's runs; only the weighting mode and value

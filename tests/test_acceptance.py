@@ -12,13 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physden.data import (
-    SampleWindow,
-    simulate_co2,
-    simulate_hvac,
-    simulate_ins,
-    split_by_alignment,
-)
+from physden.data import split_by_alignment
 from physden.gradcheck import run_suite
 from physden.model import (
     Denoiser,
@@ -29,13 +23,16 @@ from physden.model import (
     save_checkpoint,
 )
 from physden.physics import (
-    CHANNEL_NAMES,
-    CHANNEL_UNITS,
+    FAMILIES,
     Co2Environment,
     HvacEnvironment,
     InsEnvironment,
     PhysicsSpec,
+    SampleWindow,
     default_channel_map,
+    simulate_co2,
+    simulate_hvac,
+    simulate_ins,
     window_residuals,
 )
 from physden.training import LAMBDA_MAX, LAMBDA_MIN, bias_demo
@@ -175,8 +172,8 @@ def test_criterion_6_inherent_bias_correction():
 
 def test_criterion_7_alignment_split_rule():
     env = HvacEnvironment(dt=60.0, mass_flow=1.0, specific_heat=1006.0)
-    names = list(CHANNEL_NAMES["hvac"])
-    units = list(CHANNEL_UNITS["hvac"])
+    names = list(FAMILIES["hvac"].channels)
+    units = list(FAMILIES["hvac"].units)
     spec = PhysicsSpec(family="hvac", environment=env,
                        channel_map=default_channel_map("hvac", names))
 

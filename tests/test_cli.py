@@ -312,6 +312,20 @@ def test_set_overrides_win_over_config_file(tmp_path):
     assert len(dataset.windows) == 6
 
 
+def test_percent_signs_in_config_values_are_plain_text(tmp_path, workspace):
+    # A run directory named w%1 holds the manifest; configparser's default
+    # interpolation would read each % as the start of a reference.
+    data = tmp_path / "w%1" / "sim" / "data"
+    shutil.copytree(workspace["sim_data"], data)
+    ini = tmp_path / "train%.ini"
+    ini.write_text("[train]\nepochs_total = 1\nwidths = 2,3,2\n[output]\nfile = den%1.csv\n")
+    run_dir = tmp_path / "w%1" / "run"
+    rc = main(["train", "--config", str(ini), "--set", f"data.manifest={data / 'manifest.ini'}",
+               "--run-dir", str(run_dir)])
+    assert rc == 0
+    assert (run_dir / "model.npz").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -514,8 +528,9 @@ def _mutated_checkpoint(arrays, path, action, key, arg):
 
 
 # Each command the sweep runs, with the --set items of a valid run and the
-# keys a drawn item overrides; later --set items win. bias-demo runs only as
-# an explicit example: a valid demo trains for seconds.
+# keys a drawn item overrides; later --set items win. bias-demo and denoise run
+# only as explicit examples: a valid demo trains for seconds, and the checkpoint
+# mutations already run denoise.
 _SWEEP_COMMANDS = {
     "simulate": (["data.family=hvac", "data.count=4", "data.duration=300", "data.dt=60"],
                  ["data." + k for k in sorted(_known_keys()["data"])]),
@@ -523,6 +538,7 @@ _SWEEP_COMMANDS = {
               ["train." + k for k in sorted(_known_keys()["train"])] + ["model.denoise"]),
     "gradcheck": (["gradcheck.instances=1"], ["gradcheck." + k for k in sorted(_known_keys()["gradcheck"])]),
     "bias-demo": ([], []),
+    "denoise": (["model.checkpoint={checkpoint}", "data.input={sim_data}/noisy_000.csv"], []),
 }
 
 
@@ -582,6 +598,8 @@ def sweep_checkpoint(workspace):
 @example(mutation=("set", "gradcheck", ("gradcheck.instances=0",)), names="instances")
 @example(mutation=("set", "gradcheck", ("gradcheck.tolerance=nan",)), names="tolerance")
 @example(mutation=("set", "train", ("data.manifest={checkpoint}",)), names="model.npz: manifest is not text")
+@example(mutation=("set", "denoise", ("data.input={checkpoint}",)), names="model.npz: window CSV is not text")
+@example(mutation=("set", "simulate", ("--config={checkpoint}",)), names="model.npz: config is not text")
 @example(mutation=("set", "simulate", ("data.seed=-1",)), names="seed must be >= 0")
 @example(mutation=("set", "train", ("train.seed=-1",)), names="seed must be >= 0")
 @example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="[gradcheck] seed must be >= 0")
@@ -605,8 +623,10 @@ def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, tmp_pa
         valid, _ = _SWEEP_COMMANDS[command]
         if command == "train":
             valid = [f"data.manifest={workspace['manifest']}", *valid]
-        # An item may name a workspace file, as {checkpoint} does.
-        args = [command] + [a for item in (*valid, *items) for a in ("--set", item.format(**workspace))]
+        # An item may name a workspace file, as {checkpoint} does; one that starts
+        # with "--" is an option of its own, not a --set item.
+        args = [command] + [a.format(**workspace) for item in (*valid, *items)
+                            for a in ((item,) if item.startswith("--") else ("--set", item))]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(args + ["--run-dir", str(run_dir)])

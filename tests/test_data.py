@@ -13,7 +13,6 @@ from physden.data import (
     _alignment_scores,
     Dataset,
     NoiseSpec,
-    SampleWindow,
     SimulateConfig,
     compute_norm_stats,
     generate_dataset,
@@ -23,18 +22,19 @@ from physden.data import (
     noise_std,
     save_csv,
     save_dataset,
-    simulate_co2,
-    simulate_hvac,
-    simulate_ins,
     split_by_alignment,
 )
 from physden.physics import (
-    CHANNEL_NAMES,
+    FAMILIES,
     Co2Environment,
     HvacEnvironment,
     InsEnvironment,
     PhysicsSpec,
+    SampleWindow,
     default_channel_map,
+    simulate_co2,
+    simulate_hvac,
+    simulate_ins,
     window_residuals,
 )
 
@@ -46,12 +46,10 @@ def make_window(values, names=None, dt=1.0):
 
 
 def hvac_spec(env):
-    from physden.physics import CHANNEL_NAMES
-
     return PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
+        channel_map=default_channel_map("hvac", FAMILIES["hvac"].channels),
     )
 
 
@@ -619,10 +617,10 @@ def test_generate_dataset_applies_bias_fraction():
                                           ("co2", "zero-mask")])
 def test_generate_dataset_corrupts_each_window_as_corrupt_does(family, kind):
     cfg = SimulateConfig(family=family, count=5, seed=12, noise_kind=kind, noise_scale=0.3,
-                         mask_fraction=0.2, bias_frac={CHANNEL_NAMES[family][0]: 0.4})
+                         mask_fraction=0.2, bias_frac={FAMILIES[family].channels[0]: 0.4})
     ds = generate_dataset(cfg)
     noise = NoiseSpec(kind=kind, scale=0.3, mask_fraction=0.2)
-    bias = np.zeros(len(CHANNEL_NAMES[family]))
+    bias = np.zeros(len(FAMILIES[family].channels))
     bias[0] = 0.4 * compute_norm_stats(ds.clean).std[0]
     noise_seeds = np.random.SeedSequence(12).spawn(2 * cfg.count)[cfg.count:]
     for window, clean, seed in zip(ds.windows, ds.clean, noise_seeds):
@@ -646,7 +644,7 @@ def test_generate_dataset_norm_stats_come_from_train_split():
 
 
 def test_simulate_config_validation():
-    with pytest.raises(ValueError, match="unknown family"):
+    with pytest.raises(ValueError, match="unknown physics family 'sonar'"):
         SimulateConfig(family="sonar")
     with pytest.raises(ValueError, match="count"):
         SimulateConfig(family="ins", count=1)

@@ -1,0 +1,132 @@
+"""The family table: every record's consistency, and a family added as one entry."""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from physden.autodiff import Tape, Tensor
+from physden.data import (
+    SimulateConfig,
+    generate_dataset,
+    load_manifest,
+    save_dataset,
+    split_by_alignment,
+)
+from physden.gradcheck import _residual_case, check_gradient
+from physden.metrics import evaluate
+from physden.model import denoise
+from physden.physics import (
+    FAMILIES,
+    Family,
+    PhysicsSpec,
+    SampleWindow,
+    default_channel_map,
+    exclusive_prefix_sum_values,
+    stacked_residual,
+    window_residuals,
+)
+from physden.training import TrainConfig, train
+
+
+@dataclasses.dataclass
+class TankEnvironment:
+    """A tank's cross-section (m^2, a power of two) and initial level (m)."""
+
+    dt: float
+    area: float = 4.0
+    initial_level: float = 1.0
+
+
+def _tank_supply(q_in, q_out, env):
+    """A h0 + sum_{s<t} (q_in - q_out) dt: the volume the flows leave in the tank."""
+    return env.area * env.initial_level + exclusive_prefix_sum_values((q_in - q_out) * env.dt)
+
+
+def residual_tank(h, q_in, q_out, env):
+    """Volume balance A h[t] - (A h0 + sum_{s<t} (q_in - q_out) dt), 1 x [B x] T, and its VJP."""
+    out = h * env.area - _tank_supply(q_in, q_out, env)
+
+    def vjp(g):
+        later = (np.cumsum(g[..., ::-1], axis=-1)[..., ::-1] - g) * env.dt
+        return g * env.area, -later, later
+
+    return out, vjp
+
+
+def simulate_tank(duration, env, seeds):
+    """Random inflow and outflow rows per seed, and the level they leave; A a power of two
+    makes the level's A h[t] the supply exactly, so the clean residual is 0.0."""
+    t_len = int(round(duration / env.dt)) + 1
+    windows = []
+    for seed in seeds:
+        q_in, q_out = np.random.default_rng(seed).uniform(0.0, 0.5, size=(2, 1, t_len))
+        level = _tank_supply(q_in, q_out, env) / env.area
+        windows.append(SampleWindow(list(TANK.channels), np.concatenate([level, q_in, q_out]),
+                                    env.dt, list(TANK.units)))
+    return windows
+
+
+TANK = Family(
+    groups=(("h",), ("q_in",), ("q_out",)), units=("m", "m^3/s", "m^3/s"), denoise=("h",),
+    environment=TankEnvironment, residual=residual_tank, simulate=simulate_tank,
+    simulate_fields=(), duration=40.0, dt=1.0)
+
+
+@pytest.fixture
+def tank(monkeypatch):
+    monkeypatch.setitem(FAMILIES, "tank", TANK)
+    return TANK
+
+
+def test_every_family_record_is_consistent(tank):
+    config_fields = {f.name for f in dataclasses.fields(SimulateConfig)}
+    assert "tank" in FAMILIES
+    # A simulator's windows take their channels from the family of their environment's type.
+    assert len({family.environment for family in FAMILIES.values()}) == len(FAMILIES)
+    for name, family in FAMILIES.items():
+        channels = family.channels
+        assert len(set(channels)) == len(channels), name
+        assert len(family.units) == len(channels), name
+        assert set(family.denoise) <= set(channels), name
+        env_fields = dataclasses.fields(family.environment)
+        assert "dt" in {f.name for f in env_fields}, name
+        required = {f.name for f in env_fields if f.name != "dt" and f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING}
+        assert set(family.simulate_fields) | required <= config_fields, name
+
+
+def test_a_family_added_as_one_entry_runs_end_to_end(tank, tmp_path):
+    ds = generate_dataset(SimulateConfig(family="tank", count=6, seed=2, noise_scale=0.1))
+    assert (ds.spec.family, ds.spec.environment, ds.denoise_channels) == ("tank", TankEnvironment(1.0), ["h"])
+    assert all(w.channels == ["h", "q_in", "q_out"] and w.n_timesteps == 41 for w in ds.windows)
+    assert all(np.all(r == 0.0) for r in window_residuals(ds.clean, ds.spec))
+    assert ds.split == split_by_alignment(ds.windows, ds.spec)
+    assert not all(np.all(r == 0.0) for r in window_residuals(ds.windows, ds.spec))
+
+    loaded = load_manifest(save_dataset(ds, tmp_path / "tank"))
+    assert (loaded.spec, loaded.split, loaded.denoise_channels) == (ds.spec, ds.split, ds.denoise_channels)
+    for a, b in zip(loaded.windows + loaded.clean, ds.windows + ds.clean, strict=True):
+        assert (a.channels, a.units, a.dt) == (b.channels, b.units, b.dt)
+        assert a.values.tobytes() == b.values.tobytes()
+
+    cfg = TrainConfig(lr=1e-3, batch_size=2, epochs_total=2, pretrain_fraction=0.5, widths=(2, 3, 2))
+    result = train(loaded.train_windows, loaded.spec, cfg, norm_stats=loaded.norm_stats)
+    assert {row.phase for row in result.log} == {1, 2}
+    assert all(np.isfinite(row.total) for row in result.log)
+    restored = [denoise(result.denoiser, w) for w in loaded.test_windows]
+    report = evaluate("denoised", restored, loaded.spec, [loaded.clean[i] for i in loaded.split[1]],
+                      channels=["h"])
+    assert np.isfinite(report.recon_mse) and np.isfinite(report.phys_mse)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 7)], ids=["window", "batch"])
+def test_added_family_residual_node_passes_gradcheck(tank, shape):
+    rng = np.random.default_rng(4)
+    env = TankEnvironment(dt=0.5, area=2.0, initial_level=0.3)
+    values = rng.uniform(-1.0, 1.0, size=(3, *shape))
+    spec = PhysicsSpec("tank", env, default_channel_map("tank", TANK.channels))
+    with Tape() as tape:
+        stacked_residual(Tensor(values, requires_grad=True), spec)
+    assert [node.op for node in tape.nodes] == ["residual_tank"]
+    fn, inputs = _residual_case(rng, "tank", env, values)
+    assert check_gradient(fn, inputs) <= 1e-5

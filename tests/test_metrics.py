@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from physden.autodiff import Tensor
-from physden.data import SampleWindow, SimulateConfig, generate_dataset, simulate_hvac
+from physden.data import SimulateConfig, generate_dataset
 from physden.metrics import (
     REPORT_COLUMNS,
     evaluate,
@@ -14,11 +14,13 @@ from physden.metrics import (
     write_report_csv,
 )
 from physden.physics import (
-    CHANNEL_NAMES,
+    FAMILIES,
     HvacEnvironment,
     PhysicsSpec,
+    SampleWindow,
     default_channel_map,
     physics_loss_tensor,
+    simulate_hvac,
     stacked_residual,
     window_residuals,
 )
@@ -28,7 +30,7 @@ def hvac_spec(env):
     return PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
+        channel_map=default_channel_map("hvac", FAMILIES["hvac"].channels),
     )
 
 

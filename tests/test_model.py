@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from physden.autodiff import Tape, Tensor, backward, mse, reduce_sum
-from physden.data import SampleWindow, simulate_hvac, simulate_ins
+from physden.physics import SampleWindow, simulate_hvac, simulate_ins
 from physden.model import (
     KERNEL_SIZES,
     Denoiser,

@@ -8,25 +8,20 @@ from hypothesis import strategies as st
 
 from physden.autodiff import Tape, Tensor, backward, mul, reduce_sum
 from physden.data import (
-    SampleWindow,
     SimulateConfig,
     generate_dataset,
     load_csv,
     save_csv,
-    simulate_co2,
-    simulate_hvac,
-    simulate_ins,
 )
 from physden.gradcheck import _CASES, check_gradient
 from physden.physics import (
-    _CHANNEL_GROUPS,
     RESIDUAL_BLOCK,
-    CHANNEL_NAMES,
     FAMILIES,
     Co2Environment,
     HvacEnvironment,
     InsEnvironment,
     PhysicsSpec,
+    SampleWindow,
     default_channel_map,
     exclusive_prefix_sum_values,
     hamilton_rows,
@@ -36,6 +31,9 @@ from physden.physics import (
     residual_co2,
     residual_hvac,
     residual_ins,
+    simulate_co2,
+    simulate_hvac,
+    simulate_ins,
     stacked_residual,
     time_derivative,
     window_residuals,
@@ -144,7 +142,7 @@ def test_quat_exp_of_a_block_is_each_columns_exponential():
 def test_zero_norm_quaternion_rejected_in_any_window():
     values = np.stack([stationary_ins_values(), stationary_ins_values()], axis=1)
     values[3:7, 1, 0] = 0.0  # the second window's first orientation sample
-    spec = PhysicsSpec("ins", InsEnvironment(dt=0.01), default_channel_map("ins", CHANNEL_NAMES["ins"]))
+    spec = PhysicsSpec("ins", InsEnvironment(dt=0.01), default_channel_map("ins", FAMILIES["ins"].channels))
     with pytest.raises(ValueError, match="zero-norm"):
         stacked_residual(Tensor(values), spec)
 
@@ -209,7 +207,7 @@ def test_stationary_platform_residual_is_exactly_zero():
     spec = PhysicsSpec(
         family="ins",
         environment=env,
-        channel_map=default_channel_map("ins", list(CHANNEL_NAMES["ins"])),
+        channel_map=default_channel_map("ins", FAMILIES["ins"].channels),
     )
     r = stacked_residual(Tensor(stationary_ins_values()), spec)
     assert r.data.shape == (7, 6)
@@ -391,7 +389,7 @@ def test_co2_c_out_gradient_hand_values():
     # dt = 2, dL/dx[s] for each of those terms is its coefficient times 2 times
     # the sum of the upstream weights after s, and dL/dc_room[t] = V w[t].
     env = Co2Environment(room_volume=64.0, emission_rate=3.0, initial_ppm=400.0, dt=2.0)
-    spec = PhysicsSpec("co2", env, default_channel_map("co2", CHANNEL_NAMES["co2"]))
+    spec = PhysicsSpec("co2", env, default_channel_map("co2", FAMILIES["co2"].channels))
     rows = [[400.0] * 3, [401.0] * 3, [0.5] * 3, [420.0] * 3, [2.0] * 3]
     x = Tensor(np.array(rows), requires_grad=True)
     with Tape() as tape:
@@ -471,27 +469,32 @@ def test_co2_window_rejects_a_non_finite_flow_row(tmp_path):
 
 
 def test_channel_names_are_the_residual_groups_in_order():
-    assert CHANNEL_NAMES == {
-        "ins": ["px", "py", "pz", "qw", "qx", "qy", "qz", "wx", "wy", "wz", "ax", "ay", "az"],
-        "co2": ["c_room", "c_out", "flow", "inflow_ppm", "occupants"],
-        "hvac": ["t_sa", "t_mix", "dq"],
+    assert {name: family.channels for name, family in FAMILIES.items()} == {
+        "ins": ("px", "py", "pz", "qw", "qx", "qy", "qz", "wx", "wy", "wz", "ax", "ay", "az"),
+        "co2": ("c_room", "c_out", "flow", "inflow_ppm", "occupants"),
+        "hvac": ("t_sa", "t_mix", "dq"),
     }
-    assert FAMILIES == tuple(_CHANNEL_GROUPS) == tuple(CHANNEL_NAMES)
-    for family, groups in _CHANNEL_GROUPS.items():
-        assert [name for group in groups for name in group] == CHANNEL_NAMES[family]
+    assert [len(group) for group in FAMILIES["ins"].groups] == [3, 4, 3, 3]  # p, q, w, a
+    for name, family in FAMILIES.items():
+        assert family.channels == tuple(n for group in family.groups for n in group)
+        window = generate_dataset(SimulateConfig(family=name, count=2)).windows[0]
+        assert window.channels == list(family.channels) and window.units == list(family.units)
 
 
 def test_physics_spec_normalizes_family_case():
     env = InsEnvironment(dt=0.01)
-    cmap = default_channel_map("ins", list(CHANNEL_NAMES["ins"]))
+    cmap = default_channel_map("ins", FAMILIES["ins"].channels)
     spec = PhysicsSpec(family="INS", environment=env, channel_map=cmap)
     assert spec.family == "ins"
     assert spec.dt == 0.01
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError, match="unknown physics family"):
+    message = r"^unknown physics family 'acoustics'; expected one of \('ins', 'co2', 'hvac'\)$"
+    with pytest.raises(ValueError, match=message):
         default_channel_map("acoustics", ["a", "b"])
+    with pytest.raises(ValueError, match=message):
+        PhysicsSpec("acoustics", HvacEnvironment(dt=60.0), {"a": 0})
 
 
 def test_channel_map_must_cover_family():
@@ -509,7 +512,7 @@ def test_channel_map_row_outside_window_rejected():
 def test_stacked_residual_gradient_routing():
     # Each family's channels on permuted rows of a block with one extra row.
     rng = np.random.default_rng(2)
-    for family, fn in [("ins", residual_ins), ("co2", residual_co2), ("hvac", residual_hvac)]:
+    for family, record in FAMILIES.items():
         ds = generate_dataset(SimulateConfig(family=family, count=2, seed=1, noise_scale=0.2))
         values = np.stack([w.values for w in ds.windows], axis=1)
         c = values.shape[0]
@@ -517,9 +520,9 @@ def test_stacked_residual_gradient_routing():
         block = np.full((c + 1, *values.shape[1:]), 5.0)
         block[rows[:c]] = values
         spec = PhysicsSpec(family, ds.spec.environment,
-                           {name: int(row) for name, row in zip(CHANNEL_NAMES[family], rows)})
-        out, vjp = fn(*(values[[CHANNEL_NAMES[family].index(n) for n in names]]
-                        for names in _CHANNEL_GROUPS[family]), ds.spec.environment)
+                           {name: int(row) for name, row in zip(record.channels, rows)})
+        out, vjp = record.residual(*(values[[record.channels.index(n) for n in names]]
+                                     for names in record.groups), ds.spec.environment)
         g = rng.uniform(-1.0, 1.0, size=out.shape)
         g[..., 0] = -0.0
         x = Tensor(block, requires_grad=True)
@@ -528,7 +531,7 @@ def test_stacked_residual_gradient_routing():
         grad = backward(loss, tape)[x]
         assert np.all(grad[rows[c]] == 0.0) and not np.any(np.signbit(grad[rows[c]]))
         negative_zeros = 0
-        for names, g_group in zip(_CHANNEL_GROUPS[family], vjp(g)):
+        for names, g_group in zip(record.groups, vjp(g)):
             mapped = grad[[spec.channel_map[n] for n in names]]
             assert mapped.tobytes() == (0.0 + g_group).tobytes()
             negative_zeros += np.count_nonzero((g_group == 0.0) & np.signbit(g_group))
@@ -538,7 +541,7 @@ def test_stacked_residual_gradient_routing():
 
 
 def test_channel_map_rejects_two_symbols_at_one_row():
-    cmap = default_channel_map("ins", CHANNEL_NAMES["ins"])
+    cmap = default_channel_map("ins", FAMILIES["ins"].channels)
     cmap["py"] = cmap["px"]
     with pytest.raises(ValueError, match="points two symbols at one row"):
         PhysicsSpec("ins", InsEnvironment(dt=0.05), cmap)

@@ -13,19 +13,19 @@ import physden.training as training_mod
 from physden.autodiff import Tensor, mul, reduce_sum
 from physden.data import (
     NoiseSpec,
-    SampleWindow,
     SimulateConfig,
     compute_norm_stats,
     generate_dataset,
-    simulate_hvac,
 )
 from physden.gradcheck import check_gradient
 from physden.model import denoise, merge_denoised
 from physden.physics import (
-    CHANNEL_NAMES,
+    FAMILIES,
     HvacEnvironment,
     PhysicsSpec,
+    SampleWindow,
     default_channel_map,
+    simulate_hvac,
     window_residuals,
 )
 from physden.training import (
@@ -87,7 +87,7 @@ def hvac_losses(offset, rebalance=False):
     spec = PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", list(CHANNEL_NAMES["hvac"])),
+        channel_map=default_channel_map("hvac", FAMILIES["hvac"].channels),
     )
     [clean] = simulate_hvac(300.0, env, [6])
     values = clean.values + offset
