@@ -24,7 +24,6 @@ __all__ = [
     "recording",
     "add",
     "mul",
-    "reduce_sum",
     "mse",
     "AdamState",
     "adam_step",
@@ -54,13 +53,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -170,20 +162,6 @@ def mul(a, b) -> Tensor:
         return (g * bd if a.requires_grad else None), (g * ad if b.requires_grad else None)
 
     return _record("mul", (a, b), ad * bd, vjp)
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-
-
-def reduce_sum(a) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.data.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g)) if a.requires_grad else None,)
-
-    return _record("reduce_sum", (a,), np.asarray(a.data.sum()), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,12 @@ def _load_config(args) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     if args.config:
+        from .data import _read_ini
+
         path = Path(args.config)
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
-        try:
-            cp.read(path)
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: config is not text ({err.reason} at offset {err.start})") from None
+        _read_ini(cp, path, "config")
     for item in args.overrides:
         if "=" not in item:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
@@ -323,8 +322,10 @@ def _cmd_denoise(args, cp) -> int:
         raise ValueError(f"input CSV not found: {input_csv}")
     denoiser = load_checkpoint(checkpoint)
     window = load_csv(input_csv)
-
-    restored = denoise(denoiser, window)
+    try:
+        restored = denoise(denoiser, window)
+    except ValueError as err:
+        raise ValueError(f"{input_csv}: {err}") from None
     out_path = Path(_get(cp, "output", "file", "") or _run_dir(args, 0) / "denoised.csv")
     save_csv(restored, out_path)
     print(f"wrote {out_path}")

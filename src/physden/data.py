@@ -270,6 +270,31 @@ def save_csv(window: SampleWindow, path) -> None:
         fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
+def _not_text(path: Path, kind: str, err: UnicodeDecodeError) -> ValueError:
+    """The error for a file that does not decode, at its first bad byte's offset in the file.
+
+    A text reader counts a decode error's offset from its current chunk, so
+    the file is decoded again in one piece, on this error path only.
+    """
+    try:
+        path.read_bytes().decode(err.encoding)
+    except UnicodeDecodeError as whole:
+        err = whole
+    return ValueError(f"{path}: {kind} is not text ({err.reason} at offset {err.start})")
+
+
+def _read_ini(cfg: configparser.ConfigParser, path: Path, kind: str) -> None:
+    """cfg.read(path); a file that is not text or not INI syntax raises a ValueError naming it."""
+    try:
+        cfg.read(str(path))  # as a str: configparser's messages quote a Path's repr
+    except UnicodeDecodeError as err:
+        raise _not_text(path, kind, err) from None
+    except configparser.Error as err:
+        # The reason and its line, on one line: a ParsingError goes on to list every bad line.
+        detail = " ".join(" ".join(str(err).splitlines()[:2]).split())
+        raise ValueError(f"{path}: {kind} is not an INI file ({detail})") from None
+
+
 def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
     """Read a window CSV; dt is inferred from the time column.
 
@@ -286,7 +311,7 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
             header = next(csv.reader(fh), None)
             lines = fh.readlines()
         except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: window CSV is not text ({err.reason} at offset {err.start})") from None
+            raise _not_text(path, "window CSV", err) from None
     if header is None:
         raise ValueError(f"{path}:1: empty file")
     if not header or header[0] != "t":
@@ -438,10 +463,7 @@ def load_manifest(path) -> Dataset:
     base = path.parent
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
-    try:
-        cfg.read(path)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: manifest is not text ({err.reason} at offset {err.start})") from None
+    _read_ini(cfg, path, "manifest")
     for section in ("dataset", "environment", "windows"):
         if section not in cfg:
             raise ValueError(f"{path}: manifest is missing the [{section}] section")

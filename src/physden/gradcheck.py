@@ -1,7 +1,8 @@
 """Finite-difference verification of every differentiable operation.
 
-Each case builds a scalar loss from randomized inputs, computes reverse-mode
-gradients, and compares them entry by entry against central differences.
+Each case builds a scalar loss from randomized inputs out of ops that
+training records, computes reverse-mode gradients, and compares them entry
+by entry against central differences.
 The relative error uses max(1, |analytic|, |numeric|) as denominator so
 near-zero gradients are compared absolutely. Inputs are drawn away from
 non-smooth points (relu kinks, zero-norm quaternions).
@@ -21,7 +22,6 @@ from .autodiff import (
     backward,
     mse,
     mul,
-    reduce_sum,
 )
 from .model import ModelParams, conv1d, forward, init_params, merge_denoised, relu
 from .physics import (
@@ -92,8 +92,15 @@ def check_gradient(fn: Callable[[list[Tensor]], Tensor], inputs: Sequence[np.nda
 # Case construction
 
 
-def _weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
-    return reduce_sum(mul(out, Tensor(weights)))
+def _half_sse(out: Tensor, target: np.ndarray) -> Tensor:
+    """0.5 * sum((out - target)^2), recorded as training records a weighted loss: mse times a constant."""
+    return mul(mse(out, target), Tensor(out.data.size / 2))
+
+
+def _probe(op: Callable[[list[Tensor]], Tensor], inputs: Sequence[np.ndarray], w: np.ndarray) -> Callable:
+    """op's output reduced by _half_sse against op(inputs) - w, so its cotangent at inputs is w."""
+    target = op([Tensor(v) for v in inputs]).data - w
+    return lambda xs: _half_sse(op(xs), target)
 
 
 def _away_from_zero(x: np.ndarray, margin: float = 0.1) -> np.ndarray:
@@ -109,14 +116,10 @@ def _batch(rng: np.random.Generator) -> tuple[int, ...]:
 def _residual_case(
     rng: np.random.Generator, family: str, env, vals: np.ndarray
 ) -> tuple[Callable, list[np.ndarray]]:
-    """Weighted sum of the family's residual rows, weights drawn last in the residual's shape."""
+    """The family's residual rows probed with weights drawn last in the residual's shape."""
     spec = PhysicsSpec(family, env, default_channel_map(family, FAMILIES[family].channels))
     w = rng.uniform(-1.0, 1.0, size=stacked_residual(vals, spec).shape)
-
-    def fn(xs: list[Tensor]) -> Tensor:
-        return _weighted_sum(stacked_residual(xs[0], spec), w)
-
-    return fn, [vals]
+    return _probe(lambda xs: stacked_residual(xs[0], spec), [vals], w), [vals]
 
 
 def _ins_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -168,7 +171,7 @@ def _elementwise_case(op: Callable) -> Callable:
         a = rng.uniform(-2.0, 2.0, size=(2, 3))
         b = rng.uniform(-2.0, 2.0, size=(2, 3))
         w = rng.uniform(-1.0, 1.0, size=(2, 3))
-        return (lambda xs: _weighted_sum(op(xs[0], xs[1]), w)), [a, b]
+        return _probe(lambda xs: op(xs[0], xs[1]), [a, b], w), [a, b]
 
     return case
 
@@ -178,15 +181,11 @@ def _relu_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     a = _away_from_zero(rng.uniform(-2.0, 2.0, size=(2, 5)))
     w = rng.uniform(-1.0, 1.0, size=(2, 5))
 
-    def fn(xs: list[Tensor]) -> Tensor:
+    def op(xs: list[Tensor]) -> Tensor:
         out, vjp = relu(xs[0].data)
-        return _weighted_sum(_record("relu", (xs[0],), out, lambda g: (vjp(g),)), w)
+        return _record("relu", (xs[0],), out, lambda g: (vjp(g),))
 
-    return fn, [a]
-
-
-def _reduce_sum_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
-    return (lambda xs: reduce_sum(xs[0])), [rng.uniform(-2.0, 2.0, size=(2, 4))]
+    return _probe(op, [a], w), [a]
 
 
 def _conv1d_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -198,11 +197,11 @@ def _conv1d_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     b = rng.uniform(-1.0, 1.0, size=(3,))
     w = rng.uniform(-1.0, 1.0, size=(3, *shape))
 
-    def fn(xs: list[Tensor]) -> Tensor:
+    def op(xs: list[Tensor]) -> Tensor:
         out, vjp = conv1d(*(t.data for t in xs))
-        return _weighted_sum(_record("conv1d", tuple(xs), out, lambda g: vjp(g, True)), w)
+        return _record("conv1d", tuple(xs), out, lambda g: vjp(g, True))
 
-    return fn, [x, wgt, b]
+    return _probe(op, [x, wgt, b], w), [x, wgt, b]
 
 
 def _mse_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
@@ -220,7 +219,7 @@ def _merge_case(rng: np.random.Generator) -> tuple[Callable, list[np.ndarray]]:
     base = rng.uniform(-2.0, 2.0, size=(5, *shape))
     mean, std = rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.5, 2.0, size=2)
     w = rng.uniform(-1.0, 1.0, size=base.shape)
-    return (lambda xs: _weighted_sum(merge_denoised(xs[0], z, base, rows, mean, std), w)), [y]
+    return _probe(lambda xs: merge_denoised(xs[0], z, base, rows, mean, std), [y], w), [y]
 
 
 # Each operation family's case builder, in suite order.
@@ -228,7 +227,6 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, list[np.ndarra
     "add": _elementwise_case(add),
     "mul": _elementwise_case(mul),
     "relu": _relu_case,
-    "reduce_sum": _reduce_sum_case,
     "conv1d": _conv1d_case,
     "mse": _mse_case,
     "merge": _merge_case,

@@ -1,9 +1,13 @@
 """Differentiation engine: forward oracles, hand-derived gradients, tape rules."""
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physden
 from physden.autodiff import (
     AdamState,
     NumericalError,
@@ -14,10 +18,13 @@ from physden.autodiff import (
     backward,
     mse,
     mul,
-    reduce_sum,
 )
-from physden.gradcheck import _CASES, _EPS, check_gradient
+import physden.training as training_mod
+from physden.data import SimulateConfig, generate_dataset
+from physden.gradcheck import _CASES, _EPS, SUITE_FAMILIES, _half_sse, check_gradient
 from physden.model import ModelParams, conv1d, forward, relu
+from physden.physics import FAMILIES
+from physden.training import TrainConfig, train
 
 
 def leaf(values):
@@ -46,7 +53,7 @@ def test_equal_shape_rule_rejects_mismatch():
         mul(Tensor([1.0, 2.0, 3.0]), 2.0)  # a 0-d operand is not broadcast
     with pytest.raises(ValueError, match="shape mismatch"):
         mse(Tensor([1.0, 2.0]), np.array([[1.0, 2.0]]))
-    assert mul(Tensor(3.0), 2.0).item() == 6.0  # two 0-d scalars are equal shapes
+    assert float(mul(Tensor(3.0), 2.0).data) == 6.0  # two 0-d scalars are equal shapes
 
 
 def test_tensor_rejects_four_dims():
@@ -56,8 +63,9 @@ def test_tensor_rejects_four_dims():
 
 def test_reductions():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert reduce_sum(a).item() == 10.0
-    assert mse(a, 0.0).item() == 7.5
+    assert float(mse(a, 0.0).data) == 7.5
+    # gradcheck's probe: 0.5 * sum((a - t)^2) = 0.5 * (1 + 0 + 4 + 9) against t = [[0, 2], [1, 1]].
+    assert float(_half_sse(a, np.array([[0.0, 2.0], [1.0, 1.0]])).data) == 7.0
 
 
 def test_conv1d_forward_oracle():
@@ -110,7 +118,7 @@ def test_conv1d_on_a_batch_matches_each_window():
 
 
 def test_mse_oracle():
-    assert mse(Tensor([0.0, 0.0]), np.array([3.0, 4.0])).item() == 12.5
+    assert float(mse(Tensor([0.0, 0.0]), np.array([3.0, 4.0])).data) == 12.5
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +126,15 @@ def test_mse_oracle():
 
 
 def test_backward_of_product_plus_term():
-    # loss = sum(x * y + x): dL/dx = y + 1, dL/dy = x.
+    # loss = 0.5 * sum((x * y + x - t)^2) with x * y + x = [4, 12] and t = [2, 9],
+    # so dL/d(out) = [2, 3]; dL/dx = [2, 3] * (y + 1), dL/dy = [2, 3] * x.
     x = leaf([1.0, 2.0])
     y = leaf([3.0, 5.0])
     with Tape() as tape:
-        loss = reduce_sum(add(mul(x, y), x))
+        loss = _half_sse(add(mul(x, y), x), np.array([2.0, 9.0]))
     grads = backward(loss, tape)
-    assert np.array_equal(grads[x], [4.0, 6.0])
-    assert np.array_equal(grads[y], [1.0, 2.0])
+    assert np.array_equal(grads[x], [8.0, 18.0])
+    assert np.array_equal(grads[y], [2.0, 6.0])
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -140,6 +149,24 @@ def test_model_gradcheck_case_stays_off_the_relu_kink(seed):
         assert np.min(np.abs(pre)) >= 10 * _EPS
         h = np.maximum(pre, 0.0)
     assert check_gradient(fn, inputs) <= 1e-5
+
+
+def test_every_op_a_training_records_has_a_gradcheck_family(monkeypatch):
+    # Every node op of a training with a phase 2, per physics family, plus the
+    # layer probes conv1d and relu that run inside model_forward's node.
+    ops = set()
+
+    class CollectingTape(Tape):
+        def __exit__(self, *exc):
+            ops.update(node.op for node in self.nodes)
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(training_mod, "Tape", CollectingTape)
+    cfg = TrainConfig(lr=1e-3, batch_size=2, epochs_total=2, pretrain_fraction=0.5, widths=(2, 3, 2))
+    for name, family in FAMILIES.items():
+        ds = generate_dataset(SimulateConfig(family=name, count=4, duration=20 * family.dt, seed=1))
+        assert {row.phase for row in train(ds.windows, ds.spec, cfg).log} == {1, 2}
+    assert ops | {"conv1d", "relu"} == set(SUITE_FAMILIES)
 
 
 def test_relu_gradient_zero_at_kink():
@@ -159,7 +186,7 @@ def test_mse_to_a_scalar_target_is_one_node():
     a = leaf([1.0, 3.0])
     with Tape() as tape:
         loss = mse(a, 0.0)
-    assert loss.item() == 5.0
+    assert float(loss.data) == 5.0
     assert [(node.op, node.inputs) for node in tape.nodes] == [("mse", (a,))]
     grads = backward(loss, tape)
     assert np.array_equal(grads[a], [1.0, 3.0])
@@ -177,10 +204,11 @@ def test_conv1d_gradients_hand_values():
 
 
 def test_gradient_accumulates_over_reuse():
+    # loss = 0.5 * (x * x)^2: each of mul's two inputs gets x^2 * x = 27, summed to 54.
     x = leaf([3.0])
     with Tape() as tape:
-        loss = reduce_sum(mul(x, x))
-    assert np.array_equal(backward(loss, tape)[x], [6.0])
+        loss = _half_sse(mul(x, x), np.zeros(1))
+    assert np.array_equal(backward(loss, tape)[x], [54.0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +241,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_is_pure_in_the_tape():
     x = leaf([2.0])
     with Tape() as tape:
-        loss = reduce_sum(mul(x, x))
+        loss = _half_sse(mul(x, x), np.zeros(1))
     first = backward(loss, tape)[x]
     second = backward(loss, tape)[x]
     assert np.array_equal(first, second)
@@ -223,20 +251,20 @@ def test_unreached_tensor_gets_no_entry():
     x = leaf([1.0, 2.0])
     unused = leaf([[7.0, 8.0]])
     with Tape() as tape:
-        loss = reduce_sum(x)
+        loss = _half_sse(x, np.array([0.0, 3.0]))
     grads = backward(loss, tape)
     assert type(grads) is dict and unused not in grads
-    assert np.array_equal(grads[x], [1.0, 1.0])
+    assert np.array_equal(grads[x], [1.0, -1.0])
 
 
 def test_no_grad_leaf_gets_no_entry():
     x = leaf([1.0])
     frozen = Tensor([2.0], requires_grad=False)
     with Tape() as tape:
-        loss = reduce_sum(mul(x, frozen))
+        loss = _half_sse(mul(x, frozen), np.zeros(1))
     grads = backward(loss, tape)
     assert frozen not in grads
-    assert np.array_equal(grads[x], [2.0])
+    assert np.array_equal(grads[x], [4.0])  # (x * 2) * 2
 
 
 def test_nested_tapes_record_independently():
@@ -244,11 +272,11 @@ def test_nested_tapes_record_independently():
     with Tape() as outer:
         mul(x, x)
         with Tape() as inner:
-            loss = reduce_sum(mul(x, x))
+            loss = _half_sse(mul(x, x), np.zeros(1))
         grads = backward(loss, inner)
     assert len(outer.nodes) == 1
-    assert len(inner.nodes) == 2
-    assert np.array_equal(grads[x], [2.0])
+    assert [node.op for node in inner.nodes] == ["mul", "mse", "mul"]
+    assert np.array_equal(grads[x], [2.0])  # (x * x) * 2x at x = 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +287,9 @@ def test_adam_first_step_is_bias_corrected():
     p = leaf([0.0])
     state = AdamState.for_params([p])
     with Tape() as tape:
-        loss = reduce_sum(mul(p, Tensor([3.0])))
+        loss = _half_sse(mul(p, Tensor([3.0])), np.array([-1.0]))
     grads = backward(loss, tape)
+    assert np.array_equal(grads[p], [3.0])  # (3p + 1) * 3 at p = 0
     adam_step([p], grads, state, lr=0.01)
     # After bias correction the first step is lr * g / (|g| + eps).
     assert state.t == 1
@@ -272,7 +301,7 @@ def test_adam_converges_on_quadratic():
     state = AdamState.for_params([p])
     for _ in range(400):
         with Tape() as tape:
-            loss = reduce_sum(mul(p, p))
+            loss = _half_sse(p, np.zeros(1))
         adam_step([p], backward(loss, tape), state, lr=0.05)
     assert abs(p.data[0]) < 1e-2
 
@@ -281,7 +310,7 @@ def test_adam_rejects_non_finite_gradient():
     p = leaf([1.0])
     state = AdamState.for_params([p])
     with Tape() as tape:
-        loss = reduce_sum(mul(p, Tensor([np.inf])))
+        loss = _half_sse(mul(p, Tensor([np.inf])), np.zeros(1))
     grads = backward(loss, tape)
     with pytest.raises(NumericalError, match="parameter 0 at step 1"):
         adam_step([p], grads, state, lr=0.01)
@@ -345,21 +374,13 @@ def test_adam_state_must_match_params():
     p = leaf([0.0])
     state = AdamState.for_params([p, leaf([1.0])])
     with Tape() as tape:
-        loss = reduce_sum(p)
+        loss = _half_sse(p, np.zeros(1))
     with pytest.raises(ValueError, match="state does not match"):
         adam_step([p], backward(loss, tape), state, lr=0.01)
 
 
 # ---------------------------------------------------------------------------
 # Properties
-
-
-@given(st.lists(st.integers(-100, 100), min_size=1, max_size=20))
-def test_reduce_sum_gradient_is_ones(values):
-    x = leaf(np.array(values, dtype=np.float64))
-    with Tape() as tape:
-        loss = reduce_sum(x)
-    assert np.array_equal(backward(loss, tape)[x], np.ones(len(values)))
 
 
 @given(
@@ -392,3 +413,15 @@ def test_conv1d_matches_direct_summation(seed, k):
                 w[o, i, j] * xpad[i, t + j] for i in range(cin) for j in range(k)
             )
     assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+
+
+@pytest.mark.parametrize("module", ["physden", *(f"physden.{m.name}"
+                                                  for m in pkgutil.iter_modules(physden.__path__))])
+def test_every_exported_name_exists(module):
+    # A deleted function or op must not stay behind in its module's __all__.
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

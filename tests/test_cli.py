@@ -102,6 +102,32 @@ def test_missing_config_file(capsys, tmp_path):
     assert "config file not found" in capsys.readouterr().err
 
 
+def _config_reader(path):
+    return _load_config(build_parser().parse_args(["simulate", "--config", str(path)]))
+
+
+@pytest.mark.parametrize("reader, kind", [(_config_reader, "config"), (load_manifest, "manifest")])
+def test_repeated_key_is_an_error_naming_the_file(tmp_path, reader, kind):
+    ini = tmp_path / "twice.ini"
+    ini.write_text("[data]\nfamily = hvac\nfamily = co2\n")
+    with pytest.raises(ValueError) as err:
+        reader(ini)
+    assert str(err.value) == (f"{ini}: {kind} is not an INI file (While reading from '{ini}' [line 3]: "
+                              "option 'family' in section 'data' already exists)")
+
+
+@pytest.mark.parametrize("reader, kind", [(_config_reader, "config"), (load_manifest, "manifest"),
+                                          (load_csv, "window CSV")])
+def test_not_text_error_gives_the_bad_bytes_offset_in_the_file(tmp_path, reader, kind):
+    # Past the text reader's first 8 KiB chunk, whose offsets restart at each chunk.
+    text = b"[data]\n# " + b"x" * 20000 + b"\n"
+    path = tmp_path / "late.bin"
+    path.write_bytes(text + b"\xff\n")
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: {kind} is not text (invalid start byte at offset {len(text)})"
+
+
 def test_train_requires_manifest(capsys):
     assert main(["train"]) == 1
     assert "[data] manifest" in capsys.readouterr().err
@@ -485,7 +511,7 @@ def test_denoise_rejects_a_window_at_another_dt(capsys, tmp_path, workspace):
 
 
 # ---------------------------------------------------------------------------
-# Boundary sweep: one mutated checkpoint or --set value per run
+# Boundary sweep: one mutated checkpoint, window CSV or --set value per run
 
 
 def _checkpoint_mutations(arrays):
@@ -527,6 +553,24 @@ def _mutated_checkpoint(arrays, path, action, key, arg):
         path.write_bytes(raw[:arg % len(raw)])
 
 
+def _input_mutations(header):
+    """One change to a valid window CSV: ("input", "truncate", None, byte) or ("input", "drop", column, None)."""
+    return st.one_of(
+        st.tuples(st.just("input"), st.just("truncate"), st.none(), st.integers(0, 10**5)),
+        st.tuples(st.just("input"), st.just("drop"), st.sampled_from(header), st.none()),
+    )
+
+
+def _mutated_input(raw, path, action, key, arg):
+    if action == "truncate":
+        path.write_bytes(raw[:arg % (len(raw) + 1)])
+        return
+    rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+    j = rows[0].index(key)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)
+
+
 # Each command the sweep runs, with the --set items of a valid run and the
 # keys a drawn item overrides; later --set items win. bias-demo and denoise run
 # only as explicit examples: a valid demo trains for seconds, and the checkpoint
@@ -555,6 +599,11 @@ def _set_mutations(draw):
 def sweep_checkpoint(workspace):
     with np.load(workspace["checkpoint"]) as bundle:
         return dict(bundle)
+
+
+@pytest.fixture(scope="module")
+def sweep_input(workspace):
+    return noisy_csvs(workspace)[0].read_bytes()
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -600,17 +649,27 @@ def sweep_checkpoint(workspace):
 @example(mutation=("set", "train", ("data.manifest={checkpoint}",)), names="model.npz: manifest is not text")
 @example(mutation=("set", "denoise", ("data.input={checkpoint}",)), names="model.npz: window CSV is not text")
 @example(mutation=("set", "simulate", ("--config={checkpoint}",)), names="model.npz: config is not text")
+@example(mutation=("set", "simulate", ("--config={sim_data}/noisy_000.csv",)),
+         names="noisy_000.csv: config is not an INI file")
+@example(mutation=("set", "train", ("data.manifest={sim_data}/noisy_000.csv",)),
+         names="noisy_000.csv: manifest is not an INI file")
+@example(mutation=("input", "drop", "t_sa", None), names="input.csv: input lacks channels: t_sa")
+@example(mutation=("input", "drop", "t", None), names="input.csv:1: header must start with 't'")
+@example(mutation=("input", "truncate", None, 0), names="input.csv:1: empty file")
 @example(mutation=("set", "simulate", ("data.seed=-1",)), names="seed must be >= 0")
 @example(mutation=("set", "train", ("train.seed=-1",)), names="seed must be >= 0")
 @example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="[gradcheck] seed must be >= 0")
 @example(mutation=("set", "bias-demo", ("demo.seed=-1",)), names="[demo] seed must be >= 0")
-def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, tmp_path_factory, mutation, names):
+def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, sweep_input, tmp_path_factory,
+                                            mutation, names):
     """A mutated input exits 0, or 1 with one error: line, no traceback and no run directory.
 
     An explicit example also names what its error line must mention, and must exit 1.
     """
     if isinstance(mutation, st.DataObject):
-        mutation = mutation.draw(st.one_of(_checkpoint_mutations(sweep_checkpoint), _set_mutations()))
+        header = sweep_input.decode().splitlines()[0].split(",")
+        mutation = mutation.draw(st.one_of(_checkpoint_mutations(sweep_checkpoint), _set_mutations(),
+                                           _input_mutations(header)))
     root = tmp_path_factory.mktemp("sweep")
     run_dir = root / "run"
     if mutation[0] == "checkpoint":
@@ -618,6 +677,11 @@ def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, tmp_pa
         _mutated_checkpoint(sweep_checkpoint, checkpoint, *mutation[1:])
         args = ["denoise", "--set", f"model.checkpoint={checkpoint}",
                 "--set", f"data.input={noisy_csvs(workspace)[0]}"]
+    elif mutation[0] == "input":
+        input_csv = root / "input.csv"
+        _mutated_input(sweep_input, input_csv, *mutation[1:])
+        args = ["denoise", "--set", f"model.checkpoint={workspace['checkpoint']}",
+                "--set", f"data.input={input_csv}"]
     else:
         _, command, items = mutation
         valid, _ = _SWEEP_COMMANDS[command]

@@ -12,7 +12,7 @@ from physden.data import (
     save_dataset,
     split_by_alignment,
 )
-from physden.gradcheck import _residual_case, check_gradient
+from physden.gradcheck import _CASES, _residual_case, check_gradient
 from physden.metrics import evaluate
 from physden.model import denoise
 from physden.physics import (
@@ -22,6 +22,7 @@ from physden.physics import (
     SampleWindow,
     default_channel_map,
     exclusive_prefix_sum_values,
+    residual_hvac,
     stacked_residual,
     window_residuals,
 )
@@ -130,3 +131,23 @@ def test_added_family_residual_node_passes_gradcheck(tank, shape):
     assert [node.op for node in tape.nodes] == ["residual_tank"]
     fn, inputs = _residual_case(rng, "tank", env, values)
     assert check_gradient(fn, inputs) <= 1e-5
+
+
+def residual_hvac_t_mix_sign_flipped(t_sa, t_mix, dq, env):
+    """residual_hvac with its t_mix gradient negated."""
+    out, vjp = residual_hvac(t_sa, t_mix, dq, env)
+
+    def wrong(g):
+        g_sa, g_mix, g_dq = vjp(g)
+        return g_sa, -g_mix, g_dq
+
+    return out, wrong
+
+
+def test_gradcheck_probe_catches_a_flipped_vjp_term(monkeypatch):
+    cases = [_CASES["residual_hvac"](np.random.default_rng(seed)) for seed in range(5)]
+    assert max(check_gradient(fn, inputs) for fn, inputs in cases) <= 1e-5
+    monkeypatch.setitem(FAMILIES, "hvac", dataclasses.replace(
+        FAMILIES["hvac"], residual=residual_hvac_t_mix_sign_flipped))
+    # The t_mix entries' analytic and numeric gradients have opposite signs.
+    assert min(check_gradient(fn, inputs) for fn, inputs in cases) > 0.5

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from physden.autodiff import Tape, Tensor, backward, mul, reduce_sum
+from physden.autodiff import Tape, Tensor, backward
 from physden.data import (
     SimulateConfig,
     generate_dataset,
     load_csv,
     save_csv,
 )
-from physden.gradcheck import _CASES, check_gradient
+from physden.gradcheck import _CASES, _half_sse, check_gradient
 from physden.physics import (
     RESIDUAL_BLOCK,
     FAMILIES,
@@ -392,8 +392,10 @@ def test_co2_c_out_gradient_hand_values():
     spec = PhysicsSpec("co2", env, default_channel_map("co2", FAMILIES["co2"].channels))
     rows = [[400.0] * 3, [401.0] * 3, [0.5] * 3, [420.0] * 3, [2.0] * 3]
     x = Tensor(np.array(rows), requires_grad=True)
+    # residual[t] = (401 - 420) v dt t - n q dt t = -31 t, so the probe's target
+    # residual - w makes its upstream weights w = [10, 20, 40] exactly.
     with Tape() as tape:
-        loss = reduce_sum(mul(stacked_residual(x, spec), Tensor([[10.0, 20.0, 40.0]])))
+        loss = _half_sse(stacked_residual(x, spec), np.array([[0.0, -31.0, -62.0]]) - [10.0, 20.0, 40.0])
     later = np.array([60.0, 40.0, 0.0]) * 2.0
     assert np.array_equal(backward(loss, tape)[x],
                           [[640.0, 1280.0, 2560.0], later * 0.5, later * (401.0 - 420.0),
@@ -523,11 +525,14 @@ def test_stacked_residual_gradient_routing():
                            {name: int(row) for name, row in zip(record.channels, rows)})
         out, vjp = record.residual(*(values[[record.channels.index(n) for n in names]]
                                      for names in record.groups), ds.spec.environment)
-        g = rng.uniform(-1.0, 1.0, size=out.shape)
-        g[..., 0] = -0.0
+        # gradcheck's probe against out - w hands the node the cotangent g = out - (out - w),
+        # which is +0.0 in the first column.
+        target = out - rng.uniform(-1.0, 1.0, size=out.shape)
+        target[..., 0] = out[..., 0]
+        g = out - target
         x = Tensor(block, requires_grad=True)
         with Tape() as tape:
-            loss = reduce_sum(mul(stacked_residual(x, spec), Tensor(g)))
+            loss = _half_sse(stacked_residual(x, spec), target)
         grad = backward(loss, tape)[x]
         assert np.all(grad[rows[c]] == 0.0) and not np.any(np.signbit(grad[rows[c]]))
         negative_zeros = 0
@@ -536,7 +541,8 @@ def test_stacked_residual_gradient_routing():
             assert mapped.tobytes() == (0.0 + g_group).tobytes()
             negative_zeros += np.count_nonzero((g_group == 0.0) & np.signbit(g_group))
             assert not np.any(np.signbit(mapped[g_group == 0.0]))
-        # The scalar families pass g's -0.0 column straight to a group.
+        # A scalar family's VJP negates a zero into some group's -0.0: hvac g's
+        # +0.0 column, co2 the empty sum after the last step.
         assert family == "ins" or negative_zeros > 0
 
 
@@ -609,7 +615,7 @@ def test_physics_loss_matches_stacked_mean_square():
     )
     r = stacked_residual(Tensor(window.values), spec).data
     assert phys_mse(window, spec) == float(np.mean(r * r))
-    assert physics_loss_tensor(Tensor(window.values), spec).item() == float(np.mean(r * r))
+    assert float(physics_loss_tensor(Tensor(window.values), spec).data) == float(np.mean(r * r))
 
 
 def test_physics_loss_rejects_dt_mismatch():

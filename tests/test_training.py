@@ -10,14 +10,14 @@ import pytest
 
 import physden
 import physden.training as training_mod
-from physden.autodiff import Tensor, mul, reduce_sum
+from physden.autodiff import Tensor
 from physden.data import (
     NoiseSpec,
     SimulateConfig,
     compute_norm_stats,
     generate_dataset,
 )
-from physden.gradcheck import check_gradient
+from physden.gradcheck import _probe, check_gradient
 from physden.model import denoise, merge_denoised
 from physden.physics import (
     FAMILIES,
@@ -269,8 +269,8 @@ def test_merge_denoised_values_and_gradient(batch, residual):
         assert np.array_equal(out[row], ((y[j] + z[j]) if residual else y[j]) * std[j] + mean[j])
     for row in (0, 2, 4):
         assert np.array_equal(out[row], base[row])
-    w = Tensor(rng.normal(size=base.shape))
-    fn = lambda xs: reduce_sum(mul(merge_denoised(xs[0], z, base, rows, mean, std), w))
+    w = rng.normal(size=base.shape)
+    fn = _probe(lambda xs: merge_denoised(xs[0], z, base, rows, mean, std), [y], w)
     assert check_gradient(fn, [y]) <= 1e-5
 
 
