@@ -7,6 +7,9 @@ One `name sha256` line per output:
   the split and the norm stats;
 - a 2-epoch GATE_TRAIN training on GATE_DATA: its trained parameters, its
   log rows, and its test split after model.denoise;
+- a 2-epoch BIAS_DEMO_TRAIN training (batch 16, both epochs with the
+  physics term) on the bias demo's 48 hvac windows at eta 0.5: its trained
+  parameters and its log rows;
 - 4 ins windows of 100 steps after model.denoise by the serve-shape model
   (7 -> 128/256/128 -> 7 channels, 271,623 parameters) initialised from seed 1.
 It uses only library names that have stood since the co2 driver rows became
@@ -33,7 +36,7 @@ import numpy as np
 from physden.data import SimulateConfig, generate_dataset
 from physden.model import Denoiser, denoise, init_params
 from physden.physics import DENOISE_CHANNELS
-from physden.training import GATE_DATA, GATE_TRAIN, train
+from physden.training import BIAS_DEMO_TRAIN, GATE_DATA, GATE_TRAIN, train
 
 
 def sha256(parts) -> str:
@@ -69,6 +72,12 @@ def digests() -> list[tuple[str, str]]:
     lines.append(("gate_train_2epochs_log", sha256([dataclasses.astuple(row) for row in result.log])))
     denoised = [denoise(result.denoiser, w) for w in gate.test_windows]
     lines.append(("gate_train_2epochs_denoised", sha256([w.values for w in denoised])))
+
+    demo = generate_dataset(SimulateConfig(family="hvac", count=48, duration=47 * 60.0, dt=60.0, seed=11,
+                                           noise_kind="gaussian", noise_scale=0.15, bias_frac={"t_sa": 0.5}))
+    result = train(demo.windows, demo.spec, dataclasses.replace(BIAS_DEMO_TRAIN, epochs_total=2))
+    lines.append(("bias_demo_train_2epochs_params", sha256([t.data for t in result.params.all_tensors()])))
+    lines.append(("bias_demo_train_2epochs_log", sha256([dataclasses.astuple(row) for row in result.log])))
 
     serve = generate_dataset(SimulateConfig(family="ins", count=4, duration=0.99, dt=0.01, seed=1,
                                             noise_scale=0.2))

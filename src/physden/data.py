@@ -26,8 +26,8 @@ from .physics import (
     SampleWindow,
     _check_finite,
     check_window,
-    default_channel_map,
     get_family,
+    same_dt,
     window_residuals,
 )
 
@@ -237,10 +237,10 @@ def _check_split(split: tuple[list[int], list[int]], n_windows: int) -> None:
 def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[SampleWindow],
              split: tuple[list[int], list[int]] | None = None,
              denoise_channels: Sequence[str] = ()) -> Dataset:
-    """A Dataset of observed windows: the family's channel map by name, the
+    """A Dataset of observed windows: a spec over window 0's channels, the
     given split (by default split_by_alignment) and the train split's norm stats.
     Every window must pass check_window, with a given split as without."""
-    spec = PhysicsSpec(family, environment, default_channel_map(family, windows[0].channels))
+    spec = PhysicsSpec(family, environment, windows[0].channels)
     if split is None:
         split = split_by_alignment(windows, spec)  # which checks each window
     else:
@@ -456,7 +456,10 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
 
 
 def load_manifest(path) -> Dataset:
-    """Rebuild a Dataset from a manifest.ini written by save_dataset."""
+    """Rebuild a Dataset from a manifest.ini written by save_dataset.
+
+    Each clean window must have its noisy window's channels, dt and length.
+    """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"manifest not found: {path}")
@@ -499,7 +502,13 @@ def load_manifest(path) -> Dataset:
         windows.append(window(key))
         clean_key = f"clean_{i:03d}"
         if clean_key in cfg["windows"]:
-            clean.append(window(clean_key))
+            ref, w = window(clean_key), windows[-1]
+            # A reference at another interval or length is no reference for recon_mse.
+            if ref.n_timesteps != w.n_timesteps or not same_dt(ref.dt, w.dt):
+                raise ValueError(f"{base / cfg['windows'][clean_key]}: {ref.n_timesteps} timesteps at dt "
+                                 f"{ref.dt} differ from {base / cfg['windows'][key]}'s {w.n_timesteps} "
+                                 f"at dt {w.dt}")
+            clean.append(ref)
 
     if clean and len(clean) != count:
         raise ValueError(f"{path}: expected 0 or {count} clean windows, got {len(clean)}")

@@ -30,7 +30,6 @@ from .physics import (
     InsEnvironment,
     FAMILIES,
     PhysicsSpec,
-    default_channel_map,
     stacked_residual,
 )
 
@@ -117,7 +116,7 @@ def _residual_case(
     rng: np.random.Generator, family: str, env, vals: np.ndarray
 ) -> tuple[Callable, list[np.ndarray]]:
     """The family's residual rows probed with weights drawn last in the residual's shape."""
-    spec = PhysicsSpec(family, env, default_channel_map(family, FAMILIES[family].channels))
+    spec = PhysicsSpec(family, env, FAMILIES[family].channels)
     w = rng.uniform(-1.0, 1.0, size=stacked_residual(vals, spec).shape)
     return _probe(lambda xs: stacked_residual(xs[0], spec), [vals], w), [vals]
 

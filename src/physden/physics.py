@@ -47,7 +47,6 @@ __all__ = [
     "FAMILIES",
     "get_family",
     "PhysicsSpec",
-    "default_channel_map",
     "time_derivative",
     "exclusive_prefix_sum_values",
     "residual_ins",
@@ -400,21 +399,20 @@ def residual_hvac(t_sa, t_mix, dq, env: HvacEnvironment):
 
 
 def _sum_of_modes(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k amp[...,k] sin(2 pi freq[...,k] t + phase[...,k]), shape (..., len(t)).
+    """sum_k amp[...,k] sin(2 pi freq[...,k] t + phase[...,k]), shape amp.shape[:-1] + (len(t),).
 
-    Modes are added one at a time in order, as np.sum over a mode axis adds
-    them, so no (..., modes, T) block is held.
+    amp may have leading axes that freq and phase lack, one amplitude set
+    each over the same sines, so each mode's sine is evaluated once. Modes
+    are added one at a time in order, in place, as np.sum over a mode axis
+    adds them, so no (..., modes, T) block is held.
     """
-    total = None
-    for k in range(amp.shape[-1]):
-        term = amp[..., k, None] * np.sin(2.0 * np.pi * freq[..., k, None] * t + phase[..., k, None])
-        total = term if total is None else total + term
+    def mode(k):
+        return amp[..., k, None] * np.sin(2.0 * np.pi * freq[..., k, None] * t + phase[..., k, None])
+
+    total = mode(0)
+    for k in range(1, amp.shape[-1]):
+        total += mode(k)
     return total
-
-
-def _sum_of_modes_ddot(amp: np.ndarray, freq: np.ndarray, phase: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Second time derivative of _sum_of_modes."""
-    return _sum_of_modes(-amp * (2.0 * np.pi * freq) ** 2, freq, phase, t)
 
 
 def _timesteps(duration: float, dt: float) -> int:
@@ -445,33 +443,31 @@ def simulate_ins(duration: float, env: InsEnvironment, seeds: Sequence, motion_s
     by the residual's own conjugation Im(conj(q) (0, p_ddot - g0) q), so the
     specific-force residual carries only the O(dt^2) stencil truncation.
 
-    Each window draws its mode coefficients from its own generator (amplitude,
-    frequency, phase of position, then of angular rate), and every window runs
-    in the same block operations: each step's exponential is one block (Solà,
-    arXiv:1711.02508, section 4), the q recurrence is one Hamilton product per
-    step on length-B arrays, renormalised with residual_ins's norm, and the
-    accelerometer rows are one block conjugation. Every operation is
+    Each window draws its mode coefficients in one call of its own generator
+    (amplitude, frequency, phase of position, then of angular rate), and every
+    window runs in the same block operations: each step's exponential is one
+    block (Solà, arXiv:1711.02508, section 4), the q recurrence is one
+    Hamilton product per step on length-B arrays, renormalised with
+    residual_ins's norm, and the accelerometer rows are one block conjugation. Every operation is
     elementwise and none goes through BLAS, so each window is bitwise the
     window simulated alone.
     """
     dt = env.dt
     t_len = _timesteps(duration, dt)
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append([
-            rng.uniform(lo, hi, size=(3, n_modes))
-            for scale in (motion_scale, rotation_scale)
-            for lo, hi in ((-scale, scale), (0.05, 0.4), (0.0, 2.0 * np.pi))
-        ])
+    lo, hi = np.array([bounds for scale in (motion_scale, rotation_scale)
+                       for bounds in ((-scale, scale), (0.05, 0.4), (0.0, 2.0 * np.pi))]).T[..., None, None]
+    draws = np.array([np.random.default_rng(seed).uniform(lo, hi, size=(6, 3, n_modes)) for seed in seeds])
     # 3 x B x n_modes each: a channel x window block, as the residual takes.
-    amp_p, freq_p, phase_p, amp_w, freq_w, phase_w = (np.stack(c, axis=1) for c in zip(*draws))
+    amp_p, freq_p, phase_p, amp_w, freq_w, phase_w = draws.transpose(1, 2, 0, 3)
 
     n_win = len(draws)
     values = np.empty((n_win, 13, t_len))  # the windows' p, q, w, a rows, B x C x T
     p, q, w, a = np.split(values.transpose(1, 0, 2), [3, 7, 10])  # C x B x T views
     t = np.arange(t_len) * dt
-    p[...] = _sum_of_modes(amp_p, freq_p, phase_p, t)
+    # Position and its analytic second derivative over the same sines; a holds p_ddot until the
+    # accelerometer rows replace it.
+    amp_pdd = -amp_p * (2.0 * np.pi * freq_p) ** 2
+    p[...], a[...] = _sum_of_modes(np.stack([amp_p, amp_pdd]), freq_p, phase_p, t)
     w[...] = _sum_of_modes(amp_w, freq_w, phase_w, t)
 
     steps = quat_exp(0.5 * dt * w[:, :, :-1].reshape(3, -1)).reshape(4, n_win, t_len - 1)
@@ -483,7 +479,7 @@ def simulate_ins(duration: float, env: InsEnvironment, seeds: Sequence, motion_s
         n = np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
         qk = (qw / n, qx / n, qy / n, qz / n)
         q[:, :, k + 1] = qk
-    v = _sum_of_modes_ddot(amp_p, freq_p, phase_p, t) - env.gravity[:, None, None]
+    v = a - env.gravity[:, None, None]
     conj = (q[0], -q[1], -q[2], -q[3])
     a[...] = hamilton_rows(hamilton_rows(conj, (0.0, *v)), q)[1:]
     return _windows(env, values)
@@ -543,13 +539,11 @@ def simulate_hvac(duration: float, env: HvacEnvironment, seeds: Sequence) -> lis
         raise ValueError("simulate_hvac: degenerate environment, m*c is zero")
     dt = env.dt
     t_len = _timesteps(duration, dt)
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append([rng.uniform(lo, hi, size=3) for amp in (2.0, 2000.0)
-                      for lo, hi in ((-amp, amp), (0.2, 2.0), (0.0, 2.0 * np.pi))])
+    lo, hi = np.array([bounds for amp in (2.0, 2000.0)
+                       for bounds in ((-amp, amp), (0.2, 2.0), (0.0, 2.0 * np.pi))]).T[..., None]
+    draws = np.array([np.random.default_rng(seed).uniform(lo, hi, size=(6, 3)) for seed in seeds])
     # B x 3 each: mixed-air temperature modes, then coil power modes.
-    amp_m, freq_m, phase_m, amp_q, freq_q, phase_q = (np.array(c) for c in zip(*draws))
+    amp_m, freq_m, phase_m, amp_q, freq_q, phase_q = draws.transpose(1, 0, 2)
     freq_m, freq_q = freq_m / (t_len * dt), freq_q / (t_len * dt)
     t = np.arange(t_len) * dt
     t_mix = 295.0 + _sum_of_modes(amp_m, freq_m, phase_m, t)
@@ -618,32 +612,23 @@ def get_family(name: str) -> Family:
     return FAMILIES[name]
 
 
-def default_channel_map(family: str, channels: Sequence[str]) -> dict[str, int]:
-    """Map the family's residual symbols onto rows of a channel list by name."""
-    names = get_family(family).channels
-    missing = [name for name in names if name not in channels]
-    if missing:
-        raise ValueError(f"{family} residual needs missing channels: {', '.join(missing)}")
-    return {name: list(channels).index(name) for name in names}
-
-
 @dataclass
 class PhysicsSpec:
-    """Which residual family applies, with its environment and channel wiring."""
+    """Which residual family applies, with its environment and the channels of the blocks it reads.
+
+    channels names a block's rows in order; each residual symbol is read from the row of its name.
+    """
 
     family: str
     environment: object  # an instance of the family's environment type
-    channel_map: dict[str, int]
+    channels: tuple[str, ...]
 
     def __post_init__(self):
         self.family = str(self.family).lower()
-        names = get_family(self.family).channels
-        missing = [n for n in names if n not in self.channel_map]
+        self.channels = tuple(str(c) for c in self.channels)
+        missing = [name for name in get_family(self.family).channels if name not in self.channels]
         if missing:
-            raise ValueError(f"channel_map for {self.family} is missing symbols: {', '.join(missing)}")
-        rows = [self.channel_map[n] for n in names]
-        if len(set(rows)) < len(rows):
-            raise ValueError(f"channel_map for {self.family} points two symbols at one row: {rows}")
+            raise ValueError(f"{self.family} residual needs missing channels: {', '.join(missing)}")
 
     @property
     def dt(self) -> float:
@@ -661,20 +646,19 @@ def stacked_residual(values, spec: PhysicsSpec) -> Tensor:
     orientation-rate rows (4); the scalar families return their single row.
     Each of the family's channel groups is read from its rows of the block as
     one array argument of its residual. The node's VJP adds each group's
-    gradient into its rows of one zero block; PhysicsSpec keeps the rows
-    distinct, so a mapped entry is 0.0 + g and an unmapped one 0.0. Each
+    gradient into its rows of one zero block; distinct symbols have distinct
+    names and so distinct rows, so a symbol's entry is 0.0 + g and any other
+    row's 0.0. Each
     window of a c x B x T block gets the residual it gets on its own.
     """
     values = _as_tensor(values)
     if values.data.ndim not in (2, 3):
         raise ValueError(f"stacked_residual: expected c x [B x] T values, got {values.data.shape}")
     family = FAMILIES[spec.family]
-    n_rows = values.data.shape[0]
-    for name in family.channels:
-        row = spec.channel_map[name]
-        if not 0 <= row < n_rows:
-            raise ValueError(f"channel_map points {name!r} at row {row}, but the window has {n_rows} rows")
-    groups = [[spec.channel_map[name] for name in names] for names in family.groups]
+    if values.data.shape[0] != len(spec.channels):
+        raise ValueError(f"stacked_residual: the spec names {len(spec.channels)} channels, "
+                         f"but the block has {values.data.shape[0]} rows")
+    groups = [[spec.channels.index(name) for name in names] for names in family.groups]
     out, group_vjp = family.residual(*(values.data[rows] for rows in groups), spec.environment)
 
     def vjp(g):
@@ -702,16 +686,16 @@ def window_residuals(windows: Sequence[SampleWindow], spec: PhysicsSpec) -> list
 
     The one evaluation behind the physics loss, the alignment split, the
     evaluation metrics and the CLI's self-check; every window must pass
-    check_window. Windows of one shape and channel layout are stacked,
-    RESIDUAL_BLOCK at a time, into C x B x T blocks, each one stacked_residual
-    call; every window gets the residual it gets on its own, as its own
-    contiguous array.
+    check_window, so all carry the spec's channels. Windows of one shape are
+    stacked, RESIDUAL_BLOCK at a time, into C x B x T blocks, each one
+    stacked_residual call; every window gets the residual it gets on its own,
+    as its own contiguous array.
     """
     for window in windows:
         check_window(window, spec)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, window in enumerate(windows):
-        groups.setdefault((window.values.shape, tuple(window.channels)), []).append(i)
+        groups.setdefault(window.values.shape, []).append(i)
     out: list[np.ndarray] = [None] * len(windows)
     for members in groups.values():
         for lo in range(0, len(members), RESIDUAL_BLOCK):
@@ -730,12 +714,9 @@ def same_dt(a: float, b: float) -> bool:
 
 def check_window(window: SampleWindow, spec: PhysicsSpec) -> None:
     """Reject a window sampled at another rate than the environment's (residuals
-    scale with dt), or one whose mapped rows do not carry their symbols' names."""
+    scale with dt), or one whose channels are not the spec's, in its order."""
     if not same_dt(window.dt, spec.dt):
         raise ValueError(f"window dt {window.dt} does not match environment dt {spec.dt}")
-    for name in FAMILIES[spec.family].channels:
-        row = spec.channel_map[name]
-        if not 0 <= row < len(window.channels) or window.channels[row] != name:
-            raise ValueError(f"channel_map points {name!r} at row {row}, but the window's "
-                             f"channels are {', '.join(window.channels)}")
-
+    if tuple(window.channels) != spec.channels:
+        raise ValueError(f"window channels {', '.join(window.channels)} differ from "
+                         f"the spec's {', '.join(spec.channels)}")

@@ -228,8 +228,8 @@ def train(
     are reconstruction-only (phase 1, residual never evaluated); the rest
     add the weighted residual (phase 2). Windows are shuffled each epoch and
     batched; a batch runs as one channel x window x time block, so all
-    windows must share one channel layout and one length and pass
-    check_window, and each batch loss is a mean over all of its windows' entries.
+    windows must pass check_window (the spec's channels) and share one
+    length, and each batch loss is a mean over all of its windows' entries.
     All randomness (init, shuffling, injected noise) derives from cfg.seed,
     so runs repeat bitwise. Raises TrainingAborted on non-finite loss or
     gradient, carrying the last epoch-end parameters.
@@ -237,26 +237,23 @@ def train(
     windows = list(windows)
     if not windows:
         raise ValueError("train: need at least one window")
-    layout = windows[0].channels
     t_len = windows[0].n_timesteps
     for i, w in enumerate(windows):
-        if w.channels != layout:
-            raise ValueError("train: all windows must share one channel layout")
+        check_window(w, spec)
         if w.n_timesteps != t_len:
             raise ValueError(f"train: window {i} has length {w.n_timesteps}, window 0 has {t_len}")
-        check_window(w, spec)
     if denoise_channels is None:
         denoise_channels = FAMILIES[spec.family].denoise
     denoise_channels = [str(c) for c in denoise_channels]
     if len(set(denoise_channels)) != len(denoise_channels):
         raise ValueError(f"train: denoise channels must be distinct, got {', '.join(denoise_channels)}")
-    missing = [c for c in denoise_channels if c not in layout]
+    missing = [c for c in denoise_channels if c not in spec.channels]
     if missing:
         raise ValueError(f"train: windows lack denoise channels: {', '.join(missing)}")
     if norm_stats is None:
         norm_stats = compute_norm_stats(windows)
     mean, std = norm_stats.subset(denoise_channels)
-    den_idx = [layout.index(c) for c in denoise_channels]
+    den_idx = [spec.channels.index(c) for c in denoise_channels]
 
     seed_init, seed_shuffle, seed_noise = np.random.SeedSequence(cfg.seed).spawn(3)
     params = init_params(len(den_idx), cfg.widths, np.random.default_rng(seed_init))

@@ -29,7 +29,6 @@ from physden.physics import (
     InsEnvironment,
     PhysicsSpec,
     SampleWindow,
-    default_channel_map,
     simulate_co2,
     simulate_hvac,
     simulate_ins,
@@ -53,7 +52,7 @@ def spec_for(family, window, env):
     return PhysicsSpec(
         family=family,
         environment=env,
-        channel_map=default_channel_map(family, window.channels),
+        channels=window.channels,
     )
 
 
@@ -175,7 +174,7 @@ def test_criterion_7_alignment_split_rule():
     names = list(FAMILIES["hvac"].channels)
     units = list(FAMILIES["hvac"].units)
     spec = PhysicsSpec(family="hvac", environment=env,
-                       channel_map=default_channel_map("hvac", names))
+                       channels=names)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),

@@ -459,6 +459,28 @@ def test_denoise_honors_output_file(monkeypatch, tmp_path, workspace):
     assert not (tmp_path / "out").exists()
 
 
+def test_denoise_keeps_the_input_column_order(tmp_path, workspace):
+    plain = noisy_csvs(workspace)[0]
+    w = load_csv(plain)
+    order = [w.channels.index(c) for c in ("dq", "t_sa", "t_mix")]
+    swapped = tmp_path / "swapped.csv"
+    save_csv(SampleWindow([w.channels[i] for i in order], w.values[order], w.dt, w.units), swapped)
+    outputs = []
+    for name, input_csv in (("plain", plain), ("swapped", swapped)):
+        rc = main([
+            "denoise",
+            "--run-dir", str(tmp_path / name),
+            "--set", f"model.checkpoint={workspace['checkpoint']}",
+            "--set", f"data.input={input_csv}",
+        ])
+        assert rc == 0
+        outputs.append(load_csv(tmp_path / name / "denoised.csv"))
+    restored, restored_swapped = outputs
+    assert restored_swapped.channels == ["dq", "t_sa", "t_mix"]
+    assert restored_swapped.values.tobytes() == restored.values[order].tobytes()
+    assert not np.array_equal(restored.values, w.values)
+
+
 def test_denoise_rejects_missing_channels(capsys, tmp_path, workspace):
     # an ins-shaped CSV lacks the hvac channels the checkpoint reconstructs
     bad = tmp_path / "bad.csv"
@@ -511,7 +533,8 @@ def test_denoise_rejects_a_window_at_another_dt(capsys, tmp_path, workspace):
 
 
 # ---------------------------------------------------------------------------
-# Boundary sweep: one mutated checkpoint, window CSV or --set value per run
+# Boundary sweep: one mutated checkpoint, window CSV (denoise's input or a
+# manifest's, through eval) or --set value per run
 
 
 def _checkpoint_mutations(arrays):
@@ -553,22 +576,48 @@ def _mutated_checkpoint(arrays, path, action, key, arg):
         path.write_bytes(raw[:arg % len(raw)])
 
 
-def _input_mutations(header):
-    """One change to a valid window CSV: ("input", "truncate", None, byte) or ("input", "drop", column, None)."""
+def _window_changes(header):
+    """One change to a valid window CSV: ("truncate", None, byte), ("drop", column, None) or
+    ("swap", (column, column), None)."""
     return st.one_of(
-        st.tuples(st.just("input"), st.just("truncate"), st.none(), st.integers(0, 10**5)),
-        st.tuples(st.just("input"), st.just("drop"), st.sampled_from(header), st.none()),
+        st.tuples(st.just("truncate"), st.none(), st.integers(0, 10**5)),
+        st.tuples(st.just("drop"), st.sampled_from(header), st.none()),
+        st.tuples(st.just("swap"), st.lists(st.sampled_from(header), min_size=2, max_size=2,
+                                            unique=True).map(tuple), st.none()),
     )
 
 
+def _input_mutations(header):
+    """One change to denoise's input window CSV: ("input", action, key, argument)."""
+    return _window_changes(header).map(lambda change: ("input", *change))
+
+
+def _manifest_mutations(header, names):
+    """One change to one of a manifest's noisy window CSVs: ("manifest", file, action, key, argument)."""
+    return st.tuples(st.sampled_from(names), _window_changes(header)).map(
+        lambda m: ("manifest", m[0], *m[1]))
+
+
 def _mutated_input(raw, path, action, key, arg):
+    """Write the window CSV raw to path with one change; stretch scales the time column by arg, and
+    head keeps the header and the first arg data rows."""
     if action == "truncate":
         path.write_bytes(raw[:arg % (len(raw) + 1)])
         return
     rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
-    j = rows[0].index(key)
+    if action == "drop":
+        j = rows[0].index(key)
+        rows = [row[:j] + row[j + 1:] for row in rows]
+    elif action == "swap":
+        i, j = (rows[0].index(name) for name in key)
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
+    elif action == "stretch":
+        rows[1:] = [["%.17g" % (float(row[0]) * arg), *row[1:]] for row in rows[1:]]
+    elif action == "head":
+        rows = rows[:arg + 1]
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)
+        csv.writer(fh).writerows(rows)
 
 
 # Each command the sweep runs, with the --set items of a valid run and the
@@ -660,16 +709,27 @@ def sweep_input(workspace):
 @example(mutation=("set", "train", ("train.seed=-1",)), names="seed must be >= 0")
 @example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="[gradcheck] seed must be >= 0")
 @example(mutation=("set", "bias-demo", ("demo.seed=-1",)), names="[demo] seed must be >= 0")
+@example(mutation=("manifest", "noisy_001.csv", "truncate", None, 0), names="noisy_001.csv:1: empty file")
+@example(mutation=("manifest", "noisy_001.csv", "drop", "t_mix", None),
+         names="noisy_001.csv:1: missing channels: t_mix")
+@example(mutation=("manifest", "noisy_001.csv", "swap", ("t_sa", "dq"), None),
+         names="noisy_001.csv:1: columns dq,t_mix,t_sa differ from the first window's t_sa,t_mix,dq")
+@example(mutation=("manifest", "clean_001.csv", "stretch", None, 2.0),
+         names=("clean_001.csv: 31 timesteps at dt 120.0 differ from ", "noisy_001.csv's 31 at dt 60.0"))
+@example(mutation=("manifest", "clean_001.csv", "head", None, 25),
+         names=("clean_001.csv: 25 timesteps at dt 60.0 differ from ", "noisy_001.csv's 31 at dt 60.0"))
 def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, sweep_input, tmp_path_factory,
                                             mutation, names):
     """A mutated input exits 0, or 1 with one error: line, no traceback and no run directory.
 
-    An explicit example also names what its error line must mention, and must exit 1.
+    An explicit example also names what its error line must mention (one text, or a tuple of
+    texts), and must exit 1.
     """
     if isinstance(mutation, st.DataObject):
         header = sweep_input.decode().splitlines()[0].split(",")
+        noisy = [p.name for p in noisy_csvs(workspace)]
         mutation = mutation.draw(st.one_of(_checkpoint_mutations(sweep_checkpoint), _set_mutations(),
-                                           _input_mutations(header)))
+                                           _input_mutations(header), _manifest_mutations(header, noisy)))
     root = tmp_path_factory.mktemp("sweep")
     run_dir = root / "run"
     if mutation[0] == "checkpoint":
@@ -682,6 +742,13 @@ def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, sweep_
         _mutated_input(sweep_input, input_csv, *mutation[1:])
         args = ["denoise", "--set", f"model.checkpoint={workspace['checkpoint']}",
                 "--set", f"data.input={input_csv}"]
+    elif mutation[0] == "manifest":
+        data = root / "data"
+        shutil.copytree(workspace["sim_data"], data)
+        file = mutation[1]
+        _mutated_input((workspace["sim_data"] / file).read_bytes(), data / file, *mutation[2:])
+        args = ["eval", "--set", f"data.manifest={data / 'manifest.ini'}",
+                "--set", f"model.checkpoint={workspace['checkpoint']}"]
     else:
         _, command, items = mutation
         valid, _ = _SWEEP_COMMANDS[command]
@@ -699,7 +766,7 @@ def test_cli_exits_0_or_1_with_its_own_error(workspace, sweep_checkpoint, sweep_
         return
     assert rc == 1, lines
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert names is None or names in lines[0], lines
+    assert all(name in lines[0] for name in ((names,) if isinstance(names, str) else names or ())), lines
     assert not run_dir.exists()
 
 # ---------------------------------------------------------------------------

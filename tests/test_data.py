@@ -31,7 +31,6 @@ from physden.physics import (
     InsEnvironment,
     PhysicsSpec,
     SampleWindow,
-    default_channel_map,
     simulate_co2,
     simulate_hvac,
     simulate_ins,
@@ -49,7 +48,7 @@ def hvac_spec(env):
     return PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", FAMILIES["hvac"].channels),
+        channels=FAMILIES["hvac"].channels,
     )
 
 
@@ -520,6 +519,24 @@ def test_load_manifest_rejects_columns_in_another_order(tmp_path, name):
     # Read with window 0's channel map, that clean window would score phys_mse ~4.6e11, not 0.0.
     with pytest.raises(ValueError, match=f"{name}:1: columns dq,t_sa,t_mix differ from "
                                          "the first window's t_sa,t_mix,dq"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("dt", r"clean_001\.csv: 10 timesteps at dt 120\.0 differ from \S*noisy_001\.csv's 10 at dt 60\.0$"),
+    ("length", r"clean_001\.csv: 7 timesteps at dt 60\.0 differ from \S*noisy_001\.csv's 10 at dt 60\.0$"),
+], ids=["dt", "length"])
+def test_load_manifest_rejects_a_clean_window_at_another_dt_or_length(tmp_path, change, message):
+    ds = generate_dataset(SimulateConfig(family="hvac", count=4, duration=540.0, dt=60.0, seed=1))
+    manifest = save_dataset(ds, tmp_path / "run")
+    w = load_csv(tmp_path / "run" / "clean_001.csv")
+    if change == "dt":
+        w = SampleWindow(w.channels, w.values, 2 * w.dt, w.units)
+    else:
+        w = SampleWindow(w.channels, w.values[:, :7], w.dt, w.units)
+    save_csv(w, tmp_path / "run" / "clean_001.csv")
+    # Evaluated against this reference, the noisy window's recon_mse would compare other instants.
+    with pytest.raises(ValueError, match=message):
         load_manifest(manifest)
 
 

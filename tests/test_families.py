@@ -20,7 +20,6 @@ from physden.physics import (
     Family,
     PhysicsSpec,
     SampleWindow,
-    default_channel_map,
     exclusive_prefix_sum_values,
     residual_hvac,
     stacked_residual,
@@ -125,7 +124,7 @@ def test_added_family_residual_node_passes_gradcheck(tank, shape):
     rng = np.random.default_rng(4)
     env = TankEnvironment(dt=0.5, area=2.0, initial_level=0.3)
     values = rng.uniform(-1.0, 1.0, size=(3, *shape))
-    spec = PhysicsSpec("tank", env, default_channel_map("tank", TANK.channels))
+    spec = PhysicsSpec("tank", env, TANK.channels)
     with Tape() as tape:
         stacked_residual(Tensor(values, requires_grad=True), spec)
     assert [node.op for node in tape.nodes] == ["residual_tank"]

@@ -18,7 +18,6 @@ from physden.physics import (
     HvacEnvironment,
     PhysicsSpec,
     SampleWindow,
-    default_channel_map,
     physics_loss_tensor,
     simulate_hvac,
     stacked_residual,
@@ -30,7 +29,7 @@ def hvac_spec(env):
     return PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", FAMILIES["hvac"].channels),
+        channels=FAMILIES["hvac"].channels,
     )
 
 
@@ -91,8 +90,8 @@ def test_evaluate_rejects_a_window_whose_rows_are_in_another_order():
     order = [2, 0, 1]
     permuted = SampleWindow([window.channels[i] for i in order], window.values[order],
                             window.dt, [window.units[i] for i in order])
-    with pytest.raises(ValueError, match="channel_map points 't_sa' at row 0, "
-                                         "but the window's channels are dq, t_sa, t_mix"):
+    with pytest.raises(ValueError, match="^window channels dq, t_sa, t_mix differ from "
+                                         "the spec's t_sa, t_mix, dq$"):
         evaluate("x", [permuted], hvac_spec(env), clean=[permuted])
 
 

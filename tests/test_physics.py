@@ -22,7 +22,6 @@ from physden.physics import (
     InsEnvironment,
     PhysicsSpec,
     SampleWindow,
-    default_channel_map,
     exclusive_prefix_sum_values,
     hamilton_rows,
     hvac_heat_capacity_rate,
@@ -142,7 +141,7 @@ def test_quat_exp_of_a_block_is_each_columns_exponential():
 def test_zero_norm_quaternion_rejected_in_any_window():
     values = np.stack([stationary_ins_values(), stationary_ins_values()], axis=1)
     values[3:7, 1, 0] = 0.0  # the second window's first orientation sample
-    spec = PhysicsSpec("ins", InsEnvironment(dt=0.01), default_channel_map("ins", FAMILIES["ins"].channels))
+    spec = PhysicsSpec("ins", InsEnvironment(dt=0.01), FAMILIES["ins"].channels)
     with pytest.raises(ValueError, match="zero-norm"):
         stacked_residual(Tensor(values), spec)
 
@@ -207,7 +206,7 @@ def test_stationary_platform_residual_is_exactly_zero():
     spec = PhysicsSpec(
         family="ins",
         environment=env,
-        channel_map=default_channel_map("ins", FAMILIES["ins"].channels),
+        channels=FAMILIES["ins"].channels,
     )
     r = stacked_residual(Tensor(stationary_ins_values()), spec)
     assert r.data.shape == (7, 6)
@@ -312,7 +311,7 @@ def test_clean_ins_simulation_residual_is_small():
     spec = PhysicsSpec(
         family="ins",
         environment=env,
-        channel_map=default_channel_map("ins", window.channels),
+        channels=window.channels,
     )
     # Discretization floor only: orders of magnitude below signal power.
     assert phys_mse(window, spec) < 1e-4
@@ -378,7 +377,7 @@ def test_clean_co2_simulation_residual_is_exactly_zero():
     spec = PhysicsSpec(
         family="co2",
         environment=env,
-        channel_map=default_channel_map("co2", window.channels),
+        channels=window.channels,
     )
     assert np.any(window.row("occupants") > 0)
     assert phys_mse(window, spec) == 0.0
@@ -389,7 +388,7 @@ def test_co2_c_out_gradient_hand_values():
     # dt = 2, dL/dx[s] for each of those terms is its coefficient times 2 times
     # the sum of the upstream weights after s, and dL/dc_room[t] = V w[t].
     env = Co2Environment(room_volume=64.0, emission_rate=3.0, initial_ppm=400.0, dt=2.0)
-    spec = PhysicsSpec("co2", env, default_channel_map("co2", FAMILIES["co2"].channels))
+    spec = PhysicsSpec("co2", env, FAMILIES["co2"].channels)
     rows = [[400.0] * 3, [401.0] * 3, [0.5] * 3, [420.0] * 3, [2.0] * 3]
     x = Tensor(np.array(rows), requires_grad=True)
     # residual[t] = (401 - 420) v dt t - n q dt t = -31 t, so the probe's target
@@ -422,7 +421,7 @@ def test_clean_hvac_simulation_residual_is_exactly_zero():
     spec = PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", window.channels),
+        channels=window.channels,
     )
     assert phys_mse(window, spec) == 0.0
 
@@ -485,44 +484,48 @@ def test_channel_names_are_the_residual_groups_in_order():
 
 def test_physics_spec_normalizes_family_case():
     env = InsEnvironment(dt=0.01)
-    cmap = default_channel_map("ins", FAMILIES["ins"].channels)
-    spec = PhysicsSpec(family="INS", environment=env, channel_map=cmap)
+    spec = PhysicsSpec(family="INS", environment=env, channels=list(FAMILIES["ins"].channels))
     assert spec.family == "ins"
     assert spec.dt == 0.01
+    assert spec.channels == FAMILIES["ins"].channels
 
 
 def test_unknown_family_rejected():
     message = r"^unknown physics family 'acoustics'; expected one of \('ins', 'co2', 'hvac'\)$"
     with pytest.raises(ValueError, match=message):
-        default_channel_map("acoustics", ["a", "b"])
-    with pytest.raises(ValueError, match=message):
-        PhysicsSpec("acoustics", HvacEnvironment(dt=60.0), {"a": 0})
+        PhysicsSpec("acoustics", HvacEnvironment(dt=60.0), ("a", "b"))
 
 
 def test_channel_map_must_cover_family():
     env = HvacEnvironment(dt=60.0)
-    with pytest.raises(ValueError, match="t_mix"):
-        PhysicsSpec(family="hvac", environment=env, channel_map={"t_sa": 0, "dq": 1})
+    with pytest.raises(ValueError, match="^hvac residual needs missing channels: t_mix$"):
+        PhysicsSpec(family="hvac", environment=env, channels=("t_sa", "dq"))
+    with pytest.raises(ValueError, match="^ins residual needs missing channels: qw, wz$"):
+        PhysicsSpec("ins", InsEnvironment(dt=0.01), [c for c in FAMILIES["ins"].channels
+                                                     if c not in ("qw", "wz")])
 
 
-def test_channel_map_row_outside_window_rejected():
-    spec = PhysicsSpec("hvac", HvacEnvironment(dt=60.0), {"t_sa": 0, "t_mix": 1, "dq": 3})
-    with pytest.raises(ValueError, match="points 'dq' at row 3"):
-        stacked_residual(Tensor(np.zeros((3, 4))), spec)
+@pytest.mark.parametrize("rows", [2, 4])
+def test_stacked_residual_rejects_a_block_of_another_row_count(rows):
+    spec = PhysicsSpec("hvac", HvacEnvironment(dt=60.0), FAMILIES["hvac"].channels)
+    with pytest.raises(ValueError, match=f"the spec names 3 channels, but the block has {rows} rows"):
+        stacked_residual(Tensor(np.zeros((rows, 4))), spec)
 
 
 def test_stacked_residual_gradient_routing():
-    # Each family's channels on permuted rows of a block with one extra row.
+    # Each family's channels in a permuted layout with one spare channel.
     rng = np.random.default_rng(2)
     for family, record in FAMILIES.items():
         ds = generate_dataset(SimulateConfig(family=family, count=2, seed=1, noise_scale=0.2))
         values = np.stack([w.values for w in ds.windows], axis=1)
         c = values.shape[0]
-        rows = rng.permutation(c + 1)  # channel i on row rows[i]; row rows[c] is unmapped
+        rows = rng.permutation(c + 1)  # channel i on row rows[i]; row rows[c] is the spare
         block = np.full((c + 1, *values.shape[1:]), 5.0)
         block[rows[:c]] = values
-        spec = PhysicsSpec(family, ds.spec.environment,
-                           {name: int(row) for name, row in zip(record.channels, rows)})
+        layout = [None] * (c + 1)
+        for name, row in zip((*record.channels, "spare"), rows):
+            layout[row] = name
+        spec = PhysicsSpec(family, ds.spec.environment, layout)
         out, vjp = record.residual(*(values[[record.channels.index(n) for n in names]]
                                      for names in record.groups), ds.spec.environment)
         # gradcheck's probe against out - w hands the node the cotangent g = out - (out - w),
@@ -537,7 +540,7 @@ def test_stacked_residual_gradient_routing():
         assert np.all(grad[rows[c]] == 0.0) and not np.any(np.signbit(grad[rows[c]]))
         negative_zeros = 0
         for names, g_group in zip(record.groups, vjp(g)):
-            mapped = grad[[spec.channel_map[n] for n in names]]
+            mapped = grad[[layout.index(n) for n in names]]
             assert mapped.tobytes() == (0.0 + g_group).tobytes()
             negative_zeros += np.count_nonzero((g_group == 0.0) & np.signbit(g_group))
             assert not np.any(np.signbit(mapped[g_group == 0.0]))
@@ -546,25 +549,13 @@ def test_stacked_residual_gradient_routing():
         assert family == "ins" or negative_zeros > 0
 
 
-def test_channel_map_rejects_two_symbols_at_one_row():
-    cmap = default_channel_map("ins", FAMILIES["ins"].channels)
-    cmap["py"] = cmap["px"]
-    with pytest.raises(ValueError, match="points two symbols at one row"):
-        PhysicsSpec("ins", InsEnvironment(dt=0.05), cmap)
-
-
-def test_default_channel_map_reports_missing_channels():
-    with pytest.raises(ValueError, match="missing channels"):
-        default_channel_map("hvac", ["t_sa", "dq"])
-
-
 def test_stacked_residual_orders_rate_then_orientation():
     env = InsEnvironment(dt=0.01)
     [window] = simulate_ins(0.5, env, [2])
     spec = PhysicsSpec(
         family="ins",
         environment=env,
-        channel_map=default_channel_map("ins", window.channels),
+        channels=window.channels,
     )
     v = window.values
     stacked = stacked_residual(Tensor(v), spec)
@@ -611,7 +602,7 @@ def test_physics_loss_matches_stacked_mean_square():
     spec = PhysicsSpec(
         family="ins",
         environment=env,
-        channel_map=default_channel_map("ins", window.channels),
+        channels=window.channels,
     )
     r = stacked_residual(Tensor(window.values), spec).data
     assert phys_mse(window, spec) == float(np.mean(r * r))
@@ -624,7 +615,7 @@ def test_physics_loss_rejects_dt_mismatch():
     spec = PhysicsSpec(
         family="ins",
         environment=InsEnvironment(dt=0.02),
-        channel_map=default_channel_map("ins", window.channels),
+        channels=window.channels,
     )
     with pytest.raises(ValueError, match="dt"):
         phys_mse(window, spec)

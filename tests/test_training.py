@@ -24,7 +24,6 @@ from physden.physics import (
     HvacEnvironment,
     PhysicsSpec,
     SampleWindow,
-    default_channel_map,
     simulate_hvac,
     window_residuals,
 )
@@ -87,7 +86,7 @@ def hvac_losses(offset, rebalance=False):
     spec = PhysicsSpec(
         family="hvac",
         environment=env,
-        channel_map=default_channel_map("hvac", FAMILIES["hvac"].channels),
+        channels=FAMILIES["hvac"].channels,
     )
     [clean] = simulate_hvac(300.0, env, [6])
     values = clean.values + offset
@@ -240,8 +239,8 @@ def test_train_rejects_windows_whose_rows_are_in_another_order():
     order = [1, 0, 2]
     permuted = [SampleWindow([w.channels[i] for i in order], w.values[order], w.dt,
                              [w.units[i] for i in order]) for w in ds.train_windows]
-    with pytest.raises(ValueError, match="channel_map points 't_sa' at row 0, "
-                                         "but the window's channels are t_mix, t_sa, dq"):
+    with pytest.raises(ValueError, match="^window channels t_mix, t_sa, dq differ from "
+                                         "the spec's t_sa, t_mix, dq$"):
         train(permuted, ds.spec, SMALL)
 
 
