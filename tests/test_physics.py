@@ -500,6 +500,10 @@ def test_channel_map_must_cover_family():
     env = HvacEnvironment(dt=60.0)
     with pytest.raises(ValueError, match="^hvac residual needs missing channels: t_mix$"):
         PhysicsSpec(family="hvac", environment=env, channels=("t_sa", "dq"))
+
+
+def test_default_channel_map_reports_missing_channels():
+    # the family's channels less two: the error names both, in the family's order
     with pytest.raises(ValueError, match="^ins residual needs missing channels: qw, wz$"):
         PhysicsSpec("ins", InsEnvironment(dt=0.01), [c for c in FAMILIES["ins"].channels
                                                      if c not in ("qw", "wz")])
