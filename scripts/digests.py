@@ -11,18 +11,26 @@ One `name sha256` line per output:
   physics term) on the bias demo's 48 hvac windows at eta 0.5: its trained
   parameters and its log rows;
 - 4 ins windows of 100 steps after model.denoise by the serve-shape model
-  (7 -> 128/256/128 -> 7 channels, 271,623 parameters) initialised from seed 1.
+  (7 -> 128/256/128 -> 7 channels, 271,623 parameters) initialised from seed 1;
+- for each family, `physden simulate` (cli.main) with every simulation constant
+  of the family set to a value other than its default: the manifest's and the
+  window CSVs' bytes.
 It uses only library names that have stood since the co2 driver rows became
-window channels, so the same file, copied into an older checkout's scripts/,
-digests that checkout, and the two outputs can be diffed. BLAS and OpenMP are
-held to one thread unless the environment already sets their thread counts.
+window channels, and [data] keys that stood before the simulation constants
+moved into the family records, so the same file, copied into an older
+checkout's scripts/, digests that checkout, and the two outputs can be diffed.
+BLAS and OpenMP are held to one thread unless the environment already sets
+their thread counts.
 
 Usage: python3 scripts/digests.py
 """
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -33,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from physden.cli import main as cli_main
 from physden.data import SimulateConfig, generate_dataset
 from physden.model import Denoiser, denoise, init_params
 from physden.physics import DENOISE_CHANNELS
@@ -55,6 +64,24 @@ def dataset_digest(dataset) -> str:
     for w in [*dataset.windows, *(dataset.clean or [])]:
         parts += [(w.channels, w.units, w.dt), w.values]
     return sha256(parts + [dataset.split, dataset.norm_stats.mean, dataset.norm_stats.std])
+
+
+# Each family's simulation constants, none at its default.
+CLI_CONSTANTS = {
+    "ins": ["motion_scale=1.5", "rotation_scale=0.8", "n_modes=3"],
+    "co2": ["room_volume=32", "emission_rate=8", "initial_ppm=400", "flow=0.05", "inflow_ppm=410"],
+    "hvac": ["mass_flow=1.5", "specific_heat=1000"],
+}
+
+
+def cli_simulate_digest(family: str, constants: list[str]) -> str:
+    """Digest of the manifest and window CSV bytes `physden simulate` writes for 4 windows at seed 3."""
+    items = [f"family={family}", "count=4", "seed=3", *constants]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        args = ["simulate", "--run-dir", tmp, *(a for item in items for a in ("--set", f"data.{item}"))]
+        if cli_main(args) != 0:
+            raise SystemExit(f"simulate failed for {family}")
+        return sha256([(path.name, path.read_bytes()) for path in sorted(Path(tmp, "data").iterdir())])
 
 
 def digests() -> list[tuple[str, str]]:
@@ -85,6 +112,8 @@ def digests() -> list[tuple[str, str]]:
     model = Denoiser(init_params(len(channels), (128, 256, 128), rng=1), channels,
                      *serve.norm_stats.subset(channels))
     lines.append(("serve_model_denoised", sha256([denoise(model, w).values for w in serve.windows])))
+    lines += [(f"cli_simulate_{family}", cli_simulate_digest(family, constants))
+              for family, constants in CLI_CONSTANTS.items()]
     return lines
 
 

@@ -174,6 +174,13 @@ def _field_keys(cls) -> dict[str, type]:
     }
 
 
+def _constant_kinds() -> dict[str, type]:
+    """Every family's simulation constants, each with the kind of its default."""
+    from .physics import FAMILIES
+
+    return {name: type(default) for family in FAMILIES.values() for name, default in family.constants.items()}
+
+
 def _given(cp, section: str, kinds: dict[str, type]) -> dict:
     """Parsed values of the keys the config sets; unset keys keep the library defaults."""
     values = {key: _get_typed(cp, section, key, kind) for key, kind in kinds.items()}
@@ -203,13 +210,13 @@ def _known_keys() -> dict[str, set[str]]:
 
     A section accepts the keys of all commands, so one config file can drive
     simulate, train and eval alike. The [data] and [train] keys are the
-    config dataclasses' own fields.
+    config dataclasses' own fields, and [data] every family's constants.
     """
     from .data import SimulateConfig
     from .training import TrainConfig
 
     return {
-        "data": {*_field_keys(SimulateConfig), "bias_frac", "manifest", "input", "subset"},
+        "data": {*_field_keys(SimulateConfig), *_constant_kinds(), "bias_frac", "manifest", "input", "subset"},
         "train": {*_field_keys(TrainConfig), *_NOISE_KEYS, "widths"},
         "model": {"denoise", "checkpoint"},
         "output": {"file", "timing_repeats"},
@@ -256,6 +263,7 @@ def _cmd_simulate(args, cp) -> int:
                 given["bias_frac"][name.strip()] = float(frac)
             except ValueError:
                 raise ValueError(f"[data] bias_frac: bad fraction in {part!r}") from None
+    given["constants"] = _given(cp, "data", _constant_kinds())
     cfg = SimulateConfig(**given)
     dataset = generate_dataset(cfg)
     manifest = save_dataset(dataset, _run_dir(args, cfg.seed) / "data")
@@ -316,6 +324,9 @@ def _cmd_denoise(args, cp) -> int:
 
     checkpoint = Path(_require(cp, "model", "checkpoint"))
     input_csv = Path(_require(cp, "data", "input"))
+    repeats = _get_typed(cp, "output", "timing_repeats", int, 0)
+    if repeats < 0:
+        raise ValueError(f"[output] timing_repeats must be >= 0, got {repeats}")
     if not checkpoint.exists():
         raise ValueError(f"checkpoint not found: {checkpoint}")
     if not input_csv.exists():
@@ -330,7 +341,6 @@ def _cmd_denoise(args, cp) -> int:
     save_csv(restored, out_path)
     print(f"wrote {out_path}")
 
-    repeats = _get_typed(cp, "output", "timing_repeats", int, 0)
     if repeats > 0:
         start = time.perf_counter()
         for _ in range(repeats):

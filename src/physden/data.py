@@ -363,19 +363,14 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
 # ---------------------------------------------------------------------------
 # Dataset manifest (INI)
 
-def _env_keys(env_type) -> list[str]:
-    """An environment's fields in manifest order: dt first, then as declared."""
-    return sorted((f.name for f in dataclasses.fields(env_type)), key=lambda name: name != "dt")
-
-
 def _env_section(spec: PhysicsSpec) -> dict[str, str]:
-    """[environment] key/values, each constant at 17 significant digits.
+    """[environment] key/values in field order, each constant at 17 significant digits.
 
     gravity's three components are joined by commas.
     """
     env = spec.environment
-    return {name: ",".join(f"{float(v):.17g}" for v in np.atleast_1d(getattr(env, name)))
-            for name in _env_keys(env)}
+    return {f.name: ",".join(f"{float(v):.17g}" for v in np.atleast_1d(getattr(env, f.name)))
+            for f in dataclasses.fields(env)}
 
 
 def _manifest_value(path: Path, section, key: str) -> str:
@@ -406,11 +401,11 @@ def _manifest_numbers(path: Path, section, key: str, kind=float, size: int | Non
 
 def _env_from_section(env_type, section, path: Path):
     values = {}
-    for name in _env_keys(env_type):
-        if name == "gravity":
-            values[name] = np.array(_manifest_numbers(path, section, name, size=3))
+    for f in dataclasses.fields(env_type):
+        if f.name == "gravity":
+            values[f.name] = np.array(_manifest_numbers(path, section, f.name, size=3))
         else:
-            [values[name]] = _manifest_numbers(path, section, name)
+            [values[f.name]] = _manifest_numbers(path, section, f.name)
     return env_type(**values)
 
 
@@ -487,9 +482,9 @@ def load_manifest(path) -> Dataset:
             raise ValueError(f"{path}: [windows] {key} names no file: {file}")
         w = load_csv(file, schema=record.channels)
         if windows and w.channels != windows[0].channels:
-            # Every window is read with window 0's channel map.
+            # Every window is read with window 0's channel order.
             raise ValueError(f"{file}:1: columns {','.join(w.channels)} differ from "
-                             f"the first window's {','.join(windows[0].channels)}")
+                             f"{base / cfg['windows']['noisy_000']}'s {','.join(windows[0].channels)}")
         w.units = [units.get(name, "1") for name in w.channels]
         return w
 
@@ -526,7 +521,8 @@ def load_manifest(path) -> Dataset:
 
 @dataclass
 class SimulateConfig:
-    """Everything needed to manufacture a corrupted synthetic dataset."""
+    """Everything needed to manufacture a corrupted synthetic dataset; constants sets some of
+    the family's physics.Family.constants by name, the others keep their defaults."""
 
     family: str = "ins"
     count: int = 8
@@ -537,21 +533,7 @@ class SimulateConfig:
     noise_scale: float = 0.1
     mask_fraction: float = 0.0
     bias_frac: dict[str, float] = field(default_factory=dict)
-    # ins motion
-    motion_scale: float = 1.0
-    rotation_scale: float = 0.5
-    n_modes: int = 4
-    # co2 environment (room_volume defaults to a power of two: the clean
-    # residual then cancels bitwise, see simulate_co2)
-    room_volume: float = 64.0
-    emission_rate: float = 10.0
-    initial_ppm: float = 420.0
-    # co2's constant flow (m^3/s) and inflow (ppm) rows
-    flow: float = 0.03
-    inflow_ppm: float = 420.0
-    # hvac environment
-    mass_flow: float = 1.0
-    specific_heat: float = 1006.0
+    constants: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.family = self.family.lower()
@@ -567,18 +549,19 @@ class SimulateConfig:
             raise ValueError(f"SimulateConfig: seed must be >= 0, got {self.seed}")
         if not np.isfinite(list(self.bias_frac.values())).all():
             raise ValueError(f"SimulateConfig: bias_frac must be finite, got {self.bias_frac}")
-        if self.n_modes < 1:
-            raise ValueError(f"SimulateConfig: n_modes must be >= 1, got {self.n_modes}")
-        for name in ("motion_scale", "rotation_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"SimulateConfig: {name} must be >= 0, got {getattr(self, name)}")
+        for name, value in self.constants.items():
+            if name not in family.constants:
+                raise ValueError(f"SimulateConfig: {name} is not a constant of the {self.family} family; "
+                                 f"its constants are: {', '.join(family.constants)}")
+            if not np.isfinite(value):
+                raise ValueError(f"SimulateConfig: {name} must be finite, got {value}")
 
 
 def generate_dataset(cfg: SimulateConfig) -> Dataset:
     """Simulate clean windows, corrupt them, split, and pool norm stats.
 
-    The family's environment is built from the config's fields of the same
-    names (ins keeps its default gravity), and the family's simulator
+    The config's constants that are fields of the family's environment go to
+    the environment, with dt; the rest go to the family's simulator, which
     simulates every window as one block, each from its own seed, co2's
     occupancy row included. Every row is noised by the same rule, so
     constant rows (co2's flow and inflow) get none.
@@ -588,10 +571,10 @@ def generate_dataset(cfg: SimulateConfig) -> Dataset:
     noise_seeds = ss.spawn(cfg.count)
 
     family = FAMILIES[cfg.family]
-    env = family.environment(**{name: getattr(cfg, name) for name in _env_keys(family.environment)
-                                if hasattr(cfg, name)})
+    env_names = {f.name for f in dataclasses.fields(family.environment)}
+    env = family.environment(dt=cfg.dt, **{k: v for k, v in cfg.constants.items() if k in env_names})
     clean = family.simulate(cfg.duration, env, sim_seeds,
-                            *(getattr(cfg, name) for name in family.simulate_fields))
+                            **{k: v for k, v in cfg.constants.items() if k not in env_names})
 
     bias = None
     if cfg.bias_frac:

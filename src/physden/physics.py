@@ -25,6 +25,7 @@ world frame, so a stationary level device reads (0, 0, +9.80665).
 """
 from __future__ import annotations
 
+import inspect
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
@@ -164,13 +165,6 @@ def _check_finite(obj) -> None:
             raise ValueError(f"{type(obj).__name__}: {f.name} must be finite, got {value}")
 
 
-def _as_gravity(g) -> np.ndarray:
-    arr = np.asarray(g, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"gravity must be a 3-vector, got shape {arr.shape}")
-    return arr
-
-
 @dataclass
 class InsEnvironment:
     """Sampling interval and world-frame gravity for the inertial family."""
@@ -179,7 +173,9 @@ class InsEnvironment:
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -STANDARD_GRAVITY]))
 
     def __post_init__(self):
-        self.gravity = _as_gravity(self.gravity)
+        self.gravity = np.asarray(self.gravity, dtype=np.float64)
+        if self.gravity.shape != (3,):
+            raise ValueError(f"gravity must be a 3-vector, got shape {self.gravity.shape}")
         _check_finite(self)
         if self.dt <= 0:
             raise ValueError(f"InsEnvironment: dt must be positive, got {self.dt}")
@@ -193,10 +189,10 @@ class Co2Environment:
     channels of each window, not constants of the room.
     """
 
-    room_volume: float
-    emission_rate: float
-    initial_ppm: float
     dt: float
+    room_volume: float = 64.0  # a power of two: the clean residual cancels bitwise (simulate_co2)
+    emission_rate: float = 10.0
+    initial_ppm: float = 420.0
 
     def __post_init__(self):
         _check_finite(self)
@@ -452,6 +448,10 @@ def simulate_ins(duration: float, env: InsEnvironment, seeds: Sequence, motion_s
     elementwise and none goes through BLAS, so each window is bitwise the
     window simulated alone.
     """
+    for name, value, low in (("n_modes", n_modes, 1), ("motion_scale", motion_scale, 0),
+                             ("rotation_scale", rotation_scale, 0)):
+        if value < low:
+            raise ValueError(f"simulate_ins: {name} must be >= {low}, got {value}")
     dt = env.dt
     t_len = _timesteps(duration, dt)
     lo, hi = np.array([bounds for scale in (motion_scale, rotation_scale)
@@ -496,8 +496,8 @@ def _random_occupancy(t_len: int, rng: np.random.Generator) -> np.ndarray:
     return occ
 
 
-def simulate_co2(duration: float, env: Co2Environment, seeds: Sequence, flow: float,
-                 inflow_ppm: float) -> list[SampleWindow]:
+def simulate_co2(duration: float, env: Co2Environment, seeds: Sequence, flow: float = 0.03,
+                 inflow_ppm: float = 420.0) -> list[SampleWindow]:
     """Room CO2 by the exact discrete mass balance, next to its driver rows, one window per seed.
 
     Each window's flow and inflow_ppm rows hold the given constants and its
@@ -505,8 +505,8 @@ def simulate_co2(duration: float, env: Co2Environment, seeds: Sequence, flow: fl
     The update runs once over the B windows and uses the residual's own
     accumulated-supply helper and association order, so the residual of the
     clean output is exactly 0.0 bitwise when room_volume is a power of two
-    (the default elsewhere in the package); for other volumes it is zero up to
-    the final rounding step.
+    (Co2Environment's default); for other volumes it is zero up to the final
+    rounding step.
 
     c_out is modeled as the well-mixed room value.
     """
@@ -562,9 +562,10 @@ class Family:
     """Everything the package knows of one physics family; a new family is one FAMILIES entry.
 
     groups holds the residual's array arguments in channel order, one tuple of channel names
-    each; simulate(duration, env, seeds, *constants) returns one window per seed, with the
-    SimulateConfig fields in simulate_fields as constants; denoise names the channels the
-    denoiser reconstructs by default; duration and dt are SimulateConfig's defaults.
+    each; simulate(duration, env, seeds, **constants) returns one window per seed, its constants
+    (see constants) being its keyword parameters and the environment's number fields but dt, each
+    declared there with its default and check; denoise names the channels the denoiser
+    reconstructs by default; duration and dt are SimulateConfig's defaults.
     """
 
     groups: tuple[tuple[str, ...], ...]
@@ -573,7 +574,6 @@ class Family:
     environment: type
     residual: Callable
     simulate: Callable
-    simulate_fields: tuple[str, ...]
     duration: float
     dt: float
 
@@ -581,23 +581,29 @@ class Family:
     def channels(self) -> tuple[str, ...]:
         return tuple(name for group in self.groups for name in group)
 
+    @property
+    def constants(self) -> dict[str, float]:
+        """{name: default}: the environment's number fields but dt, then the simulator's keywords."""
+        env = {f.name: f.default for f in fields(self.environment)
+               if f.name != "dt" and isinstance(f.default, numbers.Real)}
+        params = list(inspect.signature(self.simulate).parameters.values())[3:]
+        return {**env, **{p.name: p.default for p in params}}
+
 
 FAMILIES: dict[str, Family] = {
     "ins": Family(
         groups=(("px", "py", "pz"), ("qw", "qx", "qy", "qz"), ("wx", "wy", "wz"), ("ax", "ay", "az")),
         units=("m",) * 3 + ("1",) * 4 + ("rad/s",) * 3 + ("m/s^2",) * 3,
         denoise=("px", "py", "pz", "qw", "qx", "qy", "qz"), environment=InsEnvironment,
-        residual=residual_ins, simulate=simulate_ins,
-        simulate_fields=("motion_scale", "rotation_scale", "n_modes"), duration=2.0, dt=0.01),
+        residual=residual_ins, simulate=simulate_ins, duration=2.0, dt=0.01),
     "co2": Family(
         groups=(("c_room",), ("c_out",), ("flow",), ("inflow_ppm",), ("occupants",)),
         units=("ppm", "ppm", "m^3/s", "ppm", "1"), denoise=("c_room", "c_out"), environment=Co2Environment,
-        residual=residual_co2, simulate=simulate_co2,
-        simulate_fields=("flow", "inflow_ppm"), duration=3600.0, dt=30.0),
+        residual=residual_co2, simulate=simulate_co2, duration=3600.0, dt=30.0),
     "hvac": Family(
         groups=(("t_sa",), ("t_mix",), ("dq",)), units=("K", "K", "W"), denoise=("t_sa", "t_mix"),
         environment=HvacEnvironment, residual=residual_hvac, simulate=simulate_hvac,
-        simulate_fields=(), duration=3840.0, dt=60.0),
+        duration=3840.0, dt=60.0),
 }
 
 # Views of FAMILIES that no library code reads; perfbench/workloads.py and scripts/digests.py import them.

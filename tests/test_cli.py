@@ -445,6 +445,22 @@ def test_denoise_writes_output_and_timing(capsys, tmp_path, workspace):
     assert np.array_equal(after.values[row], before.values[row])
 
 
+@pytest.mark.parametrize("repeats, message", [
+    ("abc", "[output] timing_repeats: expected an integer, got 'abc'"),
+    ("-3", "[output] timing_repeats must be >= 0, got -3"),
+], ids=["not-an-integer", "negative"])
+def test_denoise_rejects_bad_timing_repeats_before_writing(capsys, tmp_path, workspace, repeats, message):
+    target = tmp_path / "custom.csv"
+    for where in (["--run-dir", str(tmp_path / "den")], ["--set", f"output.file={target}"]):
+        rc = main(["denoise", *where,
+                   "--set", f"model.checkpoint={workspace['checkpoint']}",
+                   "--set", f"data.input={noisy_csvs(workspace)[0]}",
+                   "--set", f"output.timing_repeats={repeats}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "den").exists() and not target.exists()
+
+
 def test_denoise_honors_output_file(monkeypatch, tmp_path, workspace):
     monkeypatch.chdir(tmp_path)  # where a default run directory would go
     target = tmp_path / "custom.csv"
@@ -689,6 +705,11 @@ def sweep_input(workspace):
 @example(mutation=("set", "simulate", ("data.duration=nan",)), names="duration")
 @example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
                                        "data.n_modes=0")), names="n_modes")
+@example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
+                                       "data.motion_scale=-1")), names="motion_scale must be >= 0")
+@example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
+                                       "data.room_volume=50")),
+         names="room_volume is not a constant of the ins family")
 @example(mutation=("set", "simulate", ("data.noise_scale=nan",)), names="noise_scale")
 @example(mutation=("set", "simulate", ("data.bias_frac=t_sa:nan",)), names="bias_frac")
 @example(mutation=("set", "simulate", ("data.family=co2", "data.duration=300", "data.dt=30",
@@ -713,7 +734,7 @@ def sweep_input(workspace):
 @example(mutation=("manifest", "noisy_001.csv", "drop", "t_mix", None),
          names="noisy_001.csv:1: missing channels: t_mix")
 @example(mutation=("manifest", "noisy_001.csv", "swap", ("t_sa", "dq"), None),
-         names="noisy_001.csv:1: columns dq,t_mix,t_sa differ from the first window's t_sa,t_mix,dq")
+         names=("noisy_001.csv:1: columns dq,t_mix,t_sa differ from ", "noisy_000.csv's t_sa,t_mix,dq"))
 @example(mutation=("manifest", "clean_001.csv", "stretch", None, 2.0),
          names=("clean_001.csv: 31 timesteps at dt 120.0 differ from ", "noisy_001.csv's 31 at dt 60.0"))
 @example(mutation=("manifest", "clean_001.csv", "head", None, 25),

@@ -206,10 +206,10 @@ def test_ins_channels_and_units():
 
 
 @pytest.mark.parametrize("cfg, env, simulate, constants", [
-    (SimulateConfig(family="ins", count=5, duration=0.5, dt=0.02, seed=9, motion_scale=1.5,
-                    rotation_scale=0.8, n_modes=3),
+    (SimulateConfig(family="ins", count=5, duration=0.5, dt=0.02, seed=9,
+                    constants={"motion_scale": 1.5, "rotation_scale": 0.8, "n_modes": 3}),
      InsEnvironment(dt=0.02), simulate_ins, {"motion_scale": 1.5, "rotation_scale": 0.8, "n_modes": 3}),
-    (SimulateConfig(family="co2", count=8, seed=1), Co2Environment(64.0, 10.0, 420.0, 30.0),
+    (SimulateConfig(family="co2", count=8, seed=1), Co2Environment(30.0, 64.0, 10.0, 420.0),
      simulate_co2, {"flow": 0.03, "inflow_ppm": 420.0}),
     (SimulateConfig(family="hvac", count=6, seed=5), HvacEnvironment(dt=60.0), simulate_hvac, {}),
 ], ids=["ins", "co2", "hvac"])
@@ -508,17 +508,21 @@ def test_manifest_rejects_series_mark_on_fixed_field(tmp_path, family, key):
         load_manifest(manifest)
 
 
-@pytest.mark.parametrize("name", ["clean_001.csv", "noisy_002.csv"])
-def test_load_manifest_rejects_columns_in_another_order(tmp_path, name):
+@pytest.mark.parametrize("name, message", [
+    ("clean_001.csv", r"clean_001\.csv:1: columns dq,t_sa,t_mix differ from \S*noisy_000\.csv's t_sa,t_mix,dq$"),
+    ("noisy_002.csv", r"noisy_002\.csv:1: columns dq,t_sa,t_mix differ from \S*noisy_000\.csv's t_sa,t_mix,dq$"),
+    # The first window's own order is the one every other window is held to.
+    ("noisy_000.csv", r"clean_000\.csv:1: columns t_sa,t_mix,dq differ from \S*noisy_000\.csv's dq,t_sa,t_mix$"),
+], ids=["clean_001.csv", "noisy_002.csv", "noisy_000.csv"])
+def test_load_manifest_rejects_columns_in_another_order(tmp_path, name, message):
     ds = generate_dataset(SimulateConfig(family="hvac", count=4, seed=1))
     manifest = save_dataset(ds, tmp_path / "run")
     w = load_csv(tmp_path / "run" / name)
     order = [w.channels.index(c) for c in ("dq", "t_sa", "t_mix")]
     save_csv(SampleWindow([w.channels[i] for i in order], w.values[order], w.dt, w.units),
              tmp_path / "run" / name)
-    # Read with window 0's channel map, that clean window would score phys_mse ~4.6e11, not 0.0.
-    with pytest.raises(ValueError, match=f"{name}:1: columns dq,t_sa,t_mix differ from "
-                                         "the first window's t_sa,t_mix,dq"):
+    # Read with window 0's channel order, that clean window would score phys_mse ~4.6e11, not 0.0.
+    with pytest.raises(ValueError, match=message):
         load_manifest(manifest)
 
 
@@ -665,6 +669,11 @@ def test_simulate_config_validation():
         SimulateConfig(family="sonar")
     with pytest.raises(ValueError, match="count"):
         SimulateConfig(family="ins", count=1)
+    with pytest.raises(ValueError, match="^SimulateConfig: room_volume is not a constant of the ins family; "
+                                         "its constants are: motion_scale, rotation_scale, n_modes$"):
+        SimulateConfig(family="ins", constants={"room_volume": 50.0})
+    with pytest.raises(ValueError, match="^SimulateConfig: flow must be finite, got nan$"):
+        SimulateConfig(family="co2", constants={"flow": np.nan})
 
 
 def test_family_defaults_fill_duration_and_dt():

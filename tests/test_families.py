@@ -1,10 +1,13 @@
 """The family table: every record's consistency, and a family added as one entry."""
+import configparser
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from physden.autodiff import Tape, Tensor
+from physden.cli import main
 from physden.data import (
     SimulateConfig,
     generate_dataset,
@@ -69,7 +72,7 @@ def simulate_tank(duration, env, seeds):
 TANK = Family(
     groups=(("h",), ("q_in",), ("q_out",)), units=("m", "m^3/s", "m^3/s"), denoise=("h",),
     environment=TankEnvironment, residual=residual_tank, simulate=simulate_tank,
-    simulate_fields=(), duration=40.0, dt=1.0)
+    duration=40.0, dt=1.0)
 
 
 @pytest.fixture
@@ -79,7 +82,6 @@ def tank(monkeypatch):
 
 
 def test_every_family_record_is_consistent(tank):
-    config_fields = {f.name for f in dataclasses.fields(SimulateConfig)}
     assert "tank" in FAMILIES
     # A simulator's windows take their channels from the family of their environment's type.
     assert len({family.environment for family in FAMILIES.values()}) == len(FAMILIES)
@@ -90,9 +92,13 @@ def test_every_family_record_is_consistent(tank):
         assert set(family.denoise) <= set(channels), name
         env_fields = dataclasses.fields(family.environment)
         assert "dt" in {f.name for f in env_fields}, name
-        required = {f.name for f in env_fields if f.name != "dt" and f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING}
-        assert set(family.simulate_fields) | required <= config_fields, name
+        # Every simulation constant has a default, so a config names only those it changes,
+        # and generate_dataset sends each to the environment or to the simulator, not both.
+        assert all(f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+                   for f in env_fields if f.name != "dt"), name
+        params = list(inspect.signature(family.simulate).parameters.values())[3:]
+        assert all(p.default is not inspect.Parameter.empty for p in params), name
+        assert not {p.name for p in params} & {f.name for f in env_fields}, name
 
 
 def test_a_family_added_as_one_entry_runs_end_to_end(tank, tmp_path):
@@ -117,6 +123,21 @@ def test_a_family_added_as_one_entry_runs_end_to_end(tank, tmp_path):
     report = evaluate("denoised", restored, loaded.spec, [loaded.clean[i] for i in loaded.split[1]],
                       channels=["h"])
     assert np.isfinite(report.recon_mse) and np.isfinite(report.phys_mse)
+
+
+def test_an_added_family_constant_is_set_through_the_config_and_the_cli(tank, tmp_path, capsys):
+    assert tank.constants == {"area": 4.0, "initial_level": 1.0}
+    ds = generate_dataset(SimulateConfig(family="tank", count=2, constants={"area": 2.0}))
+    assert ds.spec.environment == TankEnvironment(1.0, area=2.0)
+    manifests = [save_dataset(ds, tmp_path / "library")]
+    assert main(["simulate", "--run-dir", str(tmp_path / "cli"), "--set", "data.family=tank",
+                 "--set", "data.count=2", "--set", "data.area=2"]) == 0, capsys.readouterr().err
+    manifests.append(tmp_path / "cli" / "data" / "manifest.ini")
+    for manifest in manifests:
+        cfg = configparser.ConfigParser(interpolation=None)
+        cfg.read(manifest)
+        assert dict(cfg["environment"]) == {"dt": "1", "area": "2", "initial_level": "1"}
+    assert manifests[0].read_bytes() == manifests[1].read_bytes()
 
 
 @pytest.mark.parametrize("shape", [(7,), (2, 7)], ids=["window", "batch"])
