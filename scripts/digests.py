@@ -15,9 +15,9 @@ One `name sha256` line per output:
 - for each family, `physden simulate` (cli.main) with every simulation constant
   of the family set to a value other than its default: the manifest's and the
   window CSVs' bytes.
-It uses only library names that have stood since the co2 driver rows became
-window channels, and [data] keys that stood before the simulation constants
-moved into the family records, so the same file, copied into an older
+It uses only library names that have stood since each family became one
+physics.FAMILIES record, and [data] keys that stood before the simulation
+constants moved into the family records, so the same file, copied into an older
 checkout's scripts/, digests that checkout, and the two outputs can be diffed.
 BLAS and OpenMP are held to one thread unless the environment already sets
 their thread counts.
@@ -44,7 +44,7 @@ import numpy as np
 from physden.cli import main as cli_main
 from physden.data import SimulateConfig, generate_dataset
 from physden.model import Denoiser, denoise, init_params
-from physden.physics import DENOISE_CHANNELS
+from physden.physics import FAMILIES
 from physden.training import BIAS_DEMO_TRAIN, GATE_DATA, GATE_TRAIN, train
 
 
@@ -108,7 +108,7 @@ def digests() -> list[tuple[str, str]]:
 
     serve = generate_dataset(SimulateConfig(family="ins", count=4, duration=0.99, dt=0.01, seed=1,
                                             noise_scale=0.2))
-    channels = list(DENOISE_CHANNELS["ins"])
+    channels = list(FAMILIES["ins"].denoise)
     model = Denoiser(init_params(len(channels), (128, 256, 128), rng=1), channels,
                      *serve.norm_stats.subset(channels))
     lines.append(("serve_model_denoised", sha256([denoise(model, w).values for w in serve.windows])))

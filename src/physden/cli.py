@@ -153,10 +153,10 @@ def _get_typed(cp, section: str, key: str, kind: type, default=None):
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
-def _get_seed(cp, section: str, default: int) -> int:
-    """[section] seed, which numpy's generators take only non-negative."""
+def _get_seed(cp, section: str, default: int | None = None) -> int | None:
+    """[section] seed, which numpy's generators take only non-negative, or default when unset."""
     seed = _get_typed(cp, section, "seed", int, default)
-    if seed < 0:
+    if seed is not None and seed < 0:
         raise ValueError(f"[{section}] seed must be >= 0, got {seed}")
     return seed
 
@@ -394,10 +394,14 @@ def _cmd_eval(args, cp) -> int:
 def _cmd_gradcheck(args, cp) -> int:
     from .gradcheck import run_suite
 
-    seed = _get_seed(cp, "gradcheck", 0)
-    instances = _get_typed(cp, "gradcheck", "instances", int, 20)
-    tol = _get_typed(cp, "gradcheck", "tolerance", float, 1e-5)
-    results = run_suite(seed=seed, instances=instances, rel_tol=tol)
+    # Only the keys the config sets are passed on; run_suite's signature holds the defaults.
+    given = _given(cp, "gradcheck", {"instances": int, "tolerance": float})
+    if "tolerance" in given:
+        given["rel_tol"] = given.pop("tolerance")
+    seed = _get_seed(cp, "gradcheck")
+    if seed is not None:
+        given["seed"] = seed
+    results = run_suite(**given)
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

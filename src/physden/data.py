@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -553,6 +554,11 @@ class SimulateConfig:
             if name not in family.constants:
                 raise ValueError(f"SimulateConfig: {name} is not a constant of the {self.family} family; "
                                  f"its constants are: {', '.join(family.constants)}")
+            # The kind of the default, as the CLI parses it: an int is an integer, a float any real.
+            kind, expected = ((numbers.Integral, "an integer") if type(family.constants[name]) is int
+                              else (numbers.Real, "a real number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"SimulateConfig: {name} must be {expected}, got {value!r}")
             if not np.isfinite(value):
                 raise ValueError(f"SimulateConfig: {name} must be finite, got {value}")
 

@@ -606,7 +606,7 @@ FAMILIES: dict[str, Family] = {
         duration=3840.0, dt=60.0),
 }
 
-# Views of FAMILIES that no library code reads; perfbench/workloads.py and scripts/digests.py import them.
+# Views of FAMILIES that no library code reads; perfbench/workloads.py imports them.
 CHANNEL_NAMES = {name: list(family.channels) for name, family in FAMILIES.items()}
 DENOISE_CHANNELS = {name: list(family.denoise) for name, family in FAMILIES.items()}
 

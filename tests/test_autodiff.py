@@ -21,7 +21,7 @@ from physden.autodiff import (
 )
 import physden.training as training_mod
 from physden.data import SimulateConfig, generate_dataset
-from physden.gradcheck import _CASES, _EPS, SUITE_FAMILIES, _half_sse, check_gradient
+from physden.gradcheck import _cases, _half_sse, _probe, _step, check_gradient
 from physden.model import ModelParams, conv1d, forward, relu
 from physden.physics import FAMILIES
 from physden.training import TrainConfig, train
@@ -137,23 +137,34 @@ def test_backward_of_product_plus_term():
     assert np.array_equal(grads[y], [2.0, 6.0])
 
 
+def test_central_difference_step_scales_with_the_operating_point():
+    # 128 a + b at entries near 400: each output is near 51,000, so a fixed 1e-6 step would lose
+    # b's O(1) gradient to the output's roundoff (2.4e-06 here); a step scaled to b's size does not.
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(390.0, 410.0, size=(2, 2, 3))
+    w = rng.uniform(-1.0, 1.0, size=(2, 3))
+    fn = _probe(lambda xs: add(mul(xs[0], Tensor(np.full((2, 3), 128.0))), xs[1]), [a, b], w)
+    assert check_gradient(fn, [a, b]) <= 1e-7
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_model_gradcheck_case_stays_off_the_relu_kink(seed):
-    # Finite differences step each input by _EPS; a hidden pre-activation
+    # Finite differences step each input by its _step; a hidden pre-activation
     # within reach of zero would straddle the kink and spoil the check.
-    fn, inputs = _CASES["model_forward"](np.random.default_rng(seed))
+    fn, inputs = _cases()["model_forward"](np.random.default_rng(seed))
+    step = max(_step(x) for x in inputs)
     h = inputs[0]
     layers = list(zip(inputs[1::2], inputs[2::2]))
     for w, b in layers[:-1]:
         pre = conv1d(h, w, b)[0]
-        assert np.min(np.abs(pre)) >= 10 * _EPS
+        assert np.min(np.abs(pre)) >= 10 * step
         h = np.maximum(pre, 0.0)
     assert check_gradient(fn, inputs) <= 1e-5
 
 
-def test_every_op_a_training_records_has_a_gradcheck_family(monkeypatch):
-    # Every node op of a training with a phase 2, per physics family, plus the
-    # layer probes conv1d and relu that run inside model_forward's node.
+def test_every_op_a_training_records_has_a_gradcheck_family(monkeypatch, tank):
+    # Every node op of a training with a phase 2, per physics family (conftest's tank
+    # included), plus the layer probes conv1d and relu that run inside model_forward's node.
     ops = set()
 
     class CollectingTape(Tape):
@@ -166,7 +177,8 @@ def test_every_op_a_training_records_has_a_gradcheck_family(monkeypatch):
     for name, family in FAMILIES.items():
         ds = generate_dataset(SimulateConfig(family=name, count=4, duration=20 * family.dt, seed=1))
         assert {row.phase for row in train(ds.windows, ds.spec, cfg).log} == {1, 2}
-    assert ops | {"conv1d", "relu"} == set(SUITE_FAMILIES)
+    assert "residual_tank" in ops
+    assert ops | {"conv1d", "relu"} == set(_cases())
 
 
 def test_relu_gradient_zero_at_kink():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from physden import gradcheck
 from physden.cli import _known_keys, _load_config, build_parser, main
 from physden.data import SampleWindow, load_csv, load_manifest, save_csv
 from physden.metrics import REPORT_COLUMNS
@@ -836,6 +837,15 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "operation families passed" in out
+
+
+def test_gradcheck_passes_on_only_the_keys_the_config_sets(monkeypatch):
+    # run_suite's signature is the one copy of the defaults; tolerance arrives as rel_tol.
+    calls = []
+    monkeypatch.setattr(gradcheck, "run_suite", lambda **kwargs: calls.append(kwargs) or [])
+    assert main(["gradcheck"]) == 0
+    assert main(["gradcheck", "--set", "gradcheck.tolerance=1e-3", "--set", "gradcheck.seed=2"]) == 0
+    assert calls == [{}, {"rel_tol": 1e-3, "seed": 2}]
 
 
 def test_bias_demo_writes_report(capsys, tmp_path):

@@ -676,6 +676,18 @@ def test_simulate_config_validation():
         SimulateConfig(family="co2", constants={"flow": np.nan})
 
 
+def test_simulate_config_checks_each_constants_kind():
+    # Each constant takes the kind of its default in Family.constants, which the CLI parses it as.
+    for family, constants, message in [
+        ("ins", {"n_modes": 2.5}, "n_modes must be an integer, got 2.5"),
+        ("co2", {"flow": "x"}, "flow must be a real number, got 'x'"),
+        ("co2", {"room_volume": True}, "room_volume must be a real number, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^SimulateConfig: {message}$"):
+            SimulateConfig(family=family, constants=constants)
+    assert SimulateConfig(family="ins", constants={"n_modes": np.int64(3), "motion_scale": 2}).constants
+
+
 def test_family_defaults_fill_duration_and_dt():
     cfg = SimulateConfig(family="co2", count=2)
     assert cfg.duration == 3600.0

@@ -1,4 +1,4 @@
-"""The family table: every record's consistency, and a family added as one entry."""
+"""The family table: every record's consistency, and a family added as one entry (conftest's tank)."""
 import configparser
 import dataclasses
 import inspect
@@ -15,70 +15,17 @@ from physden.data import (
     save_dataset,
     split_by_alignment,
 )
-from physden.gradcheck import _CASES, _residual_case, check_gradient
+from physden.gradcheck import _residual_case, check_gradient, run_suite
 from physden.metrics import evaluate
 from physden.model import denoise
 from physden.physics import (
     FAMILIES,
-    Family,
     PhysicsSpec,
-    SampleWindow,
-    exclusive_prefix_sum_values,
     residual_hvac,
     stacked_residual,
     window_residuals,
 )
 from physden.training import TrainConfig, train
-
-
-@dataclasses.dataclass
-class TankEnvironment:
-    """A tank's cross-section (m^2, a power of two) and initial level (m)."""
-
-    dt: float
-    area: float = 4.0
-    initial_level: float = 1.0
-
-
-def _tank_supply(q_in, q_out, env):
-    """A h0 + sum_{s<t} (q_in - q_out) dt: the volume the flows leave in the tank."""
-    return env.area * env.initial_level + exclusive_prefix_sum_values((q_in - q_out) * env.dt)
-
-
-def residual_tank(h, q_in, q_out, env):
-    """Volume balance A h[t] - (A h0 + sum_{s<t} (q_in - q_out) dt), 1 x [B x] T, and its VJP."""
-    out = h * env.area - _tank_supply(q_in, q_out, env)
-
-    def vjp(g):
-        later = (np.cumsum(g[..., ::-1], axis=-1)[..., ::-1] - g) * env.dt
-        return g * env.area, -later, later
-
-    return out, vjp
-
-
-def simulate_tank(duration, env, seeds):
-    """Random inflow and outflow rows per seed, and the level they leave; A a power of two
-    makes the level's A h[t] the supply exactly, so the clean residual is 0.0."""
-    t_len = int(round(duration / env.dt)) + 1
-    windows = []
-    for seed in seeds:
-        q_in, q_out = np.random.default_rng(seed).uniform(0.0, 0.5, size=(2, 1, t_len))
-        level = _tank_supply(q_in, q_out, env) / env.area
-        windows.append(SampleWindow(list(TANK.channels), np.concatenate([level, q_in, q_out]),
-                                    env.dt, list(TANK.units)))
-    return windows
-
-
-TANK = Family(
-    groups=(("h",), ("q_in",), ("q_out",)), units=("m", "m^3/s", "m^3/s"), denoise=("h",),
-    environment=TankEnvironment, residual=residual_tank, simulate=simulate_tank,
-    duration=40.0, dt=1.0)
-
-
-@pytest.fixture
-def tank(monkeypatch):
-    monkeypatch.setitem(FAMILIES, "tank", TANK)
-    return TANK
 
 
 def test_every_family_record_is_consistent(tank):
@@ -103,7 +50,7 @@ def test_every_family_record_is_consistent(tank):
 
 def test_a_family_added_as_one_entry_runs_end_to_end(tank, tmp_path):
     ds = generate_dataset(SimulateConfig(family="tank", count=6, seed=2, noise_scale=0.1))
-    assert (ds.spec.family, ds.spec.environment, ds.denoise_channels) == ("tank", TankEnvironment(1.0), ["h"])
+    assert (ds.spec.family, ds.spec.environment, ds.denoise_channels) == ("tank", tank.environment(1.0), ["h"])
     assert all(w.channels == ["h", "q_in", "q_out"] and w.n_timesteps == 41 for w in ds.windows)
     assert all(np.all(r == 0.0) for r in window_residuals(ds.clean, ds.spec))
     assert ds.split == split_by_alignment(ds.windows, ds.spec)
@@ -128,7 +75,7 @@ def test_a_family_added_as_one_entry_runs_end_to_end(tank, tmp_path):
 def test_an_added_family_constant_is_set_through_the_config_and_the_cli(tank, tmp_path, capsys):
     assert tank.constants == {"area": 4.0, "initial_level": 1.0}
     ds = generate_dataset(SimulateConfig(family="tank", count=2, constants={"area": 2.0}))
-    assert ds.spec.environment == TankEnvironment(1.0, area=2.0)
+    assert ds.spec.environment == tank.environment(1.0, area=2.0)
     manifests = [save_dataset(ds, tmp_path / "library")]
     assert main(["simulate", "--run-dir", str(tmp_path / "cli"), "--set", "data.family=tank",
                  "--set", "data.count=2", "--set", "data.area=2"]) == 0, capsys.readouterr().err
@@ -142,15 +89,15 @@ def test_an_added_family_constant_is_set_through_the_config_and_the_cli(tank, tm
 
 @pytest.mark.parametrize("shape", [(7,), (2, 7)], ids=["window", "batch"])
 def test_added_family_residual_node_passes_gradcheck(tank, shape):
-    rng = np.random.default_rng(4)
-    env = TankEnvironment(dt=0.5, area=2.0, initial_level=0.3)
-    values = rng.uniform(-1.0, 1.0, size=(3, *shape))
-    spec = PhysicsSpec("tank", env, TANK.channels)
+    spec = PhysicsSpec("tank", tank.environment(dt=0.5, area=2.0, initial_level=0.3), tank.channels)
+    values = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, *shape))
     with Tape() as tape:
         stacked_residual(Tensor(values, requires_grad=True), spec)
     assert [node.op for node in tape.nodes] == ["residual_tank"]
-    fn, inputs = _residual_case(rng, "tank", env, values)
-    assert check_gradient(fn, inputs) <= 1e-5
+    # The suite draws the tank's case from its record, as every family's; one suite seed per shape.
+    results = run_suite(seed=len(shape), instances=10)
+    assert [r.name for r in results][-2:] == ["residual_tank", "model_forward"]
+    assert results[-2].max_rel_err <= 1e-5
 
 
 def residual_hvac_t_mix_sign_flipped(t_sa, t_mix, dq, env):
@@ -165,7 +112,7 @@ def residual_hvac_t_mix_sign_flipped(t_sa, t_mix, dq, env):
 
 
 def test_gradcheck_probe_catches_a_flipped_vjp_term(monkeypatch):
-    cases = [_CASES["residual_hvac"](np.random.default_rng(seed)) for seed in range(5)]
+    cases = [_residual_case(np.random.default_rng(seed), "hvac") for seed in range(5)]
     assert max(check_gradient(fn, inputs) for fn, inputs in cases) <= 1e-5
     monkeypatch.setitem(FAMILIES, "hvac", dataclasses.replace(
         FAMILIES["hvac"], residual=residual_hvac_t_mix_sign_flipped))

@@ -13,7 +13,7 @@ from physden.data import (
     load_csv,
     save_csv,
 )
-from physden.gradcheck import _CASES, _half_sse, check_gradient
+from physden.gradcheck import _half_sse, _residual_case, check_gradient
 from physden.physics import (
     RESIDUAL_BLOCK,
     FAMILIES,
@@ -298,7 +298,7 @@ def test_residual_ins_gradcheck_family_batched_and_unbatched():
     worst = {}
     rng = np.random.default_rng(0)
     while len(worst) < 2:
-        fn, inputs = _CASES["residual_ins"](rng)
+        fn, inputs = _residual_case(rng, "ins")
         ndim = inputs[0].ndim
         worst[ndim] = max(worst.get(ndim, 0.0), check_gradient(fn, inputs))
     assert sorted(worst) == [2, 3]
