@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
+import inspect
 import os
 import sys
 import time
@@ -128,16 +128,19 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+# Each annotation a config key may carry: its parser, and what an error says it expected.
 _KINDS = {
-    str: (str, "a value"),
-    float: (float, "a number"),
-    int: (int, "an integer"),
-    bool: (_parse_bool, "a boolean"),
+    "str": (str, "a value"),
+    "float": (float, "a number"),
+    "float | None": (float, "a number"),
+    "int": (int, "an integer"),
+    "bool": (_parse_bool, "a boolean"),
+    "tuple[int, int, int]": (lambda raw: tuple(int(v) for v in raw.split(",")), "W1,W2,W3 integers"),
 }
 
 
-def _get_typed(cp, section: str, key: str, kind: type, default=None):
-    """[section] key parsed as kind, or default when the config leaves it unset.
+def _get_typed(cp, section: str, key: str, kind: str, default=None):
+    """[section] key parsed as the annotation kind, or default when the config leaves it unset.
 
     An empty value is an error for every kind, never a silent default.
     """
@@ -153,35 +156,20 @@ def _get_typed(cp, section: str, key: str, kind: type, default=None):
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
-def _get_seed(cp, section: str, default: int | None = None) -> int | None:
-    """[section] seed, which numpy's generators take only non-negative, or default when unset."""
-    seed = _get_typed(cp, section, "seed", int, default)
-    if seed is not None and seed < 0:
-        raise ValueError(f"[{section}] seed must be >= 0, got {seed}")
-    return seed
+def _keys(fn) -> dict[str, str]:
+    """The parameters of fn, a function or a config dataclass, whose annotation is a kind the config parses."""
+    return {name: p.annotation for name, p in inspect.signature(fn).parameters.items() if p.annotation in _KINDS}
 
 
-# The parser kind of each scalar annotation the config dataclasses use.
-_ANNOTATION_KINDS = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool}
-
-
-def _field_keys(cls) -> dict[str, type]:
-    """The scalar fields of a config dataclass, each with the kind to parse it as."""
-    return {
-        f.name: _ANNOTATION_KINDS[f.type]
-        for f in dataclasses.fields(cls)
-        if f.type in _ANNOTATION_KINDS
-    }
-
-
-def _constant_kinds() -> dict[str, type]:
+def _constant_kinds() -> dict[str, str]:
     """Every family's simulation constants, each with the kind of its default."""
     from .physics import FAMILIES
 
-    return {name: type(default) for family in FAMILIES.values() for name, default in family.constants.items()}
+    return {name: type(default).__name__
+            for family in FAMILIES.values() for name, default in family.constants.items()}
 
 
-def _given(cp, section: str, kinds: dict[str, type]) -> dict:
+def _given(cp, section: str, kinds: dict[str, str]) -> dict:
     """Parsed values of the keys the config sets; unset keys keep the library defaults."""
     values = {key: _get_typed(cp, section, key, kind) for key, kind in kinds.items()}
     return {key: value for key, value in values.items() if value is not None}
@@ -199,9 +187,9 @@ def _run_dir(args, seed: int) -> Path:
 
 # The noise keys of [train] are SimulateConfig's names, not NoiseSpec's.
 _NOISE_KEYS = {
-    "noise_kind": str,
-    "noise_scale": float,
-    "mask_fraction": float,
+    "noise_kind": "str",
+    "noise_scale": "float",
+    "mask_fraction": "float",
 }
 
 
@@ -210,18 +198,20 @@ def _known_keys() -> dict[str, set[str]]:
 
     A section accepts the keys of all commands, so one config file can drive
     simulate, train and eval alike. The [data] and [train] keys are the
-    config dataclasses' own fields, and [data] every family's constants.
+    config dataclasses' own fields, [data] also every family's constants, and
+    the [gradcheck] and [demo] keys the parameters of run_suite and bias_demo.
     """
     from .data import SimulateConfig
-    from .training import TrainConfig
+    from .gradcheck import run_suite
+    from .training import TrainConfig, bias_demo
 
     return {
-        "data": {*_field_keys(SimulateConfig), *_constant_kinds(), "bias_frac", "manifest", "input", "subset"},
-        "train": {*_field_keys(TrainConfig), *_NOISE_KEYS, "widths"},
+        "data": {*_keys(SimulateConfig), *_constant_kinds(), "bias_frac", "manifest", "input", "subset"},
+        "train": {*_keys(TrainConfig), *_NOISE_KEYS},
         "model": {"denoise", "checkpoint"},
         "output": {"file", "timing_repeats"},
-        "gradcheck": {"seed", "instances", "tolerance"},
-        "demo": {"eta_frac", "n_windows", "seed"},
+        "gradcheck": set(_keys(run_suite)),
+        "demo": set(_keys(bias_demo)),
     }
 
 
@@ -229,13 +219,7 @@ def _train_config(cp):
     from .data import NoiseSpec
     from .training import TrainConfig
 
-    given = _given(cp, "train", _field_keys(TrainConfig))
-    widths_raw = _get(cp, "train", "widths")
-    if widths_raw is not None:
-        try:
-            given["widths"] = tuple(int(v) for v in widths_raw.split(","))
-        except ValueError:
-            raise ValueError(f"[train] widths: expected W1,W2,W3 integers, got {widths_raw!r}") from None
+    given = _given(cp, "train", _keys(TrainConfig))
     noise = _given(cp, "train", _NOISE_KEYS)
     noise = {key.removeprefix("noise_"): value for key, value in noise.items()}
     return TrainConfig(noise=NoiseSpec(**noise), **given)
@@ -251,7 +235,7 @@ def _cmd_simulate(args, cp) -> int:
     from .data import SimulateConfig, generate_dataset, save_dataset
     from .physics import window_residuals
 
-    given = _given(cp, "data", _field_keys(SimulateConfig))
+    given = _given(cp, "data", _keys(SimulateConfig))
     raw_bias = _get(cp, "data", "bias_frac", "")
     if raw_bias:
         given["bias_frac"] = {}
@@ -324,7 +308,7 @@ def _cmd_denoise(args, cp) -> int:
 
     checkpoint = Path(_require(cp, "model", "checkpoint"))
     input_csv = Path(_require(cp, "data", "input"))
-    repeats = _get_typed(cp, "output", "timing_repeats", int, 0)
+    repeats = _get_typed(cp, "output", "timing_repeats", "int", 0)
     if repeats < 0:
         raise ValueError(f"[output] timing_repeats must be >= 0, got {repeats}")
     if not checkpoint.exists():
@@ -395,13 +379,7 @@ def _cmd_gradcheck(args, cp) -> int:
     from .gradcheck import run_suite
 
     # Only the keys the config sets are passed on; run_suite's signature holds the defaults.
-    given = _given(cp, "gradcheck", {"instances": int, "tolerance": float})
-    if "tolerance" in given:
-        given["rel_tol"] = given.pop("tolerance")
-    seed = _get_seed(cp, "gradcheck")
-    if seed is not None:
-        given["seed"] = seed
-    results = run_suite(**given)
+    results = run_suite(**_given(cp, "gradcheck", _keys(run_suite)))
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -418,12 +396,10 @@ def _cmd_gradcheck(args, cp) -> int:
 def _cmd_bias_demo(args, cp) -> int:
     from .training import bias_demo, write_bias_csv
 
-    eta = _get_typed(cp, "demo", "eta_frac", float, 0.5)
-    n_windows = _get_typed(cp, "demo", "n_windows", int, 48)
-    seed = _get_seed(cp, "demo", 11)
-    report = bias_demo(eta, n_windows=n_windows, seed=seed)
+    given = _given(cp, "demo", _keys(bias_demo))
+    report = bias_demo(**given)
 
-    run_dir = _run_dir(args, seed)
+    run_dir = _run_dir(args, given.get("seed", inspect.signature(bias_demo).parameters["seed"].default))
     print(
         f"inherent bias on {report.channel}: {report.eta_frac:g} of channel std "
         f"({report.eta_abs:.6g} abs, std {report.channel_std:.6g}), {report.n_windows} windows"

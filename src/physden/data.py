@@ -127,15 +127,12 @@ def _draw(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...]) -> 
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def _add_noise(values: np.ndarray, spec: NoiseSpec, rng, scaled_std: np.ndarray | None = None) -> None:
-    """Add noise in place to a B x C x T block (or view) of windows.
+def _add_noise(values: np.ndarray, spec: NoiseSpec, rngs: Sequence[np.random.Generator],
+               scaled_std: np.ndarray | None = None) -> None:
+    """Add noise in place to a B x C x T block (or view) of windows, window b's drawn from rngs[b].
 
-    rng is one generator, which serves the windows in turn (one B x C x T
-    draw equals B sequential C x T draws), or a sequence of one generator per
-    window. Window b's rows are scaled by row b of scaled_std, by default
-    noise_std of the block.
+    Window b's rows are scaled by row b of scaled_std, by default noise_std of the block.
     """
-    rngs = [rng] * len(values) if isinstance(rng, np.random.Generator) else rng
     t_len = values.shape[-1]
     if spec.kind == "zero-mask":
         n_mask = int(round(spec.mask_fraction * t_len))
@@ -145,24 +142,21 @@ def _add_noise(values: np.ndarray, spec: NoiseSpec, rng, scaled_std: np.ndarray 
         return
     if scaled_std is None:
         scaled_std = noise_std(values, spec)
-    if isinstance(rng, np.random.Generator):
-        noise = _draw(spec, rng, values.shape)
-    else:
-        noise = np.stack([_draw(spec, g, values.shape[1:]) for g in rng])
+    noise = np.stack([_draw(spec, g, values.shape[1:]) for g in rngs])
     noise *= scaled_std[..., None]
     values += noise
 
 
 def inject_noise(block: np.ndarray, spec: NoiseSpec, scaled_std: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """Fresh noisy copy of a C x B x T block of windows, all drawn from rng at once.
+    """Fresh noisy copy of a C x B x T block of windows, all drawn from rng.
 
-    Window b gets the noise a C x T draw of its own would give, in batch
-    order, scaled by row b of the B x C scaled_std (noise_std of the clean
-    windows); deterministic given the generator state.
+    Window b gets the b-th of B sequential C x T draws, scaled by row b of
+    the B x C scaled_std (noise_std of the clean windows); deterministic
+    given the generator state.
     """
     noisy = block.copy()
-    _add_noise(noisy.transpose(1, 0, 2), spec, rng, scaled_std)
+    _add_noise(noisy.transpose(1, 0, 2), spec, [rng] * block.shape[1], scaled_std)
     return noisy
 
 

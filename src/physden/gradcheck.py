@@ -216,16 +216,19 @@ def _cases() -> dict[str, Callable[[np.random.Generator], tuple[Callable, list[n
             "model_forward": _model_case}
 
 
-def run_suite(seed: int = 0, instances: int = 20, rel_tol: float = 1e-5) -> list[CheckResult]:
+def run_suite(seed: int = 0, instances: int = 20, tolerance: float = 1e-5) -> list[CheckResult]:
     """Check `instances` random cases of every operation family, in suite order; one result row each.
 
-    instances must be at least 1 and rel_tol finite and positive, so that a
-    passing suite has checked something against a real bound.
+    seed must be at least 0, as numpy's generators take it, instances at least
+    1 and tolerance finite and positive, so that a passing suite has checked
+    something against a real bound.
     """
+    if seed < 0:
+        raise ValueError(f"gradcheck: seed must be >= 0, got {seed}")
     if instances < 1:
         raise ValueError(f"gradcheck: instances must be >= 1, got {instances}")
-    if not (np.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"gradcheck: tolerance must be finite and positive, got {rel_tol}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"gradcheck: tolerance must be finite and positive, got {tolerance}")
     rng = np.random.default_rng(seed)
     results = []
     for name, case in _cases().items():
@@ -233,5 +236,5 @@ def run_suite(seed: int = 0, instances: int = 20, rel_tol: float = 1e-5) -> list
         for _ in range(instances):
             fn, inputs = case(rng)
             worst = max(worst, check_gradient(fn, inputs))
-        results.append(CheckResult(name=name, instances=instances, max_rel_err=worst, tol=rel_tol))
+        results.append(CheckResult(name=name, instances=instances, max_rel_err=worst, tol=tolerance))
     return results

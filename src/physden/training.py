@@ -388,7 +388,7 @@ BIAS_DEMO_TRAIN = TrainConfig(
 )
 
 
-def bias_demo(eta_frac: float, n_windows: int = 48, seed: int = 11) -> BiasDemoReport:
+def bias_demo(eta_frac: float = 0.5, n_windows: int = 48, seed: int = 11) -> BiasDemoReport:
     """Train twin denoisers on biased observations and report their mean errors.
 
     Builds an air-handler dataset of 48-step windows whose supply-air channel
@@ -398,8 +398,10 @@ def bias_demo(eta_frac: float, n_windows: int = 48, seed: int = 11) -> BiasDemoR
     physics-weighted model on identical observations. Both train on all
     windows, normalized by statistics pooled over all noisy windows rather
     than a train split, and are evaluated against the clean truth on all
-    windows.
+    windows. n_windows must be at least 2, as the dataset's split needs both halves.
     """
+    if n_windows < 2:
+        raise ValueError(f"bias_demo: n_windows must be >= 2, got {n_windows}")
     channel = "t_sa"
     dataset = generate_dataset(
         SimulateConfig(

@@ -58,7 +58,7 @@ def spec_for(family, window, env):
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
-    results = run_suite(seed=0, instances=20, rel_tol=1e-5)
+    results = run_suite(seed=0, instances=20, tolerance=1e-5)
     elapsed = time.perf_counter() - start
     names = {r.name for r in results}
     required = {

@@ -2,6 +2,7 @@
 import configparser
 import contextlib
 import csv
+import inspect
 import io
 import pickle
 import shutil
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from physden import gradcheck
+from physden import gradcheck, training
 from physden.cli import _known_keys, _load_config, build_parser, main
 from physden.data import SampleWindow, load_csv, load_manifest, save_csv
 from physden.metrics import REPORT_COLUMNS
@@ -729,8 +730,9 @@ def sweep_input(workspace):
 @example(mutation=("input", "truncate", None, 0), names="input.csv:1: empty file")
 @example(mutation=("set", "simulate", ("data.seed=-1",)), names="seed must be >= 0")
 @example(mutation=("set", "train", ("train.seed=-1",)), names="seed must be >= 0")
-@example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="[gradcheck] seed must be >= 0")
-@example(mutation=("set", "bias-demo", ("demo.seed=-1",)), names="[demo] seed must be >= 0")
+@example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="gradcheck: seed must be >= 0")
+@example(mutation=("set", "bias-demo", ("demo.seed=-1",)), names="SimulateConfig: seed must be >= 0")
+@example(mutation=("set", "bias-demo", ("demo.n_windows=1",)), names="n_windows")
 @example(mutation=("manifest", "noisy_001.csv", "truncate", None, 0), names="noisy_001.csv:1: empty file")
 @example(mutation=("manifest", "noisy_001.csv", "drop", "t_mix", None),
          names="noisy_001.csv:1: missing channels: t_mix")
@@ -839,13 +841,49 @@ def test_gradcheck_passes(capsys):
     assert "operation families passed" in out
 
 
+def _recording_stub(fn, calls: list, result, *extra: inspect.Parameter):
+    """A stand-in for fn, with fn's parameters and then extra, that records each call's keywords."""
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return result
+
+    signature = inspect.signature(fn)
+    stub.__signature__ = signature.replace(parameters=[*signature.parameters.values(), *extra])
+    return stub
+
+
+# What a bias_demo stand-in returns, so that the command can print and write it.
+_DEMO_REPORT = training.BiasDemoReport("t_sa", 0.5, 0.5, 1.0, 48, 0.0, 0.0, 0.0, 0.0)
+
+
 def test_gradcheck_passes_on_only_the_keys_the_config_sets(monkeypatch):
-    # run_suite's signature is the one copy of the defaults; tolerance arrives as rel_tol.
+    # run_suite's signature is the one copy of the defaults.
     calls = []
-    monkeypatch.setattr(gradcheck, "run_suite", lambda **kwargs: calls.append(kwargs) or [])
+    monkeypatch.setattr(gradcheck, "run_suite", _recording_stub(gradcheck.run_suite, calls, []))
     assert main(["gradcheck"]) == 0
     assert main(["gradcheck", "--set", "gradcheck.tolerance=1e-3", "--set", "gradcheck.seed=2"]) == 0
-    assert calls == [{}, {"rel_tol": 1e-3, "seed": 2}]
+    assert calls == [{}, {"tolerance": 1e-3, "seed": 2}]
+
+
+@pytest.mark.parametrize("command, section, module, name, result", [
+    ("gradcheck", "gradcheck", gradcheck, "run_suite", []),
+    ("bias-demo", "demo", training, "bias_demo", _DEMO_REPORT),
+], ids=["gradcheck", "bias-demo"])
+def test_a_keyword_the_library_adds_is_a_config_key(monkeypatch, tmp_path, command, section, module, name, result):
+    # The section's keys are the function's parameters, so a new one needs no CLI edit.
+    calls = []
+    extra = inspect.Parameter("extra", inspect.Parameter.KEYWORD_ONLY, default=0, annotation="int")
+    monkeypatch.setattr(module, name, _recording_stub(getattr(module, name), calls, result, extra))
+    assert main([command, "--run-dir", str(tmp_path), "--set", f"{section}.extra=3"]) == 0
+    assert calls == [{"extra": 3}]
+
+
+def test_bias_demo_run_directory_names_the_seed_it_ran(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where the default run directories go
+    monkeypatch.setattr(training, "bias_demo", _recording_stub(training.bias_demo, [], _DEMO_REPORT))
+    assert main(["bias-demo"]) == 0
+    assert main(["bias-demo", "--set", "demo.seed=5"]) == 0
+    assert sorted(p.name.rpartition("-")[2] for p in (tmp_path / "out").iterdir()) == ["s11", "s5"]
 
 
 def test_bias_demo_writes_report(capsys, tmp_path):
