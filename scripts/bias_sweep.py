@@ -14,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from physden.training import bias_demo, write_bias_csv
+from physden.metrics import write_records
+from physden.training import BiasDemoReport, bias_demo
 
 
 def parse_args(argv=None):
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
               f"({elapsed:.0f}s)")
 
     sweep_path = out_dir / "bias_sweep.csv"
-    write_bias_csv(reports, sweep_path)
+    write_records(BiasDemoReport, reports, sweep_path)
     print(f"\nsweep: {sweep_path}")
     return 0
 

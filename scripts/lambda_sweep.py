@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from physden.data import generate_dataset
-from physden.metrics import format_report_table, write_report_csv
+from physden.metrics import EvalReport, format_report_table, write_records
 from physden.training import GATE_DATA, GATE_TRAIN, LAMBDA_MAX, LAMBDA_MIN, lambda_sweep
 
 
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     print()
     print(format_report_table(reports))
     report_path = out_dir / "report.csv"
-    write_report_csv(reports, report_path)
+    write_records(EvalReport, reports, report_path)
     print(f"\nreport: {report_path}")
     return 0
 

@@ -136,6 +136,8 @@ _KINDS = {
     "int": (int, "an integer"),
     "bool": (_parse_bool, "a boolean"),
     "tuple[int, int, int]": (lambda raw: tuple(int(v) for v in raw.split(",")), "W1,W2,W3 integers"),
+    "dict[str, float]": (lambda raw: {name.strip(): float(frac) for name, frac in
+                                      (part.split(":") for part in raw.split(","))}, "name:frac pairs"),
 }
 
 
@@ -206,7 +208,7 @@ def _known_keys() -> dict[str, set[str]]:
     from .training import TrainConfig, bias_demo
 
     return {
-        "data": {*_keys(SimulateConfig), *_constant_kinds(), "bias_frac", "manifest", "input", "subset"},
+        "data": {*_keys(SimulateConfig), *_constant_kinds(), "manifest", "input", "subset"},
         "train": {*_keys(TrainConfig), *_NOISE_KEYS},
         "model": {"denoise", "checkpoint"},
         "output": {"file", "timing_repeats"},
@@ -236,17 +238,6 @@ def _cmd_simulate(args, cp) -> int:
     from .physics import window_residuals
 
     given = _given(cp, "data", _keys(SimulateConfig))
-    raw_bias = _get(cp, "data", "bias_frac", "")
-    if raw_bias:
-        given["bias_frac"] = {}
-        for part in raw_bias.split(","):
-            name, sep, frac = part.partition(":")
-            if not sep:
-                raise ValueError(f"[data] bias_frac: expected name:frac pairs, got {part!r}")
-            try:
-                given["bias_frac"][name.strip()] = float(frac)
-            except ValueError:
-                raise ValueError(f"[data] bias_frac: bad fraction in {part!r}") from None
     given["constants"] = _given(cp, "data", _constant_kinds())
     cfg = SimulateConfig(**given)
     dataset = generate_dataset(cfg)
@@ -262,7 +253,8 @@ def _cmd_simulate(args, cp) -> int:
 def _cmd_train(args, cp) -> int:
     from .data import load_manifest
     from .model import save_checkpoint
-    from .training import TrainingAborted, train, write_log_csv
+    from .metrics import write_records
+    from .training import LogRow, TrainingAborted, train
 
     manifest = _require(cp, "data", "manifest")
     dataset = load_manifest(manifest)
@@ -275,7 +267,7 @@ def _cmd_train(args, cp) -> int:
         # The run directory is made only once training has something to write.
         run_dir = _run_dir(args, cfg.seed)
         save_checkpoint(denoiser, run_dir / "model.npz")
-        write_log_csv(log, run_dir / "train_log.csv")
+        write_records(LogRow, log, run_dir / "train_log.csv")
         return run_dir / "model.npz", run_dir / "train_log.csv"
 
     try:
@@ -337,7 +329,7 @@ def _cmd_denoise(args, cp) -> int:
 
 def _cmd_eval(args, cp) -> int:
     from .data import load_manifest
-    from .metrics import evaluate, format_report_table, write_report_csv
+    from .metrics import EvalReport, evaluate, format_report_table, write_records
     from .model import denoise, load_checkpoint
 
     manifest = _require(cp, "data", "manifest")
@@ -369,7 +361,7 @@ def _cmd_eval(args, cp) -> int:
     ]
     run_dir = _run_dir(args, 0)
     report_path = run_dir / "report.csv"
-    write_report_csv(reports, report_path)
+    write_records(EvalReport, reports, report_path)
     print(format_report_table(reports))
     print(f"\nreport: {report_path}")
     return 0
@@ -394,7 +386,8 @@ def _cmd_gradcheck(args, cp) -> int:
 
 
 def _cmd_bias_demo(args, cp) -> int:
-    from .training import bias_demo, write_bias_csv
+    from .metrics import write_records
+    from .training import BiasDemoReport, bias_demo
 
     given = _given(cp, "demo", _keys(bias_demo))
     report = bias_demo(**given)
@@ -413,7 +406,7 @@ def _cmd_bias_demo(args, cp) -> int:
         f"({report.phys_error_frac:+.3f} std, stderr {report.phys_stderr:.3g})"
     )
     out = run_dir / "bias_demo.csv"
-    write_bias_csv([report], out)
+    write_records(BiasDemoReport, [report], out)
     print(f"report: {out}")
     return 0
 

@@ -528,7 +528,7 @@ class SimulateConfig:
     noise_scale: float = 0.1
     mask_fraction: float = 0.0
     bias_frac: dict[str, float] = field(default_factory=dict)
-    constants: dict[str, float] = field(default_factory=dict)
+    constants: dict[str, int | float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.family = self.family.lower()

@@ -1,4 +1,4 @@
-"""Reconstruction and physics-alignment metrics with CSV/table reporting.
+"""Reconstruction and physics-alignment metrics, the table report, and the one CSV writer.
 
 A report reduces two pooled blocks: every window's noisy-minus-clean rows
 side by side in time, and every window's residual rows flattened end to end.
@@ -10,7 +10,7 @@ bitwise on identical inputs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -21,9 +21,7 @@ from .physics import PhysicsSpec, SampleWindow, window_residuals
 __all__ = [
     "EvalReport",
     "evaluate",
-    "REPORT_COLUMNS",
-    "write_rows_csv",
-    "write_report_csv",
+    "write_records",
     "format_report_table",
 ]
 
@@ -97,18 +95,9 @@ def _pooled(d: np.ndarray) -> tuple[float, float, float, float]:
     return float(np.mean(sq)), float(np.mean(ab)), float(np.sum(sq)), float(np.sum(ab))
 
 
-REPORT_COLUMNS = [
-    "label",
-    "n_windows",
-    "recon_mse",
-    "recon_mae",
-    "recon_mse_sum",
-    "recon_mae_sum",
-    "phys_mse",
-    "phys_mae",
-    "phys_mse_sum",
-    "phys_mae_sum",
-]
+# The annotations of a record field that is a CSV column; a field of any other kind (a mapping,
+# a nested record) is left out.
+_CELL_KINDS = ("str", "int", "float", "float | None")
 
 
 def _fmt(v: str | int | float | None) -> str:
@@ -118,17 +107,14 @@ def _fmt(v: str | int | float | None) -> str:
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def write_rows_csv(header: Sequence[str], rows, path) -> None:
-    """A header line, then one line of cells per row (see _fmt)."""
+def write_records(cls, rows: Sequence, path) -> None:
+    """A CSV of records of the dataclass cls: a header of its fields of a cell kind, in declaration
+    order, then one line per row, floats at 17 digits and None empty; no rows, the header alone."""
+    names = [f.name for f in fields(cls) if f.type in _CELL_KINDS]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-
-
-def write_report_csv(reports: Sequence[EvalReport], path) -> None:
-    """One row per report, columns exactly REPORT_COLUMNS."""
-    write_rows_csv(REPORT_COLUMNS, ([getattr(r, c) for c in REPORT_COLUMNS] for r in reports), path)
+        writer.writerow(names)
+        writer.writerows([_fmt(getattr(row, name)) for name in names] for row in rows)
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

@@ -18,11 +18,9 @@ The acceptance gate's experiment lives here too: its inertial dataset
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +46,7 @@ from .data import (
     noise_std,
     NormStats,
 )
-from .metrics import EvalReport, evaluate, write_rows_csv
+from .metrics import EvalReport, evaluate
 from .model import Denoiser, ModelParams, denoise, forward, init_params, merge_denoised
 from .physics import (
     FAMILIES,
@@ -66,10 +64,6 @@ __all__ = [
     "TrainResult",
     "TrainingAborted",
     "train",
-    "write_log_csv",
-    "read_log_csv",
-    "BIAS_CSV_COLUMNS",
-    "write_bias_csv",
     "BiasDemoReport",
     "bias_demo",
     "GATE_DATA",
@@ -125,7 +119,7 @@ class TrainConfig:
 
 @dataclass
 class LogRow:
-    """One optimizer step, fields in log CSV column order. l_phy and lam are None in phase 1."""
+    """One optimizer step, one row of the training log CSV. l_phy and lam are None in phase 1."""
 
     epoch: int
     iteration: int
@@ -153,43 +147,6 @@ class TrainingAborted(RuntimeError):
         super().__init__(message)
         self.denoiser = denoiser
         self.log = log
-
-
-def write_log_csv(log: Sequence[LogRow], path) -> None:
-    write_rows_csv(["epoch", "iter", "phase", "l_rec", "l_phy", "lambda", "total"],
-                   (dataclasses.astuple(row) for row in log), path)
-
-
-def read_log_csv(path) -> list[LogRow]:
-    out: list[LogRow] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append(
-                LogRow(
-                    epoch=int(rec["epoch"]),
-                    iteration=int(rec["iter"]),
-                    phase=int(rec["phase"]),
-                    l_rec=float(rec["l_rec"]),
-                    l_phy=float(rec["l_phy"]) if rec["l_phy"] else None,
-                    lam=float(rec["lambda"]) if rec["lambda"] else None,
-                    total=float(rec["total"]),
-                )
-            )
-    return out
-
-
-# One row per bias-demo report: its fields, then both models' errors.
-BIAS_CSV_COLUMNS = [
-    "eta_frac", "channel", "channel_std", "n_windows",
-    "rec_mean_error", "rec_stderr", "rec_error_frac",
-    "phys_mean_error", "phys_stderr", "phys_error_frac",
-]
-
-
-def write_bias_csv(reports: Sequence["BiasDemoReport"], path) -> None:
-    rows = ([getattr(r, c) for c in BIAS_CSV_COLUMNS] for r in reports)
-    write_rows_csv(BIAS_CSV_COLUMNS, rows, path)
 
 
 def _lambda_for(l_rec: float, l_phy: float, mode: str, value: float) -> float:
@@ -402,6 +359,8 @@ def bias_demo(eta_frac: float = 0.5, n_windows: int = 48, seed: int = 11) -> Bia
     """
     if n_windows < 2:
         raise ValueError(f"bias_demo: n_windows must be >= 2, got {n_windows}")
+    if not np.isfinite(eta_frac):
+        raise ValueError(f"bias_demo: eta_frac must be finite, got {eta_frac}")
     channel = "t_sa"
     dataset = generate_dataset(
         SimulateConfig(

@@ -4,14 +4,19 @@ The gate experiment is training.GATE_DATA plus training.lambda_sweep of
 GATE_TRAIN: adaptive weighting and fixed weights 0 / 0.1 / 1 / 10, each
 evaluated on the test split. Several gate tests compare these runs against
 each other, so they are built once per session. Everything is seeded and
-single-threaded; the numbers quoted in the gate tests reproduce exactly on a
-given platform.
+single-threaded: BLAS and OpenMP run one thread unless the environment sets
+their thread counts. The numbers quoted in the gate tests reproduce exactly
+on a given platform.
 
 The tank family is added to physics.FAMILIES as one entry, with no library
 edit, by the tank fixture; tests/test_families.py runs it end to end.
 """
 import dataclasses
+import os
 import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads its BLAS
 
 import numpy as np
 import pytest

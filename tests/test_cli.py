@@ -7,6 +7,7 @@ import io
 import pickle
 import shutil
 import subprocess
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from physden import gradcheck, training
 from physden.cli import _known_keys, _load_config, build_parser, main
 from physden.data import SampleWindow, load_csv, load_manifest, save_csv
-from physden.metrics import REPORT_COLUMNS
+from physden.metrics import EvalReport
 from physden.model import load_checkpoint
 
 
@@ -364,7 +365,7 @@ def test_train_artifacts(workspace):
     assert denoiser.channels == ["t_sa", "t_mix"]
 
     lines = workspace["log"].read_text().splitlines()
-    assert lines[0] == "epoch,iter,phase,l_rec,l_phy,lambda,total"
+    assert lines[0] == ",".join(f.name for f in fields(training.LogRow))
     # 4 windows -> 2 train windows -> 1 batch per epoch, 4 epochs
     assert len(lines) == 5
 
@@ -714,6 +715,10 @@ def sweep_input(workspace):
          names="room_volume is not a constant of the ins family")
 @example(mutation=("set", "simulate", ("data.noise_scale=nan",)), names="noise_scale")
 @example(mutation=("set", "simulate", ("data.bias_frac=t_sa:nan",)), names="bias_frac")
+@example(mutation=("set", "simulate", ("data.bias_frac=",)),
+         names="[data] bias_frac: expected name:frac pairs, got an empty value")
+@example(mutation=("set", "simulate", ("data.bias_frac=t_sa",)),
+         names="[data] bias_frac: expected name:frac pairs, got 't_sa'")
 @example(mutation=("set", "simulate", ("data.family=co2", "data.duration=300", "data.dt=30",
                                        "data.flow=nan")), names="flow")
 @example(mutation=("set", "gradcheck", ("gradcheck.instances=0",)), names="instances")
@@ -733,6 +738,7 @@ def sweep_input(workspace):
 @example(mutation=("set", "gradcheck", ("gradcheck.seed=-1",)), names="gradcheck: seed must be >= 0")
 @example(mutation=("set", "bias-demo", ("demo.seed=-1",)), names="SimulateConfig: seed must be >= 0")
 @example(mutation=("set", "bias-demo", ("demo.n_windows=1",)), names="n_windows")
+@example(mutation=("set", "bias-demo", ("demo.eta_frac=nan", "demo.n_windows=2")), names="eta_frac")
 @example(mutation=("manifest", "noisy_001.csv", "truncate", None, 0), names="noisy_001.csv:1: empty file")
 @example(mutation=("manifest", "noisy_001.csv", "drop", "t_mix", None),
          names="noisy_001.csv:1: missing channels: t_mix")
@@ -812,7 +818,7 @@ def test_eval_report_schema(capsys, tmp_path, workspace):
 
     with (out_dir / "report.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0].keys()) == REPORT_COLUMNS
+    assert list(rows[0].keys()) == [f.name for f in fields(EvalReport) if f.name != "per_channel"]
     assert [r["label"] for r in rows] == ["original", "denoised"]
     assert all(r["n_windows"] == "2" for r in rows)
 
@@ -899,12 +905,8 @@ def test_bias_demo_writes_report(capsys, tmp_path):
     assert "rec-only mean error" in capsys.readouterr().out
     with (out_dir / "bias_demo.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == [
-        "eta_frac", "channel", "channel_std", "n_windows",
-        "rec_mean_error", "rec_stderr", "rec_error_frac",
-        "phys_mean_error", "phys_stderr", "phys_error_frac",
-    ]
-    assert len(rows) == 2 and rows[1][:2] == ["0.5", "t_sa"] and rows[1][3] == "4"
+    assert rows[0] == [f.name for f in fields(training.BiasDemoReport)]
+    assert len(rows) == 2 and rows[1][:2] == ["t_sa", "0.5"] and rows[1][4] == "4"
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,16 @@
-"""Evaluation metrics: hand oracles, pooling rules, report formats."""
+"""Evaluation metrics: hand oracles, pooling rules, report formats, the record CSV writer."""
 import csv
 import dataclasses
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physden.autodiff import Tensor
 from physden.data import SimulateConfig, generate_dataset
-from physden.metrics import (
-    REPORT_COLUMNS,
-    evaluate,
-    format_report_table,
-    write_report_csv,
-)
+from physden.metrics import EvalReport, evaluate, format_report_table, write_records
 from physden.physics import (
     FAMILIES,
     HvacEnvironment,
@@ -23,6 +21,7 @@ from physden.physics import (
     stacked_residual,
     window_residuals,
 )
+from physden.training import BiasDemoReport, LogRow
 
 
 def hvac_spec(env):
@@ -167,14 +166,63 @@ def test_report_csv_schema_and_blank_fields(tmp_path):
         evaluate("no_clean", [w], spec),
     ]
     path = tmp_path / "report.csv"
-    write_report_csv(reports, path)
+    write_records(EvalReport, reports, path)
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0].keys()) == REPORT_COLUMNS
+    assert list(rows[0].keys()) == [f.name for f in fields(EvalReport) if f.name != "per_channel"]
     assert rows[0]["label"] == "with_clean"
     assert float(rows[0]["recon_mse"]) == 0.0
     assert rows[1]["recon_mse"] == ""  # None serializes as an empty field
     assert float(rows[1]["phys_mse"]) == 0.0
+
+
+# A cell read back by its field's annotation; ±0.0 drawn on purpose, as arbitrary floats seldom are.
+_FLOATS = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+_CELLS = {
+    "str": (st.text(), str),
+    "int": (st.integers(), int),
+    "float": (_FLOATS, float),
+    "float | None": (st.none() | _FLOATS, lambda cell: float(cell) if cell else None),
+}
+
+
+def _read_records(cls, path):
+    """The header and the records of a CSV that write_records wrote of cls."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [cls(**{name: _CELLS[kinds[name]][1](cell) for name, cell in zip(header, row)})
+                    for row in rows]
+
+
+@pytest.mark.parametrize("cls", [LogRow, EvalReport, BiasDemoReport], ids=lambda cls: cls.__name__)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_csv_round_trips_to_the_bit(tmp_path_factory, cls, data):
+    cells = {f.name: _CELLS[f.type][0] for f in fields(cls) if f.type in _CELLS}
+    rows = data.draw(st.lists(st.builds(cls, **cells), max_size=4))
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records(cls, rows, path)
+    header, back = _read_records(cls, path)
+    # Every field but EvalReport's per_channel mapping is a column, in declaration order.
+    assert header == [f.name for f in fields(cls) if f.name != "per_channel"]
+    # A float's repr tells every double apart, -0.0 from 0.0 included.
+    assert repr(back) == repr(rows)
+
+
+def test_an_empty_log_writes_its_header_alone(tmp_path):
+    # As a training aborted at its first step leaves it.
+    write_records(LogRow, [], tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text().splitlines() == ["epoch,iteration,phase,l_rec,l_phy,lam,total"]
+
+
+def test_a_field_a_record_adds_is_a_column(tmp_path):
+    extended = dataclasses.make_dataclass("Extended", [("extra", "float")], bases=(LogRow,))
+    write_records(extended, [extended(0, 1, 2, 0.5, None, None, 0.5, 0.1)], tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text().splitlines() == [
+        "epoch,iteration,phase,l_rec,l_phy,lam,total,extra",
+        "0,1,2,0.5,,,0.5,0.10000000000000001",
+    ]
 
 
 def test_report_table_lists_channels():

@@ -4,10 +4,11 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from physden.metrics import REPORT_COLUMNS
-from physden.training import BIAS_CSV_COLUMNS
+from physden.metrics import EvalReport
+from physden.training import BiasDemoReport
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -24,7 +25,7 @@ def test_lambda_sweep_writes_report(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with (tmp_path / "report.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0].keys()) == REPORT_COLUMNS
+    assert list(rows[0].keys()) == [f.name for f in fields(EvalReport) if f.name != "per_channel"]
     assert [r["label"] for r in rows] == ["noisy", "adaptive", "fixed 0"]
     assert "fixed 0" in proc.stdout
     # 2 train windows in one batch and no phase-1 epoch make one phase-2 iteration,
@@ -43,8 +44,8 @@ def test_bias_sweep_writes_report(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with (tmp_path / "bias_sweep.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == BIAS_CSV_COLUMNS
-    assert len(rows) == 2 and rows[1][0] == "0"
+    assert rows[0] == [f.name for f in fields(BiasDemoReport)]
+    assert len(rows) == 2 and rows[1][:2] == ["t_sa", "0"]
     assert "eta 0:" in proc.stdout
 
 

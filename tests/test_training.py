@@ -30,13 +30,10 @@ from physden.physics import (
 from physden.training import (
     LAMBDA_MAX,
     LAMBDA_MIN,
-    LogRow,
     TrainConfig,
     TrainingAborted,
     _lambda_for,
-    read_log_csv,
     train,
-    write_log_csv,
 )
 
 SMALL = TrainConfig(
@@ -201,8 +198,26 @@ for t in result.params.all_tensors():
 print(digest.hexdigest())
 """
 
+# The serve shape: 7 denoised rows of 100 samples per window through the 271,623-parameter model.
+_DENOISE_DIGEST = """
+import hashlib
+from physden.data import SimulateConfig, generate_dataset
+from physden.model import Denoiser, denoise, init_params
+from physden.physics import FAMILIES
 
-def test_training_is_bitwise_equal_across_blas_thread_counts():
+ds = generate_dataset(SimulateConfig(family="ins", count=4, duration=0.99, dt=0.01, seed=1))
+channels = list(FAMILIES["ins"].denoise)
+model = Denoiser(init_params(len(channels), (128, 256, 128), rng=1), channels,
+                 *ds.norm_stats.subset(channels))
+digest = hashlib.sha256()
+for w in ds.windows:
+    digest.update(denoise(model, w).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("script", [_TRAIN_DIGEST, _DENOISE_DIGEST], ids=["train", "denoise"])
+def test_training_is_bitwise_equal_across_blas_thread_counts(script):
     src = str(Path(physden.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -210,7 +225,7 @@ def test_training_is_bitwise_equal_across_blas_thread_counts():
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         out = subprocess.run(
-            [sys.executable, "-c", _TRAIN_DIGEST],
+            [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         digests.append(out.stdout.strip())
@@ -288,22 +303,6 @@ def test_phase2_ins_batch_records_seven_nodes(monkeypatch):
     assert result.log[-1].phase == 2
     assert tapes[-1] == ["model_forward", "merge", "mse", "residual_ins", "mse", "mul", "add"]
     assert tapes[0] == ["model_forward", "merge", "mse"]
-
-
-def test_log_csv_round_trip(tmp_path):
-    log = [
-        LogRow(0, 0, 1, 1.5, None, None, 1.5),
-        LogRow(1, 2, 2, 0.5, 2.0, 0.25, 1.0),
-    ]
-    path = tmp_path / "log.csv"
-    write_log_csv(log, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "epoch,iter,phase,l_rec,l_phy,lambda,total"
-    back = read_log_csv(path)
-    assert len(back) == 2
-    assert back[0].l_phy is None and back[0].lam is None
-    assert back[1].l_phy == 2.0 and back[1].lam == 0.25
-    assert back[1].epoch == 1 and back[1].iteration == 2
 
 
 def test_training_abort_carries_last_good_state():
