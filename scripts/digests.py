@@ -1,6 +1,8 @@
 """Print a SHA-256 digest of each output whose bits the project keeps across changes.
 
-One `name sha256` line per output:
+The first line, `openblas_kernel <name>`, names the OpenBLAS core numpy's
+bundled library runs on (`unknown` when it is not found), since float results
+may differ between kernels. Then one `name sha256` line per output:
 - the datasets generate_dataset makes from GATE_DATA at seeds 1-3, from
   co2 at count 8 and seed 1, and from hvac at count 16, seed 5 and noise
   scale 0.2; each digest covers the observed windows, the clean windows,
@@ -25,6 +27,7 @@ their thread counts.
 Usage: python3 scripts/digests.py
 """
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -46,6 +49,18 @@ from physden.data import SimulateConfig, generate_dataset
 from physden.model import Denoiser, denoise, init_params
 from physden.physics import FAMILIES
 from physden.training import BIAS_DEMO_TRAIN, GATE_DATA, GATE_TRAIN, train
+
+
+def openblas_kernel() -> str:
+    """The core name numpy's bundled OpenBLAS reports, or "unknown"."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def sha256(parts) -> str:
@@ -118,6 +133,7 @@ def digests() -> list[tuple[str, str]]:
 
 
 def main() -> int:
+    print("openblas_kernel", openblas_kernel())
     for name, digest in digests():
         print(name, digest)
     return 0

@@ -128,6 +128,26 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+class _BadName(ValueError):
+    """A well-formed value that names a channel wrongly; its message says which name."""
+
+
+def _check_names(names: list[str], raw: str) -> list[str]:
+    """names, the channel names raw gives; the first empty or repeated one is an error."""
+    for i, name in enumerate(names):
+        if not name:
+            raise _BadName(f"empty channel name in {raw!r}")
+        if name in names[:i]:
+            raise _BadName(f"channel names must be distinct, got {name!r} twice")
+    return names
+
+
+def _parse_fracs(raw: str) -> dict[str, float]:
+    pairs = [(name.strip(), float(frac)) for name, frac in (part.split(":") for part in raw.split(","))]
+    _check_names([name for name, _ in pairs], raw)
+    return dict(pairs)
+
+
 # Each annotation a config key may carry: its parser, and what an error says it expected.
 _KINDS = {
     "str": (str, "a value"),
@@ -136,8 +156,8 @@ _KINDS = {
     "int": (int, "an integer"),
     "bool": (_parse_bool, "a boolean"),
     "tuple[int, int, int]": (lambda raw: tuple(int(v) for v in raw.split(",")), "W1,W2,W3 integers"),
-    "dict[str, float]": (lambda raw: {name.strip(): float(frac) for name, frac in
-                                      (part.split(":") for part in raw.split(","))}, "name:frac pairs"),
+    "dict[str, float]": (_parse_fracs, "name:frac pairs"),
+    "list[str]": (lambda raw: _check_names([name.strip() for name in raw.split(",")], raw), "channel names"),
 }
 
 
@@ -154,6 +174,8 @@ def _get_typed(cp, section: str, key: str, kind: str, default=None):
         raise ValueError(f"[{section}] {key}: expected {expected}, got an empty value")
     try:
         return parse(raw)
+    except _BadName as err:
+        raise ValueError(f"[{section}] {key}: {err}") from None
     except ValueError:
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
@@ -260,8 +282,7 @@ def _cmd_train(args, cp) -> int:
     dataset = load_manifest(manifest)
     cfg = _train_config(cp)
 
-    denoise_raw = _get(cp, "model", "denoise", "")
-    channels = [c for c in denoise_raw.split(",") if c] or dataset.denoise_channels
+    channels = _get_typed(cp, "model", "denoise", "list[str]", dataset.denoise_channels)
 
     def save(denoiser, log) -> tuple[Path, Path]:
         # The run directory is made only once training has something to write.

@@ -141,7 +141,11 @@ class TrainResult:
 
 
 class TrainingAborted(RuntimeError):
-    """Raised on non-finite loss or gradients; carries the last good state."""
+    """Raised on a non-finite loss or gradient, as "aborted at epoch E iteration I: <cause>".
+
+    denoiser carries the parameters of the last completed epoch (the initial
+    ones when epoch 0 aborts); log holds every step before the failing one.
+    """
 
     def __init__(self, message: str, denoiser: Denoiser, log: list[LogRow]):
         super().__init__(message)
@@ -163,15 +167,6 @@ def _lambda_for(l_rec: float, l_phy: float, mode: str, value: float) -> float:
 # Training loop
 
 
-def _snapshot(params: ModelParams) -> list[np.ndarray]:
-    return [t.data.copy() for t in params.all_tensors()]
-
-
-def _params_from_snapshot(params: ModelParams, snap: list[np.ndarray]) -> ModelParams:
-    tensors = [Tensor(arr.copy(), requires_grad=True) for arr in snap]
-    return ModelParams(weights=tensors[0::2], biases=tensors[1::2])
-
-
 def train(
     windows: Sequence[SampleWindow],
     spec: PhysicsSpec,
@@ -188,8 +183,11 @@ def train(
     windows must pass check_window (the spec's channels) and share one
     length, and each batch loss is a mean over all of its windows' entries.
     All randomness (init, shuffling, injected noise) derives from cfg.seed,
-    so runs repeat bitwise. Raises TrainingAborted on non-finite loss or
-    gradient, carrying the last epoch-end parameters.
+    so runs repeat bitwise. The returned Denoiser is built before the first
+    step, so repeated denoise channels are its error and no step runs. A
+    non-finite loss or gradient raises TrainingAborted, "aborted at epoch E
+    iteration I: <cause>", carrying the parameters of the last completed
+    epoch (the initial ones in epoch 0).
     """
     windows = list(windows)
     if not windows:
@@ -202,37 +200,24 @@ def train(
     if denoise_channels is None:
         denoise_channels = FAMILIES[spec.family].denoise
     denoise_channels = [str(c) for c in denoise_channels]
-    if len(set(denoise_channels)) != len(denoise_channels):
-        raise ValueError(f"train: denoise channels must be distinct, got {', '.join(denoise_channels)}")
     missing = [c for c in denoise_channels if c not in spec.channels]
     if missing:
         raise ValueError(f"train: windows lack denoise channels: {', '.join(missing)}")
     if norm_stats is None:
         norm_stats = compute_norm_stats(windows)
-    mean, std = norm_stats.subset(denoise_channels)
     den_idx = [spec.channels.index(c) for c in denoise_channels]
 
     seed_init, seed_shuffle, seed_noise = np.random.SeedSequence(cfg.seed).spawn(3)
-    params = init_params(len(den_idx), cfg.widths, np.random.default_rng(seed_init))
-    tensors = params.all_tensors()
+    model = Denoiser(init_params(len(den_idx), cfg.widths, np.random.default_rng(seed_init)), denoise_channels,
+                     *norm_stats.subset(denoise_channels), cfg.predict_residual, spec.dt)
+    tensors = model.params.all_tensors()
     state = AdamState.for_params(tensors)
     rng_shuffle = np.random.default_rng(seed_shuffle)
     rng_noise = np.random.default_rng(seed_noise)
 
     pretrain_epochs = int(round(cfg.pretrain_fraction * cfg.epochs_total))
     log: list[LogRow] = []
-    last_good = _snapshot(params)
-
-    def as_denoiser(snap: list[np.ndarray] | None = None) -> Denoiser:
-        p = params if snap is None else _params_from_snapshot(params, snap)
-        return Denoiser(
-            params=p,
-            channels=list(denoise_channels),
-            norm_mean=mean.copy(),
-            norm_std=std.copy(),
-            predict_residual=cfg.predict_residual,
-            dt=spec.dt,
-        )
+    last_good = [t.data.copy() for t in tensors]
 
     # The windows never change: one C x N x T block and each window's noise scale.
     values = np.stack([w.values for w in windows], axis=1)
@@ -245,9 +230,9 @@ def train(
             target = values.take(batch, axis=1)
             with Tape() as tape:
                 noisy = inject_noise(target, cfg.noise, scaled_std[batch], rng_noise)
-                z = (noisy[den_idx] - mean[:, None, None]) / std[:, None, None]
-                merged = merge_denoised(forward(params, Tensor(z)), z if cfg.predict_residual else None,
-                                        target, den_idx, mean, std)
+                z = (noisy[den_idx] - model.norm_mean[:, None, None]) / model.norm_std[:, None, None]
+                merged = merge_denoised(forward(model.params, Tensor(z)), z if model.predict_residual else None,
+                                        target, den_idx, model.norm_mean, model.norm_std)
                 l_rec_t = mse(merged, target)
                 l_rec = float(l_rec_t.data)
                 if phase == 2:
@@ -261,25 +246,19 @@ def train(
                     total_t = l_rec_t
                 total = float(total_t.data)
 
-            if not np.isfinite(total):
-                raise TrainingAborted(
-                    f"non-finite loss at epoch {epoch} iteration {iteration}",
-                    denoiser=as_denoiser(last_good),
-                    log=log,
-                )
-            grads = backward(total_t, tape)
             try:
-                adam_step(tensors, grads, state, lr=cfg.lr)
+                if not np.isfinite(total):
+                    raise NumericalError("non-finite loss")
+                adam_step(tensors, backward(total_t, tape), state, lr=cfg.lr)
             except NumericalError as err:
-                raise TrainingAborted(
-                    f"aborted at epoch {epoch} iteration {iteration}: {err}",
-                    denoiser=as_denoiser(last_good),
-                    log=log,
-                ) from err
+                last = [Tensor(data, requires_grad=True) for data in last_good]
+                carried = dataclasses.replace(model, params=ModelParams(last[0::2], last[1::2]))
+                raise TrainingAborted(f"aborted at epoch {epoch} iteration {iteration}: {err}",
+                                      denoiser=carried, log=log) from err
             log.append(LogRow(epoch, iteration, phase, l_rec, l_phy, lam, total))
-        last_good = _snapshot(params)
+        last_good = [t.data.copy() for t in tensors]
 
-    return TrainResult(denoiser=as_denoiser(), log=log)
+    return TrainResult(denoiser=model, log=log)
 
 
 # ---------------------------------------------------------------------------

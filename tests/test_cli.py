@@ -232,6 +232,7 @@ def test_bad_integer_names_the_key(capsys, workspace):
         ("train.lr=", "[train] lr"),
         ("train.epochs_total=", "[train] epochs_total"),
         ("train.predict_residual=", "[train] predict_residual"),
+        ("model.denoise=", "[model] denoise"),
     ],
 )
 def test_empty_value_is_an_error_for_every_kind(capsys, workspace, item, key):
@@ -695,7 +696,9 @@ def sweep_input(workspace):
 @example(mutation=("checkpoint", "set", "weight_1", np.ones((3, 5, 5))), names="layer 1 takes 5 channels")
 @example(mutation=("checkpoint", "set", "weight_1", np.ones((3, 2, 4))), names="layer 1 has kernel size 4")
 @example(mutation=("checkpoint", "set", "bias_1", np.zeros(4)), names="layer 1 has 4 biases")
-@example(mutation=("set", "train", ("model.denoise=t_sa,t_sa",)), names="distinct")
+@example(mutation=("set", "train", ("model.denoise=t_sa,t_sa",)),
+         names="[model] denoise: channel names must be distinct, got 't_sa' twice")
+@example(mutation=("set", "train", ("model.denoise=,",)), names="[model] denoise: empty channel name in ','")
 @example(mutation=("set", "train", ("train.lr=nan",)), names="lr")
 @example(mutation=("set", "train", ("train.lr=inf",)), names="lr")
 @example(mutation=("set", "train", ("train.lambda_mode=fixed", "train.lambda_value=nan")), names="lambda_value")
@@ -719,6 +722,10 @@ def sweep_input(workspace):
          names="[data] bias_frac: expected name:frac pairs, got an empty value")
 @example(mutation=("set", "simulate", ("data.bias_frac=t_sa",)),
          names="[data] bias_frac: expected name:frac pairs, got 't_sa'")
+@example(mutation=("set", "simulate", ("data.bias_frac=t_sa:0.5,t_sa:0",)),
+         names="[data] bias_frac: channel names must be distinct, got 't_sa' twice")
+@example(mutation=("set", "simulate", ("data.bias_frac=:0.5",)),
+         names="[data] bias_frac: empty channel name in ':0.5'")
 @example(mutation=("set", "simulate", ("data.family=co2", "data.duration=300", "data.dt=30",
                                        "data.flow=nan")), names="flow")
 @example(mutation=("set", "gradcheck", ("gradcheck.instances=0",)), names="instances")

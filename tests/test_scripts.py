@@ -88,7 +88,8 @@ def test_digests_prints_each_name_once_and_the_same_lines_twice():
     ]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
-    lines = runs[0].stdout.splitlines()
+    kernel, *lines = runs[0].stdout.splitlines()
+    assert re.fullmatch(r"openblas_kernel \S+", kernel)
     assert [line.split(" ")[0] for line in lines] == [
         "gate_data_seed1", "gate_data_seed2", "gate_data_seed3", "co2_count8_seed1",
         "hvac_count16_seed5_noise0.2", "gate_train_2epochs_params", "gate_train_2epochs_log",

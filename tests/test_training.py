@@ -10,7 +10,7 @@ import pytest
 
 import physden
 import physden.training as training_mod
-from physden.autodiff import Tensor
+from physden.autodiff import NumericalError, Tensor
 from physden.data import (
     NoiseSpec,
     SimulateConfig,
@@ -239,6 +239,8 @@ def test_train_validates_inputs():
         train([], ds.spec, SMALL)
     with pytest.raises(ValueError, match="lack denoise channels"):
         train(ds.train_windows, ds.spec, SMALL, denoise_channels=["t_sa", "nope"])
+    with pytest.raises(ValueError, match="^Denoiser: channel names must be distinct, got t_sa, t_sa$"):
+        train(ds.train_windows, ds.spec, SMALL, denoise_channels=["t_sa", "t_sa"])
     first, second = ds.windows[:2]
     t_len = first.n_timesteps
     short = SampleWindow(second.channels, second.values[:, 1:], second.dt, second.units)
@@ -313,8 +315,32 @@ def test_training_abort_carries_last_good_state():
     with np.errstate(all="ignore"), pytest.raises(TrainingAborted) as excinfo:
         train(ds.train_windows, ds.spec, cfg, norm_stats=ds.norm_stats)
     err = excinfo.value
+    assert "non-finite loss" in str(err) and "epoch" in str(err)
     assert err.log, "log up to the failure is preserved"
     assert err.denoiser.channels == ["t_sa", "t_mix"]
     # the carried parameters are finite (last epoch-end snapshot)
     for w in err.denoiser.params.weights:
         assert np.all(np.isfinite(w.data))
+
+
+def test_training_abort_carries_the_last_completed_epoch_to_the_bit(monkeypatch):
+    ds = hvac_setup(count=8)
+    cfg = dataclasses.replace(SMALL, epochs_total=6, pretrain_fraction=1.0)
+    per_epoch = -(-len(ds.train_windows) // cfg.batch_size)
+    assert per_epoch >= 2
+    real_adam_step, calls = training_mod.adam_step, []
+
+    def failing_adam_step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2 * per_epoch + 2:  # epoch 2, iteration 1
+            raise NumericalError("injected")
+        return real_adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "adam_step", failing_adam_step)
+    with pytest.raises(TrainingAborted, match="aborted at epoch 2 iteration 1: injected") as excinfo:
+        train(ds.train_windows, ds.spec, cfg, norm_stats=ds.norm_stats)
+    monkeypatch.undo()
+    two = train(ds.train_windows, ds.spec, dataclasses.replace(cfg, epochs_total=2), norm_stats=ds.norm_stats)
+    carried = excinfo.value.denoiser.params.all_tensors()
+    assert len(excinfo.value.log) == 2 * per_epoch + 1
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(carried, two.params.all_tensors()))
