@@ -16,7 +16,8 @@ may differ between kernels. Then one `name sha256` line per output:
   (7 -> 128/256/128 -> 7 channels, 271,623 parameters) initialised from seed 1;
 - for each family, `physden simulate` (cli.main) with every simulation constant
   of the family set to a value other than its default: the manifest's and the
-  window CSVs' bytes.
+  window CSVs' bytes, and then what data.load_manifest reads back from them
+  (the dataset digest above, the denoise channels and the environment fields).
 It uses only library names that have stood since each family became one
 physics.FAMILIES record, and [data] keys that stood before the simulation
 constants moved into the family records, so the same file, copied into an older
@@ -45,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from physden.cli import main as cli_main
-from physden.data import SimulateConfig, generate_dataset
+from physden.data import SimulateConfig, generate_dataset, load_manifest
 from physden.model import Denoiser, denoise, init_params
 from physden.physics import FAMILIES
 from physden.training import BIAS_DEMO_TRAIN, GATE_DATA, GATE_TRAIN, train
@@ -89,14 +90,25 @@ CLI_CONSTANTS = {
 }
 
 
-def cli_simulate_digest(family: str, constants: list[str]) -> str:
-    """Digest of the manifest and window CSV bytes `physden simulate` writes for 4 windows at seed 3."""
+def loaded_digest(dataset) -> str:
+    """Digest of a dataset as dataset_digest, plus its denoise channels and environment fields."""
+    env = dataset.spec.environment
+    parts = [dataset_digest(dataset), dataset.denoise_channels]
+    for f in dataclasses.fields(env):
+        parts += [f.name, np.asarray(getattr(env, f.name), dtype=np.float64)]
+    return sha256(parts)
+
+
+def cli_simulate_digests(family: str, constants: list[str]) -> tuple[str, str]:
+    """Digests of the manifest and window CSV bytes `physden simulate` writes for 4 windows at seed 3,
+    and of the dataset load_manifest reads from them."""
     items = [f"family={family}", "count=4", "seed=3", *constants]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         args = ["simulate", "--run-dir", tmp, *(a for item in items for a in ("--set", f"data.{item}"))]
         if cli_main(args) != 0:
             raise SystemExit(f"simulate failed for {family}")
-        return sha256([(path.name, path.read_bytes()) for path in sorted(Path(tmp, "data").iterdir())])
+        files = sha256([(path.name, path.read_bytes()) for path in sorted(Path(tmp, "data").iterdir())])
+        return files, loaded_digest(load_manifest(Path(tmp, "data", "manifest.ini")))
 
 
 def digests() -> list[tuple[str, str]]:
@@ -127,8 +139,9 @@ def digests() -> list[tuple[str, str]]:
     model = Denoiser(init_params(len(channels), (128, 256, 128), rng=1), channels,
                      *serve.norm_stats.subset(channels))
     lines.append(("serve_model_denoised", sha256([denoise(model, w).values for w in serve.windows])))
-    lines += [(f"cli_simulate_{family}", cli_simulate_digest(family, constants))
-              for family, constants in CLI_CONSTANTS.items()]
+    simulated = {family: cli_simulate_digests(family, constants) for family, constants in CLI_CONSTANTS.items()}
+    lines += [(f"cli_simulate_{family}", files) for family, (files, _) in simulated.items()]
+    lines += [(f"manifest_loaded_{family}", loaded) for family, (_, loaded) in simulated.items()]
     return lines
 
 

@@ -82,10 +82,7 @@ def _load_config(args) -> configparser.ConfigParser:
     if args.config:
         from .data import _read_ini
 
-        path = Path(args.config)
-        if not path.exists():
-            raise ValueError(f"config file not found: {path}")
-        _read_ini(cp, path, "config")
+        _read_ini(cp, Path(args.config), "config")
     for item in args.overrides:
         if "=" not in item:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
@@ -106,96 +103,26 @@ def _load_config(args) -> configparser.ConfigParser:
     return cp
 
 
-def _get(cp, section: str, key: str, default: str | None = None) -> str | None:
-    if section in cp and key in cp[section]:
-        return cp[section][key]
-    return default
-
-
-def _require(cp, section: str, key: str) -> str:
-    value = _get(cp, section, key)
-    if value is None or value == "":
-        raise ValueError(f"missing required config value [{section}] {key}")
-    return value
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-class _BadName(ValueError):
-    """A well-formed value that names a channel wrongly; its message says which name."""
-
-
-def _check_names(names: list[str], raw: str) -> list[str]:
-    """names, the channel names raw gives; the first empty or repeated one is an error."""
-    for i, name in enumerate(names):
-        if not name:
-            raise _BadName(f"empty channel name in {raw!r}")
-        if name in names[:i]:
-            raise _BadName(f"channel names must be distinct, got {name!r} twice")
-    return names
-
-
-def _parse_fracs(raw: str) -> dict[str, float]:
-    pairs = [(name.strip(), float(frac)) for name, frac in (part.split(":") for part in raw.split(","))]
-    _check_names([name for name, _ in pairs], raw)
-    return dict(pairs)
-
-
-# Each annotation a config key may carry: its parser, and what an error says it expected.
-_KINDS = {
-    "str": (str, "a value"),
-    "float": (float, "a number"),
-    "float | None": (float, "a number"),
-    "int": (int, "an integer"),
-    "bool": (_parse_bool, "a boolean"),
-    "tuple[int, int, int]": (lambda raw: tuple(int(v) for v in raw.split(",")), "W1,W2,W3 integers"),
-    "dict[str, float]": (_parse_fracs, "name:frac pairs"),
-    "list[str]": (lambda raw: _check_names([name.strip() for name in raw.split(",")], raw), "channel names"),
-}
-
-
-def _get_typed(cp, section: str, key: str, kind: str, default=None):
-    """[section] key parsed as the annotation kind, or default when the config leaves it unset.
-
-    An empty value is an error for every kind, never a silent default.
-    """
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    parse, expected = _KINDS[kind]
-    if raw == "":
-        raise ValueError(f"[{section}] {key}: expected {expected}, got an empty value")
-    try:
-        return parse(raw)
-    except _BadName as err:
-        raise ValueError(f"[{section}] {key}: {err}") from None
-    except ValueError:
-        raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
-
-
-def _keys(fn) -> dict[str, str]:
+def _keys(fn) -> dict:
     """The parameters of fn, a function or a config dataclass, whose annotation is a kind the config parses."""
-    return {name: p.annotation for name, p in inspect.signature(fn).parameters.items() if p.annotation in _KINDS}
+    from .data import _KINDS
+
+    return {name: p.annotation for name, p in inspect.signature(fn, eval_str=True).parameters.items()
+            if p.annotation in _KINDS}
 
 
-def _constant_kinds() -> dict[str, str]:
+def _constant_kinds() -> dict:
     """Every family's simulation constants, each with the kind of its default."""
     from .physics import FAMILIES
 
-    return {name: type(default).__name__
-            for family in FAMILIES.values() for name, default in family.constants.items()}
+    return {name: type(default) for family in FAMILIES.values() for name, default in family.constants.items()}
 
 
-def _given(cp, section: str, kinds: dict[str, str]) -> dict:
+def _given(cp, section: str, kinds: dict) -> dict:
     """Parsed values of the keys the config sets; unset keys keep the library defaults."""
-    values = {key: _get_typed(cp, section, key, kind) for key, kind in kinds.items()}
+    from .data import read_value
+
+    values = {key: read_value(cp, section, key, kind, None) for key, kind in kinds.items()}
     return {key: value for key, value in values.items() if value is not None}
 
 
@@ -211,9 +138,9 @@ def _run_dir(args, seed: int) -> Path:
 
 # The noise keys of [train] are SimulateConfig's names, not NoiseSpec's.
 _NOISE_KEYS = {
-    "noise_kind": "str",
-    "noise_scale": "float",
-    "mask_fraction": "float",
+    "noise_kind": str,
+    "noise_scale": float,
+    "mask_fraction": float,
 }
 
 
@@ -273,16 +200,15 @@ def _cmd_simulate(args, cp) -> int:
 
 
 def _cmd_train(args, cp) -> int:
-    from .data import load_manifest
+    from .data import load_manifest, read_value
     from .model import save_checkpoint
     from .metrics import write_records
     from .training import LogRow, TrainingAborted, train
 
-    manifest = _require(cp, "data", "manifest")
-    dataset = load_manifest(manifest)
+    dataset = load_manifest(read_value(cp, "data", "manifest", str))
     cfg = _train_config(cp)
 
-    channels = _get_typed(cp, "model", "denoise", "list[str]", dataset.denoise_channels)
+    channels = read_value(cp, "model", "denoise", list[str], dataset.denoise_channels)
 
     def save(denoiser, log) -> tuple[Path, Path]:
         # The run directory is made only once training has something to write.
@@ -316,25 +242,21 @@ def _cmd_train(args, cp) -> int:
 
 
 def _cmd_denoise(args, cp) -> int:
-    from .data import load_csv, save_csv
+    from .data import load_csv, read_value, save_csv
     from .model import denoise, load_checkpoint
 
-    checkpoint = Path(_require(cp, "model", "checkpoint"))
-    input_csv = Path(_require(cp, "data", "input"))
-    repeats = _get_typed(cp, "output", "timing_repeats", "int", 0)
+    checkpoint = read_value(cp, "model", "checkpoint", str)
+    input_csv = read_value(cp, "data", "input", str)
+    repeats = read_value(cp, "output", "timing_repeats", int, 0)
     if repeats < 0:
         raise ValueError(f"[output] timing_repeats must be >= 0, got {repeats}")
-    if not checkpoint.exists():
-        raise ValueError(f"checkpoint not found: {checkpoint}")
-    if not input_csv.exists():
-        raise ValueError(f"input CSV not found: {input_csv}")
     denoiser = load_checkpoint(checkpoint)
     window = load_csv(input_csv)
     try:
         restored = denoise(denoiser, window)
     except ValueError as err:
         raise ValueError(f"{input_csv}: {err}") from None
-    out_path = Path(_get(cp, "output", "file", "") or _run_dir(args, 0) / "denoised.csv")
+    out_path = Path(read_value(cp, "output", "file", str, None) or _run_dir(args, 0) / "denoised.csv")
     save_csv(restored, out_path)
     print(f"wrote {out_path}")
 
@@ -349,18 +271,15 @@ def _cmd_denoise(args, cp) -> int:
 
 
 def _cmd_eval(args, cp) -> int:
-    from .data import load_manifest
+    from .data import load_manifest, read_value
     from .metrics import EvalReport, evaluate, format_report_table, write_records
     from .model import denoise, load_checkpoint
 
-    manifest = _require(cp, "data", "manifest")
-    checkpoint = Path(_require(cp, "model", "checkpoint"))
-    if not checkpoint.exists():
-        raise ValueError(f"checkpoint not found: {checkpoint}")
+    manifest = read_value(cp, "data", "manifest", str)
+    denoiser = load_checkpoint(read_value(cp, "model", "checkpoint", str))
     dataset = load_manifest(manifest)
-    denoiser = load_checkpoint(checkpoint)
 
-    subset = _get(cp, "data", "subset", "all")
+    subset = read_value(cp, "data", "subset", str, "all")
     if subset == "train":
         idx = dataset.split[0]
     elif subset == "test":

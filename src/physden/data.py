@@ -16,7 +16,7 @@ import dataclasses
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -99,7 +99,8 @@ class NoiseSpec:
 
     scale is a fraction of each channel's own std within the window (gaussian
     std, or uniform half-width); zero-mask instead zeroes a mask_fraction of
-    timesteps chosen uniformly per channel.
+    timesteps chosen uniformly per channel, and ignores scale. A mask_fraction
+    above 0 with an additive kind is an error, since it would do nothing.
     """
 
     kind: str = "gaussian"
@@ -114,6 +115,9 @@ class NoiseSpec:
             raise ValueError(f"NoiseSpec: scale must be >= 0, got {self.scale}")
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ValueError(f"NoiseSpec: mask_fraction must be in [0,1], got {self.mask_fraction}")
+        if self.mask_fraction > 0 and self.kind != "zero-mask":
+            raise ValueError(f"NoiseSpec: mask_fraction acts only on zero-mask noise, got "
+                             f"{self.mask_fraction} with kind {self.kind!r}")
 
 
 def noise_std(values: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -278,18 +282,6 @@ def _not_text(path: Path, kind: str, err: UnicodeDecodeError) -> ValueError:
     return ValueError(f"{path}: {kind} is not text ({err.reason} at offset {err.start})")
 
 
-def _read_ini(cfg: configparser.ConfigParser, path: Path, kind: str) -> None:
-    """cfg.read(path); a file that is not text or not INI syntax raises a ValueError naming it."""
-    try:
-        cfg.read(str(path))  # as a str: configparser's messages quote a Path's repr
-    except UnicodeDecodeError as err:
-        raise _not_text(path, kind, err) from None
-    except configparser.Error as err:
-        # The reason and its line, on one line: a ParsingError goes on to list every bad line.
-        detail = " ".join(" ".join(str(err).splitlines()[:2]).split())
-        raise ValueError(f"{path}: {kind} is not an INI file ({detail})") from None
-
-
 def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
     """Read a window CSV; dt is inferred from the time column.
 
@@ -301,7 +293,11 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
     cannot take whole (a bad line, a quoted number) is rescanned by csv.reader.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except FileNotFoundError:
+        raise ValueError(f"{path}: window CSV not found") from None
+    with fh:
         try:
             header = next(csv.reader(fh), None)
             lines = fh.readlines()
@@ -356,6 +352,95 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
 
 
 # ---------------------------------------------------------------------------
+# INI files and their values: the config file and the dataset manifest
+
+
+def _read_ini(cfg: configparser.ConfigParser, path: Path, kind: str) -> None:
+    """Read path into cfg; a file that is missing, not text or not INI syntax raises a ValueError naming it."""
+    try:
+        with path.open() as fh:
+            cfg.read_file(fh, str(path))  # as a str: configparser's messages quote a Path's repr
+    except FileNotFoundError:
+        raise ValueError(f"{path}: {kind} not found") from None
+    except UnicodeDecodeError as err:
+        raise _not_text(path, kind, err) from None
+    except configparser.Error as err:
+        # The reason and its line, on one line: a ParsingError goes on to list every bad line.
+        detail = " ".join(" ".join(str(err).splitlines()[:2]).split())
+        raise ValueError(f"{path}: {kind} is not an INI file ({detail})") from None
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+class _BadName(ValueError):
+    """A well-formed value that names a channel wrongly; its message says which name."""
+
+
+def _check_names(names: list[str], raw: str) -> list[str]:
+    """names, the channel names raw gives; the first empty or repeated one is an error."""
+    for i, name in enumerate(names):
+        if not name:
+            raise _BadName(f"empty channel name in {raw!r}")
+        if name in names[:i]:
+            raise _BadName(f"channel names must be distinct, got {name!r} twice")
+    return names
+
+
+def _parse_fracs(raw: str) -> dict[str, float]:
+    pairs = [(name.strip(), float(frac)) for name, frac in (part.split(":") for part in raw.split(","))]
+    _check_names([name for name, _ in pairs], raw)
+    return dict(pairs)
+
+
+# Each annotation an INI value may carry: its parser, and what an error says it expected.
+_KINDS = {
+    str: (str, "a value"),
+    float: (float, "a number"),
+    float | None: (float, "a number"),
+    int: (int, "an integer"),
+    bool: (_parse_bool, "a boolean"),
+    tuple[int, int, int]: (lambda raw: tuple(int(v) for v in raw.split(",")), "W1,W2,W3 integers"),
+    dict[str, float]: (_parse_fracs, "name:frac pairs"),
+    list[str]: (lambda raw: _check_names([name.strip() for name in raw.split(",")], raw), "channel names"),
+    list[int]: (lambda raw: [int(v) for v in raw.split(",")] if raw else [], "comma-separated integers"),
+    np.ndarray: (lambda raw: np.array([float(v) for v in raw.split(",")]), "comma-separated numbers"),
+}
+
+_REQUIRED = object()
+
+
+def read_value(cfg: configparser.ConfigParser, section: str, key: str, kind, default=_REQUIRED,
+               where: str = ""):
+    """[section] key parsed as kind, an annotation _KINDS holds, or default when cfg leaves it unset.
+
+    A key without a default must be set. An empty value is an error for every
+    kind but list[int], where it is the empty list. Each error reads
+    ``<where>[section] key: ...``.
+    """
+    raw = cfg.get(section, key, fallback=None)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}[{section}] {key}: missing required value")
+        return default
+    parse, expected = _KINDS[kind]
+    if raw == "" and kind != list[int]:
+        raise ValueError(f"{where}[{section}] {key}: expected {expected}, got an empty value")
+    try:
+        return parse(raw)
+    except _BadName as err:
+        raise ValueError(f"{where}[{section}] {key}: {err}") from None
+    except ValueError:
+        raise ValueError(f"{where}[{section}] {key}: expected {expected}, got {raw!r}") from None
+
+
+# ---------------------------------------------------------------------------
 # Dataset manifest (INI)
 
 def _env_section(spec: PhysicsSpec) -> dict[str, str]:
@@ -366,42 +451,6 @@ def _env_section(spec: PhysicsSpec) -> dict[str, str]:
     env = spec.environment
     return {f.name: ",".join(f"{float(v):.17g}" for v in np.atleast_1d(getattr(env, f.name)))
             for f in dataclasses.fields(env)}
-
-
-def _manifest_value(path: Path, section, key: str) -> str:
-    """A required manifest entry; a missing one is an error naming its section and key."""
-    if key not in section:
-        raise ValueError(f"{path}: [{section.name}] is missing the {key!r} key")
-    return section[key]
-
-
-def _manifest_numbers(path: Path, section, key: str, kind=float, size: int | None = 1) -> list:
-    """A required manifest entry as its comma-separated numbers of the given kind.
-
-    There must be exactly size of them; with size None, any number, and
-    empty items are skipped. Any other value is an error naming the
-    manifest, the section and the key.
-    """
-    raw = _manifest_value(path, section, key)
-    try:
-        values = [kind(v) for v in raw.split(",") if size is not None or v.strip()]
-    except ValueError:
-        values = None
-    if values is None or size not in (None, len(values)):
-        noun = "integer" if kind is int else "number"
-        want = f"comma-separated {noun}s" if size is None else f"{size} {noun}" + "s" * (size > 1)
-        raise ValueError(f"{path}: [{section.name}] {key} must be {want}, got {raw!r}")
-    return values
-
-
-def _env_from_section(env_type, section, path: Path):
-    values = {}
-    for f in dataclasses.fields(env_type):
-        if f.name == "gravity":
-            values[f.name] = np.array(_manifest_numbers(path, section, f.name, size=3))
-        else:
-            [values[f.name]] = _manifest_numbers(path, section, f.name)
-    return env_type(**values)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
@@ -451,9 +500,7 @@ def load_manifest(path) -> Dataset:
     Each clean window must have its noisy window's channels, dt and length.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"manifest not found: {path}")
-    base = path.parent
+    base, where = path.parent, f"{path}: "
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     _read_ini(cfg, path, "manifest")
@@ -461,14 +508,20 @@ def load_manifest(path) -> Dataset:
         if section not in cfg:
             raise ValueError(f"{path}: manifest is missing the [{section}] section")
 
-    family = _manifest_value(path, cfg["dataset"], "family").lower()
+    family = read_value(cfg, "dataset", "family", str, where=where).lower()
     record = get_family(family)
-    [count] = _manifest_numbers(path, cfg["dataset"], "count", int)
+    count = read_value(cfg, "dataset", "count", int, where=where)
     if count < 1:
         raise ValueError(f"{path}: [dataset] count must be at least 1, got {count}")
-    denoise = [c for c in cfg["dataset"].get("denoise", "").split(",") if c]
+    denoise = read_value(cfg, "dataset", "denoise", list[str], [], where)
 
-    env = _env_from_section(record.environment, cfg["environment"], path)
+    kinds = get_type_hints(record.environment)
+    values = {f.name: read_value(cfg, "environment", f.name, kinds[f.name], where=where)
+              for f in dataclasses.fields(record.environment)}
+    try:
+        env = record.environment(**values)
+    except ValueError as err:
+        raise ValueError(f"{where}[environment] {err}") from None
     units = dict(cfg["units"]) if "units" in cfg else {}
 
     def window(key: str) -> SampleWindow:
@@ -504,9 +557,8 @@ def load_manifest(path) -> Dataset:
         raise ValueError(f"{path}: expected 0 or {count} clean windows, got {len(clean)}")
 
     split = None
-    if "split" in cfg and cfg["split"].get("train"):
-        split = tuple(_manifest_numbers(path, cfg["split"], key, int, size=None)
-                      for key in ("train", "test"))
+    if "split" in cfg:
+        split = tuple(read_value(cfg, "split", key, list[int], where=where) for key in ("train", "test"))
     return _dataset(family, env, windows, clean, split, denoise)
 
 

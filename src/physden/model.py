@@ -332,13 +332,15 @@ def _checkpoint_array(bundle, path, key: str, ndim: int, kinds: str = "iuf") -> 
 def load_checkpoint(path) -> Denoiser:
     """Read a save_checkpoint file; one without a dt entry gives a denoiser with dt None.
 
-    A file that is no readable npz archive, holds pickled data, or whose
-    entries are missing or malformed or whose layers do not chain, raises
-    ValueError naming the file.
+    A missing file, or one that is no readable npz archive, holds pickled
+    data, or whose entries are missing or malformed or whose layers do not
+    chain, raises ValueError naming the file.
     """
     try:
         try:
             bundle = np.load(path, allow_pickle=False)
+        except FileNotFoundError:
+            raise ValueError(f"{path}: checkpoint not found") from None
         except ValueError:  # pickled or object data: numpy's message would advise loading it unsafely
             raise ValueError(f"{path}: not a checkpoint archive") from None
         if not isinstance(bundle, np.lib.npyio.NpzFile):

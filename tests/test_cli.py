@@ -102,7 +102,10 @@ def test_set_key_without_section(capsys):
 
 def test_missing_config_file(capsys, tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 1
-    assert "config file not found" in capsys.readouterr().err
+    assert f"error: {tmp_path / 'absent.ini'}: config not found" in capsys.readouterr().err
+    # A directory is no config either; configparser's own read skipped it without a word.
+    assert main(["simulate", "--config", str(tmp_path), "--run-dir", str(tmp_path / "run")]) == 1
+    assert "Is a directory" in capsys.readouterr().err and not (tmp_path / "run").exists()
 
 
 def _config_reader(path):
@@ -151,7 +154,7 @@ def test_manifest_missing_key_names_it(capsys, tmp_path, workspace, section, key
         cfg.write(fh)
     rc = main(["train", "--run-dir", str(tmp_path / "run"), "--set", f"data.manifest={manifest}"])
     assert rc == 1
-    assert f"[{section}] is missing the '{key}' key" in capsys.readouterr().err
+    assert f"error: {manifest}: [{section}] {key}: missing required value" in capsys.readouterr().err
 
 
 def rewritten_manifest(data_dir, tmp_path, section, key, value):
@@ -178,16 +181,16 @@ def test_manifest_count_below_one_is_an_error(capsys, tmp_path, workspace):
 
 
 @pytest.mark.parametrize("section, key, value, shown", [
-    ("dataset", "count", "two", "must be 1 integer, got 'two'"),
-    ("split", "train", "0,a", "must be comma-separated integers, got '0,a'"),
-    ("environment", "mass_flow", "abc", "must be 1 number, got 'abc'"),
-])
+    ("dataset", "count", "two", "expected an integer, got 'two'"),
+    ("split", "train", "0,a", "expected comma-separated integers, got '0,a'"),
+    ("environment", "mass_flow", "abc", "expected a number, got 'abc'"),
+], ids=["dataset-count", "split-train", "environment-mass_flow"])
 def test_manifest_number_error_names_file_section_and_key(capsys, tmp_path, workspace, section,
                                                          key, value, shown):
     manifest = rewritten_manifest(workspace["sim_data"], tmp_path, section, key, value)
     rc = main(["train", "--run-dir", str(tmp_path / "run"), "--set", f"data.manifest={manifest}"])
     assert rc == 1
-    assert f"error: {manifest}: [{section}] {key} {shown}" in capsys.readouterr().err
+    assert f"error: {manifest}: [{section}] {key}: {shown}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -296,6 +299,21 @@ def test_denoise_missing_checkpoint(capsys, tmp_path):
     ])
     assert rc == 1
     assert "checkpoint not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, kind", [
+    ("train", "data.manifest", "manifest"),
+    ("eval", "model.checkpoint", "checkpoint"),
+    ("denoise", "data.input", "window CSV"),
+])
+def test_a_missing_file_is_named_by_the_reader_that_opens_it(capsys, tmp_path, workspace, command, key, kind):
+    files = {"data.manifest": workspace["manifest"], "model.checkpoint": workspace["checkpoint"],
+             "data.input": workspace["sim_data"] / "noisy_000.csv", key: tmp_path / "absent"}
+    rc = main([command, "--run-dir", str(tmp_path / "run"),
+               *(arg for item in files.items() for arg in ("--set", "=".join(map(str, item))))])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'absent'}: {kind} not found\n"
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -855,12 +873,13 @@ def test_gradcheck_passes(capsys):
 
 
 def _recording_stub(fn, calls: list, result, *extra: inspect.Parameter):
-    """A stand-in for fn, with fn's parameters and then extra, that records each call's keywords."""
+    """A stand-in for fn, with fn's parameters (their annotations resolved, as a set __signature__
+    is taken as it stands) and then extra, that records each call's keywords."""
     def stub(**kwargs):
         calls.append(kwargs)
         return result
 
-    signature = inspect.signature(fn)
+    signature = inspect.signature(fn, eval_str=True)
     stub.__signature__ = signature.replace(parameters=[*signature.parameters.values(), *extra])
     return stub
 
@@ -885,7 +904,7 @@ def test_gradcheck_passes_on_only_the_keys_the_config_sets(monkeypatch):
 def test_a_keyword_the_library_adds_is_a_config_key(monkeypatch, tmp_path, command, section, module, name, result):
     # The section's keys are the function's parameters, so a new one needs no CLI edit.
     calls = []
-    extra = inspect.Parameter("extra", inspect.Parameter.KEYWORD_ONLY, default=0, annotation="int")
+    extra = inspect.Parameter("extra", inspect.Parameter.KEYWORD_ONLY, default=0, annotation=int)
     monkeypatch.setattr(module, name, _recording_stub(getattr(module, name), calls, result, extra))
     assert main([command, "--run-dir", str(tmp_path), "--set", f"{section}.extra=3"]) == 0
     assert calls == [{"extra": 3}]

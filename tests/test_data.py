@@ -110,6 +110,11 @@ def test_noise_spec_validation():
         NoiseSpec(scale=-0.1)
     with pytest.raises(ValueError, match="mask_fraction"):
         NoiseSpec(kind="zero-mask", mask_fraction=1.5)
+    # An additive kind has no mask, so a mask_fraction there would do nothing.
+    for kind in ("gaussian", "uniform"):
+        with pytest.raises(ValueError, match=f"mask_fraction acts only on zero-mask noise, got 0.2 "
+                                             f"with kind '{kind}'"):
+            NoiseSpec(kind=kind, mask_fraction=0.2)
 
 
 def noisy_window(w, spec, rng):
@@ -159,7 +164,7 @@ def test_uniform_noise_bounded_by_half_width():
 def test_batch_noise_equals_one_draw_per_window(kind):
     # The reference is one C x T draw per window, in batch order, from the
     # same generator: the arithmetic of a window noised on its own.
-    spec = NoiseSpec(kind=kind, scale=0.3, mask_fraction=0.2)
+    spec = NoiseSpec(kind=kind, scale=0.3, mask_fraction=0.2 if kind == "zero-mask" else 0.0)
     windows = np.random.default_rng(4).normal(size=(3, 4, 25)) * [[[1.0], [10.0], [0.1], [3.0]]]
     ref_rng = np.random.default_rng(9)
     expected = []
@@ -489,23 +494,57 @@ def test_co2_manifest_keeps_driver_rows_and_only_constants(tmp_path):
         assert np.all(r == 0.0)
 
 
+def rewritten_manifest(path, family: str, section: str, **entries: str):
+    """The manifest of a saved 4-window dataset of the family at path, with [section] set to entries."""
+    manifest = save_dataset(generate_dataset(SimulateConfig(family=family, count=4, seed=1)), path)
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.optionxform = str
+    cfg.read(manifest)
+    cfg[section].update(entries)
+    with manifest.open("w") as fh:
+        cfg.write(fh)
+    return manifest
+
+
 @pytest.mark.parametrize(
     "family, key",
     [("co2", "room_volume"), ("co2", "initial_ppm"), ("co2", "dt"), ("ins", "gravity")],
 )
 def test_manifest_rejects_series_mark_on_fixed_field(tmp_path, family, key):
-    ds = generate_dataset(SimulateConfig(family=family, count=2, seed=1))
-    manifest = save_dataset(ds, tmp_path / "run")
-    cfg = configparser.ConfigParser()
-    cfg.optionxform = str
-    cfg.read(manifest)
-    cfg["environment"][key] = "@series"
-    with manifest.open("w") as fh:
-        cfg.write(fh)
+    manifest = rewritten_manifest(tmp_path / "run", family, "environment", **{key: "@series"})
     # An environment holds constants only; a series mark is not a number.
-    with pytest.raises(ValueError, match=rf"manifest\.ini: \[environment\] {key} must be \d numbers?, "
-                                         "got '@series'"):
+    with pytest.raises(ValueError, match=rf"manifest\.ini: \[environment\] {key}: expected "
+                                         "(a number|comma-separated numbers), got '@series'"):
         load_manifest(manifest)
+
+
+def test_manifest_environment_error_names_the_file_and_section(tmp_path):
+    manifest = rewritten_manifest(tmp_path / "run", "ins", "environment", gravity="1,2")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}: [environment] gravity must be a 3-vector, got shape (2,)"
+
+
+def test_manifest_denoise_names_are_read_as_the_model_key_reads_them(tmp_path):
+    manifest = rewritten_manifest(tmp_path / "run", "hvac", "dataset", denoise="t_sa, t_mix")
+    assert load_manifest(manifest).denoise_channels == ["t_sa", "t_mix"]
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("t_sa,,", "empty channel name in 't_sa,,'"),
+    ("", "expected channel names, got an empty value"),
+    ("t_sa,t_sa", "channel names must be distinct, got 't_sa' twice"),
+], ids=["empty-name", "empty-value", "repeated-name"])
+def test_manifest_denoise_rejects_what_the_model_key_rejects(tmp_path, value, shown):
+    manifest = rewritten_manifest(tmp_path / "run", "hvac", "dataset", denoise=value)
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}: [dataset] denoise: {shown}"
+
+
+def test_manifest_split_with_an_empty_half_is_read_as_written(tmp_path):
+    manifest = rewritten_manifest(tmp_path / "run", "hvac", "split", train="", test="0,1,2,3")
+    assert load_manifest(manifest).split == ([], [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("name, message", [
@@ -547,6 +586,12 @@ def test_load_manifest_rejects_a_clean_window_at_another_dt_or_length(tmp_path, 
 def test_load_manifest_missing_file():
     with pytest.raises(ValueError, match="manifest not found"):
         load_manifest("/nonexistent/manifest.ini")
+
+
+def test_load_csv_missing_file(tmp_path):
+    with pytest.raises(ValueError) as err:
+        load_csv(tmp_path / "absent.csv")
+    assert str(err.value) == f"{tmp_path / 'absent.csv'}: window CSV not found"
 
 
 @pytest.fixture(scope="module")
@@ -638,9 +683,10 @@ def test_generate_dataset_applies_bias_fraction():
                                           ("co2", "zero-mask")])
 def test_generate_dataset_corrupts_each_window_as_corrupt_does(family, kind):
     cfg = SimulateConfig(family=family, count=5, seed=12, noise_kind=kind, noise_scale=0.3,
-                         mask_fraction=0.2, bias_frac={FAMILIES[family].channels[0]: 0.4})
+                         mask_fraction=0.2 if kind == "zero-mask" else 0.0,
+                         bias_frac={FAMILIES[family].channels[0]: 0.4})
     ds = generate_dataset(cfg)
-    noise = NoiseSpec(kind=kind, scale=0.3, mask_fraction=0.2)
+    noise = NoiseSpec(kind=kind, scale=0.3, mask_fraction=cfg.mask_fraction)
     bias = np.zeros(len(FAMILIES[family].channels))
     bias[0] = 0.4 * compute_norm_stats(ds.clean).std[0]
     noise_seeds = np.random.SeedSequence(12).spawn(2 * cfg.count)[cfg.count:]

@@ -332,6 +332,12 @@ def test_denoiser_rejects_a_bad_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         Denoiser(init_params(1, widths=(1, 1, 1), rng=0), ["a"], np.zeros(1), np.ones(1), dt=dt)
 
+def test_checkpoint_missing_file(tmp_path):
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(tmp_path / "absent.npz")
+    assert str(err.value) == f"{tmp_path / 'absent.npz'}: checkpoint not found"
+
+
 def test_checkpoint_rejects_unknown_format_version(tmp_path):
     params = init_params(1, widths=(1, 1, 1), rng=0)
     den = Denoiser(params, ["a"], np.zeros(1), np.ones(1))
