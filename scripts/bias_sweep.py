@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from physden.metrics import write_records
+from physden.data import write_records
 from physden.training import BiasDemoReport, bias_demo
 
 

@@ -17,7 +17,9 @@ may differ between kernels. Then one `name sha256` line per output:
 - for each family, `physden simulate` (cli.main) with every simulation constant
   of the family set to a value other than its default: the manifest's and the
   window CSVs' bytes, and then what data.load_manifest reads back from them
-  (the dataset digest above, the denoise channels and the environment fields).
+  (the dataset digest above, the denoise channels and the environment fields);
+- `physden simulate`, `train` and `eval` (cli.main) on 4 hvac windows, training
+  2 epochs at widths 2,3,2: the bytes of the training log and report CSVs.
 It uses only library names that have stood since each family became one
 physics.FAMILIES record, and [data] keys that stood before the simulation
 constants moved into the family records, so the same file, copied into an older
@@ -111,6 +113,19 @@ def cli_simulate_digests(family: str, constants: list[str]) -> tuple[str, str]:
         return files, loaded_digest(load_manifest(Path(tmp, "data", "manifest.ini")))
 
 
+def cli_run_records_digest() -> str:
+    """Digest of the train_log.csv and report.csv bytes of `physden simulate`, `train` and `eval` in one
+    run directory: 4 hvac windows, 2 epochs at widths 2,3,2, every other key at its default."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        manifest = f"data.manifest={Path(tmp, 'data', 'manifest.ini')}"
+        for command, items in (("simulate", ["data.family=hvac", "data.count=4"]),
+                               ("train", [manifest, "train.epochs_total=2", "train.widths=2,3,2"]),
+                               ("eval", [manifest, f"model.checkpoint={Path(tmp, 'model.npz')}"])):
+            if cli_main([command, "--run-dir", tmp, *(a for item in items for a in ("--set", item))]) != 0:
+                raise SystemExit(f"{command} failed")
+        return sha256([(name, Path(tmp, name).read_bytes()) for name in ("train_log.csv", "report.csv")])
+
+
 def digests() -> list[tuple[str, str]]:
     configs = [(f"gate_data_seed{seed}", dataclasses.replace(GATE_DATA, seed=seed)) for seed in (1, 2, 3)]
     configs += [
@@ -142,6 +157,7 @@ def digests() -> list[tuple[str, str]]:
     simulated = {family: cli_simulate_digests(family, constants) for family, constants in CLI_CONSTANTS.items()}
     lines += [(f"cli_simulate_{family}", files) for family, (files, _) in simulated.items()]
     lines += [(f"manifest_loaded_{family}", loaded) for family, (_, loaded) in simulated.items()]
+    lines.append(("cli_run_records", cli_run_records_digest()))
     return lines
 
 

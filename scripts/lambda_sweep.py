@@ -18,8 +18,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from physden.data import generate_dataset
-from physden.metrics import EvalReport, format_report_table, write_records
+from physden.data import generate_dataset, write_records
+from physden.metrics import EvalReport, format_report_table
 from physden.training import GATE_DATA, GATE_TRAIN, LAMBDA_MAX, LAMBDA_MIN, lambda_sweep
 
 

@@ -14,7 +14,6 @@ variables before numpy first loads.
 from __future__ import annotations
 
 import argparse
-import configparser
 import inspect
 import os
 import sys
@@ -76,12 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 # Config plumbing
 
 
-def _load_config(args) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    if args.config:
-        from .data import _read_ini
+def _load_config(args):
+    from .data import _read_ini, new_ini
 
+    cp = new_ini()
+    if args.config:
         _read_ini(cp, Path(args.config), "config")
     for item in args.overrides:
         if "=" not in item:
@@ -124,6 +122,12 @@ def _given(cp, section: str, kinds: dict) -> dict:
 
     values = {key: read_value(cp, section, key, kind, None) for key, kind in kinds.items()}
     return {key: value for key, value in values.items() if value is not None}
+
+
+def _reject_inert(section: str, given: dict, key: str, setting: str, value: str, inert: str) -> None:
+    """Reject [section] key when the config sets it and setting's value is inert, which makes key do nothing."""
+    if key in given and value == inert:
+        raise ValueError(f"[{section}] {key} does nothing when {setting} = {inert}")
 
 
 def _run_dir(args, seed: int) -> Path:
@@ -172,8 +176,11 @@ def _train_config(cp):
 
     given = _given(cp, "train", _keys(TrainConfig))
     noise = _given(cp, "train", _NOISE_KEYS)
-    noise = {key.removeprefix("noise_"): value for key, value in noise.items()}
-    return TrainConfig(noise=NoiseSpec(**noise), **given)
+    cfg = TrainConfig(noise=NoiseSpec(**{key.removeprefix("noise_"): value for key, value in noise.items()}),
+                      **given)
+    _reject_inert("train", given, "lambda_value", "lambda_mode", cfg.lambda_mode, "adaptive")
+    _reject_inert("train", noise, "noise_scale", "noise_kind", cfg.noise.kind, "zero-mask")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +196,7 @@ def _cmd_simulate(args, cp) -> int:
     given = _given(cp, "data", _keys(SimulateConfig))
     given["constants"] = _given(cp, "data", _constant_kinds())
     cfg = SimulateConfig(**given)
+    _reject_inert("data", given, "noise_scale", "noise_kind", cfg.noise_kind, "zero-mask")
     dataset = generate_dataset(cfg)
     manifest = save_dataset(dataset, _run_dir(args, cfg.seed) / "data")
 
@@ -200,9 +208,8 @@ def _cmd_simulate(args, cp) -> int:
 
 
 def _cmd_train(args, cp) -> int:
-    from .data import load_manifest, read_value
+    from .data import load_manifest, read_value, write_records
     from .model import save_checkpoint
-    from .metrics import write_records
     from .training import LogRow, TrainingAborted, train
 
     dataset = load_manifest(read_value(cp, "data", "manifest", str))
@@ -271,8 +278,8 @@ def _cmd_denoise(args, cp) -> int:
 
 
 def _cmd_eval(args, cp) -> int:
-    from .data import load_manifest, read_value
-    from .metrics import EvalReport, evaluate, format_report_table, write_records
+    from .data import load_manifest, read_value, write_records
+    from .metrics import EvalReport, evaluate, format_report_table
     from .model import denoise, load_checkpoint
 
     manifest = read_value(cp, "data", "manifest", str)
@@ -326,7 +333,7 @@ def _cmd_gradcheck(args, cp) -> int:
 
 
 def _cmd_bias_demo(args, cp) -> int:
-    from .metrics import write_records
+    from .data import write_records
     from .training import BiasDemoReport, bias_demo
 
     given = _given(cp, "demo", _keys(bias_demo))

@@ -6,7 +6,9 @@ then corrupts the clean windows and splits them by physics alignment.
 File formats: one window per CSV with header ``t,<channel names>`` and a
 strictly increasing, uniformly spaced time column; a dataset is an INI
 manifest naming the window files, the physics family, environment constants,
-units, and the train/test split.
+units, and the train/test split; a run's records are CSVs of dataclass rows.
+write_value gives every manifest entry and record cell its text, read_value
+parses an INI value back, and new_ini is the one INI dialect.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ __all__ = [
     "load_csv",
     "save_dataset",
     "load_manifest",
+    "write_records",
     "generate_dataset",
 ]
 
@@ -212,11 +215,11 @@ class Dataset:
     denoise_channels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        _check_split(self.split, len(self.windows))
-        if self.clean is not None and len(self.clean) != len(self.windows):
-            raise ValueError("Dataset: clean list must pair 1:1 with windows")
         if not self.denoise_channels:
             self.denoise_channels = list(FAMILIES[self.spec.family].denoise)
+        _check_parts(self.split, self.denoise_channels, self.spec.channels, len(self.windows))
+        if self.clean is not None and len(self.clean) != len(self.windows):
+            raise ValueError("Dataset: clean list must pair 1:1 with windows")
 
     @property
     def train_windows(self) -> list[SampleWindow]:
@@ -227,10 +230,24 @@ class Dataset:
         return [self.windows[i] for i in self.split[1]]
 
 
-def _check_split(split: tuple[list[int], list[int]], n_windows: int) -> None:
-    """Reject a split whose train and test lists do not partition the window indices."""
+class _BadPart(ValueError):
+    """A Dataset field that does not fit its windows: the field's name, and what is wrong with it."""
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"Dataset: {name} {detail}")
+        self.name, self.detail = name, detail
+
+
+def _check_parts(split: tuple[list[int], list[int]], denoise: Sequence[str], channels: Sequence[str],
+                 n_windows: int) -> None:
+    """Reject a split whose train and test lists do not partition the window indices, or a denoise
+    channel the windows lack."""
     if sorted([*split[0], *split[1]]) != list(range(n_windows)):
-        raise ValueError("Dataset: split must partition window indices")
+        raise _BadPart("split", f"must partition the {n_windows} window indices, got train "
+                                f"{write_value(split[0])!r} and test {write_value(split[1])!r}")
+    missing = [name for name in denoise if name not in channels]
+    if missing:
+        raise _BadPart("denoise_channels", f"names channels the windows lack: {write_value(missing)}")
 
 
 def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[SampleWindow],
@@ -245,7 +262,8 @@ def _dataset(family: str, environment, windows: list[SampleWindow], clean: list[
     else:
         for window in windows:
             check_window(window, spec)
-    _check_split(split, len(windows))  # before the train split's stats index the windows
+    # Before the train split's stats index the windows; Dataset gives the default denoise channels.
+    _check_parts(split, denoise_channels, spec.channels, len(windows))
     stats = compute_norm_stats([windows[i] for i in split[0]] or windows)
     return Dataset(windows, spec, split, stats, clean=clean or None,
                    denoise_channels=list(denoise_channels))
@@ -352,7 +370,14 @@ def load_csv(path, schema: Sequence[str] | None = None) -> SampleWindow:
 
 
 # ---------------------------------------------------------------------------
-# INI files and their values: the config file and the dataset manifest
+# The text of a value: INI files (the config file and the dataset manifest) and record CSVs
+
+
+def new_ini() -> configparser.ConfigParser:
+    """An empty parser of the one INI dialect: values kept as written (a % included), keys case-sensitive."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.optionxform = str
+    return cfg
 
 
 def _read_ini(cfg: configparser.ConfigParser, path: Path, kind: str) -> None:
@@ -440,53 +465,51 @@ def read_value(cfg: configparser.ConfigParser, section: str, key: str, kind, def
         raise ValueError(f"{where}[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
+def write_value(value) -> str:
+    """The text of a value, as read_value reads it back: a float at 17 significant digits, a list,
+    tuple or array its items joined by commas, None empty (a CSV cell only), anything else its str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):  # np.float64 included
+        return f"{value:.17g}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(write_value(item) for item in value)
+    return str(value)
+
+
+def write_records(cls, rows: Sequence, path) -> None:
+    """A CSV of records of the dataclass cls: a header of its fields whose resolved annotation is a
+    kind read_value parses, in declaration order, then one line per row, each cell by write_value;
+    no rows, the header alone."""
+    kinds = get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls) if kinds[f.name] in _KINDS]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([write_value(getattr(row, name)) for name in names] for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Dataset manifest (INI)
 
-def _env_section(spec: PhysicsSpec) -> dict[str, str]:
-    """[environment] key/values in field order, each constant at 17 significant digits.
-
-    gravity's three components are joined by commas.
-    """
-    env = spec.environment
-    return {f.name: ",".join(f"{float(v):.17g}" for v in np.atleast_1d(getattr(env, f.name)))
-            for f in dataclasses.fields(env)}
-
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write window CSVs and manifest.ini; returns the manifest path."""
+    """Write window CSVs and manifest.ini, every entry by write_value; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = configparser.ConfigParser(interpolation=None)
-    cfg.optionxform = str
-
-    cfg["dataset"] = {
-        "family": dataset.spec.family,
-        "count": str(len(dataset.windows)),
-        "denoise": ",".join(dataset.denoise_channels),
-    }
-
-    cfg["environment"] = _env_section(dataset.spec)
-
-    cfg["units"] = {
-        name: unit for name, unit in zip(dataset.windows[0].channels, dataset.windows[0].units)
-    }
-    cfg["split"] = {
-        "train": ",".join(str(i) for i in dataset.split[0]),
-        "test": ",".join(str(i) for i in dataset.split[1]),
-    }
-
-    files: dict[str, str] = {}
-    for i, w in enumerate(dataset.windows):
-        name = f"noisy_{i:03d}.csv"
-        save_csv(w, out_dir / name)
-        files[f"noisy_{i:03d}"] = name
-    if dataset.clean is not None:
-        for i, w in enumerate(dataset.clean):
-            name = f"clean_{i:03d}.csv"
-            save_csv(w, out_dir / name)
-            files[f"clean_{i:03d}"] = name
-    cfg["windows"] = files
+    env = dataset.spec.environment
+    cfg = new_ini()
+    cfg["dataset"] = {"family": dataset.spec.family, "count": write_value(len(dataset.windows)),
+                      "denoise": write_value(dataset.denoise_channels)}
+    cfg["environment"] = {f.name: write_value(getattr(env, f.name)) for f in dataclasses.fields(env)}
+    cfg["units"] = dict(zip(dataset.windows[0].channels, dataset.windows[0].units))
+    cfg["split"] = {"train": write_value(dataset.split[0]), "test": write_value(dataset.split[1])}
+    cfg["windows"] = {}
+    for kind, windows in (("noisy", dataset.windows), ("clean", dataset.clean or [])):
+        for i, w in enumerate(windows):
+            name = f"{kind}_{i:03d}"
+            save_csv(w, out_dir / f"{name}.csv")
+            cfg["windows"][name] = f"{name}.csv"
 
     manifest = out_dir / "manifest.ini"
     with manifest.open("w") as fh:
@@ -501,8 +524,7 @@ def load_manifest(path) -> Dataset:
     """
     path = Path(path)
     base, where = path.parent, f"{path}: "
-    cfg = configparser.ConfigParser(interpolation=None)
-    cfg.optionxform = str
+    cfg = new_ini()
     _read_ini(cfg, path, "manifest")
     for section in ("dataset", "environment", "windows"):
         if section not in cfg:
@@ -559,7 +581,11 @@ def load_manifest(path) -> Dataset:
     split = None
     if "split" in cfg:
         split = tuple(read_value(cfg, "split", key, list[int], where=where) for key in ("train", "test"))
-    return _dataset(family, env, windows, clean, split, denoise)
+    try:
+        return _dataset(family, env, windows, clean, split, denoise)
+    except _BadPart as err:
+        entry = {"split": "[split]", "denoise_channels": "[dataset] denoise"}[err.name]
+        raise ValueError(f"{where}{entry} {err.detail}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reconstruction and physics-alignment metrics, the table report, and the one CSV writer.
+"""Reconstruction and physics-alignment metrics and the table report.
 
 A report reduces two pooled blocks: every window's noisy-minus-clean rows
 side by side in time, and every window's residual rows flattened end to end.
@@ -9,9 +9,7 @@ bitwise on identical inputs.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +19,6 @@ from .physics import PhysicsSpec, SampleWindow, window_residuals
 __all__ = [
     "EvalReport",
     "evaluate",
-    "write_records",
     "format_report_table",
 ]
 
@@ -93,28 +90,6 @@ def _pooled(d: np.ndarray) -> tuple[float, float, float, float]:
     """Mean square, mean absolute, summed square and summed absolute value of a block."""
     sq, ab = d * d, np.abs(d)
     return float(np.mean(sq)), float(np.mean(ab)), float(np.sum(sq)), float(np.sum(ab))
-
-
-# The annotations of a record field that is a CSV column; a field of any other kind (a mapping,
-# a nested record) is left out.
-_CELL_KINDS = ("str", "int", "float", "float | None")
-
-
-def _fmt(v: str | int | float | None) -> str:
-    """A CSV cell: floats at 17 digits, None (no clean reference, no phase-2 term) empty."""
-    if v is None:
-        return ""
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
-def write_records(cls, rows: Sequence, path) -> None:
-    """A CSV of records of the dataclass cls: a header of its fields of a cell kind, in declaration
-    order, then one line per row, floats at 17 digits and None empty; no rows, the header alone."""
-    names = [f.name for f in fields(cls) if f.type in _CELL_KINDS]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows([_fmt(getattr(row, name)) for name in names] for row in rows)
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

@@ -4,16 +4,20 @@ import contextlib
 import csv
 import inspect
 import io
+import os
 import pickle
 import shutil
 import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import physden
 from physden import gradcheck, training
 from physden.cli import _known_keys, _load_config, build_parser, main
 from physden.data import SampleWindow, load_csv, load_manifest, save_csv
@@ -721,6 +725,12 @@ def sweep_input(workspace):
 @example(mutation=("set", "train", ("train.lr=inf",)), names="lr")
 @example(mutation=("set", "train", ("train.lambda_mode=fixed", "train.lambda_value=nan")), names="lambda_value")
 @example(mutation=("set", "train", ("train.noise_scale=inf",)), names="scale")
+@example(mutation=("set", "train", ("train.lambda_value=5",)),
+         names="[train] lambda_value does nothing when lambda_mode = adaptive")
+@example(mutation=("set", "train", ("train.noise_kind=zero-mask", "train.noise_scale=0.2")),
+         names="[train] noise_scale does nothing when noise_kind = zero-mask")
+@example(mutation=("set", "simulate", ("data.noise_kind=zero-mask", "data.noise_scale=0.2")),
+         names="[data] noise_scale does nothing when noise_kind = zero-mask")
 @example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
                                        "data.motion_scale=nan")), names="motion_scale")
 @example(mutation=("set", "simulate", ("data.family=ins", "data.duration=0.2", "data.dt=0.01",
@@ -937,6 +947,17 @@ def test_bias_demo_writes_report(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # console script
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # main pins the BLAS thread counts that --threads sets before numpy first loads, so no
+    # module the CLI imports at its top may load numpy.
+    src = Path(physden.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", "import sys, physden.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_runs():

@@ -2,6 +2,7 @@
 import configparser
 import csv
 import dataclasses
+import io
 import shutil
 
 import numpy as np
@@ -19,10 +20,13 @@ from physden.data import (
     inject_noise,
     load_csv,
     load_manifest,
+    new_ini,
     noise_std,
+    read_value,
     save_csv,
     save_dataset,
     split_by_alignment,
+    write_value,
 )
 from physden.physics import (
     FAMILIES,
@@ -451,6 +455,9 @@ def test_dataset_split_must_partition():
     stats = compute_norm_stats(windows)
     with pytest.raises(ValueError, match="partition"):
         Dataset(windows=windows, spec=spec, split=([0], [0]), norm_stats=stats)
+    with pytest.raises(ValueError) as err:
+        Dataset(windows=windows, spec=spec, split=([0], [1]), norm_stats=stats, denoise_channels=["t_sa", "x"])
+    assert str(err.value) == "Dataset: denoise_channels names channels the windows lack: x"
 
 
 def test_manifest_round_trip(tmp_path):
@@ -497,8 +504,7 @@ def test_co2_manifest_keeps_driver_rows_and_only_constants(tmp_path):
 def rewritten_manifest(path, family: str, section: str, **entries: str):
     """The manifest of a saved 4-window dataset of the family at path, with [section] set to entries."""
     manifest = save_dataset(generate_dataset(SimulateConfig(family=family, count=4, seed=1)), path)
-    cfg = configparser.ConfigParser(interpolation=None)
-    cfg.optionxform = str
+    cfg = new_ini()
     cfg.read(manifest)
     cfg[section].update(entries)
     with manifest.open("w") as fh:
@@ -545,6 +551,52 @@ def test_manifest_denoise_rejects_what_the_model_key_rejects(tmp_path, value, sh
 def test_manifest_split_with_an_empty_half_is_read_as_written(tmp_path):
     manifest = rewritten_manifest(tmp_path / "run", "hvac", "split", train="", test="0,1,2,3")
     assert load_manifest(manifest).split == ([], [0, 1, 2, 3])
+
+
+def test_manifest_denoise_must_name_channels_of_the_windows(tmp_path):
+    manifest = rewritten_manifest(tmp_path / "run", "hvac", "dataset", denoise="t_sa,bogus")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}: [dataset] denoise names channels the windows lack: bogus"
+
+
+def test_manifest_split_must_partition_the_windows(tmp_path):
+    manifest = rewritten_manifest(tmp_path / "run", "hvac", "split", train="0,1", test="3,9")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == (f"{manifest}: [split] must partition the 4 window indices, "
+                              "got train '0,1' and test '3,9'")
+
+
+# Values of each kind save_dataset writes. A text or a name is one line without surrounding
+# whitespace, and a name holds no comma, as the manifest's are; ±0.0 and floats that take all 17
+# digits are drawn on purpose, as arbitrary floats seldom are.
+_TEXT = st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"))
+_FLOATS = st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1 / 3, 5e-324]) | st.floats(allow_nan=False)
+_WRITTEN = {
+    str: st.text(_TEXT, min_size=1),
+    int: st.integers(),
+    float: _FLOATS,
+    list[str]: st.lists(st.text(_TEXT.filter(lambda c: c != ","), min_size=1), min_size=1, unique=True),
+    list[int]: st.just([]) | st.lists(st.integers()),
+    np.ndarray: st.lists(_FLOATS, min_size=1).map(np.array),
+}
+
+
+@pytest.mark.parametrize("kind", list(_WRITTEN), ids=["str", "int", "float", "list[str]", "list[int]", "ndarray"])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_read_value_reads_what_write_value_wrote_to_the_bit(kind, data):
+    value = data.draw(_WRITTEN[kind])
+    written, back = new_ini(), new_ini()
+    written["s"] = {"k": write_value(value)}
+    text = io.StringIO()
+    written.write(text)
+    back.read_string(text.getvalue())
+    read = read_value(back, "s", "k", kind)
+    # A float's repr tells every double apart, -0.0 from 0.0 included.
+    exact = lambda v: (type(v), repr(v.tolist() if isinstance(v, np.ndarray) else v))
+    assert exact(read) == exact(value)
 
 
 @pytest.mark.parametrize("name, message", [
@@ -617,8 +669,7 @@ def test_mutated_manifest_loads_or_raises_value_error(saved_datasets, tmp_path_f
     root = tmp_path_factory.mktemp("mutated")
     shutil.copytree(saved_datasets[family], root, dirs_exist_ok=True)
     manifest = root / "manifest.ini"
-    cfg = configparser.ConfigParser(interpolation=None)
-    cfg.optionxform = str
+    cfg = new_ini()
     cfg.read(manifest)
     if mutation == "drop section":
         cfg.remove_section(data.draw(st.sampled_from(cfg.sections())))

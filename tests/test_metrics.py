@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physden.autodiff import Tensor
-from physden.data import SimulateConfig, generate_dataset
-from physden.metrics import EvalReport, evaluate, format_report_table, write_records
+from physden.data import SimulateConfig, generate_dataset, write_records
+from physden.metrics import EvalReport, evaluate, format_report_table
 from physden.physics import (
     FAMILIES,
     HvacEnvironment,
@@ -223,6 +223,13 @@ def test_a_field_a_record_adds_is_a_column(tmp_path):
         "epoch,iteration,phase,l_rec,l_phy,lam,total,extra",
         "0,1,2,0.5,,,0.5,0.10000000000000001",
     ]
+
+
+def test_a_record_without_postponed_annotations_writes_its_columns(tmp_path):
+    # Its fields' annotations are the classes float and int, not the strings "float" and "int".
+    record = dataclasses.make_dataclass("R", [("a", float), ("b", int)])
+    write_records(record, [record(1.0, 2)], tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == "a,b\n1,2\n"
 
 
 def test_report_table_lists_channels():

@@ -95,7 +95,7 @@ def test_digests_prints_each_name_once_and_the_same_lines_twice():
         "hvac_count16_seed5_noise0.2", "gate_train_2epochs_params", "gate_train_2epochs_log",
         "gate_train_2epochs_denoised", "bias_demo_train_2epochs_params", "bias_demo_train_2epochs_log",
         "serve_model_denoised", "cli_simulate_ins", "cli_simulate_co2", "cli_simulate_hvac",
-        "manifest_loaded_ins", "manifest_loaded_co2", "manifest_loaded_hvac",
+        "manifest_loaded_ins", "manifest_loaded_co2", "manifest_loaded_hvac", "cli_run_records",
     ]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert runs[1].stdout == runs[0].stdout
